@@ -41,15 +41,18 @@ from .dp import (
     DPInstance,
     FiniteHorizon,
     ValueTable,
+    _part_sum,
     evaluate_stationary_policy,
     evaluate_time_varying,
     index_state,
     solve_discounted_pi,
     solve_finite,
     state_index,
+    value_split_defect,
 )
 from .errors import TheoremViolation
-from .linalg import DirectSumDecomposition, Subspace, column_space, subspace_intersect, subspace_sum
+from .linalg import (DirectSumDecomposition, Subspace, column_space, index_map, subspace_intersect,
+                     subspace_sum)
 from .subproblems import SubproblemBundle, build_bundle, lift_policy, solve_bundle
 
 DEFAULT_TUPLE_CAP = 10**6
@@ -88,8 +91,15 @@ class DecompositionReport:
 
 
 def report_from_dict(data: dict[str, Any]) -> DecompositionReport:
-    fields = {k: data[k] for k in data if k in DecompositionReport.__dataclass_fields__}
-    return DecompositionReport(**fields)
+    """Rebuild a report from its dict form; a missing required field is a
+    ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a report must be a JSON object")
+    try:
+        return DecompositionReport(
+            **{k: data[k] for k in data if k in DecompositionReport.__dataclass_fields__})
+    except TypeError as exc:  # a required field is missing
+        raise ValueError(f"malformed report: {exc}") from None
 
 
 def _horizon_descriptor(inst: DPInstance) -> dict[str, Any]:
@@ -105,38 +115,48 @@ def _solve_parent(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
 
 
 def _input_span_flags(bundle: SubproblemBundle) -> list[bool]:
-    p = bundle.parent.field.p
-    m = bundle.parent.m
-    span = bundle.input_span
-    return [span.contains(index_state(u, p, m)) for u in range(p**m)]
+    """Whether each parent input lies in the span of the feasible input
+    subspaces."""
+    flags = [False] * bundle.parent.num_inputs
+    for u in index_map(bundle.input_span.basis_matrix()):
+        flags[u] = True
+    return flags
 
 
-def _embedded_index_tables(bundle: SubproblemBundle) -> list[list[int]]:
-    """Parent state index of each part-local state, per part."""
-    p = bundle.parent.field.p
+def _projected_input_images(bundle: SubproblemBundle) -> list[list[int]]:
+    """Image of every input through B and each projection, as an index in
+    adapted coordinates (the parts' local coordinates, concatenated).  Each
+    part owns its own digits there, so the image of a tuple of inputs, one
+    per part, is the integer sum of their images."""
     out = []
-    for part in bundle.decomp.parts:
-        table = []
-        for y in range(p**part.dim):
-            coords = index_state(y, p, part.dim)
-            table.append(state_index(part.from_coords(coords), p))
-        out.append(table)
+    weight = 1
+    for part, sub in zip(bundle.decomp.parts, bundle.projected):
+        out.append([weight * y for y in index_map(sub.B)])
+        weight *= bundle.parent.field.p**part.dim
     return out
 
 
-def _projected_input_images(bundle: SubproblemBundle) -> list[list[tuple[int, ...]]]:
-    """Ambient image of every input through B followed by each projection."""
-    p = bundle.parent.field.p
-    m = bundle.parent.m
-    out = []
-    for i, sub in enumerate(bundle.projected):
-        part = bundle.decomp.parts[i]
-        images = []
-        for u in range(p**m):
-            local = sub.B.matvec(index_state(u, p, m))
-            images.append(part.from_coords(local))
-        out.append(images)
-    return out
+def _value_witness(bundle: SubproblemBundle, x: int, parent_table: Sequence[Fraction],
+                   solutions: Sequence[tuple[ValueTable, ArgminTable]]) -> dict[str, Any]:
+    """The value witness at state x: the parent value there and the sum of
+    the subproblem values (time 0) at the state's components."""
+    sub_tables = [sol[0].per_time[0] for sol in solutions]
+    return {
+        "kind": "value",
+        "state": list(index_state(x, bundle.parent.field.p, bundle.parent.n)),
+        "parent_value": str(parent_table[x]),
+        "subproblem_sum": str(_part_sum(sub_tables, bundle.component_state_tables(), x)),
+    }
+
+
+def _value_split_witness(bundle: SubproblemBundle, parent_table: Sequence[Fraction],
+                         solutions: Sequence[tuple[ValueTable, ArgminTable]]
+                         ) -> dict[str, Any] | None:
+    """The value witness at the first state where the parent value is not
+    the sum of the subproblem values, or None when it splits everywhere."""
+    x = value_split_defect(parent_table, [sol[0].per_time[0] for sol in solutions],
+                           bundle.component_state_tables())
+    return None if x is None else _value_witness(bundle, x, parent_table, solutions)
 
 
 def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
@@ -201,19 +221,9 @@ def check_additive(bundle: SubproblemBundle,
     implementation bug, not a property of the instance.
     """
     parent_values, _ = parent_solution
-    comp = bundle.component_state_tables()
-    p = bundle.parent.field.p
-    parent0 = parent_values.per_time[0]
-    subs0 = [sol[0].per_time[0] for sol in restricted_solutions]
-    for x in range(bundle.parent.num_states):
-        total = sum((subs0[i][comp[i][x]] for i in range(bundle.r)), Fraction(0))
-        if total != parent0[x]:
-            return False, {
-                "kind": "value",
-                "state": list(index_state(x, p, bundle.parent.n)),
-                "parent_value": str(parent0[x]),
-                "subproblem_sum": str(total),
-            }
+    witness = _value_split_witness(bundle, parent_values.per_time[0], restricted_solutions)
+    if witness is not None:
+        return False, witness
     _spot_check_lift(bundle, parent_values, restricted_solutions,
                      rng or random.Random(0))
     return True, None
@@ -263,24 +273,16 @@ def check_componentwise(bundle: SubproblemBundle,
     elsewhere still decides False).
     """
     parent_values, parent_argmin = parent_solution
+    witness = _value_split_witness(bundle, parent_values.per_time[0], projected_solutions)
+    if witness is not None:
+        return False, witness
+
     comp = bundle.component_state_tables()
     p = bundle.parent.field.p
     n = bundle.parent.n
-    parent0 = parent_values.per_time[0]
-    subs0 = [sol[0].per_time[0] for sol in projected_solutions]
-    for x in range(bundle.parent.num_states):
-        total = sum((subs0[i][comp[i][x]] for i in range(bundle.r)), Fraction(0))
-        if total != parent0[x]:
-            return False, {
-                "kind": "value",
-                "state": list(index_state(x, p, n)),
-                "parent_value": str(parent0[x]),
-                "subproblem_sum": str(total),
-            }
-
     images = _projected_input_images(bundle)
-    bu_index = [state_index(bundle.parent.B.matvec(index_state(u, p, bundle.parent.m)), p)
-                for u in range(bundle.parent.num_inputs)]
+    # B u in adapted coordinates, comparable with sums of images
+    bu_adapted = index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B)
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
     times = range(bundle.parent.horizon.T) if finite else (None,)
     inconclusive = False
@@ -289,11 +291,10 @@ def check_componentwise(bundle: SubproblemBundle,
         parent_row = parent_argmin.per_time[t_idx]
         sub_rows = [sol[1].per_time[t_idx] for sol in projected_solutions]
         for x in range(bundle.parent.num_states):
-            distinct: list[dict[tuple[int, ...], int]] = []
+            distinct: list[dict[int, int]] = []
             for i in range(bundle.r):
-                actions = sub_rows[i][comp[i][x]]
-                seen: dict[tuple[int, ...], int] = {}
-                for a in sorted(actions):
+                seen: dict[int, int] = {}
+                for a in sorted(sub_rows[i][comp[i][x]]):
                     seen.setdefault(images[i][a], a)
                 distinct.append(seen)
             count = 1
@@ -302,19 +303,18 @@ def check_componentwise(bundle: SubproblemBundle,
             if count > cap:
                 inconclusive = True
                 continue
-            achievable = {bu_index[u] for u in parent_row[x]}
+            achievable = {bu_adapted[u] for u in parent_row[x]}
             for combo in itertools.product(*(d.items() for d in distinct)):
-                target = [0] * n
-                for vec, _ in combo:
-                    target = [(s + v) % p for s, v in zip(target, vec)]
-                if state_index(target, p) not in achievable:
+                target = sum(image for image, _ in combo)
+                if target not in achievable:
                     return False, {
                         "kind": "tuple",
                         "state": list(index_state(x, p, n)),
                         "t": t,
                         "actions": [list(index_state(a, p, bundle.parent.m))
                                     for _, a in combo],
-                        "target": list(target),
+                        "target": list(bundle.decomp.change_of_basis.matvec(
+                            index_state(target, p, n))),
                     }
     if inconclusive:
         return "inconclusive", None
@@ -369,15 +369,11 @@ def check_horizon_monotone(bundle: SubproblemBundle,
         raise ValueError("horizon monotonicity applies to finite horizons")
     T = bundle.parent.horizon.T
     comp = bundle.component_state_tables()
-    verdicts = []
-    for shift in range(T):  # shift s decides the horizon T - s problem
-        parent_t = parent_values.per_time[shift]
-        subs_t = [sol[0].per_time[shift] for sol in restricted_solutions]
-        ok = all(
-            parent_t[x] == sum((subs_t[i][comp[i][x]] for i in range(bundle.r)),
-                               Fraction(0))
-            for x in range(bundle.parent.num_states))
-        verdicts.append(ok)
+    # shift s decides the horizon T - s problem
+    verdicts = [value_split_defect(parent_values.per_time[s],
+                                   [sol[0].per_time[s] for sol in restricted_solutions],
+                                   comp) is None
+                for s in range(T)]
     # verdicts[s] is the horizon T-s verdict: once True it must stay True
     for s in range(T - 1):
         if verdicts[s] and not verdicts[s + 1]:
@@ -398,25 +394,20 @@ def _assert_value_separability(bundle: SubproblemBundle,
     must agree with that part's restricted subproblem value.  Both hold by
     theorem once the condition does."""
     comp = bundle.component_state_tables()
-    emb = _embedded_index_tables(bundle)
+    emb = bundle.decomp.embedding_tables()
     for t_idx, parent_t in enumerate(parent_values.per_time):
-        total_err = any(
-            parent_t[x] != sum(
-                (parent_t[emb[i][comp[i][x]]] for i in range(bundle.r)), Fraction(0))
-            for x in range(bundle.parent.num_states))
-        if total_err:
+        on_parts = [[parent_t[e] for e in table] for table in emb]
+        if value_split_defect(parent_t, on_parts, comp) is not None:
             raise TheoremViolation(
                 "optimal value function is not additive across parts although "
                 "the minimizer condition holds")
         if t_idx < len(restricted_solutions[0][0].per_time):
-            for i in range(bundle.r):
-                sub_t = restricted_solutions[i][0].per_time[t_idx]
-                for y, parent_idx in enumerate(emb[i]):
-                    if parent_t[parent_idx] != sub_t[y]:
-                        raise TheoremViolation(
-                            "restricted subproblem value disagrees with the "
-                            "parent value on its part although the minimizer "
-                            "condition holds")
+            if any(list(sol[0].per_time[t_idx]) != part
+                   for sol, part in zip(restricted_solutions, on_parts)):
+                raise TheoremViolation(
+                    "restricted subproblem value disagrees with the "
+                    "parent value on its part although the minimizer "
+                    "condition holds")
 
 
 def _assert_necessity(bundle: SubproblemBundle, additive: bool | None) -> None:
@@ -427,11 +418,8 @@ def _assert_necessity(bundle: SubproblemBundle, additive: bool | None) -> None:
     nontrivial complement.)"""
     if additive is not True or not bundle.parent.cost.is_strict:
         return
-    A = bundle.parent.A
-    B = bundle.parent.B
-    v_basis = bundle.complement.basis_vectors()
-    bv = Subspace(B.field, B.nrows, [B.matvec(v) for v in v_basis])
-    ax = column_space(A)
+    bv = column_space(bundle.parent.B @ bundle.complement.basis_matrix())
+    ax = column_space(bundle.parent.A)
     if subspace_intersect(ax, bv).dim != 0:
         raise TheoremViolation(
             "additive decomposition holds but the dynamics image meets the "
@@ -445,22 +433,14 @@ def _assert_min_over_parts(bundle: SubproblemBundle) -> None:
     nonnegative, and killed by the zero input.  Needs only nonnegativity,
     a vanishing cost at zero, and separability, so it is asserted
     unconditionally."""
-    inst = bundle.parent
-    cost = inst.cost
-    emb = _embedded_index_tables(bundle)
-    span_vectors = list(bundle.input_span.vectors())
-    for i in range(bundle.r):
-        part_vectors = list(bundle.input_parts[i].vectors())
-        for parent_idx in emb[i]:
-            x = inst.state_vector(parent_idx)
-            ax = inst.A.matvec(x)
-            def step_cost(u):
-                bu = inst.B.matvec(u)
-                nxt = tuple((a + b) % inst.field.p for a, b in zip(ax, bu))
-                return cost.value(nxt)
-            lhs = min(step_cost(u) for u in part_vectors)
-            rhs = min(step_cost(u) for u in span_vectors)
-            if lhs != rhs:
+    g = bundle.parent.cost.table
+    trans = bundle.parent.transitions()
+    span_inputs = index_map(bundle.input_span.basis_matrix())
+    for feasible, emb in zip(bundle.input_parts, bundle.decomp.embedding_tables()):
+        part_inputs = index_map(feasible.basis_matrix())
+        for x in emb:
+            row = trans[x]
+            if min(g[row[u]] for u in part_inputs) != min(g[row[u]] for u in span_inputs):
                 raise TheoremViolation(
                     "one-step minimum over a part's feasible inputs differs "
                     "from the minimum over the summed feasible inputs")
@@ -479,10 +459,10 @@ def _assert_positivity_props(inst: DPInstance,
                 raise TheoremViolation(
                     "optimal value zero set differs from the zero state "
                     "for a strictly positive cost")
-    p = inst.field.p
+    bu = index_map(inst.B)
     for row in argmin.per_time:
         for u in row[0]:
-            if any(inst.B.matvec(index_state(u, p, inst.m))):
+            if bu[u] != 0:
                 raise TheoremViolation(
                     "an optimizer at the zero state moves the state off zero "
                     "for a strictly positive cost")
@@ -592,72 +572,114 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
     return report
 
 
+def _witness_index(value: Any, length: int, p: int, what: str) -> int:
+    """Index of a witness digit vector; anything but `length` integers in
+    [0, p) is a ValueError."""
+    if not (isinstance(value, (list, tuple)) and len(value) == length
+            and all(type(d) is int and 0 <= d < p for d in value)):
+        raise ValueError(f"witness {what} must be {length} integers in [0, {p})")
+    return state_index(value, p)
+
+
+def _witness_state(w: Any, inst: DPInstance) -> int:
+    if not isinstance(w, dict):
+        raise ValueError("a witness must be a JSON object")
+    return _witness_index(w.get("state"), inst.n, inst.field.p, "state")
+
+
+def _witness_time(w: dict[str, Any], inst: DPInstance) -> int:
+    """Time index of a witness: an integer in [0, T) for a finite horizon,
+    absent (or null) for a discounted one."""
+    t = w.get("t")
+    if isinstance(inst.horizon, FiniteHorizon):
+        if type(t) is not int or not 0 <= t < inst.horizon.T:
+            raise ValueError(f"witness t must be an integer in [0, {inst.horizon.T})")
+        return t
+    if t is not None:
+        raise ValueError("witness t must be null for a discounted horizon")
+    return 0
+
+
+def _value_witness_confirmed(bundle: SubproblemBundle, w: Any,
+                             parent_table: Sequence[Fraction],
+                             solutions: Sequence[tuple[ValueTable, ArgminTable]]) -> bool:
+    """The recorded values are the current ones at the recorded state, and
+    they differ."""
+    got = _value_witness(bundle, _witness_state(w, bundle.parent), parent_table, solutions)
+    return (got["parent_value"] != got["subproblem_sum"]
+            and got["parent_value"] == w.get("parent_value")
+            and got["subproblem_sum"] == w.get("subproblem_sum"))
+
+
+def _tuple_witness_confirmed(bundle: SubproblemBundle, w: dict[str, Any],
+                             parent_argmin: ArgminTable) -> bool:
+    """The recorded actions are optimal for their projected subproblems at
+    the state's components, and no parent optimizer reaches the sum of their
+    images (which must be the recorded target, when one is recorded)."""
+    inst = bundle.parent
+    p = inst.field.p
+    x = _witness_state(w, inst)
+    t_idx = _witness_time(w, inst)
+    actions = w.get("actions")
+    if not isinstance(actions, list) or len(actions) != bundle.r:
+        raise ValueError(f"witness actions must list one input per part ({bundle.r})")
+    chosen = [_witness_index(a, inst.m, p, "action") for a in actions]
+    recorded = (None if w.get("target") is None
+                else _witness_index(w["target"], inst.n, p, "target"))
+    subs = solve_bundle(bundle, "projected")
+    comp = bundle.component_state_tables()
+    if any(a not in subs[i][1].per_time[t_idx][comp[i][x]] for i, a in enumerate(chosen)):
+        return False
+    images = _projected_input_images(bundle)
+    target = sum(images[i][a] for i, a in enumerate(chosen))
+    bu_adapted = index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B)
+    if target in {bu_adapted[u] for u in parent_argmin.per_time[t_idx][x]}:
+        return False
+    ambient = bundle.decomp.change_of_basis.matvec(index_state(target, p, inst.n))
+    return recorded is None or recorded == state_index(ambient, p)
+
+
 def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
                      report: DecompositionReport | dict[str, Any]) -> dict[str, bool]:
     """Re-derive every witness recorded in a report from scratch.
 
     Returns a map from witness field name to whether it still certifies the
     recorded failure.  An empty map means the report carries no witnesses.
+    A report for another prime or other dimensions, or a malformed witness,
+    raises ValueError.
     """
     if isinstance(report, dict):
         report = report_from_dict(report)
-    bundle = build_bundle(inst, decomp)
     p = inst.field.p
+    if (report.prime, report.n, report.m) != (p, inst.n, inst.m):
+        raise ValueError(
+            f"report is for prime {report.prime!r}, n={report.n!r}, m={report.m!r}; "
+            f"the instance has prime {p}, n={inst.n}, m={inst.m}")
+    bundle = build_bundle(inst, decomp)
     out: dict[str, bool] = {}
-    parent_solution = _solve_parent(inst)
-    parent_values, parent_argmin = parent_solution
+    parent_values, parent_argmin = _solve_parent(inst)
     flags = _input_span_flags(bundle)
-    comp = bundle.component_state_tables()
 
     if report.minimizer_witness is not None:
         w = report.minimizer_witness
-        x = state_index(w["state"], p)
-        actions = parent_argmin.per_time[w["t"]][x]
+        x = _witness_state(w, inst)
+        actions = parent_argmin.per_time[_witness_time(w, inst)][x]
         out["minimizer_witness"] = not any(flags[u] for u in actions)
     if report.stationary_selector_witness is not None:
-        w = report.stationary_selector_witness
-        x = state_index(w["state"], p)
+        x = _witness_state(report.stationary_selector_witness, inst)
         actions = parent_argmin.stationary[x]
         out["stationary_selector_witness"] = not any(flags[u] for u in actions)
     if report.additive_witness is not None:
-        w = report.additive_witness
-        x = state_index(w["state"], p)
-        subs = solve_bundle(bundle, "restricted")
-        total = sum((subs[i][0].per_time[0][comp[i][x]] for i in range(bundle.r)),
-                    Fraction(0))
-        out["additive_witness"] = (
-            total != parent_values.per_time[0][x]
-            and str(total) == w["subproblem_sum"]
-            and str(parent_values.per_time[0][x]) == w["parent_value"])
+        out["additive_witness"] = _value_witness_confirmed(
+            bundle, report.additive_witness, parent_values.per_time[0],
+            solve_bundle(bundle, "restricted"))
     if report.componentwise_witness is not None:
         w = report.componentwise_witness
-        x = state_index(w["state"], p)
-        subs = solve_bundle(bundle, "projected")
+        if not isinstance(w, dict) or w.get("kind") not in ("value", "tuple"):
+            raise ValueError("componentwise witness kind must be 'value' or 'tuple'")
         if w["kind"] == "value":
-            total = sum((subs[i][0].per_time[0][comp[i][x]] for i in range(bundle.r)),
-                        Fraction(0))
-            out["componentwise_witness"] = (
-                total != parent_values.per_time[0][x]
-                and str(total) == w["subproblem_sum"]
-                and str(parent_values.per_time[0][x]) == w["parent_value"])
+            out["componentwise_witness"] = _value_witness_confirmed(
+                bundle, w, parent_values.per_time[0], solve_bundle(bundle, "projected"))
         else:
-            t = w.get("t")
-            t_idx = t if t is not None else 0
-            images = _projected_input_images(bundle)
-            ok = True
-            target = [0] * inst.n
-            for i, a_digits in enumerate(w["actions"]):
-                a = state_index(a_digits, p)
-                if a not in subs[i][1].per_time[t_idx][comp[i][x]]:
-                    ok = False
-                    break
-                target = [(s + v) % p
-                          for s, v in zip(target, images[i][a])]
-            if ok:
-                achievable = {
-                    state_index(inst.B.matvec(index_state(u, p, inst.m)), p)
-                    for u in parent_argmin.per_time[t_idx][x]}
-                ok = state_index(target, p) not in achievable
-                ok = ok and target == list(w.get("target", target))
-            out["componentwise_witness"] = ok
+            out["componentwise_witness"] = _tuple_witness_confirmed(bundle, w, parent_argmin)
     return out

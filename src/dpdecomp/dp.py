@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ShapeError
 from .fields import PrimeField
-from .linalg import DirectSumDecomposition, MatrixFp
+from .linalg import DirectSumDecomposition, MatrixFp, index_map
 
 DEFAULT_MAX_STATES = 729
 DEFAULT_MAX_INPUTS = 81
@@ -128,14 +128,9 @@ class CostFunction:
             raise ValueError("indicator weights must be nonnegative")
         if all(w == 0 for w in ws):
             raise ValueError("at least one indicator weight must be positive")
-        field = decomp.field
-        n = decomp.ambient_dim
-
-        def fn(x):
-            locals_ = decomp.local_coords(x)
-            return sum((w for w, loc in zip(ws, locals_) if any(loc)), ZERO)
-
-        return cls.from_callable(field, n, fn, allow_vanishing=any(w == 0 for w in ws))
+        p = decomp.field.p
+        tables = [[ZERO] + [w] * (p**s.dim - 1) for w, s in zip(ws, decomp.parts)]
+        return cls.separable(decomp, tables, allow_vanishing=any(w == 0 for w in ws))
 
     @classmethod
     def separable(cls, decomp: DirectSumDecomposition,
@@ -158,13 +153,9 @@ class CostFunction:
                 raise ValueError(f"part {i} table must have {want} entries")
             tables.append(vals)
 
-        def fn(x):
-            locals_ = decomp.local_coords(x)
-            return sum((tables[i][state_index(loc, p)] for i, loc in enumerate(locals_)),
-                       ZERO)
-
-        return cls.from_callable(field, decomp.ambient_dim, fn,
-                                 allow_vanishing=allow_vanishing)
+        comp = decomp.local_index_tables()
+        table = [_part_sum(tables, comp, x) for x in range(p**decomp.ambient_dim)]
+        return cls(field, decomp.ambient_dim, table, allow_vanishing=allow_vanishing)
 
     def __call__(self, idx: int) -> Fraction:
         return self.table[idx]
@@ -245,14 +236,10 @@ class DPInstance:
     def transitions(self) -> list[list[int]]:
         """next-state index for every (state, input) pair, computed once."""
         if self._trans is None:
-            p = self.field.p
-            ax = [self.A.matvec(x) for x in enumerate_states(p, self.n)]
-            bu = [self.B.matvec(u) for u in enumerate_states(p, self.m)]
-            table = []
-            for a in ax:
-                table.append([state_index(tuple((ai + bi) % p for ai, bi in zip(a, b)), p)
-                              for b in bu])
-            object.__setattr__(self, "_trans", table)
+            # entry x + p^n u of the map of [A | B] is the successor of x under u
+            im = index_map(self.A.hstack(self.B))
+            N = self.num_states
+            object.__setattr__(self, "_trans", [im[x::N] for x in range(N)])
         return self._trans
 
     def step(self, x_idx: int, u_idx: int) -> int:
@@ -502,16 +489,30 @@ def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition) -> bool:
     components of x for every state."""
     if decomp.field != cost.field or decomp.ambient_dim != cost.n:
         raise ValueError("decomposition does not match the cost's state space")
-    p = cost.field.p
-    for idx in range(p**cost.n):
-        x = index_state(idx, p, cost.n)
-        total = ZERO
-        for i in range(decomp.r):
-            comp = decomp.component(i, x)
-            total += cost.table[state_index(comp, p)]
-        if total != cost.table[idx]:
-            return False
-    return True
+    g = cost.table
+    parts = [[g[e] for e in emb] for emb in decomp.embedding_tables()]
+    return value_split_defect(g, parts, decomp.local_index_tables()) is None
+
+
+def _part_sum(part_tables: Sequence[Sequence[Fraction]], comp: Sequence[Sequence[int]],
+              x: int) -> Fraction:
+    """Sum over parts of part table i at the part-i local index of state x."""
+    return sum((t[c[x]] for t, c in zip(part_tables, comp)), ZERO)
+
+
+def value_split_defect(table: Sequence[Fraction],
+                       part_tables: Sequence[Sequence[Fraction]],
+                       comp: Sequence[Sequence[int]]) -> int | None:
+    """The smallest state index x where table[x] differs from the sum over
+    parts of part_tables[i][comp[i][x]], or None when the table splits.
+
+    comp[i] maps every state to its part-i local index, as in
+    DirectSumDecomposition.local_index_tables.
+    """
+    for x, v in enumerate(table):
+        if v != _part_sum(part_tables, comp, x):
+            return x
+    return None
 
 
 def bellman_residual(inst: DPInstance, values: ValueTable) -> Fraction:

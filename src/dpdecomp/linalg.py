@@ -207,6 +207,27 @@ class MatrixFp:
         return f"MatrixFp({self.nrows}x{self.ncols} mod {self.field.p}: [{body}])"
 
 
+def index_map(M: MatrixFp) -> list[int]:
+    """The base-p index of M x for every x in GF(p)^ncols, in index order of x.
+
+    Indices are base-p little-endian (digit k is coordinate k).  This is the
+    one place that computes the image index of every state; every other
+    state-indexed table is read off its results.
+    """
+    p = M.field.p
+    out = [0] * p**M.ncols
+    weight = 1
+    for i in range(M.nrows):
+        # digit i of M x for every x, extended one input coordinate at a time:
+        # coordinate j of x contributes the block offset k * p^j
+        digits = [0]
+        for a in M.row(i):
+            digits = [(d + a * k) % p for k in range(p) for d in digits]
+        out = [o + weight * d for o, d in zip(out, digits)]
+        weight *= p
+    return out
+
+
 def rref(M: MatrixFp) -> tuple[MatrixFp, int, tuple[int, ...]]:
     """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
     field = M.field
@@ -333,13 +354,8 @@ class Subspace:
     def vectors(self):
         """Iterate all p^dim member vectors (desk scale only)."""
         p = self.field.p
-        for code in range(p**self.dim):
-            coeffs = []
-            c = code
-            for _ in range(self.dim):
-                coeffs.append(c % p)
-                c //= p
-            yield self.from_coords(coeffs)
+        for idx in index_map(self.basis_matrix()):
+            yield tuple(idx // p**k % p for k in range(self.ambient_dim))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(b) for b in self.basis_vectors())
@@ -498,9 +514,21 @@ class DirectSumDecomposition:
             out.append(y[at : at + s.dim])
         return out
 
-    def component(self, i: int, x: Sequence[int]) -> Vector:
-        """The projection of x onto part i along the other parts."""
-        return self.parts[i].from_coords(self.local_coords(x)[i])
+    def coordinates(self, i: int) -> MatrixFp:
+        """Part i's rows of the inverse change of basis: the map from x to
+        the coordinates of its part-i component in that part's basis."""
+        n = self.ambient_dim
+        at, dim = self._offsets[i], self.parts[i].dim
+        return MatrixFp(self.field, dim, n, self.change_of_basis_inv.entries[at * n:(at + dim) * n])
+
+    def local_index_tables(self) -> list[list[int]]:
+        """For each part, the index of the part-local coordinates of every
+        ambient state."""
+        return [index_map(self.coordinates(i)) for i in range(self.r)]
+
+    def embedding_tables(self) -> list[list[int]]:
+        """For each part, the ambient index of every part-local state."""
+        return [index_map(s.basis_matrix()) for s in self.parts]
 
     def decompose_vector(self, x: Sequence[int]) -> list[Vector]:
         """All components of x; they sum back to x."""
@@ -512,13 +540,7 @@ class DirectSumDecomposition:
 
     def projector(self, i: int) -> MatrixFp:
         """The n x n matrix of the projection onto part i along the others."""
-        n = self.ambient_dim
-        cols = []
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            cols.append(list(self.component(i, e)))
-        return MatrixFp.from_cols(self.field, cols, nrows=n)
+        return self.parts[i].basis_matrix() @ self.coordinates(i)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DirectSumDecomposition) and other.parts == self.parts

@@ -27,15 +27,14 @@ from .dp import (
     DPInstance,
     FiniteHorizon,
     ValueTable,
-    enumerate_states,
     is_in_Gs,
     solve_discounted_pi,
     solve_finite,
-    state_index,
 )
 from .errors import NotSeparableCost
 from .invariant_decomp import verify_decomposition
-from .linalg import DirectSumDecomposition, MatrixFp, Subspace, preimage, subspace_sum
+from .linalg import (DirectSumDecomposition, MatrixFp, Subspace, index_map, preimage,
+                     subspace_sum)
 
 Family = Literal["restricted", "projected"]
 
@@ -68,10 +67,6 @@ class SubproblemBundle:
     def r(self) -> int:
         return self.decomp.r
 
-    def state_basis(self, i: int) -> MatrixFp:
-        """Embedding of part i's coordinates into the ambient state space."""
-        return self.decomp.parts[i].basis_matrix()
-
     def input_basis(self, i: int) -> MatrixFp:
         """Embedding of part i's feasible input coordinates into the input space."""
         return self.input_parts[i].basis_matrix()
@@ -87,24 +82,8 @@ class SubproblemBundle:
         """For each part, the local state index of every parent state's
         component; computed once and cached."""
         if self._component_tables is None:
-            p = self.parent.field.p
-            tables: list[list[int]] = [[] for _ in range(self.r)]
-            for x in enumerate_states(p, self.parent.n):
-                locals_ = self.decomp.local_coords(x)
-                for i, loc in enumerate(locals_):
-                    tables[i].append(state_index(loc, p))
-            object.__setattr__(self, "_component_tables", tables)
+            object.__setattr__(self, "_component_tables", self.decomp.local_index_tables())
         return self._component_tables
-
-
-def _local_matrix(part: Subspace, images: Sequence[Sequence[int]]) -> MatrixFp:
-    """Matrix of a map into the part, written in the part's canonical basis."""
-    cols = []
-    for img in images:
-        coords = part.coords_of(img)
-        assert coords is not None, "image left the invariant part"
-        cols.append(list(coords))
-    return MatrixFp.from_cols(part.field, cols, nrows=part.dim)
 
 
 def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> SubproblemBundle:
@@ -137,24 +116,21 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
 
     restricted = []
     projected = []
+    embedding = decomp.embedding_tables()
     for i, part in enumerate(decomp.parts):
-        a_local = _local_matrix(part, [inst.A.matvec(w) for w in part.basis_vectors()])
-        b_restricted = _local_matrix(
-            part, [inst.B.matvec(f) for f in input_parts[i].basis_vectors()])
+        # the parts are invariant and E_i maps into part i, so these products
+        # are the local matrices in the part's canonical basis
+        to_local = decomp.coordinates(i)
+        a_local = to_local @ inst.A @ part.basis_matrix()
+        b_restricted = to_local @ inst.B @ input_parts[i].basis_matrix()
         cost_local = CostFunction(
-            field, part.dim,
-            [inst.cost.value(part.from_coords(y))
-             for y in enumerate_states(field.p, part.dim)],
+            field, part.dim, [inst.cost.table[e] for e in embedding[i]],
             allow_vanishing=inst.cost.allow_vanishing)
         restricted.append(DPInstance(
             a_local, b_restricted, cost_local, inst.horizon,
             max_states=None, max_inputs=None))
-        b_projected = _local_matrix(
-            part, [decomp.component(i, inst.B.matvec(u))
-                   for u in (tuple(1 if k == j else 0 for k in range(inst.m))
-                             for j in range(inst.m))])
         projected.append(DPInstance(
-            a_local, b_projected, cost_local, inst.horizon,
+            a_local, to_local @ inst.B, cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))
     return SubproblemBundle(inst, decomp, input_parts, complement, restricted, projected)
 
@@ -171,22 +147,6 @@ def solve_bundle(bundle: SubproblemBundle, family: Family) -> list[tuple[ValueTa
     return out
 
 
-def _lift_action(bundle: SubproblemBundle, family: Family, choices: Sequence[int]) -> int:
-    """Sum per-part action choices into one parent input index."""
-    p = bundle.parent.field.p
-    m = bundle.parent.m
-    total = [0] * m
-    for i, a_idx in enumerate(choices):
-        sub = bundle.family(family)[i]
-        a_vec = sub.input_vector(a_idx)
-        if family == "restricted":
-            u_vec = bundle.input_basis(i).matvec(a_vec)
-        else:
-            u_vec = a_vec
-        total = [(s + u) % p for s, u in zip(total, u_vec)]
-    return state_index(total, p)
-
-
 def lift_policy(bundle: SubproblemBundle, family: Family,
                 selections: Sequence) -> list:
     """Combine per-part action selections into a parent control law.
@@ -198,20 +158,22 @@ def lift_policy(bundle: SubproblemBundle, family: Family,
     actions are embedded through the feasible-input bases before summing;
     projected-family actions already live in the input space and sum as is.
     """
+    bundle.family(family)  # rejects an unknown family name
+    parent = bundle.parent
+    pm = parent.num_inputs
+    eye = MatrixFp.identity(parent.field, parent.m)
+    # adds[i][u + p^m a] is the parent input u plus part i's action a, embedded;
+    # each table has p^(m + dim of the action space) <= p^(n + m) entries
+    adds = [index_map(eye.hstack(bundle.input_basis(i) if family == "restricted" else eye))
+            for i in range(bundle.r)]
     comp = bundle.component_state_tables()
-    num_states = bundle.parent.num_states
-    if isinstance(bundle.parent.horizon, FiniteHorizon):
-        T = bundle.parent.horizon.T
-        law = []
-        for t in range(T):
-            row = []
-            for x in range(num_states):
-                choices = [selections[i][t][comp[i][x]] for i in range(bundle.r)]
-                row.append(_lift_action(bundle, family, choices))
-            law.append(row)
+
+    def lift(choices: Sequence[Sequence[int]]) -> list[int]:
+        law = [0] * parent.num_states
+        for add, chosen, loc in zip(adds, choices, comp):
+            law = [add[u + pm * chosen[y]] for u, y in zip(law, loc)]
         return law
-    row = []
-    for x in range(num_states):
-        choices = [selections[i][comp[i][x]] for i in range(bundle.r)]
-        row.append(_lift_action(bundle, family, choices))
-    return row
+
+    if isinstance(parent.horizon, FiniteHorizon):
+        return [lift([sel[t] for sel in selections]) for t in range(parent.horizon.T)]
+    return lift(selections)

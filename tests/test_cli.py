@@ -197,6 +197,46 @@ def test_check_witness_tampering_detected(worked_path, tmp_path, capsys):
     assert "witness componentwise_witness: FAILED" in out2
 
 
+def _set_witness(key, value):
+    return lambda report: report["componentwise_witness"].__setitem__(key, value)
+
+
+def _drop_witness(key):
+    return lambda report: report["componentwise_witness"].pop(key)
+
+
+@pytest.mark.parametrize("tamper", [
+    _set_witness("state", [0, 0, 1, 2]),      # longer than n
+    _set_witness("state", [0, 0]),            # shorter than n, not zero-padded
+    _set_witness("state", "ab"),
+    _set_witness("state", [0, 0, 3]),         # digit outside [0, p)
+    _set_witness("state", [0, 0, True]),
+    _drop_witness("state"),
+    _set_witness("t", 99),
+    _set_witness("t", "0"),
+    _set_witness("kind", "zzz"),
+    _drop_witness("kind"),
+    _set_witness("actions", [[0, 0], [0, 0]]),  # one per part is three
+    _set_witness("actions", [[0, 0], [0, 0], [0, 5]]),
+    _set_witness("target", [0, 1]),
+    lambda report: report.pop("prime"),
+    lambda report: report.__setitem__("n", 4),
+    lambda report: report.__setitem__("componentwise_witness", [0, 0, 0]),
+], ids=["state-long", "state-short", "state-str", "state-digit", "state-bool",
+        "state-missing", "t-range", "t-str", "kind-unknown", "kind-missing",
+        "actions-count", "actions-digit", "target-short", "prime-missing",
+        "n-mismatch", "witness-list"])
+def test_check_malformed_witness_report_is_invalid(worked_path, tmp_path, capsys, tamper):
+    rc, out, _ = run(capsys, "check", worked_path, "--json")
+    report = json.loads(out)
+    tamper(report)
+    report_path = tmp_path / "malformed.json"
+    report_path.write_text(json.dumps(report))
+    rc, _, err = run(capsys, "check", worked_path, "--verify-witness", str(report_path))
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 def test_check_determinism(worked_path, capsys):
     rc1, out1, _ = run(capsys, "check", worked_path, "--json")
     rc2, out2, _ = run(capsys, "check", worked_path, "--json")

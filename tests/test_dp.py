@@ -18,7 +18,7 @@ from dpdecomp.dp import (ArgminTable, CostFunction, DiscountedHorizon,
                          evaluate_openloop, evaluate_stationary_policy,
                          evaluate_time_varying, index_state, is_in_Gs,
                          solve_discounted_pi, solve_discounted_vi,
-                         solve_finite, state_index)
+                         solve_finite, state_index, value_split_defect)
 from dpdecomp.fields import PrimeField
 from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
 
@@ -158,6 +158,16 @@ def test_is_in_Gs_detects_coupling():
     coupled = list(base.table)
     coupled[state_index((1, 1), 3)] += 1
     assert not is_in_Gs(CostFunction(F3, 2, coupled), D)
+
+
+def test_value_split_defect_returns_smallest_failing_state():
+    # GF(2)^2 split along the axes: comp[i][x] is coordinate i of x
+    comp = [[0, 1, 0, 1], [0, 0, 1, 1]]
+    parts = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]]
+    split = [Fraction(v) for v in (0, 1, 2, 3)]
+    assert value_split_defect(split, parts, comp) is None
+    assert value_split_defect([Fraction(v) for v in (0, 1, 5, 4)], parts, comp) == 2
+    assert value_split_defect([Fraction(v) for v in (0, 1, 2, 4)], parts, comp) == 3
 
 
 # === instance validation ===

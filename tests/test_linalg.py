@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from dpdecomp.errors import NotDirectSum, ShapeError
 from dpdecomp.fields import Poly, PrimeField
 from dpdecomp.linalg import (DirectSumDecomposition, MatrixFp, Subspace,
-                             column_space, is_direct_sum, is_independent,
-                             is_invariant, null_space, poly_eval_matrix,
+                             column_space, index_map, is_direct_sum,
+                             is_independent, is_invariant, null_space,
+                             poly_eval_matrix,
                              preimage, row_space, rref, solve_right,
                              subspace_intersect, subspace_sum)
 
@@ -131,6 +132,30 @@ def test_solve_right_consistency(M):
             c //= M.field.p
         if not cs.contains(digits):
             assert solve_right(M, digits) is None
+
+
+def matvec_index_oracle(M):
+    """Reference for index_map: decode every x, multiply, encode M x."""
+    p = M.field.p
+    out = []
+    for idx in range(p**M.ncols):
+        x = [(idx // p**j) % p for j in range(M.ncols)]
+        out.append(sum(d * p**i for i, d in enumerate(M.matvec(x))))
+    return out
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 3), st.integers(0, 3), st.data())
+@settings(max_examples=120, deadline=None)
+def test_index_map_matches_matvec(p, nrows, ncols, data):
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=nrows * ncols,
+                                 max_size=nrows * ncols))
+    M = MatrixFp(PrimeField(p), nrows, ncols, entries)
+    assert index_map(M) == matvec_index_oracle(M)
+
+
+def test_index_map_empty_shapes():
+    assert index_map(MatrixFp.zeros(F5, 0, 2)) == [0] * 25
+    assert index_map(MatrixFp.zeros(F5, 2, 0)) == [0]
 
 
 def test_transpose_and_stack():
@@ -268,6 +293,21 @@ def test_local_coords_embed_roundtrip():
     locals_ = D.local_coords((1, 2, 0))
     for i, loc in enumerate(locals_):
         assert D.embed(i, loc) == D.decompose_vector((1, 2, 0))[i]
+
+
+def test_decomposition_index_tables_match_coordinates():
+    D = DirectSumDecomposition(_example_parts())
+    local = D.local_index_tables()
+    for idx in range(27):
+        x = (idx % 3, (idx // 3) % 3, idx // 9)
+        for i, loc in enumerate(D.local_coords(x)):
+            assert local[i][idx] == sum(d * 3**k for k, d in enumerate(loc))
+    for part, table in zip(D.parts, D.embedding_tables()):
+        assert len(table) == 3**part.dim
+        for y, e in enumerate(table):
+            coords = [(y // 3**k) % 3 for k in range(part.dim)]
+            v = part.from_coords(coords)
+            assert e == v[0] + 3 * v[1] + 9 * v[2]
 
 
 def test_projectors():

@@ -7,14 +7,13 @@ from .checks import (DecompositionReport, report_from_dict, run_battery,
                      verify_witnesses)
 from .dp import (ArgminTable, CostFunction, DiscountedHorizon, DPInstance,
                  FiniteHorizon, ValueIterationResult, ValueTable,
-                 bellman_residual, enumerate_states, evaluate_openloop,
-                 evaluate_stationary_policy, evaluate_time_varying,
+                 bellman_residual, evaluate_stationary_policy, evaluate_time_varying,
                  index_state, is_in_Gs, solve_discounted_pi,
                  solve_discounted_vi, solve_finite, state_index)
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
                      NotInvariant, NotSeparableCost, PreconditionFailed,
                      ShapeError, TheoremViolation)
-from .fields import Poly, PrimeField, poly_gcd
+from .fields import Poly, PrimeField
 from .invariant_decomp import (CharPolyFactorization, char_poly, factor_poly,
                                primary_decomposition, verify_decomposition)
 from .linalg import (DirectSumDecomposition, MatrixFp, Subspace, column_space,
@@ -29,9 +28,8 @@ __all__ = [
     "Poly", "PreconditionFailed", "PrimeField", "ShapeError",
     "Subspace", "SubproblemBundle", "TheoremViolation", "ValueIterationResult",
     "ValueTable", "bellman_residual", "build_bundle", "char_poly",
-    "column_space", "enumerate_states", "evaluate_openloop",
-    "evaluate_stationary_policy", "evaluate_time_varying", "factor_poly",
-    "index_state", "is_in_Gs", "lift_policy", "null_space", "poly_gcd",
+    "column_space", "evaluate_stationary_policy", "evaluate_time_varying", "factor_poly",
+    "index_state", "is_in_Gs", "lift_policy", "null_space",
     "preimage", "primary_decomposition", "report_from_dict", "run_battery",
     "solve_bundle", "solve_discounted_pi", "solve_discounted_vi",
     "solve_finite", "state_index", "subspace_intersect", "subspace_sum",

@@ -45,8 +45,7 @@ from .dp import (
     evaluate_stationary_policy,
     evaluate_time_varying,
     index_state,
-    solve_discounted_pi,
-    solve_finite,
+    solve,
     state_index,
     value_split_defect,
 )
@@ -108,12 +107,6 @@ def _horizon_descriptor(inst: DPInstance) -> dict[str, Any]:
     return {"discounted": {"alpha": str(inst.horizon.alpha)}}
 
 
-def _solve_parent(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
-    if isinstance(inst.horizon, FiniteHorizon):
-        return solve_finite(inst)
-    return solve_discounted_pi(inst)
-
-
 def _input_span_flags(bundle: SubproblemBundle) -> list[bool]:
     """Whether each parent input lies in the span of the feasible input
     subspaces."""
@@ -123,17 +116,24 @@ def _input_span_flags(bundle: SubproblemBundle) -> list[bool]:
     return flags
 
 
-def _projected_input_images(bundle: SubproblemBundle) -> list[list[int]]:
-    """Image of every input through B and each projection, as an index in
-    adapted coordinates (the parts' local coordinates, concatenated).  Each
-    part owns its own digits there, so the image of a tuple of inputs, one
-    per part, is the integer sum of their images."""
-    out = []
+def _outside_span(flags: Sequence[bool], actions: frozenset[int]) -> bool:
+    """No optimal input in `actions` lies in the span of the feasible input
+    subspaces (flags from _input_span_flags)."""
+    return not any(flags[u] for u in actions)
+
+
+def _input_images(bundle: SubproblemBundle) -> tuple[list[list[int]], list[int]]:
+    """Images in adapted coordinates (the parts' local coordinates,
+    concatenated): for each part, every input through B and that part's
+    projection; and every input through B itself.  Each part owns its own
+    digits there, so the image of a tuple of inputs, one per part, is the
+    integer sum of their images and compares directly with B u."""
+    projected = []
     weight = 1
     for part, sub in zip(bundle.decomp.parts, bundle.projected):
-        out.append([weight * y for y in index_map(sub.B)])
+        projected.append([weight * y for y in index_map(sub.B)])
         weight *= bundle.parent.field.p**part.dim
-    return out
+    return projected, index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B)
 
 
 def _value_witness(bundle: SubproblemBundle, x: int, parent_table: Sequence[Fraction],
@@ -146,6 +146,22 @@ def _value_witness(bundle: SubproblemBundle, x: int, parent_table: Sequence[Frac
         "state": list(index_state(x, bundle.parent.field.p, bundle.parent.n)),
         "parent_value": str(parent_table[x]),
         "subproblem_sum": str(_part_sum(sub_tables, bundle.component_state_tables(), x)),
+    }
+
+
+def _tuple_witness(bundle: SubproblemBundle, x: int, t: int | None,
+                   actions: Sequence[int], target: int) -> dict[str, Any]:
+    """The tuple witness at state x and time t: one projected-optimal action
+    per part whose summed image (an adapted-coordinate index, recorded as
+    the ambient vector) no parent optimizer reaches."""
+    inst = bundle.parent
+    p = inst.field.p
+    return {
+        "kind": "tuple",
+        "state": list(index_state(x, p, inst.n)),
+        "t": t,
+        "actions": [list(index_state(a, p, inst.m)) for a in actions],
+        "target": list(bundle.decomp.change_of_basis.matvec(index_state(target, p, inst.n))),
     }
 
 
@@ -188,7 +204,7 @@ def check_minimizer_condition(bundle: SubproblemBundle, argmin: ArgminTable
     p = bundle.parent.field.p
     for t, row in enumerate(argmin.per_time):
         for x, actions in enumerate(row):
-            if not any(flags[u] for u in actions):
+            if _outside_span(flags, actions):
                 return False, {"state": list(index_state(x, p, bundle.parent.n)), "t": t}
     return True, None
 
@@ -203,7 +219,7 @@ def check_stationary_selector(bundle: SubproblemBundle, argmin: ArgminTable
     flags = _input_span_flags(bundle)
     p = bundle.parent.field.p
     for x, actions in enumerate(argmin.stationary):
-        if not any(flags[u] for u in actions):
+        if _outside_span(flags, actions):
             return False, {"state": list(index_state(x, p, bundle.parent.n))}
     return True, None
 
@@ -278,25 +294,25 @@ def check_componentwise(bundle: SubproblemBundle,
         return False, witness
 
     comp = bundle.component_state_tables()
-    p = bundle.parent.field.p
-    n = bundle.parent.n
-    images = _projected_input_images(bundle)
-    # B u in adapted coordinates, comparable with sums of images
-    bu_adapted = index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B)
+    images, bu_adapted = _input_images(bundle)
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
     times = range(bundle.parent.horizon.T) if finite else (None,)
     inconclusive = False
     for t in times:
         t_idx = t if t is not None else 0
         parent_row = parent_argmin.per_time[t_idx]
-        sub_rows = [sol[1].per_time[t_idx] for sol in projected_solutions]
-        for x in range(bundle.parent.num_states):
-            distinct: list[dict[int, int]] = []
-            for i in range(bundle.r):
+        # per part and local state: each distinct image, with the first
+        # (smallest) optimal action that reaches it
+        local: list[list[dict[int, int]]] = []
+        for i, sol in enumerate(projected_solutions):
+            local.append([])
+            for actions in sol[1].per_time[t_idx]:
                 seen: dict[int, int] = {}
-                for a in sorted(sub_rows[i][comp[i][x]]):
+                for a in sorted(actions):
                     seen.setdefault(images[i][a], a)
-                distinct.append(seen)
+                local[i].append(seen)
+        for x in range(bundle.parent.num_states):
+            distinct = [table[c[x]] for table, c in zip(local, comp)]
             count = 1
             for seen in distinct:
                 count *= len(seen)
@@ -307,15 +323,7 @@ def check_componentwise(bundle: SubproblemBundle,
             for combo in itertools.product(*(d.items() for d in distinct)):
                 target = sum(image for image, _ in combo)
                 if target not in achievable:
-                    return False, {
-                        "kind": "tuple",
-                        "state": list(index_state(x, p, n)),
-                        "t": t,
-                        "actions": [list(index_state(a, p, bundle.parent.m))
-                                    for _, a in combo],
-                        "target": list(bundle.decomp.change_of_basis.matvec(
-                            index_state(target, p, n))),
-                    }
+                    return False, _tuple_witness(bundle, x, t, [a for _, a in combo], target)
     if inconclusive:
         return "inconclusive", None
     return True, None
@@ -486,7 +494,7 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
         input_space_is_sum_of_parts=input_sum,
         A_invertible=inst.A.is_invertible())
 
-    parent_solution = _solve_parent(inst)
+    parent_solution = solve(inst)
     finite = isinstance(inst.horizon, FiniteHorizon)
     strict = inst.cost.is_strict
     if not strict:
@@ -624,19 +632,19 @@ def _tuple_witness_confirmed(bundle: SubproblemBundle, w: dict[str, Any],
     if not isinstance(actions, list) or len(actions) != bundle.r:
         raise ValueError(f"witness actions must list one input per part ({bundle.r})")
     chosen = [_witness_index(a, inst.m, p, "action") for a in actions]
-    recorded = (None if w.get("target") is None
-                else _witness_index(w["target"], inst.n, p, "target"))
+    recorded = w.get("target")
+    if recorded is not None:
+        _witness_index(recorded, inst.n, p, "target")
     subs = solve_bundle(bundle, "projected")
     comp = bundle.component_state_tables()
     if any(a not in subs[i][1].per_time[t_idx][comp[i][x]] for i, a in enumerate(chosen)):
         return False
-    images = _projected_input_images(bundle)
+    images, bu_adapted = _input_images(bundle)
     target = sum(images[i][a] for i, a in enumerate(chosen))
-    bu_adapted = index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B)
     if target in {bu_adapted[u] for u in parent_argmin.per_time[t_idx][x]}:
         return False
-    ambient = bundle.decomp.change_of_basis.matvec(index_state(target, p, inst.n))
-    return recorded is None or recorded == state_index(ambient, p)
+    got = _tuple_witness(bundle, x, t_idx, chosen, target)
+    return recorded is None or got["target"] == list(recorded)
 
 
 def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
@@ -657,18 +665,17 @@ def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
             f"the instance has prime {p}, n={inst.n}, m={inst.m}")
     bundle = build_bundle(inst, decomp)
     out: dict[str, bool] = {}
-    parent_values, parent_argmin = _solve_parent(inst)
+    parent_values, parent_argmin = solve(inst)
     flags = _input_span_flags(bundle)
 
     if report.minimizer_witness is not None:
         w = report.minimizer_witness
         x = _witness_state(w, inst)
-        actions = parent_argmin.per_time[_witness_time(w, inst)][x]
-        out["minimizer_witness"] = not any(flags[u] for u in actions)
+        out["minimizer_witness"] = _outside_span(
+            flags, parent_argmin.per_time[_witness_time(w, inst)][x])
     if report.stationary_selector_witness is not None:
         x = _witness_state(report.stationary_selector_witness, inst)
-        actions = parent_argmin.stationary[x]
-        out["stationary_selector_witness"] = not any(flags[u] for u in actions)
+        out["stationary_selector_witness"] = _outside_span(flags, parent_argmin.stationary[x])
     if report.additive_witness is not None:
         out["additive_witness"] = _value_witness_confirmed(
             bundle, report.additive_witness, parent_values.per_time[0],

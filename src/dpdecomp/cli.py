@@ -24,8 +24,7 @@ from .dp import (DiscountedHorizon, DPInstance, FiniteHorizon, Horizon,
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
                      NotInvariant, NotSeparableCost, PreconditionFailed,
                      TheoremViolation)
-from .instancefile import (LoadedInstance, load_instance, load_lqr_file,
-                           parse_rational)
+from .instancefile import LoadedInstance, load_instance, load_lqr_block, parse_rational
 from .invariant_decomp import primary_decomposition
 
 GUARD_STATES = 2**16
@@ -292,7 +291,7 @@ def cmd_lqr(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .lqr import block_diagonal_check, riccati_backward, trajectory_cost
-    data = load_lqr_file(args.instance)
+    data = load_lqr_block(_read_json(args.instance))
     A = np.array(data["A"], dtype=float)
     B = np.array(data["B"], dtype=float)
     P = np.array(data["P"], dtype=float)

@@ -13,9 +13,10 @@ keep that honest (defaults p^n <= 729 and p^m <= 81, both overridable).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import ShapeError
 from .fields import PrimeField
@@ -70,11 +71,7 @@ def index_state(idx: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def enumerate_states(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    for idx in range(p**n):
-        yield index_state(idx, p, n)
-
-
+@dataclass(frozen=True, eq=False, repr=False)
 class CostFunction:
     """A nonnegative stage cost g on GF(p)^n with g(0) = 0, stored densely.
 
@@ -84,12 +81,15 @@ class CostFunction:
     is_strict property records which case actually holds.
     """
 
-    __slots__ = ("field", "n", "table", "allow_vanishing", "is_strict")
+    field: PrimeField
+    n: int
+    table: Sequence[Fraction]
+    allow_vanishing: bool = False
+    is_strict: bool = dataclasses.field(init=False)
 
-    def __init__(self, field: PrimeField, n: int, table: Sequence[Fraction],
-                 allow_vanishing: bool = False):
-        size = field.p**n
-        values = tuple(Fraction(v) for v in table)
+    def __post_init__(self):
+        size = self.field.p**self.n
+        values = tuple(Fraction(v) for v in self.table)
         if len(values) != size:
             raise ValueError(f"cost table must have {size} entries, got {len(values)}")
         if any(v < 0 for v in values):
@@ -97,25 +97,12 @@ class CostFunction:
         if values[0] != 0:
             raise ValueError("stage cost must vanish at the zero state")
         strict = all(v > 0 for v in values[1:])
-        if not strict and not allow_vanishing:
+        if not strict and not self.allow_vanishing:
             raise ValueError(
                 "stage cost vanishes at a nonzero state; pass allow_vanishing=True "
                 "if that is intended")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", values)
-        object.__setattr__(self, "allow_vanishing", allow_vanishing)
         object.__setattr__(self, "is_strict", strict)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CostFunction is immutable")
-
-    @classmethod
-    def from_callable(cls, field: PrimeField, n: int,
-                      fn: Callable[[tuple[int, ...]], Fraction],
-                      allow_vanishing: bool = False) -> "CostFunction":
-        table = [Fraction(fn(x)) for x in enumerate_states(field.p, n)]
-        return cls(field, n, table, allow_vanishing=allow_vanishing)
 
     @classmethod
     def indicator(cls, decomp: DirectSumDecomposition,
@@ -156,12 +143,6 @@ class CostFunction:
         comp = decomp.local_index_tables()
         table = [_part_sum(tables, comp, x) for x in range(p**decomp.ambient_dim)]
         return cls(field, decomp.ambient_dim, table, allow_vanishing=allow_vanishing)
-
-    def __call__(self, idx: int) -> Fraction:
-        return self.table[idx]
-
-    def value(self, x: Sequence[int]) -> Fraction:
-        return self.table[state_index(x, self.field.p)]
 
 
 class DPInstance:
@@ -220,13 +201,6 @@ class DPInstance:
     def num_inputs(self) -> int:
         return self.field.p**self.m
 
-    def with_horizon(self, horizon: Horizon) -> "DPInstance":
-        inst = DPInstance(self.A, self.B, self.cost, horizon,
-                          require_injective=False, max_states=None, max_inputs=None)
-        # transitions are horizon-independent; share the table
-        object.__setattr__(inst, "_trans", self.transitions())
-        return inst
-
     def input_vector(self, u_idx: int) -> tuple[int, ...]:
         return index_state(u_idx, self.field.p, self.m)
 
@@ -241,9 +215,6 @@ class DPInstance:
             N = self.num_states
             object.__setattr__(self, "_trans", [im[x::N] for x in range(N)])
         return self._trans
-
-    def step(self, x_idx: int, u_idx: int) -> int:
-        return self.transitions()[x_idx][u_idx]
 
 
 @dataclass(frozen=True)
@@ -323,6 +294,14 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
             ArgminTable(inst.horizon, tuple(per_time_argmin)))
 
 
+def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
+    """The exact solve for the instance's horizon: backward recursion for a
+    finite horizon, policy iteration for a discounted one."""
+    if isinstance(inst.horizon, FiniteHorizon):
+        return solve_finite(inst)
+    return solve_discounted_pi(inst)
+
+
 def _closed_loop_successors(inst: DPInstance, policy: Sequence[int]) -> list[int]:
     trans = inst.transitions()
     return [trans[x][policy[x]] for x in range(inst.num_states)]
@@ -395,16 +374,18 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     while True:
         values = evaluate_stationary_policy(inst, policy).stationary
         improved = False
+        argmin = []
         for x in range(inst.num_states):
             best, chosen = _minimize(values, trans[x])
+            argmin.append(chosen)
             if values[trans[x][policy[x]]] > best:
                 policy[x] = min(chosen)
                 improved = True
         if not improved:
             break
-    argmin = tuple(_minimize(values, trans[x])[1] for x in range(inst.num_states))
+    # no action changed on this last pass, so its minimizer sets are final
     return (ValueTable(inst.horizon, (tuple(values),)),
-            ArgminTable(inst.horizon, (argmin,)))
+            ArgminTable(inst.horizon, (tuple(argmin),)))
 
 
 @dataclass(frozen=True)
@@ -440,24 +421,6 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
             break
     bound = alpha * tol / (1 - alpha)
     return ValueIterationResult(ValueTable(inst.horizon, (current,)), bound, iterations)
-
-
-def evaluate_openloop(inst: DPInstance, x0: Sequence[int], inputs: Sequence[Sequence[int]]) -> Fraction:
-    """Total finite-horizon cost of a fixed input sequence from x0.
-
-    The sequence has length T; the stage cost is charged at times 0..T.
-    """
-    if not isinstance(inst.horizon, FiniteHorizon):
-        raise ValueError("open-loop evaluation needs a finite horizon")
-    if len(inputs) != inst.horizon.T:
-        raise ValueError("need exactly T inputs")
-    p = inst.field.p
-    x = state_index(x0, p)
-    total = inst.cost.table[x]
-    for u in inputs:
-        x = inst.step(x, state_index(u, p))
-        total += inst.cost.table[x]
-    return total
 
 
 def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:

@@ -1,7 +1,7 @@
 """Exact arithmetic in prime fields GF(p) and the polynomial ring GF(p)[x].
 
 Field elements are plain Python ints kept reduced to 0..p-1; a PrimeField
-object carries the modulus and the operations, so no per-element wrapper is
+object carries the modulus and the inverse, so no per-element wrapper is
 allocated.  Polynomials store their coefficient tuple lowest degree first
 with trailing zeros stripped, so the zero polynomial is the empty tuple and
 ``degree`` is -1 for it (the sentinel sorts below every true degree).
@@ -12,7 +12,8 @@ already guarantees lowest terms and a positive denominator.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 
 def is_prime(n: int) -> bool:
@@ -31,36 +32,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class PrimeField:
     """The field GF(p) for a prime modulus p, with elements as reduced ints."""
 
-    __slots__ = ("p",)
+    p: int
 
-    def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"modulus must be an int, got {p!r}")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def element(self, a: int) -> int:
-        """Reduce an integer into canonical form 0..p-1."""
-        return a % self.p
-
-    def elements(self) -> range:
-        return range(self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
+    def __post_init__(self):
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise ValueError(f"modulus must be an int, got {self.p!r}")
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by Fermat's little theorem.
@@ -72,24 +54,11 @@ class PrimeField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return pow(self.inv(a), -k, self.p)
-        return pow(a % self.p, k, self.p)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
 
+@dataclass(frozen=True)
 class Poly:
     """A univariate polynomial over GF(p).
 
@@ -97,17 +66,14 @@ class Poly:
     never ends in a zero, so equal polynomials compare equal structurally.
     """
 
-    __slots__ = ("field", "coeffs")
+    field: PrimeField
+    coeffs: Iterable[int] = ()
 
-    def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
-        cs = [c % field.p for c in coeffs]
+    def __post_init__(self):
+        cs = [c % self.field.p for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -124,10 +90,6 @@ class Poly:
         return cls(field, (c,))
 
     @classmethod
-    def x(cls, field: PrimeField) -> "Poly":
-        return cls(field, (0, 1))
-
-    @classmethod
     def monomial(cls, field: PrimeField, k: int, c: int = 1) -> "Poly":
         return cls(field, (0,) * k + (c,))
 
@@ -142,11 +104,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lead(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -155,7 +112,7 @@ class Poly:
         """Scale to leading coefficient 1 (the zero polynomial is returned as is)."""
         if self.is_zero or self.is_monic:
             return self
-        return self.scale(self.field.inv(self.lead()))
+        return self.scale(self.field.inv(self.coeffs[-1]))
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -175,9 +132,6 @@ class Poly:
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, (self[k] - other[k] for k in range(n)))
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.field, (-c for c in self.coeffs))
 
     def scale(self, c: int) -> "Poly":
         return Poly(self.field, (c * a for a in self.coeffs))
@@ -229,9 +183,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
-
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor; gcd(0, 0) is 0."""
         self._check(other)
@@ -254,24 +205,7 @@ class Poly:
             raise ValueError("polynomial is not a p-th power")
         return Poly(self.field, self.coeffs[::p])
 
-    def __call__(self, a: int) -> int:
-        """Evaluate at a scalar by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.field.p
-        return acc
-
-    # -- comparisons and text ---------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+    # -- text ------------------------------------------------------------
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -288,26 +222,3 @@ class Poly:
                 terms.append(xk if c == 1 else f"{c}*{xk}")
         return f"Poly({' + '.join(terms)} mod {self.field.p})"
 
-
-def poly_from_coeffs(field: PrimeField, coeffs: Sequence[int]) -> Poly:
-    return Poly(field, coeffs)
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Module-level spelling of the monic polynomial gcd."""
-    return f.gcd(g)
-
-
-def all_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
-    """Yield every polynomial of exactly the given degree (used by tests)."""
-    if degree < 0:
-        yield Poly.zero(field)
-        return
-    p = field.p
-    for code in range(p**degree, p ** (degree + 1)):
-        digits = []
-        c = code
-        for _ in range(degree + 1):
-            digits.append(c % p)
-            c //= p
-        yield Poly(field, digits)

@@ -1,4 +1,4 @@
-"""Reading and writing problem instances as JSON documents.
+"""Reading problem instances from JSON documents.
 
 The document layout is published in docs/instance-schema.json (versioned;
 this module accepts schema_version "1.0").  Matrices are nested row-major
@@ -9,7 +9,6 @@ indexed by the base-p little-endian state index.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -35,10 +34,6 @@ def parse_rational(value: Any) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _parse_matrix(field: PrimeField, data: Any, nrows: int, ncols: int, name: str) -> MatrixFp:
     if (not isinstance(data, list) or len(data) != nrows
             or any(not isinstance(row, list) or len(row) != ncols for row in data)):
@@ -62,14 +57,17 @@ def _parse_horizon(data: Any) -> Horizon:
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError('horizon must be {"finite": {"T": ...}} or '
                          '{"discounted": {"alpha": ...}}')
-    if "finite" in data:
-        T = data["finite"].get("T")
+    kind, block = next(iter(data.items()))
+    if kind not in ("finite", "discounted"):
+        raise ValueError(f"unknown horizon kind {list(data)!r}")
+    if not isinstance(block, dict):
+        raise ValueError(f"horizon.{kind} must be an object")
+    if kind == "finite":
+        T = block.get("T")
         if not isinstance(T, int) or isinstance(T, bool) or T < 1:
             raise ValueError("finite horizon needs an integer T >= 1")
         return FiniteHorizon(T)
-    if "discounted" in data:
-        return DiscountedHorizon(parse_rational(data["discounted"].get("alpha")))
-    raise ValueError(f"unknown horizon kind {list(data)!r}")
+    return DiscountedHorizon(parse_rational(block.get("alpha")))
 
 
 def _parse_decomposition(field: PrimeField, n: int, data: Any) -> DirectSumDecomposition:
@@ -77,16 +75,12 @@ def _parse_decomposition(field: PrimeField, n: int, data: Any) -> DirectSumDecom
         raise ValueError("decomposition must list at least two basis matrices")
     parts = []
     for k, mat in enumerate(data):
-        if not isinstance(mat, list) or any(not isinstance(row, list) for row in mat):
+        if not isinstance(mat, list) or not mat or not isinstance(mat[0], list):
             raise ValueError(f"decomposition part {k} must be a matrix (list of rows)")
-        if len(mat) != n:
-            raise ValueError(f"decomposition part {k} must have {n} rows")
-        width = len(mat[0]) if mat[0] is not None else 0
-        if any(len(row) != width for row in mat):
-            raise ValueError(f"decomposition part {k} has ragged rows")
-        cols = [[row[j] for row in mat] for j in range(width)]
-        part = Subspace(field, n, cols)
-        if part.dim != width:
+        # the first row fixes the width; _parse_matrix checks everything else
+        basis = _parse_matrix(field, mat, n, len(mat[0]), f"decomposition part {k}")
+        part = Subspace(field, n, basis.cols())
+        if part.dim != basis.ncols:
             raise ValueError(f"decomposition part {k} columns are dependent")
         parts.append(part)
     return DirectSumDecomposition(parts)
@@ -109,13 +103,16 @@ def _parse_cost(field: PrimeField, n: int, data: Any,
                             allow_vanishing=allow)
     if decomp is None:
         raise ValueError(f'cost kind "{kind}" requires a decomposition block')
+    block = data[kind]
+    if not isinstance(block, dict):
+        raise ValueError(f"cost.{kind} must be an object")
     if kind == "separable":
-        tables = data["separable"].get("tables")
-        if not isinstance(tables, list):
+        tables = block.get("tables")
+        if not isinstance(tables, list) or any(not isinstance(t, list) for t in tables):
             raise ValueError("separable cost needs a list of per-part tables")
         parsed = [[parse_rational(v) for v in t] for t in tables]
         return CostFunction.separable(decomp, parsed, allow_vanishing=allow)
-    weights = data["indicator"].get("weights")
+    weights = block.get("weights")
     if not isinstance(weights, list):
         raise ValueError("indicator cost needs a list of per-part weights")
     return CostFunction.indicator(decomp, [parse_rational(v) for v in weights])
@@ -165,15 +162,6 @@ def load_instance(data: dict[str, Any], *, horizon_override: Horizon | None = No
     return LoadedInstance(instance, decomp)
 
 
-def load_instance_file(path: str, **kwargs) -> LoadedInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
-    return load_instance(data, **kwargs)
-
-
 def load_lqr_block(data: dict[str, Any]) -> dict[str, Any]:
     """Extract the real-field regulator block: matrices A, B, P, horizon T,
     part bases, tolerance, and an optional start state."""
@@ -202,12 +190,3 @@ def load_lqr_block(data: dict[str, Any]) -> dict[str, Any]:
     x0 = block.get("x0")
     out["x0"] = [float(v) for v in x0] if x0 is not None else None
     return out
-
-
-def load_lqr_file(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
-    return load_lqr_block(data)

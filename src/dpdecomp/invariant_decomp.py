@@ -68,10 +68,6 @@ class CharPolyFactorization:
     def __len__(self) -> int:
         return len(self.factors)
 
-    @property
-    def distinct_count(self) -> int:
-        return len(self.factors)
-
     def product(self) -> Poly:
         out = Poly.one(self.field)
         for q, m in self.factors:

@@ -9,6 +9,8 @@ they show up as autonomous subproblem input maps.
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotDirectSum, ShapeError
@@ -17,24 +19,22 @@ from .fields import Poly, PrimeField
 Vector = tuple[int, ...]
 
 
+@dataclass(frozen=True)
 class MatrixFp:
     """An immutable dense matrix over GF(p), entries stored row-major."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    field: PrimeField
+    nrows: int
+    ncols: int
+    entries: Iterable[int]
 
-    def __init__(self, field: PrimeField, nrows: int, ncols: int, entries: Iterable[int]):
-        if nrows < 0 or ncols < 0:
+    def __post_init__(self):
+        if self.nrows < 0 or self.ncols < 0:
             raise ShapeError("matrix dimensions must be nonnegative")
-        ent = tuple(e % field.p for e in entries)
-        if len(ent) != nrows * ncols:
-            raise ShapeError(f"expected {nrows * ncols} entries, got {len(ent)}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
+        ent = tuple(e % self.field.p for e in self.entries)
+        if len(ent) != self.nrows * self.ncols:
+            raise ShapeError(f"expected {self.nrows * self.ncols} entries, got {len(ent)}")
         object.__setattr__(self, "entries", ent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixFp is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -84,9 +84,6 @@ class MatrixFp:
     def col(self, j: int) -> Vector:
         return self.entries[j :: self.ncols] if self.ncols else ()
 
-    def rows(self) -> list[Vector]:
-        return [self.row(i) for i in range(self.nrows)]
-
     def cols(self) -> list[Vector]:
         return [self.col(j) for j in range(self.ncols)]
 
@@ -107,9 +104,6 @@ class MatrixFp:
         self._same_shape(other)
         return MatrixFp(self.field, self.nrows, self.ncols,
                         (a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "MatrixFp":
-        return MatrixFp(self.field, self.nrows, self.ncols, (-a for a in self.entries))
 
     def scale(self, c: int) -> "MatrixFp":
         return MatrixFp(self.field, self.nrows, self.ncols, (c * a for a in self.entries))
@@ -134,25 +128,6 @@ class MatrixFp:
         p = self.field.p
         return tuple(sum(a * b for a, b in zip(self.row(i), v)) % p for i in range(self.nrows))
 
-    def __pow__(self, k: int) -> "MatrixFp":
-        if self.nrows != self.ncols:
-            raise ShapeError("matrix power needs a square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = MatrixFp.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
-    def transpose(self) -> "MatrixFp":
-        return MatrixFp(self.field, self.ncols, self.nrows,
-                        (self.entries[i * self.ncols + j]
-                         for j in range(self.ncols) for i in range(self.nrows)))
-
     def hstack(self, other: "MatrixFp") -> "MatrixFp":
         if other.nrows != self.nrows or other.field != self.field:
             raise ShapeError("hstack needs equal row counts over one field")
@@ -161,12 +136,6 @@ class MatrixFp:
             ent.extend(self.row(i))
             ent.extend(other.row(i))
         return MatrixFp(self.field, self.nrows, self.ncols + other.ncols, ent)
-
-    def vstack(self, other: "MatrixFp") -> "MatrixFp":
-        if other.ncols != self.ncols or other.field != self.field:
-            raise ShapeError("vstack needs equal column counts over one field")
-        return MatrixFp(self.field, self.nrows + other.nrows, self.ncols,
-                        self.entries + other.entries)
 
     # -- solved forms ------------------------------------------------------
 
@@ -188,19 +157,6 @@ class MatrixFp:
             raise ValueError("matrix is singular")
         ent = [red[i, n + j] for i in range(n) for j in range(n)]
         return MatrixFp(self.field, n, n, ent)
-
-    # -- comparisons and text ---------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MatrixFp)
-            and other.field == self.field
-            and (other.nrows, other.ncols) == (self.nrows, self.ncols)
-            and other.entries == self.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nrows, self.ncols, self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.nrows))
@@ -254,20 +210,7 @@ def rref(M: MatrixFp) -> tuple[MatrixFp, int, tuple[int, ...]]:
     return MatrixFp.from_rows(field, rows, ncols=M.ncols), r, tuple(pivots)
 
 
-def solve_right(M: MatrixFp, b: Sequence[int]) -> Vector | None:
-    """One solution x of M x = b, or None when the system is inconsistent."""
-    if len(b) != M.nrows:
-        raise ShapeError("right-hand side length mismatch")
-    aug = M.hstack(MatrixFp.from_cols(M.field, [list(b)], nrows=M.nrows))
-    red, rank, pivots = rref(aug)
-    if pivots and pivots[-1] == M.ncols:
-        return None
-    x = [0] * M.ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i, M.ncols]
-    return tuple(x)
-
-
+@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of GF(p)^n with a canonical echelon basis.
 
@@ -276,41 +219,32 @@ class Subspace:
     coordinate extraction cheap and deterministic.
     """
 
-    __slots__ = ("field", "ambient_dim", "_rows", "_pivots")
+    field: PrimeField
+    ambient_dim: int
+    spanning: InitVar[Iterable[Sequence[int]]] = ()
+    _rows: tuple[Vector, ...] = dataclasses.field(init=False)
+    _pivots: tuple[int, ...] = dataclasses.field(init=False)
 
-    def __init__(self, field: PrimeField, ambient_dim: int, spanning: Iterable[Sequence[int]] = ()):
+    def __post_init__(self, spanning):
         vectors = [tuple(v) for v in spanning]
-        if any(len(v) != ambient_dim for v in vectors):
+        if any(len(v) != self.ambient_dim for v in vectors):
             raise ShapeError("spanning vector of wrong length")
         if vectors:
-            red, rank, pivots = rref(MatrixFp.from_rows(field, vectors, ncols=ambient_dim))
+            red, rank, pivots = rref(
+                MatrixFp.from_rows(self.field, vectors, ncols=self.ambient_dim))
             rows = tuple(red.row(i) for i in range(rank))
         else:
             rows, pivots = (), ()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pivots", tuple(pivots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim)
 
-    @classmethod
-    def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        basis = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return cls(field, ambient_dim, basis)
-
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return self._pivots
 
     def basis_vectors(self) -> list[Vector]:
         """Canonical basis, one ambient column vector per dimension."""
@@ -340,36 +274,11 @@ class Subspace:
             return None
         return tuple(coeffs)
 
-    def from_coords(self, coeffs: Sequence[int]) -> Vector:
-        if len(coeffs) != self.dim:
-            raise ShapeError("coordinate length mismatch")
-        p = self.field.p
-        out = [0] * self.ambient_dim
-        for lam, row in zip(coeffs, self._rows):
-            if lam % p:
-                for j in range(self.ambient_dim):
-                    out[j] = (out[j] + lam * row[j]) % p
-        return tuple(out)
-
     def vectors(self):
         """Iterate all p^dim member vectors (desk scale only)."""
         p = self.field.p
         for idx in index_map(self.basis_matrix()):
             yield tuple(idx // p**k % p for k in range(self.ambient_dim))
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(b) for b in self.basis_vectors())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and other.field == self.field
-            and other.ambient_dim == self.ambient_dim
-            and other._rows == self._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self._rows))
 
     def __repr__(self) -> str:
         vecs = ", ".join(str(list(r)) for r in self._rows)
@@ -378,10 +287,6 @@ class Subspace:
 
 def column_space(M: MatrixFp) -> Subspace:
     return Subspace(M.field, M.nrows, M.cols())
-
-
-def row_space(M: MatrixFp) -> Subspace:
-    return Subspace(M.field, M.ncols, M.rows())
 
 
 def null_space(M: MatrixFp) -> Subspace:
@@ -431,27 +336,6 @@ def preimage(M: MatrixFp, S: Subspace) -> Subspace:
     return Subspace(M.field, M.ncols, vectors)
 
 
-def is_independent(parts: Sequence[Subspace]) -> bool:
-    """True when the parts meet only at 0, i.e. their sum is direct."""
-    if not parts:
-        return True
-    total = sum(s.dim for s in parts)
-    vectors = [b for s in parts for b in s.basis_vectors()]
-    ambient = parts[0].ambient_dim
-    if not vectors:
-        return True
-    M = MatrixFp.from_rows(parts[0].field, vectors, ncols=ambient)
-    return M.rank() == total
-
-
-def is_direct_sum(parts: Sequence[Subspace]) -> bool:
-    """True when the parts are independent and together span the ambient space."""
-    if not parts:
-        return False
-    ambient = parts[0].ambient_dim
-    return sum(s.dim for s in parts) == ambient and is_independent(parts)
-
-
 def is_invariant(A: MatrixFp, S: Subspace) -> bool:
     """True when A maps S into S."""
     if A.nrows != A.ncols or A.ncols != S.ambient_dim:
@@ -459,18 +343,24 @@ def is_invariant(A: MatrixFp, S: Subspace) -> bool:
     return all(S.contains(A.matvec(b)) for b in S.basis_vectors())
 
 
+@dataclass(frozen=True)
 class DirectSumDecomposition:
     """An ordered splitting of GF(p)^n into at least two independent parts.
 
     Carries the change-of-basis matrix formed by concatenating part bases and
-    its inverse, so component extraction is a solve done once.
+    its inverse, so component extraction is a solve done once.  Equal parts
+    make equal splittings; every other attribute is derived from them.
     """
 
-    __slots__ = ("field", "ambient_dim", "parts", "change_of_basis",
-                 "change_of_basis_inv", "_offsets")
+    parts: Sequence[Subspace]
+    field: PrimeField = dataclasses.field(init=False)
+    ambient_dim: int = dataclasses.field(init=False)
+    change_of_basis: MatrixFp = dataclasses.field(init=False)
+    change_of_basis_inv: MatrixFp = dataclasses.field(init=False)
+    _offsets: tuple[int, ...] = dataclasses.field(init=False)
 
-    def __init__(self, parts: Sequence[Subspace]):
-        parts = tuple(parts)
+    def __post_init__(self):
+        parts = tuple(self.parts)
         if len(parts) < 2:
             raise ValueError("a direct-sum splitting needs at least two parts")
         field = parts[0].field
@@ -491,28 +381,16 @@ class DirectSumDecomposition:
         for s in parts:
             offsets.append(at)
             at += s.dim
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "change_of_basis", C)
         object.__setattr__(self, "change_of_basis_inv", C_inv)
         object.__setattr__(self, "_offsets", tuple(offsets))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DirectSumDecomposition is immutable")
-
     @property
     def r(self) -> int:
         return len(self.parts)
-
-    def local_coords(self, x: Sequence[int]) -> list[Vector]:
-        """Per-part coordinate vectors of x in the parts' canonical bases."""
-        y = self.change_of_basis_inv.matvec(x)
-        out = []
-        for i, s in enumerate(self.parts):
-            at = self._offsets[i]
-            out.append(y[at : at + s.dim])
-        return out
 
     def coordinates(self, i: int) -> MatrixFp:
         """Part i's rows of the inverse change of basis: the map from x to
@@ -529,24 +407,6 @@ class DirectSumDecomposition:
     def embedding_tables(self) -> list[list[int]]:
         """For each part, the ambient index of every part-local state."""
         return [index_map(s.basis_matrix()) for s in self.parts]
-
-    def decompose_vector(self, x: Sequence[int]) -> list[Vector]:
-        """All components of x; they sum back to x."""
-        locals_ = self.local_coords(x)
-        return [self.parts[i].from_coords(locals_[i]) for i in range(self.r)]
-
-    def embed(self, i: int, coords: Sequence[int]) -> Vector:
-        return self.parts[i].from_coords(coords)
-
-    def projector(self, i: int) -> MatrixFp:
-        """The n x n matrix of the projection onto part i along the others."""
-        return self.parts[i].basis_matrix() @ self.coordinates(i)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DirectSumDecomposition) and other.parts == self.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __repr__(self) -> str:
         dims = " + ".join(str(s.dim) for s in self.parts)

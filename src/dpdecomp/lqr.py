@@ -49,10 +49,6 @@ class RiccatiSolution:
     gains: tuple[np.ndarray, ...]
     gains_std: tuple[np.ndarray, ...]
 
-    @property
-    def horizon(self) -> int:
-        return len(self.gains)
-
 
 def _feedback(A: np.ndarray, B: np.ndarray, K: np.ndarray) -> np.ndarray:
     inner = B.T @ K @ B

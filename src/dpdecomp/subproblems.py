@@ -19,18 +19,11 @@ embedding.
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .dp import (
-    ArgminTable,
-    CostFunction,
-    DPInstance,
-    FiniteHorizon,
-    ValueTable,
-    is_in_Gs,
-    solve_discounted_pi,
-    solve_finite,
-)
+from .dp import ArgminTable, CostFunction, DPInstance, FiniteHorizon, ValueTable, is_in_Gs, solve
 from .errors import NotSeparableCost
 from .invariant_decomp import verify_decomposition
 from .linalg import (DirectSumDecomposition, MatrixFp, Subspace, index_map, preimage,
@@ -39,29 +32,24 @@ from .linalg import (DirectSumDecomposition, MatrixFp, Subspace, index_map, prei
 Family = Literal["restricted", "projected"]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SubproblemBundle:
     """The two families of local problems for one parent and splitting."""
 
-    __slots__ = ("parent", "decomp", "input_parts", "input_span", "complement",
-                 "restricted", "projected", "_component_tables")
+    parent: DPInstance
+    decomp: DirectSumDecomposition
+    input_parts: list[Subspace]
+    complement: Subspace
+    restricted: list[DPInstance]
+    projected: list[DPInstance]
+    input_span: Subspace = dataclasses.field(init=False)
+    _component_tables: list[list[int]] | None = dataclasses.field(init=False, default=None)
 
-    def __init__(self, parent: DPInstance, decomp: DirectSumDecomposition,
-                 input_parts: list[Subspace], complement: Subspace,
-                 restricted: list[DPInstance], projected: list[DPInstance]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "decomp", decomp)
-        object.__setattr__(self, "input_parts", input_parts)
-        span = Subspace.zero(parent.field, parent.m)
-        for e in input_parts:
+    def __post_init__(self):
+        span = Subspace.zero(self.parent.field, self.parent.m)
+        for e in self.input_parts:
             span = subspace_sum(span, e)
         object.__setattr__(self, "input_span", span)
-        object.__setattr__(self, "complement", complement)
-        object.__setattr__(self, "restricted", restricted)
-        object.__setattr__(self, "projected", projected)
-        object.__setattr__(self, "_component_tables", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubproblemBundle is immutable")
 
     @property
     def r(self) -> int:
@@ -138,13 +126,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
 def solve_bundle(bundle: SubproblemBundle, family: Family) -> list[tuple[ValueTable, ArgminTable]]:
     """Solve every local problem of one family with the horizon-matching
     exact solver."""
-    out = []
-    for sub in bundle.family(family):
-        if isinstance(sub.horizon, FiniteHorizon):
-            out.append(solve_finite(sub))
-        else:
-            out.append(solve_discounted_pi(sub))
-    return out
+    return [solve(sub) for sub in bundle.family(family)]
 
 
 def lift_policy(bundle: SubproblemBundle, family: Family,

@@ -283,10 +283,15 @@ def test_lqr_text_without_parts(tmp_path, capsys):
 
 # === exit codes and guards ===
 
-def test_missing_file_is_invalid(capsys):
+def test_missing_file_is_invalid(tmp_path, capsys):
     rc, _, err = run(capsys, "solve", "/nonexistent/inst.json")
     assert rc == 2
     assert "error:" in err
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    rc, _, err = run(capsys, "solve", str(bad))
+    assert rc == 2
+    assert "not valid JSON" in err
 
 
 def test_invalid_cost_is_invalid(tmp_path, capsys):

@@ -7,10 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dpdecomp.dp import DiscountedHorizon, FiniteHorizon
-from dpdecomp.instancefile import (format_rational, load_instance,
-                                   load_instance_file, load_lqr_block,
-                                   parse_rational)
+from dpdecomp.dp import DiscountedHorizon, FiniteHorizon, state_index
+from dpdecomp.instancefile import load_instance, load_lqr_block, parse_rational
 
 UNBOUNDED = {"max_states": None, "max_inputs": None}
 
@@ -47,7 +45,7 @@ def test_parse_rational_forms():
 
 @given(st.fractions(max_denominator=1000))
 def test_rational_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert parse_rational(str(q)) == q
 
 
 # === instance documents ===
@@ -60,18 +58,14 @@ def test_load_worked_instance():
     assert not inst.cost.is_strict
     assert loaded.decomposition is not None
     assert loaded.decomposition.r == 3
-    assert inst.cost.value((0, 1, 0)) == Fraction(1)
+    assert inst.cost.table[state_index((0, 1, 0), 3)] == Fraction(1)
 
 
 def test_load_from_file(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(base_doc()))
-    loaded = load_instance_file(str(path), **UNBOUNDED)
+    loaded = load_instance(json.loads(path.read_text()), **UNBOUNDED)
     assert loaded.instance.n == 3
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ValueError, match="not valid JSON"):
-        load_instance_file(str(bad), **UNBOUNDED)
 
 
 def test_schema_version_checked():
@@ -96,6 +90,16 @@ def test_missing_and_malformed_sections():
         (lambda d: d.update(A=[[1, 1], [0, 2]]), "A must be"),
         (lambda d: d.pop("cost"), "missing cost"),
         (lambda d: d.pop("horizon"), "missing horizon"),
+        # inner blocks must be objects and tables lists, not scalars
+        (lambda d: d.update(horizon={"finite": 5}), "horizon.finite must be an object"),
+        (lambda d: d.update(horizon={"discounted": 5}), "horizon.discounted must be"),
+        (lambda d: d.update(cost={"separable": 5}), "cost.separable must be an object"),
+        (lambda d: d.update(cost={"indicator": [1, 1]}), "cost.indicator must be"),
+        (lambda d: d["cost"]["separable"].update(tables=[[0, 1, 1], 7]), "per-part tables"),
+        # decomposition entries go through the same matrix check as A and B
+        (lambda d: d["decomposition"][0][0].__setitem__(0, "a"), "entries must be integers"),
+        (lambda d: d["decomposition"][1][1].__setitem__(0, None), "entries must be integers"),
+        (lambda d: d["decomposition"][2][2].__setitem__(0, 1.5), "entries must be integers"),
     ]:
         doc = base_doc()
         mutate(doc)
@@ -143,7 +147,7 @@ def test_decomposition_validation():
         load_instance(doc, **UNBOUNDED)
     doc = base_doc()
     doc["decomposition"][0] = [[1], [1]]
-    with pytest.raises(ValueError, match="3 rows"):
+    with pytest.raises(ValueError, match="3x1 integer matrix"):
         load_instance(doc, **UNBOUNDED)
     doc = base_doc()
     doc["decomposition"][0] = [[1, 2], [1, 2], [0, 0]]
@@ -156,14 +160,15 @@ def test_cost_kinds():
     doc = base_doc()
     doc["cost"] = {"indicator": {"weights": [0, 1, 0]}}
     loaded = load_instance(doc, **UNBOUNDED)
-    assert loaded.instance.cost.value((0, 1, 0)) == Fraction(1)
-    assert loaded.instance.cost.value((1, 0, 0)) == Fraction(0)
+    g = loaded.instance.cost.table
+    assert g[state_index((0, 1, 0), 3)] == Fraction(1)
+    assert g[state_index((1, 0, 0), 3)] == Fraction(0)
     # dense table, no decomposition required
     doc = base_doc()
     del doc["decomposition"]
     doc["cost"] = {"table": [0] + ["1/2"] * 26}
     loaded = load_instance(doc, **UNBOUNDED)
-    assert loaded.instance.cost.value((1, 0, 0)) == Fraction(1, 2)
+    assert loaded.instance.cost.table[state_index((1, 0, 0), 3)] == Fraction(1, 2)
 
 
 def test_cost_requires_exactly_one_kind():

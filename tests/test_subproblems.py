@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 
 from dpdecomp.dp import (CostFunction, DiscountedHorizon, DPInstance,
-                         FiniteHorizon, enumerate_states,
-                         evaluate_time_varying, solve_finite, state_index)
+                         FiniteHorizon, evaluate_time_varying, index_state,
+                         solve_finite, state_index)
 from dpdecomp.errors import NotInvariant, NotSeparableCost
-from dpdecomp.fields import PrimeField
+from dpdecomp.fields import Poly, PrimeField
 from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
 from dpdecomp.subproblems import build_bundle, lift_policy, solve_bundle
 
@@ -60,9 +60,7 @@ def test_rejects_non_invariant_parts():
 
 def test_rejects_non_separable_cost():
     inst, decomp = make_parent()
-    coupled = CostFunction.from_callable(F3, 3,
-                                         lambda x: Fraction(int(any(x))),
-                                         allow_vanishing=True)
+    coupled = CostFunction(F3, 3, [0] + [1] * 26, allow_vanishing=True)
     inst2 = DPInstance(inst.A, inst.B, coupled, inst.horizon)
     with pytest.raises(NotSeparableCost):
         build_bundle(inst2, decomp)
@@ -146,10 +144,10 @@ def test_component_state_tables():
     inst, decomp = make_parent()
     bundle = build_bundle(inst, decomp)
     tables = bundle.component_state_tables()
-    for x_idx, x in enumerate(enumerate_states(3, 3)):
-        locals_ = decomp.local_coords(x)
+    for x_idx in range(27):
+        x = index_state(x_idx, 3, 3)
         for i in range(3):
-            assert tables[i][x_idx] == state_index(locals_[i], 3)
+            assert tables[i][x_idx] == state_index(decomp.coordinates(i).matvec(x), 3)
     assert bundle.component_state_tables() is tables
 
 
@@ -237,3 +235,34 @@ def test_discounted_bundle_solves():
                   for i in range(3)]
     law = lift_policy(bundle, "restricted", selections)
     assert len(law) == inst.num_states
+
+
+# === immutability and equality ===
+
+# name -> (factory building a fresh object, an attribute it carries)
+IMMUTABLES = {
+    "PrimeField": (lambda: PrimeField(3), "p"),
+    "Poly": (lambda: Poly(F3, [1, 0, 2]), "coeffs"),
+    "MatrixFp": (lambda: MatrixFp.from_rows(F3, [[1, 2], [0, 1]]), "entries"),
+    "Subspace": (lambda: Subspace(F3, 3, [(1, 1, 0)]), "ambient_dim"),
+    "DirectSumDecomposition": (lambda: make_parent()[1], "parts"),
+    "CostFunction": (lambda: make_parent()[0].cost, "table"),
+    "DPInstance": (lambda: make_parent()[0], "horizon"),
+    "SubproblemBundle": (lambda: build_bundle(*make_parent()), "parent"),
+}
+COMPARED_BY_VALUE = {"PrimeField", "Poly", "MatrixFp", "Subspace", "DirectSumDecomposition"}
+
+
+@pytest.mark.parametrize("name", sorted(IMMUTABLES))
+def test_immutability_and_equality(name):
+    factory, attr = IMMUTABLES[name]
+    a, b = factory(), factory()
+    assert type(a).__name__ == name and a is not b
+    with pytest.raises(AttributeError):
+        setattr(a, attr, getattr(a, attr))
+    with pytest.raises(AttributeError):
+        setattr(a, "extra", 1)
+    if name in COMPARED_BY_VALUE:
+        assert a == b and hash(a) == hash(b)
+    else:
+        assert a == a and a != b

@@ -367,21 +367,22 @@ def check_invertible_equivalence(a_invertible: bool, range_condition: bool,
 def check_horizon_monotone(bundle: SubproblemBundle,
                            parent_values: ValueTable,
                            restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]],
-                           strict: bool) -> bool:
+                           additive: bool, strict: bool) -> bool:
     """If the additive decomposition holds at horizon T it should hold at
     every shorter horizon.  Time invariance makes the tail tables of the
     one solve the optimal values of the shorter problems, so this needs no
-    extra solving.  For strictly positive costs a violation is a hard
-    error; for vanishing costs the downward closure is only reported."""
+    extra solving; `additive` is the horizon-T verdict, already decided by
+    check_additive on the same tables.  For strictly positive costs a
+    violation is a hard error; for vanishing costs the downward closure is
+    only reported."""
     if not isinstance(bundle.parent.horizon, FiniteHorizon):
         raise ValueError("horizon monotonicity applies to finite horizons")
     T = bundle.parent.horizon.T
     comp = bundle.component_state_tables()
     # shift s decides the horizon T - s problem
-    verdicts = [value_split_defect(parent_values.per_time[s],
-                                   [sol[0].per_time[s] for sol in restricted_solutions],
-                                   comp) is None
-                for s in range(T)]
+    verdicts = [additive] + [value_split_defect(
+        parent_values.per_time[s], [sol[0].per_time[s] for sol in restricted_solutions],
+        comp) is None for s in range(1, T)]
     # verdicts[s] is the horizon T-s verdict: once True it must stay True
     for s in range(T - 1):
         if verdicts[s] and not verdicts[s + 1]:
@@ -441,14 +442,19 @@ def _assert_min_over_parts(bundle: SubproblemBundle) -> None:
     nonnegative, and killed by the zero input.  Needs only nonnegativity,
     a vanishing cost at zero, and separability, so it is asserted
     unconditionally."""
-    g = bundle.parent.cost.table
-    trans = bundle.parent.transitions()
-    span_inputs = index_map(bundle.input_span.basis_matrix())
-    for feasible, emb in zip(bundle.input_parts, bundle.decomp.embedding_tables()):
-        part_inputs = index_map(feasible.basis_matrix())
-        for x in emb:
-            row = trans[x]
-            if min(g[row[u]] for u in part_inputs) != min(g[row[u]] for u in span_inputs):
+    inst = bundle.parent
+    g = inst.cost.table
+    span_inputs = inst.B @ bundle.input_span.basis_matrix()
+    for part, feasible in zip(bundle.decomp.parts, bundle.input_parts):
+        # entry xi + p^d eta of the map of [A E | B F] is the successor of the
+        # part state E xi under the input F eta
+        a_part = inst.A @ part.basis_matrix()
+        under_part = index_map(a_part.hstack(inst.B @ feasible.basis_matrix()))
+        under_span = index_map(a_part.hstack(span_inputs))
+        step = inst.field.p**part.dim
+        for xi in range(step):
+            if (min(g[y] for y in under_part[xi::step])
+                    != min(g[y] for y in under_span[xi::step])):
                 raise TheoremViolation(
                     "one-step minimum over a part's feasible inputs differs "
                     "from the minimum over the summed feasible inputs")
@@ -546,7 +552,7 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
         _assert_necessity(bundle, additive)
         if finite:
             report.horizon_monotone = check_horizon_monotone(
-                bundle, parent_solution[0], restricted_solutions, strict)
+                bundle, parent_solution[0], restricted_solutions, additive, strict)
             if report.horizon_monotone is False:
                 report.notes.append(
                     "additivity is not downward closed in the horizon here; "

@@ -7,25 +7,38 @@ finite-horizon recursion, policy iteration, and stationary-policy evaluation
 all return exact values, and value iteration is the one deliberately
 approximate route (with an explicit error bound).
 
-Everything here enumerates the full state and input spaces; guard limits
-keep that honest (defaults p^n <= 729 and p^m <= 81, both overridable).
+The successors of x are exactly the coset Ax + im(B), so the solvers never
+try inputs one by one: a Bellman stage takes the minimum of the next value
+table over each coset of im(B) once (p^n comparisons) and reads every
+state's minimum and full minimizer set off the coset of Ax.  Finite-horizon
+values are computed on integers (the cost scaled by its common denominator)
+while they stay below 2^62, and on exact Fractions beyond that.  Tables are
+still dense over the state space; guard limits keep that honest (defaults
+p^n <= 729 and p^m <= 81, both overridable).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ShapeError
 from .fields import PrimeField
-from .linalg import DirectSumDecomposition, MatrixFp, index_map
+from .linalg import DirectSumDecomposition, MatrixFp, index_map, rref
 
 DEFAULT_MAX_STATES = 729
 DEFAULT_MAX_INPUTS = 81
 
 ZERO = Fraction(0)
+
+# Finite-horizon values run on integers only while max(g)·LCD(g)·(T+1) is below
+# this.  Python ints cannot overflow, so the limit is about speed: turning each
+# distinct integer value back into a Fraction costs a gcd as wide as the LCD,
+# while reduced Fractions of many unrelated denominators stay far narrower.
+INT_WIDTH_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,7 @@ class DPInstance:
     pass require_injective=False.
     """
 
-    __slots__ = ("field", "n", "m", "A", "B", "cost", "horizon", "_trans")
+    __slots__ = ("field", "n", "m", "A", "B", "cost", "horizon", "_trans", "_frame")
 
     def __init__(self, A: MatrixFp, B: MatrixFp, cost: CostFunction, horizon: Horizon,
                  *, require_injective: bool = True,
@@ -189,6 +202,7 @@ class DPInstance:
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "_trans", None)
+        object.__setattr__(self, "_frame", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DPInstance is immutable")
@@ -215,6 +229,89 @@ class DPInstance:
             N = self.num_states
             object.__setattr__(self, "_trans", [im[x::N] for x in range(N)])
         return self._trans
+
+    def coset_frame(self) -> "CosetFrame":
+        """The cosets of im(B) and where A and B move states among them,
+        computed once."""
+        if self._frame is None:
+            object.__setattr__(self, "_frame", CosetFrame.of(self.A, self.B))
+        return self._frame
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CosetFrame:
+    """GF(p)^n in a basis Q whose first r = rank B vectors span im(B).
+
+    The coordinate index of a state y (its index under Q^-1) has the
+    position w of y inside its coset of im(B) as its low r digits and the
+    coset label c as its high n - r digits, so coset c is the block of
+    P = p^r consecutive coordinate indices starting at c·P.  The successor
+    of x under u is then the state at coordinate index
+    c(Ax)·P + add[w(Ax) + P·offset[u]].
+    """
+
+    P: int
+    order: list[int]           # order[k]: the state with coordinate index k
+    k_ax: list[int]            # coordinate index of A x, per state x
+    offset: list[int]          # R u, the in-coset shift of B u, per input u
+    pre: list[frozenset[int]]  # pre[d]: the inputs u with R u = d
+    add: list[int]             # add[w + P·v] = w + v, digit by digit
+    sub: list[int]             # sub[w + P·v] = w - v, digit by digit
+
+    @classmethod
+    def of(cls, A: MatrixFp, B: MatrixFp) -> "CosetFrame":
+        field = A.field
+        n, m = B.nrows, B.ncols
+        eye = MatrixFp.identity(field, n)
+        # pivots of [B | I] in B are a basis of im(B); those in I complete it
+        _, _, pivots = rref(B.hstack(eye))
+        r = sum(1 for j in pivots if j < m)
+        Q = MatrixFp.from_cols(field, [B.col(j) if j < m else eye.col(j - m)
+                                       for j in pivots], nrows=n)
+        to_frame = Q.inverse()
+        # im(B) is spanned by Q's first r columns, so Q^-1 B vanishes below row r
+        R = MatrixFp(field, r, m, (to_frame @ B).entries[:r * m])
+        P = field.p**r
+        offset = index_map(R)
+        pre: list[list[int]] = [[] for _ in range(P)]
+        for u, d in enumerate(offset):
+            pre[d].append(u)
+        eye_r = MatrixFp.identity(field, r)
+        return cls(P, index_map(Q), index_map(to_frame @ A), offset,
+                   [frozenset(us) for us in pre], index_map(eye_r.hstack(eye_r)),
+                   index_map(eye_r.hstack(eye_r.scale(-1))))
+
+    def minima(self, J: Sequence) -> tuple[list, list]:
+        """J in coordinate order, and its minimum over every coset."""
+        P = self.P
+        Jk = [J[y] for y in self.order]
+        return Jk, [min(Jk[b:b + P]) for b in range(0, len(Jk), P)]
+
+    def argmin_sets(self, Jk: Sequence, mins: Sequence) -> list[frozenset[int]]:
+        """Every state's full set of inputs u with J(Ax + Bu) minimal.
+
+        u is optimal at x exactly when w(Ax) + R u is a position v where J
+        reaches its minimum on the coset of Ax, that is when R u = v - w(Ax);
+        with one such position the set is the shared fibre pre[v - w(Ax)]."""
+        P, pre, sub = self.P, self.pre, self.sub
+        where = [[v for v, j in enumerate(Jk[b:b + P]) if j == best]
+                 for b, best in zip(range(0, len(Jk), P), mins)]
+        out = []
+        for k in self.k_ax:
+            c, w = divmod(k, P)
+            best = where[c]
+            out.append(pre[sub[best[0] + P * w]] if len(best) == 1 else
+                       frozenset().union(*(pre[sub[v + P * w]] for v in best)))
+        return out
+
+    def successors(self, inputs: Sequence[int]) -> list[int]:
+        """The successor of every state x under the input inputs[x]."""
+        P, add, off, order = self.P, self.add, self.offset, self.order
+        out = []
+        for k, u in zip(self.k_ax, inputs):
+            w = k % P
+            out.append(order[k - w + add[w + P * off[u]]])
+        return out
 
 
 @dataclass(frozen=True)
@@ -256,42 +353,46 @@ class ArgminTable:
         return self.per_time[t][x_idx]
 
 
-def _minimize(values: Sequence[Fraction], next_states: Sequence[int]) -> tuple[Fraction, frozenset[int]]:
-    best = None
-    chosen: list[int] = []
-    for u, nx in enumerate(next_states):
-        v = values[nx]
-        if best is None or v < best:
-            best = v
-            chosen = [u]
-        elif v == best:
-            chosen.append(u)
-    return best, frozenset(chosen)
+def _scaled_cost(g: Sequence[Fraction], T: int) -> tuple[list[int], int] | None:
+    """The cost as integers g·LCD(g) and that LCD, when every horizon-T value
+    provably fits below INT_WIDTH_LIMIT (max(g)·LCD·(T+1) < 2^62); else None."""
+    top = max(g) * (T + 1)
+    lcd = 1
+    for d in {v.denominator for v in g}:
+        lcd = math.lcm(lcd, d)
+        if top * lcd >= INT_WIDTH_LIMIT:
+            return None
+    return [v.numerator * (lcd // v.denominator) for v in g], lcd
 
 
 def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     """Backward recursion: J_T = g, J_t = g + min over inputs of J_{t+1} at
-    the successor; minimizer sets are recorded in full for every t in 0..T-1."""
+    the successor; minimizer sets are recorded in full for every t in 0..T-1.
+
+    Each stage is one pass of coset minima (see CosetFrame).  When the
+    integer width rule allows it, the recursion runs on g·LCD(g) and the
+    tables are turned back into Fractions at the end."""
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("solve_finite needs a finite horizon")
     T = inst.horizon.T
-    trans = inst.transitions()
+    frame = inst.coset_frame()
+    P = frame.P
     g = inst.cost.table
-    per_time_values: list[tuple[Fraction, ...]] = [None] * (T + 1)  # type: ignore
-    per_time_argmin: list[tuple[frozenset[int], ...]] = [None] * T  # type: ignore
-    per_time_values[T] = g
-    for t in range(T - 1, -1, -1):
-        nxt = per_time_values[t + 1]
-        row_values = []
-        row_argmin = []
-        for x in range(inst.num_states):
-            best, chosen = _minimize(nxt, trans[x])
-            row_values.append(g[x] + best)
-            row_argmin.append(chosen)
-        per_time_values[t] = tuple(row_values)
-        per_time_argmin[t] = tuple(row_argmin)
-    return (ValueTable(inst.horizon, tuple(per_time_values)),
-            ArgminTable(inst.horizon, tuple(per_time_argmin)))
+    scaled = _scaled_cost(g, T)
+    stage_cost = g if scaled is None else scaled[0]
+    J = stage_cost
+    tables = []  # J_{T-1}, ..., J_0, on integers when scaled
+    argmins = []
+    for _ in range(T):
+        Jk, mins = frame.minima(J)
+        J = [gx + mins[k // P] for gx, k in zip(stage_cost, frame.k_ax)]
+        tables.append(J)
+        argmins.append(tuple(frame.argmin_sets(Jk, mins)))
+    if scaled is not None:
+        exact = {v: Fraction(v, scaled[1]) for v in set().union(*tables)}
+        tables = [map(exact.__getitem__, J) for J in tables]
+    return (ValueTable(inst.horizon, tuple(tuple(J) for J in reversed(tables)) + (g,)),
+            ArgminTable(inst.horizon, tuple(reversed(argmins))))
 
 
 def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
@@ -300,11 +401,6 @@ def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     if isinstance(inst.horizon, FiniteHorizon):
         return solve_finite(inst)
     return solve_discounted_pi(inst)
-
-
-def _closed_loop_successors(inst: DPInstance, policy: Sequence[int]) -> list[int]:
-    trans = inst.transitions()
-    return [trans[x][policy[x]] for x in range(inst.num_states)]
 
 
 def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int]) -> ValueTable:
@@ -320,7 +416,7 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int]) -> Value
         raise ValueError("policy must assign an input to every state")
     alpha = inst.horizon.alpha
     g = inst.cost.table
-    nxt = _closed_loop_successors(inst, policy)
+    nxt = inst.coset_frame().successors(policy)
     values: list[Fraction | None] = [None] * inst.num_states
     for start in range(inst.num_states):
         if values[start] is not None:
@@ -365,20 +461,14 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
-    trans = inst.transitions()
-    g = inst.cost.table
-    policy = []
-    for x in range(inst.num_states):
-        _, chosen = _minimize(g, trans[x])
-        policy.append(min(chosen))
+    frame = inst.coset_frame()
+    policy = [min(chosen) for chosen in frame.argmin_sets(*frame.minima(inst.cost.table))]
     while True:
         values = evaluate_stationary_policy(inst, policy).stationary
+        argmin = frame.argmin_sets(*frame.minima(values))
         improved = False
-        argmin = []
-        for x in range(inst.num_states):
-            best, chosen = _minimize(values, trans[x])
-            argmin.append(chosen)
-            if values[trans[x][policy[x]]] > best:
+        for x, chosen in enumerate(argmin):
+            if policy[x] not in chosen:
                 policy[x] = min(chosen)
                 improved = True
         if not improved:
@@ -407,14 +497,15 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     alpha = inst.horizon.alpha
-    trans = inst.transitions()
+    frame = inst.coset_frame()
+    P = frame.P
     g = inst.cost.table
     current = tuple(ZERO for _ in range(inst.num_states))
     iterations = 0
     while True:
         iterations += 1
-        new = tuple(g[x] + alpha * _minimize(current, trans[x])[0]
-                    for x in range(inst.num_states))
+        mins = frame.minima(current)[1]
+        new = tuple(gx + alpha * mins[k // P] for gx, k in zip(g, frame.k_ax))
         delta = max(abs(a - b) for a, b in zip(new, current))
         current = new
         if delta <= tol:
@@ -434,14 +525,15 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> tup
     T = inst.horizon.T
     if len(law) != T:
         raise ValueError("law must cover times 0..T-1")
-    trans = inst.transitions()
+    frame = inst.coset_frame()
+    steps = [frame.successors(inputs) for inputs in law]
     g = inst.cost.table
     out = []
     for start in range(inst.num_states):
         x = start
         total = g[x]
-        for t in range(T):
-            x = trans[x][law[t][x]]
+        for nxt in steps:
+            x = nxt[x]
             total += g[x]
         out.append(total)
     return tuple(out)
@@ -480,7 +572,10 @@ def value_split_defect(table: Sequence[Fraction],
 
 def bellman_residual(inst: DPInstance, values: ValueTable) -> Fraction:
     """Max absolute defect of the optimality recursion over all states
-    (and times, for finite horizons).  Zero certifies exact optimality."""
+    (and times, for finite horizons).  Zero certifies exact optimality.
+
+    It tries every input through transitions() on purpose: as an oracle for
+    the solvers it must stay independent of the coset operator they use."""
     trans = inst.transitions()
     g = inst.cost.table
     worst = ZERO
@@ -492,12 +587,12 @@ def bellman_residual(inst: DPInstance, values: ValueTable) -> Fraction:
         for t in range(T):
             nxt = values.per_time[t + 1]
             for x in range(inst.num_states):
-                best, _ = _minimize(nxt, trans[x])
+                best = min(nxt[y] for y in trans[x])
                 worst = max(worst, abs(values.per_time[t][x] - (g[x] + best)))
         return worst
     alpha = inst.horizon.alpha
     table = values.stationary
     for x in range(inst.num_states):
-        best, _ = _minimize(table, trans[x])
+        best = min(table[y] for y in trans[x])
         worst = max(worst, abs(table[x] - (g[x] + alpha * best)))
     return worst

@@ -3,7 +3,10 @@
 The finite-horizon solver is checked against brute-force enumeration of
 all input sequences (an independent oracle: no recursion involved).  The
 discounted solvers are checked against hand-derived closed forms, the
-exact Bellman residual, and each other.
+exact Bellman residual, and each other.  All three solvers are also checked
+exactly against per-(state, input) oracles that try every input at every
+state through transitions(), which is how the library solved before the
+coset operator.
 """
 
 import itertools
@@ -12,8 +15,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpdecomp.dp import (ArgminTable, CostFunction, DiscountedHorizon,
-                         DPInstance, FiniteHorizon, ValueTable,
+from dpdecomp.dp import (INT_WIDTH_LIMIT, ArgminTable, CostFunction,
+                         DiscountedHorizon, DPInstance, FiniteHorizon,
+                         ValueIterationResult, ValueTable, _scaled_cost,
                          bellman_residual, evaluate_stationary_policy,
                          evaluate_time_varying, index_state, is_in_Gs,
                          solve_discounted_pi, solve_discounted_vi,
@@ -78,6 +82,113 @@ def brute_force_minimum(inst, x_idx):
         if best is None or total < best:
             best = total
     return best
+
+
+def _minimize(values, next_states):
+    """The smallest successor value and every input that reaches it."""
+    best = None
+    chosen = []
+    for u, nx in enumerate(next_states):
+        v = values[nx]
+        if best is None or v < best:
+            best = v
+            chosen = [u]
+        elif v == best:
+            chosen.append(u)
+    return best, frozenset(chosen)
+
+
+def oracle_solve_finite(inst):
+    """Backward recursion trying every input at every state."""
+    T = inst.horizon.T
+    trans = inst.transitions()
+    g = inst.cost.table
+    values = [None] * (T + 1)
+    argmin = [None] * T
+    values[T] = g
+    for t in range(T - 1, -1, -1):
+        solved = [_minimize(values[t + 1], trans[x]) for x in range(inst.num_states)]
+        values[t] = tuple(g[x] + best for x, (best, _) in enumerate(solved))
+        argmin[t] = tuple(chosen for _, chosen in solved)
+    return (ValueTable(inst.horizon, tuple(values)),
+            ArgminTable(inst.horizon, tuple(argmin)))
+
+
+def oracle_solve_discounted_pi(inst):
+    """Policy iteration from the greedy-on-g policy, switching an action only
+    on a strict improvement, trying every input at every state."""
+    trans = inst.transitions()
+    policy = [min(_minimize(inst.cost.table, trans[x])[1]) for x in range(inst.num_states)]
+    while True:
+        values = evaluate_stationary_policy(inst, policy).stationary
+        improved = False
+        argmin = []
+        for x in range(inst.num_states):
+            best, chosen = _minimize(values, trans[x])
+            argmin.append(chosen)
+            if values[trans[x][policy[x]]] > best:
+                policy[x] = min(chosen)
+                improved = True
+        if not improved:
+            return (ValueTable(inst.horizon, (tuple(values),)),
+                    ArgminTable(inst.horizon, (tuple(argmin),)))
+
+
+def oracle_solve_discounted_vi(inst, tol):
+    """Value iteration from J = 0, trying every input at every state."""
+    alpha = inst.horizon.alpha
+    trans = inst.transitions()
+    g = inst.cost.table
+    current = tuple(Fraction(0) for _ in range(inst.num_states))
+    iterations = 0
+    while True:
+        iterations += 1
+        new = tuple(g[x] + alpha * _minimize(current, trans[x])[0]
+                    for x in range(inst.num_states))
+        delta = max(abs(a - b) for a, b in zip(new, current))
+        current = new
+        if delta <= tol:
+            break
+    return ValueIterationResult(ValueTable(inst.horizon, (current,)),
+                                alpha * tol / (1 - alpha), iterations)
+
+
+# Mersenne primes: a table holding both has an LCD above 2^150, past the 2^62
+# width rule; a table holding one of them may still fit under it
+WIDE_DENOMINATORS = (2**61 - 1, 2**89 - 1)
+
+
+@st.composite
+def coset_instances(draw, horizon):
+    """Any p in {2, 3, 5, 7}, singular or invertible A, m = 0 and B of any
+    rank (require_injective=False), costs that may vanish off zero, and
+    denominators either small or wide (which takes the Fraction side of the
+    width rule when both wide denominators are drawn)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    F = PrimeField(p)
+    n = draw(st.integers(1, 3 if p <= 3 else 2))
+    m = draw(st.integers(0, 2 if p <= 5 else 1))
+    entries = st.integers(0, p - 1)
+    A = MatrixFp(F, n, n, draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    if draw(st.booleans()):
+        A = A @ MatrixFp(F, n, n, [1 if i == j and i else 0
+                                   for i in range(n) for j in range(n)])  # kills e_0
+    B = MatrixFp(F, n, m, draw(st.lists(entries, min_size=n * m, max_size=n * m)))
+    wide = draw(st.booleans())
+    dens = st.sampled_from(WIDE_DENOMINATORS if wide else (1, 2, 3, 4))
+    table = [Fraction(0)] + [Fraction(draw(st.integers(0, 3)), draw(dens))
+                             for _ in range(p**n - 1)]
+    cost = CostFunction(F, n, table, allow_vanishing=True)
+    return DPInstance(A, B, cost, horizon(draw), require_injective=False)
+
+
+def _finite_horizon(draw):
+    return FiniteHorizon(draw(st.integers(1, 3)))
+
+
+def _discounted_horizon(draw):
+    return DiscountedHorizon(draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                                   Fraction(9, 10)])))
 
 
 # === state indexing ===
@@ -237,6 +348,41 @@ def test_time_varying_argmin_law_is_optimal(inst):
     assert evaluate_time_varying(inst, law) == values.table(0)
 
 
+@given(coset_instances(_finite_horizon))
+@settings(max_examples=150, deadline=None)
+def test_finite_matches_oracle_exactly(inst):
+    values, argmin = solve_finite(inst)
+    expected_values, expected_argmin = oracle_solve_finite(inst)
+    assert values == expected_values
+    assert argmin == expected_argmin
+    assert all(type(v) is Fraction for table in values.per_time for v in table)
+
+
+def test_finite_fraction_side_matches_oracle():
+    # 1/(2^61-1) and 1/(2^89-1) together put the LCD far past the width rule
+    A = MatrixFp(F3, 2, 2, [1, 1, 0, 1])
+    B = MatrixFp(F3, 2, 1, [0, 1])
+    w61, w89 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
+    table = [0, w61, w89, 2 * w89, w61 + w89, 0, 1, w61, 3]
+    inst = DPInstance(A, B, CostFunction(F3, 2, table, allow_vanishing=True),
+                      FiniteHorizon(3))
+    assert _scaled_cost(inst.cost.table, 3) is None
+    assert solve_finite(inst) == oracle_solve_finite(inst)
+
+
+def test_width_rule_picks_the_number_path():
+    g = (Fraction(0), Fraction(1, 3), Fraction(5, 2))
+    assert _scaled_cost(g, 4) == ([0, 2, 15], 6)
+    # max(g) * LCD * (T + 1) must stay strictly below 2^62
+    top = INT_WIDTH_LIMIT // 2  # T = 1: max(g) * LCD * 2 hits 2^62 exactly here
+    assert _scaled_cost((Fraction(0), Fraction(top - 1)), 1) is not None
+    assert _scaled_cost((Fraction(0), Fraction(top)), 1) is None
+    assert _scaled_cost((Fraction(0), Fraction(top - 1, 2)), 1) is not None
+    assert _scaled_cost((Fraction(0), Fraction(top + 1, 2)), 1) is None
+    wide = tuple(Fraction(1, d) for d in (1,) + WIDE_DENOMINATORS)
+    assert _scaled_cost(wide, 1) is None
+
+
 def test_finite_hand_example():
     # x' = x + u over GF(2), g = [0, 1], T = 2: leave 1 immediately
     A = MatrixFp.identity(F2, 1)
@@ -295,6 +441,16 @@ def test_vi_respects_error_bound(inst):
               zip(result.values.stationary, exact.stationary))
     assert gap <= result.error_bound
     assert result.iterations >= 1
+    # the same iterates, stopped at the same sweep, as trying every input
+    assert result == oracle_solve_discounted_vi(inst, tol)
+
+
+@given(coset_instances(_discounted_horizon))
+@settings(max_examples=100, deadline=None)
+def test_discounted_matches_oracle_exactly(inst):
+    assert solve_discounted_pi(inst) == oracle_solve_discounted_pi(inst)
+    assert solve_discounted_vi(inst, Fraction(1, 50)) == oracle_solve_discounted_vi(
+        inst, Fraction(1, 50))
 
 
 def test_vi_rejects_bad_tolerance():

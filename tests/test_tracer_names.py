@@ -1,14 +1,21 @@
 """The benchmark's tracer patches dpdecomp functions and methods by name;
-every name it lists must still resolve, or a traced run breaks."""
+every name it lists must still resolve, or a traced run breaks.  It also
+reads two structural facts these tests pin down: the exact solvers and the
+battery never build the per-(state, input) transitions table, and policy
+iteration evaluates its policies through dp.evaluate_stationary_policy."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from fractions import Fraction
+
 import dpdecomp
-from dpdecomp.dp import CostFunction, DPInstance, FiniteHorizon
+from dpdecomp import dp
+from dpdecomp.checks import run_battery
+from dpdecomp.dp import CostFunction, DiscountedHorizon, DPInstance, FiniteHorizon
 from dpdecomp.fields import PrimeField
-from dpdecomp.linalg import MatrixFp
+from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -44,3 +51,43 @@ def test_transitions_cache_starts_empty():
 def test_exported_names_resolve():
     for name in dpdecomp.__all__:
         assert hasattr(dpdecomp, name), name
+
+
+def _split_instance(horizon):
+    # GF(3)^2 split along the axes, one input per axis, A diagonal
+    F3 = PrimeField(3)
+    decomp = DirectSumDecomposition([Subspace(F3, 2, [(1, 0)]), Subspace(F3, 2, [(0, 1)])])
+    cost = CostFunction.indicator(decomp, [Fraction(1), Fraction(2)])
+    inst = DPInstance(MatrixFp.from_rows(F3, [[2, 0], [0, 1]]), MatrixFp.identity(F3, 2),
+                      cost, horizon)
+    return inst, decomp
+
+
+def test_solvers_and_battery_leave_transitions_unbuilt():
+    finite = FiniteHorizon(3)
+    discounted = DiscountedHorizon(Fraction(1, 2))
+    runs = [(finite, dp.solve_finite), (discounted, dp.solve_discounted_pi),
+            (discounted, lambda inst: dp.solve_discounted_vi(inst, Fraction(1, 10)))]
+    for horizon, solve in runs:
+        inst, _ = _split_instance(horizon)
+        solve(inst)
+        assert inst._trans is None
+    for horizon in (finite, discounted):
+        inst, decomp = _split_instance(horizon)
+        run_battery(inst, decomp, family="both")
+        assert inst._trans is None
+
+
+def test_policy_iteration_evaluates_through_module_global(monkeypatch):
+    # the traced run counts these calls as policy iteration's stages
+    calls = []
+    original = dp.evaluate_stationary_policy
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "evaluate_stationary_policy", counting)
+    inst, _ = _split_instance(DiscountedHorizon(Fraction(1, 2)))
+    dp.solve_discounted_pi(inst)
+    assert calls

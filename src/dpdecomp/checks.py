@@ -165,14 +165,15 @@ def _tuple_witness(bundle: SubproblemBundle, x: int, t: int | None,
     }
 
 
-def _value_split_witness(bundle: SubproblemBundle, parent_table: Sequence[Fraction],
-                         solutions: Sequence[tuple[ValueTable, ArgminTable]]
-                         ) -> dict[str, Any] | None:
-    """The value witness at the first state where the parent value is not
-    the sum of the subproblem values, or None when it splits everywhere."""
-    x = value_split_defect(parent_table, [sol[0].per_time[0] for sol in solutions],
-                           bundle.component_state_tables())
-    return None if x is None else _value_witness(bundle, x, parent_table, solutions)
+def _value_splits(bundle: SubproblemBundle, parent_values: ValueTable,
+                  solutions: Sequence[tuple[ValueTable, ArgminTable]],
+                  times: int) -> list[int | None]:
+    """For t = 0..times-1: the first state where the parent value at time t
+    is not the sum of the subproblem values at time t, or None when it
+    splits everywhere."""
+    return [value_split_defect(parent_values.per_time[t],
+                               [sol[0].per_time[t] for sol in solutions],
+                               bundle.component_state_tables()) for t in range(times)]
 
 
 def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
@@ -227,19 +228,20 @@ def check_stationary_selector(bundle: SubproblemBundle, argmin: ArgminTable
 def check_additive(bundle: SubproblemBundle,
                    parent_solution: tuple[ValueTable, ArgminTable],
                    restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]],
-                   rng: random.Random | None = None
+                   defect: int | None, rng: random.Random | None = None
                    ) -> tuple[bool, dict[str, Any] | None]:
     """Additive decomposition verdict: parent value equals the sum of the
     restricted subproblem values at the state's components, every state.
+    `defect` is the time-0 entry of _value_splits on these tables.
 
     On a True verdict one random selection of subproblem optimizers is also
     lifted and evaluated exactly as a cross-check; disagreement there is an
     implementation bug, not a property of the instance.
     """
     parent_values, _ = parent_solution
-    witness = _value_split_witness(bundle, parent_values.per_time[0], restricted_solutions)
-    if witness is not None:
-        return False, witness
+    if defect is not None:
+        return False, _value_witness(bundle, defect, parent_values.per_time[0],
+                                     restricted_solutions)
     _spot_check_lift(bundle, parent_values, restricted_solutions,
                      rng or random.Random(0))
     return True, None
@@ -289,9 +291,10 @@ def check_componentwise(bundle: SubproblemBundle,
     elsewhere still decides False).
     """
     parent_values, parent_argmin = parent_solution
-    witness = _value_split_witness(bundle, parent_values.per_time[0], projected_solutions)
-    if witness is not None:
-        return False, witness
+    defect, = _value_splits(bundle, parent_values, projected_solutions, 1)
+    if defect is not None:
+        return False, _value_witness(bundle, defect, parent_values.per_time[0],
+                                     projected_solutions)
 
     comp = bundle.component_state_tables()
     images, bu_adapted = _input_images(bundle)
@@ -364,26 +367,15 @@ def check_invertible_equivalence(a_invertible: bool, range_condition: bool,
     return True
 
 
-def check_horizon_monotone(bundle: SubproblemBundle,
-                           parent_values: ValueTable,
-                           restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]],
-                           additive: bool, strict: bool) -> bool:
+def check_horizon_monotone(verdicts: Sequence[bool], strict: bool) -> bool:
     """If the additive decomposition holds at horizon T it should hold at
-    every shorter horizon.  Time invariance makes the tail tables of the
-    one solve the optimal values of the shorter problems, so this needs no
-    extra solving; `additive` is the horizon-T verdict, already decided by
-    check_additive on the same tables.  For strictly positive costs a
+    every shorter horizon.  Time invariance makes the time-s tables of the
+    one horizon-T solve the optimal values of the horizon T-s problem, so
+    verdicts[s], the restricted value split at time s, is the horizon T-s
+    verdict: once True it must stay True.  For strictly positive costs a
     violation is a hard error; for vanishing costs the downward closure is
     only reported."""
-    if not isinstance(bundle.parent.horizon, FiniteHorizon):
-        raise ValueError("horizon monotonicity applies to finite horizons")
-    T = bundle.parent.horizon.T
-    comp = bundle.component_state_tables()
-    # shift s decides the horizon T - s problem
-    verdicts = [additive] + [value_split_defect(
-        parent_values.per_time[s], [sol[0].per_time[s] for sol in restricted_solutions],
-        comp) is None for s in range(1, T)]
-    # verdicts[s] is the horizon T-s verdict: once True it must stay True
+    T = len(verdicts)
     for s in range(T - 1):
         if verdicts[s] and not verdicts[s + 1]:
             if strict:
@@ -396,27 +388,24 @@ def check_horizon_monotone(bundle: SubproblemBundle,
 
 def _assert_value_separability(bundle: SubproblemBundle,
                                parent_values: ValueTable,
-                               restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]]
-                               ) -> None:
+                               restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]],
+                               defects: Sequence[int | None]) -> None:
     """Under the minimizer/selector condition the optimal value function
     must itself be additive across parts, and its restriction to each part
     must agree with that part's restricted subproblem value.  Both hold by
-    theorem once the condition does."""
-    comp = bundle.component_state_tables()
-    emb = bundle.decomp.embedding_tables()
-    for t_idx, parent_t in enumerate(parent_values.per_time):
-        on_parts = [[parent_t[e] for e in table] for table in emb]
-        if value_split_defect(parent_t, on_parts, comp) is not None:
+    theorem once the condition does.  Given the per-part agreement, the
+    split is the restricted split already decided in `defects`; at time T
+    it is the cost's own separability, which build_bundle enforces."""
+    for t, parent_t in enumerate(parent_values.per_time):
+        if any(list(sol[0].per_time[t]) != [parent_t[e] for e in emb]
+               for sol, emb in zip(restricted_solutions, bundle.embedding_tables)):
             raise TheoremViolation(
-                "optimal value function is not additive across parts although "
-                "the minimizer condition holds")
-        if t_idx < len(restricted_solutions[0][0].per_time):
-            if any(list(sol[0].per_time[t_idx]) != part
-                   for sol, part in zip(restricted_solutions, on_parts)):
-                raise TheoremViolation(
-                    "restricted subproblem value disagrees with the "
-                    "parent value on its part although the minimizer "
-                    "condition holds")
+                "restricted subproblem value disagrees with the parent value "
+                "on its part although the minimizer condition holds")
+    if any(x is not None for x in defects):
+        raise TheoremViolation(
+            "optimal value function is not additive across parts although "
+            "the minimizer condition holds")
 
 
 def _assert_necessity(bundle: SubproblemBundle, additive: bool | None) -> None:
@@ -524,13 +513,16 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
             cond, witness = check_stationary_selector(bundle, parent_solution[1])
             report.stationary_selector = cond
             report.stationary_selector_witness = witness
+        defects = _value_splits(bundle, parent_solution[0], restricted_solutions,
+                                inst.horizon.T if finite else 1)
         additive, witness = check_additive(
-            bundle, parent_solution, restricted_solutions, rng)
+            bundle, parent_solution, restricted_solutions, defects[0], rng)
         report.additive_holds = additive
         report.additive_witness = witness
         if cond:
             # the condition forces value separability regardless of strictness
-            _assert_value_separability(bundle, parent_solution[0], restricted_solutions)
+            _assert_value_separability(bundle, parent_solution[0], restricted_solutions,
+                                       defects)
             if not additive:
                 raise TheoremViolation(
                     "minimizer/selector condition holds but the additive "
@@ -552,7 +544,7 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
         _assert_necessity(bundle, additive)
         if finite:
             report.horizon_monotone = check_horizon_monotone(
-                bundle, parent_solution[0], restricted_solutions, additive, strict)
+                [x is None for x in defects], strict)
             if report.horizon_monotone is False:
                 report.notes.append(
                     "additivity is not downward closed in the horizon here; "

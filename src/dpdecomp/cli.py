@@ -29,6 +29,9 @@ from .invariant_decomp import primary_decomposition
 
 GUARD_STATES = 2**16
 GUARD_INPUTS = 2**12
+# decompose never enumerates states, but factoring the characteristic
+# polynomial grows steeply with n: a random 48x48 matrix takes under 2 s
+GUARD_DIM = 48
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -66,17 +69,16 @@ def _precheck_size(data: dict[str, Any], force: bool) -> None:
     if force:
         return
     try:
-        p = int(data["field"]["prime"])
-        n = int(data["dims"]["n"])
-        m = int(data["dims"]["m"])
-    except (KeyError, TypeError, ValueError):
+        p, n, m = data["field"]["prime"], data["dims"]["n"], data["dims"]["m"]
+    except (KeyError, TypeError):
         return
-    if p >= 2 and n >= 0 and p**n > GUARD_STATES:
-        raise ValueError(f"state space has {p**n} points, above the guard of "
-                         f"{GUARD_STATES}; rerun with --force to proceed")
-    if p >= 2 and m >= 0 and p**m > GUARD_INPUTS:
-        raise ValueError(f"input space has {p**m} points, above the guard of "
-                         f"{GUARD_INPUTS}; rerun with --force to proceed")
+    if not all(type(v) is int for v in (p, n, m)) or p < 2:
+        return
+    for what, k, guard in (("state", n, GUARD_STATES), ("input", m, GUARD_INPUTS)):
+        # p >= 2, so a k past the guard's bit length exceeds it without p**k
+        if k > guard.bit_length() or (k >= 0 and p**k > guard):
+            raise ValueError(f"{what} space has {p}^{k} points, above the guard of "
+                             f"{guard}; rerun with --force to proceed")
 
 
 def _read_json(path: str) -> dict[str, Any]:
@@ -169,7 +171,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     # Only the dynamics matter here, so accept documents without cost/horizon.
     data = _read_json(args.instance)
-    _precheck_size(data, True)
     from .fields import PrimeField
     from .instancefile import _parse_matrix
     try:
@@ -181,6 +182,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError("field.prime must be an integer")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("dims.n must be an integer >= 1")
+    if n > GUARD_DIM and not args.force:
+        raise ValueError(f"dims.n is {n}, above the decompose guard of {GUARD_DIM}; "
+                         "rerun with --force to proceed")
     field = PrimeField(prime)
     A = _parse_matrix(field, data.get("A"), n, n, "A")
     try:
@@ -342,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--force", action="store_true",
-                        help="lift the state/input space size guard")
+                        help="lift the state/input space size guard (the "
+                             "dimension guard for decompose)")
 
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--horizon", choices=["finite", "discounted"],

@@ -16,19 +16,31 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+# Miller-Rabin with these bases decides primality exactly for n < 3.3 * 10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 2**64
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the small moduli used here."""
+    """Deterministic Miller-Rabin primality test, exact for every n < 2^64."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -41,6 +53,8 @@ class PrimeField:
     def __post_init__(self):
         if not isinstance(self.p, int) or isinstance(self.p, bool):
             raise ValueError(f"modulus must be an int, got {self.p!r}")
+        if self.p >= MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} is not below 2^64")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -147,17 +161,21 @@ class Poly:
                     out[i + j] += a * b
         return Poly(self.field, out)
 
-    def __pow__(self, k: int) -> "Poly":
+    def __pow__(self, k: int, mod: "Poly | None" = None) -> "Poly":
+        """self**k, or with pow(self, k, mod) self**k reduced modulo mod,
+        which keeps every intermediate below the degree of mod."""
         if k < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Poly.one(self.field)
-        base = self
+
+        def reduce(q: "Poly") -> "Poly":
+            return q if mod is None else q % mod
+        result, base = Poly.one(self.field), reduce(self)
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = reduce(result * base)
+            base = reduce(base * base)
             k >>= 1
-        return result
+        return reduce(result)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)

@@ -83,7 +83,7 @@ def _berlekamp_split(f: Poly) -> list[Poly]:
     if d == 1:
         return [f]
     # columns of Q are x^{jp} mod f on the monomial basis
-    x_p = Poly.monomial(field, 1) ** p % f
+    x_p = pow(Poly.monomial(field, 1), p, f)
     power = Poly.one(field)
     cols = []
     for _ in range(d):

@@ -42,8 +42,11 @@ class SubproblemBundle:
     complement: Subspace
     restricted: list[DPInstance]
     projected: list[DPInstance]
+    # per part: the local index of every parent state's component, and the
+    # parent index of every local state (DirectSumDecomposition's tables)
+    component_tables: list[list[int]]
+    embedding_tables: list[list[int]]
     input_span: Subspace = dataclasses.field(init=False)
-    _component_tables: list[list[int]] | None = dataclasses.field(init=False, default=None)
 
     def __post_init__(self):
         span = Subspace.zero(self.parent.field, self.parent.m)
@@ -68,10 +71,8 @@ class SubproblemBundle:
 
     def component_state_tables(self) -> list[list[int]]:
         """For each part, the local state index of every parent state's
-        component; computed once and cached."""
-        if self._component_tables is None:
-            object.__setattr__(self, "_component_tables", self.decomp.local_index_tables())
-        return self._component_tables
+        component."""
+        return self.component_tables
 
 
 def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> SubproblemBundle:
@@ -120,7 +121,8 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
         projected.append(DPInstance(
             a_local, to_local @ inst.B, cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))
-    return SubproblemBundle(inst, decomp, input_parts, complement, restricted, projected)
+    return SubproblemBundle(inst, decomp, input_parts, complement, restricted, projected,
+                            decomp.local_index_tables(), embedding)
 
 
 def solve_bundle(bundle: SubproblemBundle, family: Family) -> list[tuple[ValueTable, ArgminTable]]:

@@ -1,6 +1,10 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +324,48 @@ def test_size_guard_and_force(tmp_path, capsys):
     # so the error message arrives quickly even for 7^7 states
     rc, out, _ = run(capsys, "decompose", str(path), "--json")
     assert rc == 0  # decompose never builds the state space
+
+
+def test_size_guard_survives_a_huge_dimension(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": {"prime": 3}, "dims": {"n": 3_000_000, "m": 1}}))
+    rc, _, err = run(capsys, "solve", str(path))
+    assert rc == 2
+    assert "above the guard" in err and "--force" in err
+
+
+def test_decompose_dimension_guard_and_force(tmp_path, capsys):
+    n = cli.GUARD_DIM + 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": {"prime": 2}, "dims": {"n": n},
+                                "A": [[0] * n for _ in range(n)]}))
+    rc, _, err = run(capsys, "decompose", str(path))
+    assert rc == 2
+    assert "--force" in err
+    rc, out, _ = run(capsys, "decompose", str(path), "--json", "--force")
+    assert rc == 0
+    assert json.loads(out)["decomposable"] is False
+
+
+@pytest.mark.parametrize("argv, prime, code", [
+    (["decompose"], 2**61 - 1, 0),
+    (["decompose"], 2**64 + 13, 2),
+    (["solve", "--force"], 2**64 + 13, 2),
+    (["check", "--force"], 2**64 + 13, 2),
+])
+def test_large_modulus_is_decided_in_bounded_time(tmp_path, argv, prime, code):
+    """A separate process with a deadline, so a slow primality test fails
+    the test instead of hanging the suite."""
+    path = tmp_path / "prime.json"
+    path.write_text(json.dumps({
+        "field": {"prime": prime}, "dims": {"n": 2, "m": 1},
+        "A": [[1, 0], [0, 1]], "B": [[1], [0]],
+        "cost": {"table": [0] + [1] * 3}, "horizon": {"finite": {"T": 1}}}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "dpdecomp.cli", argv[0], str(path), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == code, proc.stderr
 
 
 def test_theorem_violation_exit_code(worked_path, capsys, monkeypatch):

@@ -10,13 +10,15 @@ Three fixed instances with hand-derived verdicts:
   coordinates: everything fails, with frozen witnesses.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from dpdecomp import checks, dp
 from dpdecomp.checks import (DecompositionReport, check_hierarchy,
-                             check_invertible_equivalence, report_from_dict,
-                             run_battery, verify_witnesses)
+                             check_horizon_monotone, check_invertible_equivalence,
+                             report_from_dict, run_battery, verify_witnesses)
 from dpdecomp.dp import (CostFunction, DiscountedHorizon, DPInstance,
                          FiniteHorizon)
 from dpdecomp.errors import TheoremViolation
@@ -223,7 +225,61 @@ def test_componentwise_cap_yields_inconclusive():
     assert report.hierarchy_consistent is None
 
 
+@pytest.mark.parametrize("horizon, t", [(FiniteHorizon(3), 1), (FiniteHorizon(3), 2),
+                                         (DiscountedHorizon(HALF), 0)])
+def test_value_separability_assertion_catches_a_perturbed_subproblem_value(
+        monkeypatch, horizon, t):
+    """The minimizer/selector condition holds on the worked instance, so
+    the restricted values must be the parent values on each part; raising
+    one of them at time t must trip the separability assertion."""
+    solve_bundle = checks.solve_bundle
+
+    def perturbed(bundle, family):
+        sols = solve_bundle(bundle, family)
+        if family != "restricted":
+            return sols
+        values, argmin = sols[1]
+        tables = [list(table) for table in values.per_time]
+        tables[t][1] += 1
+        bumped = dataclasses.replace(values, per_time=tuple(map(tuple, tables)))
+        return [sols[0], (bumped, argmin)] + sols[2:]
+
+    inst, decomp = make_parent(horizon)
+    report = run_battery(inst, decomp)
+    assert report.minimizer_condition or report.stationary_selector
+    monkeypatch.setattr(checks, "solve_bundle", perturbed)
+    with pytest.raises(TheoremViolation):
+        run_battery(inst, decomp)
+
+
+def test_battery_decides_each_restricted_value_split_once(monkeypatch):
+    """One split of the cost (build_bundle), one restricted split per time,
+    one projected split: T + 2 full-table scans when the condition holds."""
+    calls = []
+    value_split_defect = dp.value_split_defect
+
+    def counting(*args):
+        calls.append(1)
+        return value_split_defect(*args)
+
+    monkeypatch.setattr(checks, "value_split_defect", counting)
+    monkeypatch.setattr(dp, "value_split_defect", counting)
+    T = 4
+    inst, decomp = make_parent(FiniteHorizon(T))
+    report = run_battery(inst, decomp)
+    assert report.minimizer_condition is True and report.horizon_monotone is True
+    assert len(calls) == T + 2
+
+
 # === consistency-layer units ===
+
+def test_check_horizon_monotone_rules():
+    assert check_horizon_monotone([True, True, True], True) is True
+    assert check_horizon_monotone([False, False, True], True) is True
+    assert check_horizon_monotone([True, False], False) is False
+    with pytest.raises(TheoremViolation):
+        check_horizon_monotone([True, False], True)
+
 
 def test_check_hierarchy_rules():
     assert check_hierarchy(True, True, True) is True

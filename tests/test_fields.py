@@ -44,6 +44,24 @@ def test_is_prime_small():
     assert not is_prime(-3)
 
 
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2**31 - 1, True), (2**61 - 1, True), (2**64 - 59, True),
+    (561, False),                    # Carmichael number
+    (3215031751, False),             # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),    # strong pseudoprime to the primes up to 23
+    (2**64 - 1, False), ((2**32 - 5) ** 2, False),
+])
+def test_is_prime_large(n, prime):
+    assert is_prime(n) is prime
+
+
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 0, -5])
 def test_nonprime_rejected(bad):
     with pytest.raises(ValueError):
@@ -133,6 +151,23 @@ def test_gcd_divides_both(pair):
     else:
         assert d.is_monic
         assert (f % d).is_zero and (g % d).is_zero
+
+
+@given(poly_pairs(), st.integers(0, 40))
+def test_modular_power_matches_reduced_power(pair, k):
+    f, mod = pair
+    if mod.is_zero:
+        return
+    assert pow(f, k, mod) == f**k % mod
+
+
+def test_modular_power_for_a_large_prime():
+    """x^p = x modulo a product of distinct linear factors (Fermat), found
+    without forming the degree-p power."""
+    F = PrimeField(2**61 - 1)
+    x = Poly.monomial(F, 1)
+    f = (x - Poly.constant(F, 1)) * (x - Poly.constant(F, 2))
+    assert pow(x, F.p, f) == x
 
 
 def test_gcd_known():

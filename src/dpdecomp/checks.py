@@ -30,6 +30,7 @@ which is never converted into a decision.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -41,7 +42,6 @@ from .dp import (
     DPInstance,
     FiniteHorizon,
     ValueTable,
-    _part_sum,
     evaluate_stationary_policy,
     evaluate_time_varying,
     index_state,
@@ -136,16 +136,18 @@ def _input_images(bundle: SubproblemBundle) -> tuple[list[list[int]], list[int]]
     return projected, index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B)
 
 
-def _value_witness(bundle: SubproblemBundle, x: int, parent_table: Sequence[Fraction],
+def _value_witness(bundle: SubproblemBundle, x: int, parent_values: ValueTable,
                    solutions: Sequence[tuple[ValueTable, ArgminTable]]) -> dict[str, Any]:
     """The value witness at state x: the parent value there and the sum of
-    the subproblem values (time 0) at the state's components."""
-    sub_tables = [sol[0].per_time[0] for sol in solutions]
+    the subproblem values (time 0) at the state's components, as exact
+    rationals."""
+    comp = bundle.component_state_tables()
     return {
         "kind": "value",
         "state": list(index_state(x, bundle.parent.field.p, bundle.parent.n)),
-        "parent_value": str(parent_table[x]),
-        "subproblem_sum": str(_part_sum(sub_tables, bundle.component_state_tables(), x)),
+        "parent_value": str(parent_values.value(x)),
+        "subproblem_sum": str(sum((sol[0].value(c[x]) for sol, c in zip(solutions, comp)),
+                                  Fraction(0))),
     }
 
 
@@ -170,10 +172,12 @@ def _value_splits(bundle: SubproblemBundle, parent_values: ValueTable,
                   times: int) -> list[int | None]:
     """For t = 0..times-1: the first state where the parent value at time t
     is not the sum of the subproblem values at time t, or None when it
-    splits everywhere."""
-    return [value_split_defect(parent_values.per_time[t],
-                               [sol[0].per_time[t] for sol in solutions],
-                               bundle.component_state_tables()) for t in range(times)]
+    splits everywhere.  Every table is compared over the common scale."""
+    scale = math.lcm(parent_values.scale, *(sol[0].scale for sol in solutions))
+    comp = bundle.component_state_tables()
+    return [value_split_defect(parent_values.at_scale(t, scale),
+                               [sol[0].at_scale(t, scale) for sol in solutions], comp)
+            for t in range(times)]
 
 
 def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
@@ -240,8 +244,7 @@ def check_additive(bundle: SubproblemBundle,
     """
     parent_values, _ = parent_solution
     if defect is not None:
-        return False, _value_witness(bundle, defect, parent_values.per_time[0],
-                                     restricted_solutions)
+        return False, _value_witness(bundle, defect, parent_values, restricted_solutions)
     _spot_check_lift(bundle, parent_values, restricted_solutions,
                      rng or random.Random(0))
     return True, None
@@ -262,13 +265,8 @@ def _spot_check_lift(bundle: SubproblemBundle, parent_values: ValueTable,
             selections.append(
                 [rng.choice(sorted(actions)) for actions in sub_argmin.stationary])
     law = lift_policy(bundle, "restricted", selections)
-    if finite:
-        achieved = evaluate_time_varying(bundle.parent, law)
-        expected = parent_values.per_time[0]
-    else:
-        achieved = evaluate_stationary_policy(bundle.parent, law).stationary
-        expected = parent_values.stationary
-    if tuple(achieved) != tuple(expected):
+    evaluate = evaluate_time_varying if finite else evaluate_stationary_policy
+    if not evaluate(bundle.parent, law).agrees(parent_values, 0):
         raise TheoremViolation(
             "a summed selection of subproblem optimizers failed to achieve "
             "the parent optimal value despite value additivity")
@@ -293,8 +291,7 @@ def check_componentwise(bundle: SubproblemBundle,
     parent_values, parent_argmin = parent_solution
     defect, = _value_splits(bundle, parent_values, projected_solutions, 1)
     if defect is not None:
-        return False, _value_witness(bundle, defect, parent_values.per_time[0],
-                                     projected_solutions)
+        return False, _value_witness(bundle, defect, parent_values, projected_solutions)
 
     comp = bundle.component_state_tables()
     images, bu_adapted = _input_images(bundle)
@@ -396,8 +393,10 @@ def _assert_value_separability(bundle: SubproblemBundle,
     theorem once the condition does.  Given the per-part agreement, the
     split is the restricted split already decided in `defects`; at time T
     it is the cost's own separability, which build_bundle enforces."""
-    for t, parent_t in enumerate(parent_values.per_time):
-        if any(list(sol[0].per_time[t]) != [parent_t[e] for e in emb]
+    scale = math.lcm(parent_values.scale, *(sol[0].scale for sol in restricted_solutions))
+    for t in range(len(parent_values.nums)):
+        parent_t = parent_values.at_scale(t, scale)
+        if any(sol[0].at_scale(t, scale) != tuple([parent_t[e] for e in emb])
                for sol, emb in zip(restricted_solutions, bundle.embedding_tables)):
             raise TheoremViolation(
                 "restricted subproblem value disagrees with the parent value "
@@ -432,7 +431,7 @@ def _assert_min_over_parts(bundle: SubproblemBundle) -> None:
     a vanishing cost at zero, and separability, so it is asserted
     unconditionally."""
     inst = bundle.parent
-    g = inst.cost.table
+    g = inst.cost.num
     span_inputs = inst.B @ bundle.input_span.basis_matrix()
     for part, feasible in zip(bundle.decomp.parts, bundle.input_parts):
         # entry xi + p^d eta of the map of [A E | B F] is the successor of the
@@ -456,12 +455,11 @@ def _assert_positivity_props(inst: DPInstance,
     if not inst.cost.is_strict:
         return
     values, argmin = solution
-    for table in values.per_time:
-        for x, v in enumerate(table):
-            if (v == 0) != (x == 0):
-                raise TheoremViolation(
-                    "optimal value zero set differs from the zero state "
-                    "for a strictly positive cost")
+    for table in values.nums:
+        if table[0] != 0 or table.count(0) != 1:
+            raise TheoremViolation(
+                "optimal value zero set differs from the zero state "
+                "for a strictly positive cost")
     bu = index_map(inst.B)
     for row in argmin.per_time:
         for u in row[0]:
@@ -606,12 +604,11 @@ def _witness_time(w: dict[str, Any], inst: DPInstance) -> int:
     return 0
 
 
-def _value_witness_confirmed(bundle: SubproblemBundle, w: Any,
-                             parent_table: Sequence[Fraction],
+def _value_witness_confirmed(bundle: SubproblemBundle, w: Any, parent_values: ValueTable,
                              solutions: Sequence[tuple[ValueTable, ArgminTable]]) -> bool:
     """The recorded values are the current ones at the recorded state, and
     they differ."""
-    got = _value_witness(bundle, _witness_state(w, bundle.parent), parent_table, solutions)
+    got = _value_witness(bundle, _witness_state(w, bundle.parent), parent_values, solutions)
     return (got["parent_value"] != got["subproblem_sum"]
             and got["parent_value"] == w.get("parent_value")
             and got["subproblem_sum"] == w.get("subproblem_sum"))
@@ -676,15 +673,14 @@ def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
         out["stationary_selector_witness"] = _outside_span(flags, parent_argmin.stationary[x])
     if report.additive_witness is not None:
         out["additive_witness"] = _value_witness_confirmed(
-            bundle, report.additive_witness, parent_values.per_time[0],
-            solve_bundle(bundle, "restricted"))
+            bundle, report.additive_witness, parent_values, solve_bundle(bundle, "restricted"))
     if report.componentwise_witness is not None:
         w = report.componentwise_witness
         if not isinstance(w, dict) or w.get("kind") not in ("value", "tuple"):
             raise ValueError("componentwise witness kind must be 'value' or 'tuple'")
         if w["kind"] == "value":
             out["componentwise_witness"] = _value_witness_confirmed(
-                bundle, w, parent_values.per_time[0], solve_bundle(bundle, "projected"))
+                bundle, w, parent_values, solve_bundle(bundle, "projected"))
         else:
             out["componentwise_witness"] = _tuple_witness_confirmed(bundle, w, parent_argmin)
     return out

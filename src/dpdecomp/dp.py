@@ -10,19 +10,30 @@ approximate route (with an explicit error bound).
 The successors of x are exactly the coset Ax + im(B), so the solvers never
 try inputs one by one: a Bellman stage takes the minimum of the next value
 table over each coset of im(B) once (p^n comparisons) and reads every
-state's minimum and full minimizer set off the coset of Ax.  Finite-horizon
-values are computed on integers (the cost scaled by its common denominator)
-while they stay below 2^62, and on exact Fractions beyond that.  Tables are
-still dense over the state space; guard limits keep that honest (defaults
-p^n <= 729 and p^m <= 81, both overridable).
+state's minimum and full minimizer set off the coset of Ax.
+
+Values are exact integers over one scale: a cost keeps its numerators over
+the common denominator of its table (CostFunction.num over .scale), and a
+ValueTable keeps integer numerator tables over a single positive scale.
+The solvers and every scan of the battery work on those integers; a
+Fraction is built only at the API boundary, when a caller reads
+ValueTable.table(), .per_time, .stationary or .value().  The one exception
+is a common denominator wider than WIDE_SCALE_BITS: then every entry would
+be an integer that wide, so the table keeps its exact Fractions over scale
+1 instead, and the same code runs on them (it only adds, compares, takes
+minima and multiplies by integers).  Tables are still dense over the state
+space; guard limits keep that honest (defaults p^n <= 729 and p^m <= 81,
+both overridable).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, eq
 from typing import Sequence
 
 from .errors import ShapeError
@@ -34,11 +45,16 @@ DEFAULT_MAX_INPUTS = 81
 
 ZERO = Fraction(0)
 
-# Finite-horizon values run on integers only while max(g)·LCD(g)·(T+1) is below
-# this.  Python ints cannot overflow, so the limit is about speed: turning each
-# distinct integer value back into a Fraction costs a gcd as wide as the LCD,
-# while reduced Fractions of many unrelated denominators stay far narrower.
-INT_WIDTH_LIMIT = 2**62
+# A table whose common denominator is wider than this keeps its Fractions
+# (over scale 1): with many unrelated denominators (4096 of them below 2^20
+# give a 32,000-bit LCD) integer numerators would each be that wide, which
+# costs far more memory than the reduced Fractions.
+WIDE_SCALE_BITS = 256
+
+# Value iteration's scale gains log2(b) bits per sweep for alpha = a/b; it
+# refuses to start when the predicted sweeps would carry it past the widest
+# integer str() prints under Python's default limit on int digits.
+PRINTABLE_BITS = int(sys.int_info.default_max_str_digits * math.log2(10))
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,9 @@ class CostFunction:
     table: Sequence[Fraction]
     allow_vanishing: bool = False
     is_strict: bool = dataclasses.field(init=False)
+    # the integer form the solvers use: table[x] == num[x] / scale
+    scale: int = dataclasses.field(init=False)
+    num: tuple[int, ...] = dataclasses.field(init=False)
 
     def __post_init__(self):
         size = self.field.p**self.n
@@ -116,6 +135,9 @@ class CostFunction:
                 "if that is intended")
         object.__setattr__(self, "table", values)
         object.__setattr__(self, "is_strict", strict)
+        scale, num = _integer_form(values)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "num", num)
 
     @classmethod
     def indicator(cls, decomp: DirectSumDecomposition,
@@ -154,8 +176,23 @@ class CostFunction:
             tables.append(vals)
 
         comp = decomp.local_index_tables()
-        table = [_part_sum(tables, comp, x) for x in range(p**decomp.ambient_dim)]
+        table = [sum((t[c[x]] for t, c in zip(tables, comp)), ZERO)
+                 for x in range(p**decomp.ambient_dim)]
         return cls(field, decomp.ambient_dim, table, allow_vanishing=allow_vanishing)
+
+
+def _integer_form(values: Sequence[Fraction]) -> tuple[int, tuple]:
+    """(scale, nums) with values[x] == nums[x] / scale: integers over the
+    common denominator, or the values themselves over 1 when that
+    denominator is wider than WIDE_SCALE_BITS."""
+    dens = {v.denominator for v in values}
+    scale = 1
+    for d in dens:
+        scale = math.lcm(scale, d)
+        if scale.bit_length() > WIDE_SCALE_BITS:
+            return 1, tuple(map(Fraction, values))
+    factor = {d: scale // d for d in dens}
+    return scale, tuple([v.numerator * factor[v.denominator] for v in values])
 
 
 class DPInstance:
@@ -314,25 +351,70 @@ class CosetFrame:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueTable:
     """Optimal (or policy) values per state; one table per time for finite
-    horizons (times 0..T), a single table for discounted problems."""
+    horizons (times 0..T), a single table for discounted problems.
+
+    The values are nums[t][x] / scale: integer numerators over one positive
+    scale (or, past WIDE_SCALE_BITS, the Fractions themselves over 1).
+    table(), per_time, stationary and value() read them as reduced
+    Fractions, built on first use and kept.  Two tables are equal when they
+    hold the same exact values, whatever their scales."""
 
     horizon: Horizon
-    per_time: tuple[tuple[Fraction, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+    scale: int
+    _exact: dict[int, tuple[Fraction, ...]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def exact(cls, horizon: Horizon, tables: Sequence[Sequence[Fraction]]) -> "ValueTable":
+        """The table of exact rational values in integer form (equal-length
+        rows, one per time)."""
+        scale, flat = _integer_form([v for t in tables for v in t])
+        size = len(flat) // len(tables)
+        return cls(horizon, tuple(flat[k:k + size] for k in range(0, len(flat), size)), scale)
+
+    def at_scale(self, t: int, scale: int) -> tuple[int, ...]:
+        """The time-t numerators over scale, a multiple of self.scale."""
+        k = scale // self.scale
+        row = self.nums[t]
+        return tuple(row) if k == 1 else tuple([k * v for v in row])
+
+    def agrees(self, other: "ValueTable", t: int) -> bool:
+        """The two tables hold the same exact values at time t."""
+        scale = math.lcm(self.scale, other.scale)
+        return self.at_scale(t, scale) == other.at_scale(t, scale)
+
+    def __eq__(self, other):
+        if not isinstance(other, ValueTable):
+            return NotImplemented
+        return (self.horizon == other.horizon and len(self.nums) == len(other.nums)
+                and all(self.agrees(other, t) for t in range(len(self.nums))))
+
+    @property
+    def per_time(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self.table(t) for t in range(len(self.nums)))
 
     @property
     def stationary(self) -> tuple[Fraction, ...]:
         if not isinstance(self.horizon, DiscountedHorizon):
             raise ValueError("stationary table only exists for discounted horizons")
-        return self.per_time[0]
+        return self.table(0)
 
     def table(self, t: int = 0) -> tuple[Fraction, ...]:
-        return self.per_time[t]
+        if t not in self._exact:
+            row = self.nums[t]
+            if type(row[0]) is int:
+                exact = {v: Fraction(v, self.scale) for v in set(row)}
+                self._exact[t] = tuple(map(exact.__getitem__, row))
+            else:  # a wide table's Fractions (which hash slowly)
+                self._exact[t] = row if self.scale == 1 else tuple([v / self.scale for v in row])
+        return self._exact[t]
 
     def value(self, x_idx: int, t: int = 0) -> Fraction:
-        return self.per_time[t][x_idx]
+        return self.table(t)[x_idx]
 
 
 @dataclass(frozen=True)
@@ -353,45 +435,26 @@ class ArgminTable:
         return self.per_time[t][x_idx]
 
 
-def _scaled_cost(g: Sequence[Fraction], T: int) -> tuple[list[int], int] | None:
-    """The cost as integers g·LCD(g) and that LCD, when every horizon-T value
-    provably fits below INT_WIDTH_LIMIT (max(g)·LCD·(T+1) < 2^62); else None."""
-    top = max(g) * (T + 1)
-    lcd = 1
-    for d in {v.denominator for v in g}:
-        lcd = math.lcm(lcd, d)
-        if top * lcd >= INT_WIDTH_LIMIT:
-            return None
-    return [v.numerator * (lcd // v.denominator) for v in g], lcd
-
-
 def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     """Backward recursion: J_T = g, J_t = g + min over inputs of J_{t+1} at
     the successor; minimizer sets are recorded in full for every t in 0..T-1.
 
-    Each stage is one pass of coset minima (see CosetFrame).  When the
-    integer width rule allows it, the recursion runs on g·LCD(g) and the
-    tables are turned back into Fractions at the end."""
+    Each stage is one pass of coset minima (see CosetFrame) over the cost's
+    integer form, so every table is over the cost's scale."""
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("solve_finite needs a finite horizon")
-    T = inst.horizon.T
     frame = inst.coset_frame()
     P = frame.P
-    g = inst.cost.table
-    scaled = _scaled_cost(g, T)
-    stage_cost = g if scaled is None else scaled[0]
-    J = stage_cost
-    tables = []  # J_{T-1}, ..., J_0, on integers when scaled
+    g = inst.cost.num
+    J = g
+    tables = [g]  # J_T, J_{T-1}, ..., J_0
     argmins = []
-    for _ in range(T):
+    for _ in range(inst.horizon.T):
         Jk, mins = frame.minima(J)
-        J = [gx + mins[k // P] for gx, k in zip(stage_cost, frame.k_ax)]
+        J = tuple([gx + mins[k // P] for gx, k in zip(g, frame.k_ax)])
         tables.append(J)
         argmins.append(tuple(frame.argmin_sets(Jk, mins)))
-    if scaled is not None:
-        exact = {v: Fraction(v, scaled[1]) for v in set().union(*tables)}
-        tables = [map(exact.__getitem__, J) for J in tables]
-    return (ValueTable(inst.horizon, tuple(tuple(J) for J in reversed(tables)) + (g,)),
+    return (ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale),
             ArgminTable(inst.horizon, tuple(reversed(argmins))))
 
 
@@ -447,7 +510,7 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int]) -> Value
         for idx in range(prefix_end - 1, -1, -1):
             s = path[idx]
             values[s] = g[s] + alpha * values[nxt[s]]
-    return ValueTable(inst.horizon, (tuple(values),))
+    return ValueTable.exact(inst.horizon, (values,))
 
 
 def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
@@ -462,10 +525,10 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
     frame = inst.coset_frame()
-    policy = [min(chosen) for chosen in frame.argmin_sets(*frame.minima(inst.cost.table))]
+    policy = [min(chosen) for chosen in frame.argmin_sets(*frame.minima(inst.cost.num))]
     while True:
-        values = evaluate_stationary_policy(inst, policy).stationary
-        argmin = frame.argmin_sets(*frame.minima(values))
+        values = evaluate_stationary_policy(inst, policy)
+        argmin = frame.argmin_sets(*frame.minima(values.nums[0]))
         improved = False
         for x, chosen in enumerate(argmin):
             if policy[x] not in chosen:
@@ -474,8 +537,7 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
         if not improved:
             break
     # no action changed on this last pass, so its minimizer sets are final
-    return (ValueTable(inst.horizon, (tuple(values),)),
-            ArgminTable(inst.horizon, (tuple(argmin),)))
+    return values, ArgminTable(inst.horizon, (tuple(argmin),))
 
 
 @dataclass(frozen=True)
@@ -490,6 +552,13 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
 
     The returned table J satisfies |J - J*| <= alpha * tol / (1 - alpha) in
     sup norm, which is the error_bound field.
+
+    With alpha = a/b and the cost in integer form G / L (CostFunction.num
+    over .scale), the k-th iterate is N_k / (b^k·L): N_0 = 0 and
+    N_{k+1} = b^(k+1)·G + a·(coset minimum of N_k).  Before the first
+    sweep the sweep count is predicted as
+    k = ceil(log(tol·(1 - alpha)/max g) / log alpha); a ValueError names it
+    when k·log2(b) bits would pass what str() prints (PRINTABLE_BITS).
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_vi needs a discounted horizon")
@@ -497,77 +566,95 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     alpha = inst.horizon.alpha
+    a, b = alpha.numerator, alpha.denominator
+    top = max(inst.cost.table)
+    reach = tol * (1 - alpha) / top if top else Fraction(1)
+    if reach < 1:
+        sweeps = math.ceil(_log(reach) / _log(alpha))
+        if sweeps * math.log2(b) > PRINTABLE_BITS:
+            raise ValueError(
+                f"value iteration would need about {sweeps} sweeps at alpha = {alpha} "
+                f"and tol = {tol}, more than its exact values can carry; "
+                "raise the tolerance")
     frame = inst.coset_frame()
     P = frame.P
-    g = inst.cost.table
-    current = tuple(ZERO for _ in range(inst.num_states))
+    G = inst.cost.num
+    current = (0,) * inst.num_states
+    power = 1  # current is over b^iterations·L
     iterations = 0
     while True:
-        iterations += 1
         mins = frame.minima(current)[1]
-        new = tuple(gx + alpha * mins[k // P] for gx, k in zip(g, frame.k_ax))
-        delta = max(abs(a - b) for a, b in zip(new, current))
+        power *= b
+        new = tuple([power * gx + a * mins[k // P] for gx, k in zip(G, frame.k_ax)])
+        # the old iterate over the new scale is b·current
+        delta = max(abs(u - b * v) for u, v in zip(new, current))
         current = new
-        if delta <= tol:
+        iterations += 1
+        if delta * tol.denominator <= tol.numerator * power * inst.cost.scale:
             break
     bound = alpha * tol / (1 - alpha)
-    return ValueIterationResult(ValueTable(inst.horizon, (current,)), bound, iterations)
+    return ValueIterationResult(ValueTable(inst.horizon, (current,), power * inst.cost.scale),
+                                bound, iterations)
 
 
-def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
-    """Finite-horizon cost-from-start of a time-varying control law.
+def _log(q: Fraction) -> float:
+    """Natural log of a positive rational of any size."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> ValueTable:
+    """Finite-horizon cost-to-go of a time-varying control law.
 
     law[t][x] is the input index applied at time t in state x, for t in
-    0..T-1.  Returns the total cost from every start state.
+    0..T-1.  Runs the backward recursion V_T = g, V_t = g + V_{t+1} at the
+    successor under law[t], on the cost's integer form; table(0) is the
+    total cost from every start state.
     """
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("closed-loop evaluation needs a finite horizon")
-    T = inst.horizon.T
-    if len(law) != T:
+    if len(law) != inst.horizon.T:
         raise ValueError("law must cover times 0..T-1")
     frame = inst.coset_frame()
-    steps = [frame.successors(inputs) for inputs in law]
-    g = inst.cost.table
-    out = []
-    for start in range(inst.num_states):
-        x = start
-        total = g[x]
-        for nxt in steps:
-            x = nxt[x]
-            total += g[x]
-        out.append(total)
-    return tuple(out)
+    g = inst.cost.num
+    V = g
+    tables = [g]  # V_T, V_{T-1}, ..., V_0
+    for inputs in reversed(law):
+        V = tuple([gx + V[y] for gx, y in zip(g, frame.successors(inputs))])
+        tables.append(V)
+    return ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale)
 
 
-def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition) -> bool:
+def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition, *,
+             embedding: Sequence[Sequence[int]] | None = None,
+             comp: Sequence[Sequence[int]] | None = None) -> bool:
     """Exhaustive separability test: g(x) equals the sum of g over the
-    components of x for every state."""
+    components of x for every state.  embedding and comp, when given, are
+    decomp's embedding_tables() and local_index_tables()."""
     if decomp.field != cost.field or decomp.ambient_dim != cost.n:
         raise ValueError("decomposition does not match the cost's state space")
-    g = cost.table
-    parts = [[g[e] for e in emb] for emb in decomp.embedding_tables()]
-    return value_split_defect(g, parts, decomp.local_index_tables()) is None
+    if embedding is None:
+        embedding = decomp.embedding_tables()
+    if comp is None:
+        comp = decomp.local_index_tables()
+    g = cost.num
+    return value_split_defect(g, [[g[e] for e in emb] for emb in embedding], comp) is None
 
 
-def _part_sum(part_tables: Sequence[Sequence[Fraction]], comp: Sequence[Sequence[int]],
-              x: int) -> Fraction:
-    """Sum over parts of part table i at the part-i local index of state x."""
-    return sum((t[c[x]] for t, c in zip(part_tables, comp)), ZERO)
-
-
-def value_split_defect(table: Sequence[Fraction],
-                       part_tables: Sequence[Sequence[Fraction]],
+def value_split_defect(table: Sequence[int], part_tables: Sequence[Sequence[int]],
                        comp: Sequence[Sequence[int]]) -> int | None:
     """The smallest state index x where table[x] differs from the sum over
     parts of part_tables[i][comp[i][x]], or None when the table splits.
 
-    comp[i] maps every state to its part-i local index, as in
+    All tables hold numerators over one common scale.  comp[i] maps every
+    state to its part-i local index, as in
     DirectSumDecomposition.local_index_tables.
     """
-    for x, v in enumerate(table):
-        if v != _part_sum(part_tables, comp, x):
-            return x
-    return None
+    total = list(map(part_tables[0].__getitem__, comp[0]))
+    for part, c in zip(part_tables[1:], comp[1:]):
+        total = list(map(add, total, map(part.__getitem__, c)))
+    if all(map(eq, table, total)):
+        return None
+    return next(x for x, (v, s) in enumerate(zip(table, total)) if v != s)
 
 
 def bellman_residual(inst: DPInstance, values: ValueTable) -> Fraction:

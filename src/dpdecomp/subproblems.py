@@ -85,7 +85,9 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     if decomp.field != inst.field or decomp.ambient_dim != inst.n:
         raise ValueError("splitting does not match the parent state space")
     verify_decomposition(inst.A, decomp)
-    if not is_in_Gs(inst.cost, decomp):
+    embedding = decomp.embedding_tables()
+    comp = decomp.local_index_tables()
+    if not is_in_Gs(inst.cost, decomp, embedding=embedding, comp=comp):
         raise NotSeparableCost(
             "stage cost is not additive across the given parts")
 
@@ -105,7 +107,6 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
 
     restricted = []
     projected = []
-    embedding = decomp.embedding_tables()
     for i, part in enumerate(decomp.parts):
         # the parts are invariant and E_i maps into part i, so these products
         # are the local matrices in the part's canonical basis
@@ -122,7 +123,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
             a_local, to_local @ inst.B, cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))
     return SubproblemBundle(inst, decomp, input_parts, complement, restricted, projected,
-                            decomp.local_index_tables(), embedding)
+                            comp, embedding)
 
 
 def solve_bundle(bundle: SubproblemBundle, family: Family) -> list[tuple[ValueTable, ArgminTable]]:

@@ -368,6 +368,24 @@ def test_large_modulus_is_decided_in_bounded_time(tmp_path, argv, prime, code):
     assert proc.returncode == code, proc.stderr
 
 
+def test_value_iteration_too_long_to_run_exits_2(tmp_path):
+    """alpha = 999/1000 at tol 1/10^6 needs about 2 * 10^4 exact sweeps;
+    the sweep count is predicted up front, so the run is refused with exit 2
+    instead of grinding on.  A separate process with a deadline, so a
+    regression fails the test instead of hanging the suite."""
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        "field": {"prime": 2}, "dims": {"n": 1, "m": 0}, "A": [[1]], "B": [[]],
+        "cost": {"table": [0, 1]}, "horizon": {"discounted": {"alpha": "999/1000"}}}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "dpdecomp.cli", "solve", str(path),
+                           "--tol", "1/1000000"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "20713 sweeps" in proc.stderr
+
+
 def test_theorem_violation_exit_code(worked_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise TheoremViolation("forced for the exit-code test")

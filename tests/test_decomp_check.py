@@ -239,9 +239,9 @@ def test_value_separability_assertion_catches_a_perturbed_subproblem_value(
         if family != "restricted":
             return sols
         values, argmin = sols[1]
-        tables = [list(table) for table in values.per_time]
+        tables = [list(table) for table in values.nums]
         tables[t][1] += 1
-        bumped = dataclasses.replace(values, per_time=tuple(map(tuple, tables)))
+        bumped = dataclasses.replace(values, nums=tuple(map(tuple, tables)))
         return [sols[0], (bumped, argmin)] + sols[2:]
 
     inst, decomp = make_parent(horizon)

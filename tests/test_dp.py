@@ -10,14 +10,15 @@ coset operator.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpdecomp.dp import (INT_WIDTH_LIMIT, ArgminTable, CostFunction,
+from dpdecomp.dp import (ArgminTable, CostFunction,
                          DiscountedHorizon, DPInstance, FiniteHorizon,
-                         ValueIterationResult, ValueTable, _scaled_cost,
+                         ValueIterationResult, ValueTable,
                          bellman_residual, evaluate_stationary_policy,
                          evaluate_time_varying, index_state, is_in_Gs,
                          solve_discounted_pi, solve_discounted_vi,
@@ -110,7 +111,7 @@ def oracle_solve_finite(inst):
         solved = [_minimize(values[t + 1], trans[x]) for x in range(inst.num_states)]
         values[t] = tuple(g[x] + best for x, (best, _) in enumerate(solved))
         argmin[t] = tuple(chosen for _, chosen in solved)
-    return (ValueTable(inst.horizon, tuple(values)),
+    return (ValueTable.exact(inst.horizon, values),
             ArgminTable(inst.horizon, tuple(argmin)))
 
 
@@ -130,7 +131,7 @@ def oracle_solve_discounted_pi(inst):
                 policy[x] = min(chosen)
                 improved = True
         if not improved:
-            return (ValueTable(inst.horizon, (tuple(values),)),
+            return (ValueTable.exact(inst.horizon, (values,)),
                     ArgminTable(inst.horizon, (tuple(argmin),)))
 
 
@@ -149,21 +150,22 @@ def oracle_solve_discounted_vi(inst, tol):
         current = new
         if delta <= tol:
             break
-    return ValueIterationResult(ValueTable(inst.horizon, (current,)),
+    return ValueIterationResult(ValueTable.exact(inst.horizon, (current,)),
                                 alpha * tol / (1 - alpha), iterations)
 
 
-# Mersenne primes: a table holding both has an LCD above 2^150, past the 2^62
-# width rule; a table holding one of them may still fit under it
-WIDE_DENOMINATORS = (2**61 - 1, 2**89 - 1)
+# Mersenne primes: a table holding the first two has an LCD above 2^150, so
+# its integer numerators run far past 64 bits; with the third as well the LCD
+# passes WIDE_SCALE_BITS and the table keeps its Fractions
+WIDE_DENOMINATORS = (2**61 - 1, 2**89 - 1, 2**127 - 1)
 
 
 @st.composite
 def coset_instances(draw, horizon):
     """Any p in {2, 3, 5, 7}, singular or invertible A, m = 0 and B of any
     rank (require_injective=False), costs that may vanish off zero, and
-    denominators either small or wide (which takes the Fraction side of the
-    width rule when both wide denominators are drawn)."""
+    denominators either small or wide (an LCD past WIDE_SCALE_BITS when all
+    three wide denominators are drawn)."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     F = PrimeField(p)
     n = draw(st.integers(1, 3 if p <= 3 else 2))
@@ -267,6 +269,72 @@ def test_is_in_Gs_detects_coupling():
     assert not is_in_Gs(CostFunction(F3, 2, coupled), D)
 
 
+# denominators of the shapes value tables carry: small, wide Mersenne primes,
+# and discounted ones b^k (b^L - a^L) for unrelated alpha = a/b
+SPLIT_DENOMINATORS = (1, 2, 3, 7) + WIDE_DENOMINATORS + (
+    10**3 * (10**2 - 9**2), 10 * (10**5 - 9**5), 3**4 * (3**3 - 2**3), 2**7 * (2**4 - 1))
+
+
+def _fraction_split_defect(table, part_tables, comp):
+    """The first state where table differs from the summed part values,
+    state by state on Fractions."""
+    for x, v in enumerate(table):
+        if v != sum(t[c[x]] for t, c in zip(part_tables, comp)):
+            return x
+    return None
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_split_scan_matches_fraction_oracle(data):
+    """value_split_defect on numerators over the common scale of separately
+    scaled tables (as the battery lifts them) finds the oracle's first
+    defect, with and without perturbed entries."""
+    p = data.draw(st.sampled_from([2, 3]))
+    dims = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    n = sum(dims)
+    F = PrimeField(p)
+    axes, at = [], 0
+    for d in dims:
+        axes.append(Subspace(F, n, [tuple(int(k == at + j) for k in range(n))
+                                    for j in range(d)]))
+        at += d
+    comp = DirectSumDecomposition(axes).local_index_tables()
+    value = st.builds(Fraction, st.integers(0, 50), st.sampled_from(SPLIT_DENOMINATORS))
+    parts = [[Fraction(0)] + data.draw(st.lists(value, min_size=p**d - 1, max_size=p**d - 1))
+             for d in dims]
+    table = [sum(t[c[x]] for t, c in zip(parts, comp)) for x in range(p**n)]
+    for x in data.draw(st.lists(st.integers(0, p**n - 1), max_size=3)):
+        table[x] += data.draw(st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                                        st.sampled_from(SPLIT_DENOMINATORS)))
+    horizon = DiscountedHorizon(Fraction(9, 10))
+    whole = ValueTable.exact(horizon, (table,))
+    pieces = [ValueTable.exact(horizon, (t,)) for t in parts]
+    scale = math.lcm(whole.scale, *(v.scale for v in pieces))
+    found = value_split_defect(whole.at_scale(0, scale),
+                               [v.at_scale(0, scale) for v in pieces], comp)
+    assert found == _fraction_split_defect(table, parts, comp)
+    # a perturbed numerator is seen at the same first state as its Fraction
+    x = data.draw(st.integers(0, p**n - 1))
+    bumped = list(whole.nums[0])
+    bumped[x] += data.draw(st.integers(-2, 2).filter(bool))
+    exact = [Fraction(v, whole.scale) for v in bumped]
+    lifted = ValueTable(horizon, (tuple(bumped),), whole.scale).at_scale(0, scale)
+    assert (value_split_defect(lifted, [v.at_scale(0, scale) for v in pieces], comp)
+            == _fraction_split_defect(exact, parts, comp))
+
+
+def test_value_table_equality_is_exact_whatever_the_scale():
+    h = FiniteHorizon(1)
+    a = ValueTable(h, ((0, 1), (0, 2)), 2)
+    assert a == ValueTable(h, ((0, 3), (0, 6)), 6)
+    assert a == ValueTable.exact(h, ((Fraction(0), HALF), (Fraction(0), Fraction(1))))
+    assert a != ValueTable(h, ((0, 1), (0, 3)), 2)
+    assert a != ValueTable(DiscountedHorizon(HALF), a.nums, 2)
+    assert a.table(0) == (Fraction(0), HALF) and a.value(1, 1) == 1
+    assert a.per_time[1][1].denominator == 1  # views are reduced
+
+
 def test_value_split_defect_returns_smallest_failing_state():
     # GF(2)^2 split along the axes: comp[i][x] is coordinate i of x
     comp = [[0, 1, 0, 1], [0, 0, 1, 1]]
@@ -345,7 +413,30 @@ def test_time_varying_argmin_law_is_optimal(inst):
     T = inst.horizon.T
     law = [[min(argmin.at(x, t)) for x in range(inst.num_states)]
            for t in range(T)]
-    assert evaluate_time_varying(inst, law) == values.table(0)
+    assert evaluate_time_varying(inst, law) == values
+
+
+@given(coset_instances(_finite_horizon), st.data())
+@settings(max_examples=100, deadline=None)
+def test_time_varying_evaluation_matches_fraction_oracle(inst, data):
+    """The backward integer recursion against forward simulation summing
+    exact Fractions, for any law, wide denominators included."""
+    T, N = inst.horizon.T, inst.num_states
+    law = [data.draw(st.lists(st.integers(0, inst.num_inputs - 1), min_size=N, max_size=N))
+           for _ in range(T)]
+    trans = inst.transitions()
+    g = inst.cost.table
+    expected = []
+    for t in range(T + 1):
+        row = []
+        for start in range(N):
+            x, total = start, g[start]
+            for s in range(t, T):
+                x = trans[x][law[s][x]]
+                total += g[x]
+            row.append(total)
+        expected.append(row)
+    assert evaluate_time_varying(inst, law) == ValueTable.exact(inst.horizon, expected)
 
 
 @given(coset_instances(_finite_horizon))
@@ -359,28 +450,17 @@ def test_finite_matches_oracle_exactly(inst):
 
 
 def test_finite_fraction_side_matches_oracle():
-    # 1/(2^61-1) and 1/(2^89-1) together put the LCD far past the width rule
+    # 1/(2^61-1) and 1/(2^89-1) together put the LCD past 2^150; with
+    # 1/(2^127-1) too it passes WIDE_SCALE_BITS and the Fractions stay
     A = MatrixFp(F3, 2, 2, [1, 1, 0, 1])
     B = MatrixFp(F3, 2, 1, [0, 1])
-    w61, w89 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
-    table = [0, w61, w89, 2 * w89, w61 + w89, 0, 1, w61, 3]
-    inst = DPInstance(A, B, CostFunction(F3, 2, table, allow_vanishing=True),
-                      FiniteHorizon(3))
-    assert _scaled_cost(inst.cost.table, 3) is None
-    assert solve_finite(inst) == oracle_solve_finite(inst)
-
-
-def test_width_rule_picks_the_number_path():
-    g = (Fraction(0), Fraction(1, 3), Fraction(5, 2))
-    assert _scaled_cost(g, 4) == ([0, 2, 15], 6)
-    # max(g) * LCD * (T + 1) must stay strictly below 2^62
-    top = INT_WIDTH_LIMIT // 2  # T = 1: max(g) * LCD * 2 hits 2^62 exactly here
-    assert _scaled_cost((Fraction(0), Fraction(top - 1)), 1) is not None
-    assert _scaled_cost((Fraction(0), Fraction(top)), 1) is None
-    assert _scaled_cost((Fraction(0), Fraction(top - 1, 2)), 1) is not None
-    assert _scaled_cost((Fraction(0), Fraction(top + 1, 2)), 1) is None
-    wide = tuple(Fraction(1, d) for d in (1,) + WIDE_DENOMINATORS)
-    assert _scaled_cost(wide, 1) is None
+    w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
+    for last, scale in ((3, WIDE_DENOMINATORS[0] * WIDE_DENOMINATORS[1]), (w127, 1)):
+        table = [0, w61, w89, 2 * w89, w61 + w89, 0, 1, w61, last]
+        inst = DPInstance(A, B, CostFunction(F3, 2, table, allow_vanishing=True),
+                          FiniteHorizon(3))
+        assert inst.cost.scale == scale
+        assert solve_finite(inst) == oracle_solve_finite(inst)
 
 
 def test_finite_hand_example():

@@ -151,6 +151,24 @@ def test_component_state_tables():
     assert bundle.component_state_tables() is tables
 
 
+def test_build_bundle_builds_each_state_table_once(monkeypatch):
+    """The separability scan reuses the bundle's embedding and part-local
+    index tables instead of building its own."""
+    inst, decomp = make_parent()
+    calls = {"embedding_tables": 0, "local_index_tables": 0}
+    for name in calls:
+        original = getattr(DirectSumDecomposition, name)
+
+        def counting(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(DirectSumDecomposition, name, counting)
+    bundle = build_bundle(inst, decomp)
+    assert calls == {"embedding_tables": 1, "local_index_tables": 1}
+    assert bundle.embedding_tables == bundle.decomp.embedding_tables()
+
+
 # === solving and lifting ===
 
 def test_restricted_solutions_worked_instance():
@@ -203,7 +221,7 @@ def test_lifted_restricted_policy_achieves_parent_optimum():
                             for y in range(bundle.restricted[i].num_states)]
                            for t in range(T)])
     law = lift_policy(bundle, "restricted", selections)
-    assert evaluate_time_varying(inst, law) == parent_values.table(0)
+    assert evaluate_time_varying(inst, law).table(0) == parent_values.table(0)
 
 
 def test_lift_projected_policy_runs():
@@ -220,7 +238,7 @@ def test_lift_projected_policy_runs():
     parent_values, _ = solve_finite(inst)
     closed = evaluate_time_varying(inst, law)
     for x in range(inst.num_states):
-        assert closed[x] >= parent_values.value(x, 0)
+        assert closed.value(x, 0) >= parent_values.value(x, 0)
 
 
 def test_discounted_bundle_solves():

@@ -107,19 +107,11 @@ def _horizon_descriptor(inst: DPInstance) -> dict[str, Any]:
     return {"discounted": {"alpha": str(inst.horizon.alpha)}}
 
 
-def _input_span_flags(bundle: SubproblemBundle) -> list[bool]:
-    """Whether each parent input lies in the span of the feasible input
-    subspaces."""
-    flags = [False] * bundle.parent.num_inputs
-    for u in index_map(bundle.input_span.basis_matrix()):
-        flags[u] = True
-    return flags
-
-
-def _outside_span(flags: Sequence[bool], actions: frozenset[int]) -> bool:
-    """No optimal input in `actions` lies in the span of the feasible input
-    subspaces (flags from _input_span_flags)."""
-    return not any(flags[u] for u in actions)
+def _input_span(bundle: SubproblemBundle) -> frozenset[int]:
+    """The parent inputs in the span of the feasible input subspaces.  A
+    set of optimal inputs lies wholly outside that span exactly when it is
+    disjoint from this one."""
+    return frozenset(index_map(bundle.input_span.basis_matrix()))
 
 
 def _input_images(bundle: SubproblemBundle) -> tuple[list[list[int]], list[int]]:
@@ -205,11 +197,11 @@ def check_minimizer_condition(bundle: SubproblemBundle, argmin: ArgminTable
     inside the span of the feasible input subspaces."""
     if not isinstance(bundle.parent.horizon, FiniteHorizon):
         raise ValueError("minimizer condition applies to finite horizons")
-    flags = _input_span_flags(bundle)
+    span = _input_span(bundle)
     p = bundle.parent.field.p
     for t, row in enumerate(argmin.per_time):
         for x, actions in enumerate(row):
-            if _outside_span(flags, actions):
+            if span.isdisjoint(actions):
                 return False, {"state": list(index_state(x, p, bundle.parent.n)), "t": t}
     return True, None
 
@@ -221,10 +213,10 @@ def check_stationary_selector(bundle: SubproblemBundle, argmin: ArgminTable
     condition; False only reports that no stationary witness exists."""
     if not isinstance(bundle.parent.horizon, DiscountedHorizon):
         raise ValueError("stationary selector applies to discounted horizons")
-    flags = _input_span_flags(bundle)
+    span = _input_span(bundle)
     p = bundle.parent.field.p
     for x, actions in enumerate(argmin.stationary):
-        if _outside_span(flags, actions):
+        if span.isdisjoint(actions):
             return False, {"state": list(index_state(x, p, bundle.parent.n))}
     return True, None
 
@@ -661,16 +653,16 @@ def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
     bundle = build_bundle(inst, decomp)
     out: dict[str, bool] = {}
     parent_values, parent_argmin = solve(inst)
-    flags = _input_span_flags(bundle)
+    span = _input_span(bundle)
 
     if report.minimizer_witness is not None:
         w = report.minimizer_witness
         x = _witness_state(w, inst)
-        out["minimizer_witness"] = _outside_span(
-            flags, parent_argmin.per_time[_witness_time(w, inst)][x])
+        out["minimizer_witness"] = span.isdisjoint(
+            parent_argmin.per_time[_witness_time(w, inst)][x])
     if report.stationary_selector_witness is not None:
         x = _witness_state(report.stationary_selector_witness, inst)
-        out["stationary_selector_witness"] = _outside_span(flags, parent_argmin.stationary[x])
+        out["stationary_selector_witness"] = span.isdisjoint(parent_argmin.stationary[x])
     if report.additive_witness is not None:
         out["additive_witness"] = _value_witness_confirmed(
             bundle, report.additive_witness, parent_values, solve_bundle(bundle, "restricted"))

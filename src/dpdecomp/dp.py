@@ -15,9 +15,11 @@ state's minimum and full minimizer set off the coset of Ax.
 Values are exact integers over one scale: a cost keeps its numerators over
 the common denominator of its table (CostFunction.num over .scale), and a
 ValueTable keeps integer numerator tables over a single positive scale.
-The solvers and every scan of the battery work on those integers; a
-Fraction is built only at the API boundary, when a caller reads
-ValueTable.table(), .per_time, .stationary or .value().  The one exception
+The solvers and every scan of the battery work on those integers, policy
+evaluation included (one walk of the closed-loop functional graph on
+integer numerators, see evaluate_stationary_policy); a Fraction is built
+only at the API boundary, when a caller reads ValueTable.table(),
+.per_time, .stationary or .value().  The one exception
 is a common denominator wider than WIDE_SCALE_BITS: then every entry would
 be an integer that wide, so the table keeps its exact Fractions over scale
 1 instead, and the same code runs on them (it only adds, compares, takes
@@ -33,7 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq
+from operator import add, eq, floordiv, mul, truediv
 from typing import Sequence
 
 from .errors import ShapeError
@@ -341,6 +343,26 @@ class CosetFrame:
                        frozenset().union(*(pre[sub[v + P * w]] for v in best)))
         return out
 
+    def least_argmins(self, Jk: Sequence, mins: Sequence,
+                      states: Sequence[int]) -> list[int]:
+        """min(argmin_sets(Jk, mins)[x]) for each x in states, without
+        building the sets: the least input of the fibres pre[v - w(Ax)]
+        over the minimal positions v of the coset of Ax."""
+        P, sub, k_ax = self.P, self.sub, self.k_ax
+        least = [min(us) for us in self.pre]
+        where: dict[int, list[int]] = {}
+        out = []
+        for x in states:
+            c, w = divmod(k_ax[x], P)
+            best = where.get(c)
+            if best is None:
+                m = mins[c]
+                best = where[c] = [v for v, j in enumerate(Jk[c * P:c * P + P]) if j == m]
+            w *= P
+            out.append(least[sub[best[0] + w]] if len(best) == 1 else
+                       min([least[sub[v + w]] for v in best]))
+        return out
+
     def successors(self, inputs: Sequence[int]) -> list[int]:
         """The successor of every state x under the input inputs[x]."""
         P, add, off, order = self.P, self.add, self.offset, self.order
@@ -467,77 +489,119 @@ def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
 
 
 def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int]) -> ValueTable:
-    """Exact discounted value of a stationary policy.
+    """Exact discounted value of a stationary policy, computed on integers.
 
-    Every trajectory of the closed-loop map is a tail into a cycle; the
-    prefix is summed term by term and the cycle contributes its discounted
-    lap cost times 1/(1 - alpha^L), all in exact rationals.
+    The closed-loop map is a functional graph: every trajectory runs down a
+    tree into a cycle.  With alpha = a/b and the cost in integer form G / L
+    (CostFunction.num over .scale), a cycle c_0..c_{l-1} with
+    d = b^l - a^l has the value H / (L·d) at its head c_0, where
+    H = sum over j of a^j·b^(l-j)·G(c_j); every other cycle state also has
+    a numerator over L·d, and a state k steps above the cycle has one over
+    L·b^k·d (from V = G / L + alpha·V_next).  One walk of the graph fills
+    them in.  The table then takes the least common scale of its values,
+    the one ValueTable.exact gives, and like ValueTable.exact keeps the
+    values' Fractions over scale 1 when that scale is wider than
+    WIDE_SCALE_BITS; a cost that keeps its Fractions goes through
+    ValueTable.exact itself.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("stationary-policy evaluation needs a discounted horizon")
     if len(policy) != inst.num_states:
         raise ValueError("policy must assign an input to every state")
-    alpha = inst.horizon.alpha
-    g = inst.cost.table
+    a, b = inst.horizon.alpha.numerator, inst.horizon.alpha.denominator
+    G = inst.cost.num
+    integral = type(G[0]) is int
+    # b divides every cycle numerator, so this division is exact
+    divide = floordiv if integral else truediv
     nxt = inst.coset_frame().successors(policy)
-    values: list[Fraction | None] = [None] * inst.num_states
-    for start in range(inst.num_states):
-        if values[start] is not None:
+    num = [0] * len(nxt)
+    den = [0] * len(nxt)  # x's value is num[x] / (L·den[x]); 0: unseen, -1: on the path
+    # walk only the states some state steps to (their successors are such
+    # states too); every other state then steps to a finished one
+    for start in set(nxt):
+        if den[start]:
             continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
+        path = []
         x = start
-        while values[x] is None and x not in pos:
-            pos[x] = len(path)
+        while not den[x]:
+            den[x] = -1
             path.append(x)
             x = nxt[x]
-        if values[x] is None:
-            # closed a fresh cycle at path[pos[x]:]
-            cycle = path[pos[x]:]
-            lap = ZERO
-            a_pow = Fraction(1)
-            for s in cycle:
-                lap += a_pow * g[s]
-                a_pow *= alpha
-            values[cycle[0]] = lap / (1 - a_pow)  # a_pow is alpha^len(cycle)
-            # fill the rest of the cycle walking backwards from the head
-            for idx in range(len(cycle) - 1, 0, -1):
-                s = cycle[idx]
-                values[s] = g[s] + alpha * values[nxt[s]]
-            prefix_end = pos[x]
-        else:
-            prefix_end = len(path)
-        for idx in range(prefix_end - 1, -1, -1):
-            s = path[idx]
-            values[s] = g[s] + alpha * values[nxt[s]]
-    return ValueTable.exact(inst.horizon, (values,))
+        if den[x] < 0:  # the path closed a new cycle at x
+            cycle = path[path.index(x):]
+            del path[len(path) - len(cycle):]
+            v, bl = 0, 1
+            for s in reversed(cycle):
+                bl *= b
+                v = bl * G[s] + a * v
+            d = bl - a ** len(cycle)
+            num[x], den[x] = v, d
+            for s in reversed(cycle[1:]):
+                v = d * G[s] + a * divide(v, b)
+                num[s], den[s] = v, d
+        v, dn = num[x], den[x]
+        for s in reversed(path):  # each s steps to the state just done
+            dn *= b
+            v = dn * G[s] + a * v
+            num[s], den[s] = v, dn
+    for x, y in enumerate(nxt):
+        if not den[x]:  # no state steps to x, and y is done
+            dn = b * den[y]
+            num[x], den[x] = dn * G[x] + a * num[y], dn
+    L = inst.cost.scale
+    if integral:
+        dens = set(den)
+        common = math.lcm(*dens)
+        lift = {dn: common // dn for dn in dens}
+        over = list(map(mul, num, map(lift.__getitem__, den)))  # over L·common
+        # the least common scale of the values is L·common over this gcd
+        g = math.gcd(L * common, *over)
+        if (L * common // g).bit_length() <= WIDE_SCALE_BITS:
+            return ValueTable(inst.horizon, (tuple([v // g for v in over]),), L * common // g)
+    values = tuple([Fraction(v, L * dn) for v, dn in zip(num, den)])
+    # an integer table wider than WIDE_SCALE_BITS keeps its Fractions
+    return (ValueTable(inst.horizon, (values,), 1) if integral
+            else ValueTable.exact(inst.horizon, (values,)))
+
+
+def _over_common_scale(row: Sequence) -> Sequence[int]:
+    """A table row as integers over one scale, in the same order: the row
+    itself unless it holds a wide table's Fractions, which are lifted to
+    their least common denominator (integers compare far faster)."""
+    if type(row[0]) is int:
+        return row
+    common = math.lcm(*{v.denominator for v in row})
+    return [v.numerator * (common // v.denominator) for v in row]
 
 
 def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     """Exact policy iteration.
 
     Starts from the greedy-on-g policy (cheapest successor stage cost,
-    lowest input index on ties), alternates exact evaluation with greedy
-    improvement, and only switches an action on a strict improvement, which
-    rules out cycling.  On convergence the values satisfy the fixed-point
-    equation exactly and the returned minimizer sets are complete.
+    lowest input index on ties), alternates exact evaluation (on integers,
+    see evaluate_stationary_policy) with greedy improvement, and only
+    switches an action on a strict improvement, which rules out cycling: a
+    state moves to its lowest optimal input exactly when its current
+    successor's value exceeds the minimum over its coset.  On convergence
+    the values satisfy the fixed-point equation exactly, and the minimizer
+    sets, built in full once from those values, are complete.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
     frame = inst.coset_frame()
+    P = frame.P
     policy = [min(chosen) for chosen in frame.argmin_sets(*frame.minima(inst.cost.num))]
     while True:
         values = evaluate_stationary_policy(inst, policy)
-        argmin = frame.argmin_sets(*frame.minima(values.nums[0]))
-        improved = False
-        for x, chosen in enumerate(argmin):
-            if policy[x] not in chosen:
-                policy[x] = min(chosen)
-                improved = True
-        if not improved:
+        J = _over_common_scale(values.nums[0])
+        Jk, mins = frame.minima(J)
+        stale = [x for x, (y, k) in enumerate(zip(frame.successors(policy), frame.k_ax))
+                 if J[y] > mins[k // P]]
+        if not stale:
             break
-    # no action changed on this last pass, so its minimizer sets are final
-    return values, ArgminTable(inst.horizon, (tuple(argmin),))
+        for x, u in zip(stale, frame.least_argmins(Jk, mins, stale)):
+            policy[x] = u
+    return values, ArgminTable(inst.horizon, (tuple(frame.argmin_sets(Jk, mins)),))
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,18 @@
 
 The characteristic polynomial comes from the division-free Samuelson-
 Berkowitz recurrence, so it is valid in any characteristic.  Factorization
-is square-free decomposition followed by deterministic Berlekamp splitting
-(exhaustive over the p shift constants; no randomized search), with factors
-ordered lexicographically by coefficient tuple.  The primary parts
-ker f_i(A)^{m_i} then give the canonical invariant direct sum; a single
-irreducible power means no splitting of this kind exists.
+is square-free decomposition followed by Berlekamp splitting: for small p
+exhaustive over the p shift constants, for large p gcd splitting on kernel
+elements drawn from a fixed-seed random.Random (Cantor-Zassenhaus), so the
+result never varies.  Factors are ordered lexicographically by coefficient
+tuple.  The primary parts ker f_i(A)^{m_i} then give the canonical
+invariant direct sum; a single irreducible power means no splitting of this
+kind exists.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .errors import NotDecomposable, NotInvariant, ShapeError
@@ -23,6 +26,12 @@ from .linalg import (
     null_space,
     poly_eval_matrix,
 )
+
+# Up to this prime, splitting tries every constant of GF(p), which costs p
+# gcds per factor; above it, random kernel elements raised to (p-1)/2 split
+# in O(log p) products each, which measured faster from p = 11 on (and
+# p = 2 has no such power).
+SWEEP_MAX_PRIME = 7
 
 
 def char_poly(A: MatrixFp) -> Poly:
@@ -94,9 +103,22 @@ def _berlekamp_split(f: Poly) -> list[Poly]:
     count = kernel.dim
     if count == 1:
         return [f]
+    # every kernel element v is a constant s_i modulo each irreducible factor
+    basis = kernel.basis_vectors()
+    if p <= SWEEP_MAX_PRIME:
+        factors = _split_by_constants(f, [Poly(field, vec) for vec in basis], count)
+    else:
+        factors = _split_by_residues(f, basis, count)
+    assert len(factors) == count, "Berlekamp basis failed to separate factors"
+    return sorted(factors, key=lambda q: q.coeffs)
+
+
+def _split_by_constants(f: Poly, kernel: list[Poly], count: int) -> set[Poly]:
+    """Split f by gcd(v - s, g) for every kernel basis element v and every
+    constant s of GF(p): p gcds per factor and element."""
+    field = f.field
     factors = {f}
-    for vec in kernel.basis_vectors():
-        v = Poly(field, vec)
+    for v in kernel:
         if v.degree < 1:
             continue
         refined: set[Poly] = set()
@@ -104,14 +126,37 @@ def _berlekamp_split(f: Poly) -> list[Poly]:
             if g.degree == 1:
                 refined.add(g)
                 continue
-            pieces = [h.monic() for h in (g.gcd(v - Poly.constant(field, s)) for s in range(p))
+            pieces = [h.monic() for h in (g.gcd(v - Poly.constant(field, s))
+                                          for s in range(field.p))
                       if h.degree >= 1]
             refined.update(pieces if pieces else {g})
         factors = refined
         if len(factors) == count:
             break
-    assert len(factors) == count, "Berlekamp basis failed to separate factors"
-    return sorted(factors, key=lambda q: q.coeffs)
+    return factors
+
+
+def _split_by_residues(f: Poly, basis: list[list[int]], count: int) -> set[Poly]:
+    """Split f, for odd p, by gcd(v^((p-1)/2) - 1, g) on random kernel
+    elements v (Cantor-Zassenhaus): that gcd keeps the factors where v's
+    constant is a nonzero square, so each try splits a reducible g with
+    probability about 1/2, at O(log p) products modulo g.  The seed is
+    fixed, so the factors found are the same on every run."""
+    field = f.field
+    p = field.p
+    rng = random.Random(0)
+    one = Poly.one(field)
+    factors = {f}
+    while len(factors) < count:
+        weights = [rng.randrange(p) for _ in basis]
+        v = Poly(field, [sum(w * vec[i] for w, vec in zip(weights, basis))
+                         for i in range(f.degree)])
+        refined: set[Poly] = set()
+        for g in factors:
+            h = (pow(v, (p - 1) // 2, g) - one).gcd(g) if g.degree > 1 else g
+            refined.update({h, g // h} if 0 < h.degree < g.degree else {g})
+        factors = refined
+    return factors
 
 
 def _factor_monic(f: Poly, out: dict[Poly, int]) -> None:

@@ -347,6 +347,15 @@ def test_decompose_dimension_guard_and_force(tmp_path, capsys):
     assert json.loads(out)["decomposable"] is False
 
 
+def _cli_process(path, argv):
+    """Run the CLI on path in a separate process with a deadline, so a slow
+    path fails its test instead of hanging the suite."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "dpdecomp.cli", argv[0], str(path), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=20)
+
+
 @pytest.mark.parametrize("argv, prime, code", [
     (["decompose"], 2**61 - 1, 0),
     (["decompose"], 2**64 + 13, 2),
@@ -354,34 +363,37 @@ def test_decompose_dimension_guard_and_force(tmp_path, capsys):
     (["check", "--force"], 2**64 + 13, 2),
 ])
 def test_large_modulus_is_decided_in_bounded_time(tmp_path, argv, prime, code):
-    """A separate process with a deadline, so a slow primality test fails
-    the test instead of hanging the suite."""
     path = tmp_path / "prime.json"
     path.write_text(json.dumps({
         "field": {"prime": prime}, "dims": {"n": 2, "m": 1},
         "A": [[1, 0], [0, 1]], "B": [[1], [0]],
         "cost": {"table": [0] + [1] * 3}, "horizon": {"finite": {"T": 1}}}))
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "dpdecomp.cli", argv[0], str(path), *argv[1:]],
-                          env=env, capture_output=True, text=True, timeout=20)
+    proc = _cli_process(path, argv)
     assert proc.returncode == code, proc.stderr
+
+
+def test_decompose_splits_over_a_large_prime_in_bounded_time(tmp_path):
+    """x - 1 and x - 2 over GF(2^61 - 1): splitting them must not try every
+    constant of the field."""
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"field": {"prime": 2**61 - 1}, "dims": {"n": 2},
+                                "A": [[1, 0], [0, 2]]}))
+    proc = _cli_process(path, ["decompose", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["decomposable"] is True
+    assert [f["coefficients"] for f in out["factors"]] == [[2**61 - 3, 1], [2**61 - 2, 1]]
 
 
 def test_value_iteration_too_long_to_run_exits_2(tmp_path):
     """alpha = 999/1000 at tol 1/10^6 needs about 2 * 10^4 exact sweeps;
     the sweep count is predicted up front, so the run is refused with exit 2
-    instead of grinding on.  A separate process with a deadline, so a
-    regression fails the test instead of hanging the suite."""
+    instead of grinding on."""
     path = tmp_path / "slow.json"
     path.write_text(json.dumps({
         "field": {"prime": 2}, "dims": {"n": 1, "m": 0}, "A": [[1]], "B": [[]],
         "cost": {"table": [0, 1]}, "horizon": {"discounted": {"alpha": "999/1000"}}}))
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "dpdecomp.cli", "solve", str(path),
-                           "--tol", "1/1000000"],
-                          env=env, capture_output=True, text=True, timeout=20)
+    proc = _cli_process(path, ["solve", "--tol", "1/1000000"])
     assert proc.returncode == 2, proc.stderr
     assert "20713 sweeps" in proc.stderr
 

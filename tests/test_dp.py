@@ -6,7 +6,8 @@ discounted solvers are checked against hand-derived closed forms, the
 exact Bellman residual, and each other.  All three solvers are also checked
 exactly against per-(state, input) oracles that try every input at every
 state through transitions(), which is how the library solved before the
-coset operator.
+coset operator.  Stationary-policy evaluation is checked against the exact
+Fraction walk it replaced, down to the table's scale and numerators.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpdecomp import dp
 from dpdecomp.dp import (ArgminTable, CostFunction,
                          DiscountedHorizon, DPInstance, FiniteHorizon,
                          ValueIterationResult, ValueTable,
@@ -115,13 +117,41 @@ def oracle_solve_finite(inst):
             ArgminTable(inst.horizon, tuple(argmin)))
 
 
+def oracle_evaluate_stationary_policy(inst, policy):
+    """The exact discounted values of a stationary policy, as Fractions:
+    every trajectory of the closed-loop map (through transitions()) is a
+    tail into a cycle; a cycle's head is worth its discounted lap cost over
+    1 - alpha^L, and every other state g + alpha times its successor."""
+    alpha = inst.horizon.alpha
+    g = inst.cost.table
+    trans = inst.transitions()
+    nxt = [trans[x][u] for x, u in enumerate(policy)]
+    values = [None] * inst.num_states
+    for start in range(inst.num_states):
+        path = []
+        pos = {}
+        x = start
+        while values[x] is None and x not in pos:
+            pos[x] = len(path)
+            path.append(x)
+            x = nxt[x]
+        if values[x] is None:  # closed a fresh cycle at path[pos[x]:]
+            cycle = path[pos[x]:]
+            lap = sum((alpha**j * g[s] for j, s in enumerate(cycle)), Fraction(0))
+            values[x] = lap / (1 - alpha ** len(cycle))
+            path = path[:pos[x]] + cycle[1:]
+        for s in reversed(path):
+            values[s] = g[s] + alpha * values[nxt[s]]
+    return values
+
+
 def oracle_solve_discounted_pi(inst):
     """Policy iteration from the greedy-on-g policy, switching an action only
     on a strict improvement, trying every input at every state."""
     trans = inst.transitions()
     policy = [min(_minimize(inst.cost.table, trans[x])[1]) for x in range(inst.num_states)]
     while True:
-        values = evaluate_stationary_policy(inst, policy).stationary
+        values = oracle_evaluate_stationary_policy(inst, policy)
         improved = False
         argmin = []
         for x in range(inst.num_states):
@@ -531,6 +561,86 @@ def test_discounted_matches_oracle_exactly(inst):
     assert solve_discounted_pi(inst) == oracle_solve_discounted_pi(inst)
     assert solve_discounted_vi(inst, Fraction(1, 50)) == oracle_solve_discounted_vi(
         inst, Fraction(1, 50))
+
+
+def _assert_same_representation(got, values):
+    """got holds exactly ValueTable.exact(values): the same scale and the
+    same numerators (integers, or a wide table's Fractions over 1)."""
+    want = ValueTable.exact(got.horizon, (values,))
+    assert (got.scale, got.nums) == (want.scale, want.nums)
+    assert [type(v) for v in got.nums[0]] == [type(v) for v in want.nums[0]]
+
+
+@given(coset_instances(_discounted_horizon), st.data())
+@settings(max_examples=150, deadline=None)
+def test_policy_evaluation_matches_fraction_oracle(inst, data):
+    policy = data.draw(st.lists(st.integers(0, inst.num_inputs - 1),
+                                min_size=inst.num_states, max_size=inst.num_states))
+    _assert_same_representation(evaluate_stationary_policy(inst, policy),
+                                oracle_evaluate_stationary_policy(inst, policy))
+
+
+def test_policy_evaluation_fraction_domain_matches_oracle():
+    # the three wide denominators put the cost itself past WIDE_SCALE_BITS,
+    # and two states cost nothing
+    A = MatrixFp(F3, 2, 2, [1, 1, 0, 1])
+    B = MatrixFp(F3, 2, 1, [0, 1])
+    w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
+    table = [0, w61, w89, 2 * w89, w61 + w89, 0, 1, w61, w127]
+    inst = DPInstance(A, B, CostFunction(F3, 2, table, allow_vanishing=True),
+                      DiscountedHorizon(Fraction(2, 3)))
+    assert inst.cost.scale == 1
+    for k, policy in enumerate(itertools.product(range(3), repeat=9)):
+        if k % 97 == 0:  # 203 of the 3^9 policies
+            _assert_same_representation(evaluate_stationary_policy(inst, policy),
+                                        oracle_evaluate_stationary_policy(inst, policy))
+
+
+def test_policy_evaluation_of_many_cycle_lengths_keeps_fractions():
+    # with B = I any successor is one input away: 0 stays put, states 1..230
+    # close cycles of every length 2..21, and 231..255 feed into them; the
+    # d = 10^l - 9^l of twenty lengths put the least scale near 2^491
+    n = 8
+    eye = MatrixFp.identity(F2, n)
+    succ = list(range(2**n))
+    start = 1
+    for length in range(2, 22):
+        for i in range(length):
+            succ[start + i] = start + (i + 1) % length
+        start += length
+    for x in range(start, 2**n):
+        succ[x] = x - 7
+    table = [Fraction(0)] + [Fraction(1 + x * x % 11) for x in range(1, 2**n)]
+    inst = DPInstance(eye, eye, CostFunction(F2, n, table), DiscountedHorizon(Fraction(9, 10)),
+                      max_inputs=None)
+    policy = [x ^ y for x, y in enumerate(succ)]  # u = y - x over GF(2)
+    got = evaluate_stationary_policy(inst, policy)
+    assert got.scale == 1 and all(type(v) is Fraction for v in got.nums[0])
+    _assert_same_representation(got, oracle_evaluate_stationary_policy(inst, policy))
+
+
+def test_policy_iteration_builds_argmin_sets_twice(monkeypatch):
+    # three rounds: two improvements, then no change
+    A = MatrixFp(F3, 2, 2, [2, 1, 2, 0])
+    B = MatrixFp(F3, 2, 1, [2, 2])
+    inst = DPInstance(A, B, CostFunction(F3, 2, [0, 4, 5, 1, 7, 7, 3, 2, 8]),
+                      DiscountedHorizon(Fraction(9, 10)))
+    calls = {"argmin_sets": 0, "evaluate": 0, "oracle": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dp.CosetFrame, "argmin_sets",
+                        counting("argmin_sets", dp.CosetFrame.argmin_sets))
+    monkeypatch.setattr(dp, "evaluate_stationary_policy",
+                        counting("evaluate", dp.evaluate_stationary_policy))
+    monkeypatch.setitem(globals(), "oracle_evaluate_stationary_policy",
+                        counting("oracle", oracle_evaluate_stationary_policy))
+    assert solve_discounted_pi(inst) == oracle_solve_discounted_pi(inst)
+    assert calls == {"argmin_sets": 2, "evaluate": 3, "oracle": 3}
 
 
 def test_vi_rejects_bad_tolerance():

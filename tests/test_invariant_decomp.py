@@ -7,9 +7,12 @@ multiplying back and by irreducibility of each factor (no roots for degree
 is tested directly at small sizes).
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpdecomp import invariant_decomp
 from dpdecomp.errors import NotDecomposable, NotInvariant, ShapeError
 from dpdecomp.fields import Poly, PrimeField
 from dpdecomp.invariant_decomp import (char_poly, factor_poly,
@@ -124,6 +127,25 @@ def test_factors_are_irreducible(f):
                 if g.is_monic:
                     _, rem = divmod(q, g)
                     assert not rem.is_zero
+
+
+@given(st.sampled_from([11, 67, 2**61 - 1]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_residue_splitting_matches_the_constant_sweep(p, data):
+    # above SWEEP_MAX_PRIME the factors come from random kernel elements;
+    # a product of small monic polynomials factors exactly as the sweep of
+    # every constant finds (which is only affordable for the small primes)
+    F = PrimeField(p)
+    f = Poly.one(F)
+    for _ in range(data.draw(st.integers(2, 4))):
+        deg = data.draw(st.integers(1, 3))
+        f = f * Poly(F, data.draw(st.lists(st.integers(0, p - 1), min_size=deg,
+                                           max_size=deg)) + [1])
+    fact = factor_poly(f)
+    assert fact.product() == f
+    if p < 1000:
+        with patch.object(invariant_decomp, "SWEEP_MAX_PRIME", p):
+            assert factor_poly(f) == fact
 
 
 def test_factor_poly_known():

@@ -17,8 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .checks import (DEFAULT_TUPLE_CAP, DecompositionReport, report_from_dict,
-                     run_battery, verify_witnesses)
+from .checks import DecompositionReport, report_from_dict, run_battery, verify_witnesses
 from .dp import (DiscountedHorizon, DPInstance, FiniteHorizon, Horizon,
                  solve_discounted_pi, solve_discounted_vi, solve_finite)
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
@@ -221,14 +220,8 @@ def _basis_rows(part) -> list[tuple[int, ...]]:
     return [tuple(c[i] for c in cols) for i in range(n)]
 
 
-def _render_verdict(v: Any) -> str:
-    if v is None:
-        return "skipped"
-    if v is True:
-        return "holds"
-    if v is False:
-        return "fails"
-    return str(v)
+def _render_verdict(v: bool | None) -> str:
+    return {None: "skipped", True: "holds", False: "fails"}[v]
 
 
 def _print_report(report: DecompositionReport) -> None:
@@ -281,8 +274,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             for name, ok in sorted(results.items()):
                 print(f"witness {name}: {'confirmed' if ok else 'FAILED'}")
         return EXIT_OK if all(results.values()) else EXIT_INVALID
-    report = run_battery(inst, decomp, family=args.family,
-                         cap=args.cap, seed=args.seed)
+    report = run_battery(inst, decomp, family=args.family, seed=args.seed)
     report.notes.append(source)
     if args.json:
         _emit(report.to_dict())
@@ -375,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="both", help="which subproblem family to test")
     p_check.add_argument("--seed", type=int, default=0,
                          help="seed for the policy spot check")
-    p_check.add_argument("--cap", type=int, default=DEFAULT_TUPLE_CAP,
-                         help="tuple-enumeration budget before reporting "
-                              "inconclusive")
     p_check.add_argument("--verify-witness", metavar="REPORT",
                          help="re-verify the witnesses in a saved report "
                               "against this instance")

@@ -192,7 +192,7 @@ def _integer_form(values: Sequence[Fraction]) -> tuple[int, tuple]:
     for d in dens:
         scale = math.lcm(scale, d)
         if scale.bit_length() > WIDE_SCALE_BITS:
-            return 1, tuple(map(Fraction, values))
+            return 1, tuple(values)
     factor = {d: scale // d for d in dens}
     return scale, tuple([v.numerator * factor[v.denominator] for v in values])
 

@@ -162,6 +162,22 @@ def load_instance(data: dict[str, Any], *, horizon_override: Horizon | None = No
     return LoadedInstance(instance, decomp)
 
 
+_SHAPES = ("a number", "a list of numbers", "a matrix (list of rows)", "a list of basis matrices")
+
+
+def _reals(value: Any, depth: int, name: str) -> Any:
+    """value as a float (depth 0) or as lists of floats nested depth deep;
+    anything else is a ValueError naming the field and its shape."""
+    try:
+        if depth == 0:
+            return float(value)
+        if isinstance(value, list):
+            return [_reals(v, depth - 1, name) for v in value]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {_SHAPES[depth]}")
+
+
 def load_lqr_block(data: dict[str, Any]) -> dict[str, Any]:
     """Extract the real-field regulator block: matrices A, B, P, horizon T,
     part bases, tolerance, and an optional start state."""
@@ -170,23 +186,15 @@ def load_lqr_block(data: dict[str, Any]) -> dict[str, Any]:
     block = data["lqr"]
     out: dict[str, Any] = {}
     for key in ("A", "B", "P"):
-        mat = block.get(key)
-        if (not isinstance(mat, list) or not mat
-                or any(not isinstance(row, list) for row in mat)):
+        if not block.get(key):
             raise ValueError(f"lqr.{key} must be a matrix (list of rows)")
-        out[key] = [[float(e) for e in row] for row in mat]
+        out[key] = _reals(block[key], 2, f"lqr.{key}")
     T = block.get("T")
     if not isinstance(T, int) or isinstance(T, bool) or T < 1:
         raise ValueError("lqr.T must be an integer >= 1")
     out["T"] = T
-    parts = block.get("parts")
-    if parts is not None:
-        if not isinstance(parts, list) or any(not isinstance(pmat, list) for pmat in parts):
-            raise ValueError("lqr.parts must be a list of basis matrices")
-        out["parts"] = [[[float(e) for e in row] for row in pmat] for pmat in parts]
-    else:
-        out["parts"] = None
-    out["tol"] = float(block.get("tol", 1e-9))
-    x0 = block.get("x0")
-    out["x0"] = [float(v) for v in x0] if x0 is not None else None
+    parts, x0 = block.get("parts"), block.get("x0")
+    out["parts"] = _reals(parts, 3, "lqr.parts") if parts is not None else None
+    out["tol"] = _reals(block.get("tol", 1e-9), 0, "lqr.tol")
+    out["x0"] = _reals(x0, 1, "lqr.x0") if x0 is not None else None
     return out

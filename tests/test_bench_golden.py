@@ -6,7 +6,10 @@ This replays every variant of the smallest finite slot and of the smallest
 discounted slot of the solve-large, battery-split and battery-refute
 workloads through perfbench/ops.py, so a change of representation that
 alters any exact value fails the unit suite and not only the benchmark.
-Both perfbench files are read, never written.
+It also replays every variant of the cli-files check and verify slots in
+this process, so a change to the report or its printing fails here too.
+Both perfbench files are read, never written; the instance files the CLI
+ops read are written to a temporary directory.
 """
 
 import json
@@ -52,3 +55,22 @@ def test_smallest_slot_matches_golden_digests(perfbench, workload):
 @pytest.mark.parametrize("workload", IN_PROCESS)
 def test_smallest_discounted_slot_matches_golden_digests(perfbench, workload):
     _replay_smallest(perfbench, workload, "discounted")
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_cli_slots_replay_golden_digests(perfbench, command, tmp_path, monkeypatch):
+    """Every variant of the cli-files check (or verify) slots, run through
+    cli.main in this process, exits and prints exactly what the CLI process
+    recorded in the golden digests."""
+    gen, ops, golden = perfbench
+    monkeypatch.chdir(tmp_path)  # the ops name their files relative to the root
+    slots = [k for k, (_, spec) in enumerate(gen.CLI_SLOTS) if spec["command"] == command]
+    assert slots
+    for slot in slots:
+        name = gen.CLI_SLOTS[slot][0]
+        for variant in range(gen.VARIANTS):
+            op = ops.Op("cli-files", slot, variant, golden["cli-files"][name][variant],
+                        str(tmp_path), "")
+            _, code, stdout = op.replay()
+            assert ops.digest_process(code, stdout) == op.golden["digest"], \
+                f"cli-files {name} v{variant}"

@@ -285,6 +285,26 @@ def test_lqr_text_without_parts(tmp_path, capsys):
     assert "block-diagonal" not in out
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("A", [[{}, 0.0], [0.0, 1.0]], "lqr.A"),
+    ("B", [[None, 0.0], [0.0, 1.0]], "lqr.B"),
+    ("P", [[[1.0], 0.0], [0.0, 1.0]], "lqr.P"),
+    ("P", [[10**400, 0.0], [0.0, 1.0]], "lqr.P"),
+    ("x0", 5, "lqr.x0"),
+    ("tol", [], "lqr.tol"),
+    ("parts", [[1]], "lqr.parts"),
+], ids=["entry-dict", "entry-null", "entry-list", "entry-huge", "x0-int", "tol-list",
+        "parts-flat"])
+def test_lqr_malformed_numbers_are_invalid(tmp_path, capsys, key, value, field):
+    doc = lqr_doc()
+    doc["lqr"][key] = value
+    path = tmp_path / "lqr.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "lqr", str(path))
+    assert rc == 2
+    assert f"error: {field}" in err
+
+
 # === exit codes and guards ===
 
 def test_missing_file_is_invalid(tmp_path, capsys):

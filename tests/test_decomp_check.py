@@ -8,23 +8,32 @@ Three fixed instances with hand-derived verdicts:
   cost: additive holds, componentwise fails on the value level;
 * a discounted instance whose only route to the origin couples both
   coordinates: everything fails, with frozen witnesses.
+
+The componentwise tuple check counts instead of listing tuples; a
+differential test holds it to the enumerating oracle kept here.
 """
 
 import dataclasses
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from dpdecomp import checks, dp
-from dpdecomp.checks import (DecompositionReport, check_hierarchy,
+from dpdecomp import checks, cli, dp
+from dpdecomp.checks import (DecompositionReport, check_componentwise, check_hierarchy,
                              check_horizon_monotone, check_invertible_equivalence,
                              report_from_dict, run_battery, verify_witnesses)
 from dpdecomp.dp import (CostFunction, DiscountedHorizon, DPInstance,
-                         FiniteHorizon)
+                         FiniteHorizon, solve)
 from dpdecomp.errors import TheoremViolation
 from dpdecomp.fields import PrimeField
 from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
+from dpdecomp.subproblems import build_bundle, solve_bundle
 
+from test_acceptance import rand_B, rand_forced_B, rand_invertible, rand_matrix
+from test_cli import worked_doc
 from test_subproblems import make_axes_parent, make_parent
 
 F3 = PrimeField(3)
@@ -216,13 +225,20 @@ def test_family_restricted_skips_projected_fields():
     assert report_p.componentwise_holds is False
 
 
-def test_componentwise_cap_yields_inconclusive():
+def test_componentwise_always_decides_and_check_has_no_cap(tmp_path, capsys):
+    """The worked instance, which a tuple cap of 1 used to leave without a
+    componentwise verdict, decides False with a confirmed tuple witness;
+    the cap option is gone from the command line."""
     inst, decomp = make_parent(FiniteHorizon(1))
-    report = run_battery(inst, decomp, cap=1)
-    assert report.componentwise_holds == "inconclusive"
-    assert report.componentwise_witness is None
-    assert any("cap" in note for note in report.notes)
-    assert report.hierarchy_consistent is None
+    report = run_battery(inst, decomp)
+    assert report.componentwise_holds is False
+    assert report.componentwise_witness["kind"] == "tuple"
+    assert report.hierarchy_consistent is True
+    assert verify_witnesses(inst, decomp, report) == {"componentwise_witness": True}
+    path = tmp_path / "worked.json"
+    path.write_text(json.dumps(worked_doc()))
+    assert cli.main(["check", str(path), "--cap", "1"]) == 2
+    assert "--cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon, t", [(FiniteHorizon(3), 1), (FiniteHorizon(3), 2),
@@ -300,3 +316,105 @@ def test_check_invertible_equivalence_rules():
     assert check_invertible_equivalence(True, False, False, True) is True
     with pytest.raises(TheoremViolation):
         check_invertible_equivalence(True, False, True, True)
+
+
+# === componentwise tuple check against the enumerating oracle ===
+
+def oracle_check_componentwise(bundle, parent_solution, projected_solutions):
+    """The componentwise check by listing, at every state and time, every
+    tuple of projected-optimal actions (one per distinct image, smallest
+    action first) until one has an image no parent optimizer reaches."""
+    parent_values, parent_argmin = parent_solution
+    defect, = checks._value_splits(bundle, parent_values, projected_solutions, 1)
+    if defect is not None:
+        return False, checks._value_witness(bundle, defect, parent_values, projected_solutions)
+    comp = bundle.component_state_tables()
+    images, bu_adapted = checks._input_images(bundle)
+    finite = isinstance(bundle.parent.horizon, FiniteHorizon)
+    for t in range(bundle.parent.horizon.T) if finite else (None,):
+        for x in range(bundle.parent.num_states):
+            distinct = []
+            for image, sol, c in zip(images, projected_solutions, comp):
+                seen = {}
+                for a in sorted(sol[1].per_time[t or 0][c[x]]):
+                    seen.setdefault(image[a], a)
+                distinct.append(seen)
+            reached = {bu_adapted[u] for u in parent_argmin.per_time[t or 0][x]}
+            for combo in itertools.product(*(d.items() for d in distinct)):
+                target = sum(image for image, _ in combo)
+                if target not in reached:
+                    return False, checks._tuple_witness(
+                        bundle, x, t, [a for _, a in combo], target)
+    return True, None
+
+
+MAX_N = {2: 6, 3: 4, 5: 3}  # at most 125 states
+
+
+def random_battery(rng):
+    """Block-diagonal dynamics conjugated by a random change of basis, split
+    into 2 or 3 parts of dimension 1 or 2 (the parts are the conjugated
+    blocks); B respects the parts or is generic; the separable cost may
+    vanish off zero, which leaves large argmin sets; the horizon is finite
+    or discounted."""
+    p = rng.choice((2, 3, 5))
+    F = PrimeField(p)
+    r = rng.choice((2, 3))
+    dims = [rng.randint(1, 2) for _ in range(r)]
+    while sum(dims) > MAX_N[p]:
+        dims = [rng.randint(1, 2) for _ in range(r)]
+    n = sum(dims)
+    S = rand_invertible(rng, F, n)
+    entries = [[0] * n for _ in range(n)]
+    parts, off = [], 0
+    for d in dims:
+        block = rand_matrix(rng, F, d, d)
+        for i, j in itertools.product(range(d), repeat=2):
+            entries[off + i][off + j] = block[i, j]
+        parts.append(Subspace(F, n, [S.col(off + k) for k in range(d)]))
+        off += d
+    A = S @ MatrixFp.from_rows(F, entries) @ S.inverse()
+    decomp = DirectSumDecomposition(parts)
+    B = rand_forced_B(rng, F, decomp) if rng.random() < 0.5 else rand_B(rng, F, n)
+    tables = [[0] + [rng.randint(0, 2) for _ in range(p**d - 2)] + [1] for d in dims]
+    cost = CostFunction.separable(decomp, tables, allow_vanishing=True)
+    horizon = (FiniteHorizon(rng.randint(1, 3)) if rng.random() < 0.5
+               else DiscountedHorizon(rng.choice((HALF, Fraction(2, 3)))))
+    return DPInstance(A, B, cost, horizon, max_inputs=None), decomp
+
+
+def _swap_one(rng, actions, num_inputs):
+    """The set with one member traded for a random input."""
+    return frozenset(rng.sample(sorted(actions), len(actions) - 1)) | {rng.randrange(num_inputs)}
+
+
+def test_componentwise_count_matches_enumerating_oracle():
+    """300 seeded batteries: the counting check gives the oracle's verdict
+    and witness, and every tuple witness is confirmed from scratch.  Each
+    battery is also checked with one member of every parent argmin set
+    traded for a random input, so parent images outside every tuple's
+    image turn up, which optimal sets that split in value rarely have."""
+    rng = random.Random(8)
+    kinds = {}
+    for _ in range(300):
+        inst, decomp = random_battery(rng)
+        bundle = build_bundle(inst, decomp)
+        parent = solve(inst)
+        projected = solve_bundle(bundle, "projected")
+        traded = dataclasses.replace(parent[1], per_time=tuple(
+            tuple(_swap_one(rng, actions, inst.num_inputs) for actions in row)
+            for row in parent[1].per_time))
+        assert (check_componentwise(bundle, (parent[0], traded), projected)
+                == oracle_check_componentwise(bundle, (parent[0], traded), projected))
+        got = check_componentwise(bundle, parent, projected)
+        assert got == oracle_check_componentwise(bundle, parent, projected)
+        kind = got[1]["kind"] if got[1] else None
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "tuple":
+            report = DecompositionReport(
+                prime=inst.field.p, n=inst.n, m=inst.m, horizon={}, family="projected",
+                range_condition=False, input_space_is_sum_of_parts=False,
+                A_invertible=False, componentwise_holds=False, componentwise_witness=got[1])
+            assert verify_witnesses(inst, decomp, report) == {"componentwise_witness": True}
+    # the corpus exercises every outcome
+    assert min(kinds.get(k, 0) for k in (None, "value", "tuple")) >= 20

@@ -493,6 +493,16 @@ def test_finite_fraction_side_matches_oracle():
         assert solve_finite(inst) == oracle_solve_finite(inst)
 
 
+def test_wide_cost_keeps_its_own_fractions():
+    # past WIDE_SCALE_BITS the integer form is the table's Fractions
+    # themselves, not copies of them
+    w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
+    cost = CostFunction(F3, 2, [0, w61, w89, 2 * w89, w61 + w89, 0, 1, w61, w127],
+                        allow_vanishing=True)
+    assert cost.scale == 1
+    assert all(num is value for num, value in zip(cost.num, cost.table, strict=True))
+
+
 def test_finite_hand_example():
     # x' = x + u over GF(2), g = [0, 1], T = 2: leave 1 immediately
     A = MatrixFp.identity(F2, 1)

@@ -35,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add, eq, floordiv, mul, truediv
 from typing import Sequence
 
@@ -287,6 +288,12 @@ class CosetFrame:
     P = p^r consecutive coordinate indices starting at c·P.  The successor
     of x under u is then the state at coordinate index
     c(Ax)·P + add[w(Ax) + P·offset[u]].
+
+    The state-sized kernels run as C-level map and slice passes, with no
+    Python step per state: minima takes the minimum over zip of the P
+    strided slices of J in coordinate order, and argmin_sets reads every
+    state's set off a table of fibre rows (one row per position v, holding
+    pre[v - w] for each w) concatenated coset by coset.
     """
 
     P: int
@@ -323,25 +330,29 @@ class CosetFrame:
     def minima(self, J: Sequence) -> tuple[list, list]:
         """J in coordinate order, and its minimum over every coset."""
         P = self.P
-        Jk = [J[y] for y in self.order]
-        return Jk, [min(Jk[b:b + P]) for b in range(0, len(Jk), P)]
+        Jk = list(map(J.__getitem__, self.order))
+        return Jk, list(map(min, zip(*[Jk[i::P] for i in range(P)])))
 
-    def argmin_sets(self, Jk: Sequence, mins: Sequence) -> list[frozenset[int]]:
+    def argmin_sets(self, Jk: list, mins: Sequence) -> list[frozenset[int]]:
         """Every state's full set of inputs u with J(Ax + Bu) minimal.
 
         u is optimal at x exactly when w(Ax) + R u is a position v where J
-        reaches its minimum on the coset of Ax, that is when R u = v - w(Ax);
-        with one such position the set is the shared fibre pre[v - w(Ax)]."""
-        P, pre, sub = self.P, self.pre, self.sub
-        where = [[v for v, j in enumerate(Jk[b:b + P]) if j == best]
-                 for b, best in zip(range(0, len(Jk), P), mins)]
-        out = []
-        for k in self.k_ax:
-            c, w = divmod(k, P)
-            best = where[c]
-            out.append(pre[sub[best[0] + P * w]] if len(best) == 1 else
-                       frozenset().union(*(pre[sub[v + P * w]] for v in best)))
-        return out
+        reaches its minimum on the coset of Ax, that is when R u = v - w(Ax).
+        The P fibre rows rows[v][w] = pre[v - w] answer that for one minimal
+        position v, so concatenating the row of each coset's first minimal
+        position gives the set at every coordinate index; only the cosets
+        whose minimum ties are patched with unions.  A state with one
+        minimal position gets the shared fibre frozenset itself."""
+        P, pre = self.P, self.pre
+        rows = [tuple(map(pre.__getitem__, self.sub[v::P])) for v in range(P)]
+        blocks = [Jk[b:b + P] for b in range(0, len(Jk), P)]
+        first = list(map(list.index, blocks, mins))
+        table = list(chain.from_iterable(map(rows.__getitem__, first)))
+        for c, ties in enumerate(map(list.count, blocks, mins)):
+            if ties > 1:
+                tied = [rows[v] for v, j in enumerate(blocks[c]) if j == mins[c]]
+                table[c * P:c * P + P] = [frozenset().union(*sets) for sets in zip(*tied)]
+        return list(map(table.__getitem__, self.k_ax))
 
     def least_argmins(self, Jk: Sequence, mins: Sequence,
                       states: Sequence[int]) -> list[int]:
@@ -467,13 +478,14 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
         raise ValueError("solve_finite needs a finite horizon")
     frame = inst.coset_frame()
     P = frame.P
+    c_ax = [k // P for k in frame.k_ax]
     g = inst.cost.num
     J = g
     tables = [g]  # J_T, J_{T-1}, ..., J_0
     argmins = []
     for _ in range(inst.horizon.T):
         Jk, mins = frame.minima(J)
-        J = tuple([gx + mins[k // P] for gx, k in zip(g, frame.k_ax)])
+        J = tuple(map(add, g, map(mins.__getitem__, c_ax)))
         tables.append(J)
         argmins.append(tuple(frame.argmin_sets(Jk, mins)))
     return (ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale),

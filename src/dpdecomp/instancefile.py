@@ -9,6 +9,7 @@ indexed by the base-p little-endian state index.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -166,14 +167,20 @@ _SHAPES = ("a number", "a list of numbers", "a matrix (list of rows)", "a list o
 
 
 def _reals(value: Any, depth: int, name: str) -> Any:
-    """value as a float (depth 0) or as lists of floats nested depth deep;
-    anything else is a ValueError naming the field and its shape."""
+    """value as a float (depth 0) or as lists of floats nested depth deep.
+    Only finite JSON numbers count: a string, a boolean, NaN, an infinity or
+    an integer too large for a float is a ValueError naming the field and
+    its shape."""
     try:
         if depth == 0:
-            return float(value)
-        if isinstance(value, list):
+            # NaN fails the comparison; an int compares exactly, so one that
+            # passes converts without overflow
+            if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and abs(value) <= sys.float_info.max):
+                return float(value)
+        elif isinstance(value, list):
             return [_reals(v, depth - 1, name) for v in value]
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         pass
     raise ValueError(f"{name} must be {_SHAPES[depth]}")
 
@@ -196,5 +203,7 @@ def load_lqr_block(data: dict[str, Any]) -> dict[str, Any]:
     parts, x0 = block.get("parts"), block.get("x0")
     out["parts"] = _reals(parts, 3, "lqr.parts") if parts is not None else None
     out["tol"] = _reals(block.get("tol", 1e-9), 0, "lqr.tol")
+    if out["tol"] <= 0:
+        raise ValueError("lqr.tol must be positive")
     out["x0"] = _reals(x0, 1, "lqr.x0") if x0 is not None else None
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import InitVar, dataclass
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import NotDirectSum, ShapeError
@@ -169,18 +170,36 @@ def index_map(M: MatrixFp) -> list[int]:
     Indices are base-p little-endian (digit k is coordinate k).  This is the
     one place that computes the image index of every state; every other
     state-indexed table is read off its results.
+
+    The rows are split into groups of h rows: two halves of a square or wide
+    matrix, and groups of at most ncols rows for a tall one, so no table
+    below is longer than the output.  For each group and column j, a
+    translation table of p^h entries maps the index y of a group image to
+    the index of y + (column j's digits in the group), digit by digit mod p.
+    The group's index list then grows one coordinate at a time: the states
+    with x_j = k follow the block of states below p^j, translated k times.
+    The group lists are joined as lo + p^h·hi (a sum over every group when
+    there are more), so each state costs a few C-level map steps per group
+    and no Python loop step.
     """
-    p = M.field.p
-    out = [0] * p**M.ncols
-    weight = 1
-    for i in range(M.nrows):
-        # digit i of M x for every x, extended one input coordinate at a time:
-        # coordinate j of x contributes the block offset k * p^j
-        digits = [0]
-        for a in M.row(i):
-            digits = [(d + a * k) % p for k in range(p) for d in digits]
-        out = [o + weight * d for o, d in zip(out, digits)]
-        weight *= p
+    p, n, m = M.field.p, M.nrows, M.ncols
+    h = max(1, min(-(-n // 2), m))
+    out = [0] * p**m
+    for top in range(0, n, h):
+        rows = range(top, min(top + h, n))
+        idx = [0]
+        for j in range(m):
+            t = [0]
+            weight = 1
+            for i in rows:
+                a = M[i, j]
+                t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
+                weight *= p
+            block = idx
+            for _ in range(p - 1):
+                block = list(map(t.__getitem__, block))
+                idx += block
+        out = idx if top == 0 else list(map(add, out, map((p**top).__mul__, idx)))
     return out
 
 

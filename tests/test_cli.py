@@ -293,16 +293,29 @@ def test_lqr_text_without_parts(tmp_path, capsys):
     ("x0", 5, "lqr.x0"),
     ("tol", [], "lqr.tol"),
     ("parts", [[1]], "lqr.parts"),
+    ("A", [["0.5", 0.0], [0.0, 1.0]], "lqr.A"),
+    ("B", [[True, 0.0], [0.0, 1.0]], "lqr.B"),
+    ("P", [[float("nan"), 0.0], [0.0, 1.0]], "lqr.P"),
+    ("x0", ["nan", 1], "lqr.x0"),
+    ("x0", [float("inf"), 1], "lqr.x0"),
+    ("parts", [[["inf"], [0.0]], [[0.0], [1.0]]], "lqr.parts"),
+    ("tol", "inf", "lqr.tol"),
+    ("tol", True, "lqr.tol"),
+    ("tol", 0, "lqr.tol"),
+    ("tol", -1e-9, "lqr.tol"),
 ], ids=["entry-dict", "entry-null", "entry-list", "entry-huge", "x0-int", "tol-list",
-        "parts-flat"])
+        "parts-flat", "entry-string", "entry-bool", "entry-nan", "x0-nan-string",
+        "x0-infinity", "parts-inf-string", "tol-inf-string", "tol-bool", "tol-zero",
+        "tol-negative"])
 def test_lqr_malformed_numbers_are_invalid(tmp_path, capsys, key, value, field):
     doc = lqr_doc()
     doc["lqr"][key] = value
     path = tmp_path / "lqr.json"
     path.write_text(json.dumps(doc))
-    rc, _, err = run(capsys, "lqr", str(path))
-    assert rc == 2
-    assert f"error: {field}" in err
+    for flags in ((), ("--json",)):
+        rc, out, err = run(capsys, "lqr", str(path), *flags)
+        assert rc == 2 and out == ""
+        assert f"error: {field}" in err
 
 
 # === exit codes and guards ===
@@ -403,6 +416,21 @@ def test_decompose_splits_over_a_large_prime_in_bounded_time(tmp_path):
     out = json.loads(proc.stdout)
     assert out["decomposable"] is True
     assert [f["coefficients"] for f in out["factors"]] == [[2**61 - 3, 1], [2**61 - 2, 1]]
+
+
+def test_exact_core_imports_no_numpy(worked_path):
+    """Only the lqr command may load numpy: the CLI, the battery and a solve
+    stay stdlib only, so a numpy import on the hot path would slow every
+    CLI start-up."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "import dpdecomp.checks\n"
+            "from dpdecomp.cli import main\n"
+            f"assert main(['solve', {worked_path!r}, '--json']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_value_iteration_too_long_to_run_exits_2(tmp_path):

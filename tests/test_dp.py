@@ -7,7 +7,9 @@ exact Bellman residual, and each other.  All three solvers are also checked
 exactly against per-(state, input) oracles that try every input at every
 state through transitions(), which is how the library solved before the
 coset operator.  Stationary-policy evaluation is checked against the exact
-Fraction walk it replaced, down to the table's scale and numerators.
+Fraction walk it replaced, down to the table's scale and numerators, and
+the coset kernels (CosetFrame.minima and argmin_sets) against the
+per-state loops they replaced.
 """
 
 import itertools
@@ -182,6 +184,31 @@ def oracle_solve_discounted_vi(inst, tol):
             break
     return ValueIterationResult(ValueTable.exact(inst.horizon, (current,)),
                                 alpha * tol / (1 - alpha), iterations)
+
+
+def oracle_minima(frame, J):
+    """J in coordinate order and its minimum over every coset, one state and
+    one coset at a time (how CosetFrame.minima computed them before it read
+    them off with map and zip)."""
+    P = frame.P
+    Jk = [J[y] for y in frame.order]
+    return Jk, [min(Jk[b:b + P]) for b in range(0, len(Jk), P)]
+
+
+def oracle_argmin_sets(frame, Jk, mins):
+    """Every state's minimizer set, one state at a time: the union of the
+    fibres pre[v - w(Ax)] over the minimal positions v of the coset of Ax
+    (how CosetFrame.argmin_sets built them before its fibre rows)."""
+    P, pre, sub = frame.P, frame.pre, frame.sub
+    where = [[v for v, j in enumerate(Jk[b:b + P]) if j == best]
+             for b, best in zip(range(0, len(Jk), P), mins)]
+    out = []
+    for k in frame.k_ax:
+        c, w = divmod(k, P)
+        best = where[c]
+        out.append(pre[sub[best[0] + P * w]] if len(best) == 1 else
+                   frozenset().union(*(pre[sub[v + P * w]] for v in best)))
+    return out
 
 
 # Mersenne primes: a table holding the first two has an LCD above 2^150, so
@@ -627,6 +654,45 @@ def test_policy_evaluation_of_many_cycle_lengths_keeps_fractions():
     got = evaluate_stationary_policy(inst, policy)
     assert got.scale == 1 and all(type(v) is Fraction for v in got.nums[0])
     _assert_same_representation(got, oracle_evaluate_stationary_policy(inst, policy))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_coset_kernels_match_per_state_oracle(data):
+    """minima and argmin_sets equal the per-state loops on p = 2 up to n = 6,
+    P = 1 (m = 0), a single coset (B invertible), singular A, non-injective
+    B and tie-heavy values in {0, 1}; a coset with one minimal position
+    hands out the shared fibre frozenset itself."""
+    draw = data.draw
+    p = draw(st.sampled_from([2, 2, 3, 5]))
+    F = PrimeField(p)
+    n = draw(st.integers(1, {2: 6, 3: 3, 5: 2}[p]))
+    shape = draw(st.sampled_from(["any", "autonomous", "one-coset"]))
+    entries = st.integers(0, p - 1)
+    A = MatrixFp(F, n, n, draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    if draw(st.booleans()):
+        A = A @ MatrixFp(F, n, n, [1 if i == j and i else 0
+                                   for i in range(n) for j in range(n)])  # kills e_0
+    if shape == "one-coset":  # unit lower triangular, so invertible
+        B = MatrixFp(F, n, n, [1 if i == j else draw(entries) if i > j else 0
+                               for i in range(n) for j in range(n)])
+    else:
+        m = 0 if shape == "autonomous" else draw(st.integers(1, n + 1))
+        B = MatrixFp(F, n, m, draw(st.lists(entries, min_size=n * m, max_size=n * m)))
+    frame = dp.CosetFrame.of(A, B)
+    assert frame.P == {"autonomous": 1, "one-coset": p**n}.get(shape, frame.P)
+    values = draw(st.sampled_from([st.integers(0, 1), st.integers(0, 20),
+                                   st.builds(Fraction, st.integers(0, 6), st.just(3))]))
+    J = draw(st.lists(values, min_size=p**n, max_size=p**n))
+    Jk, mins = frame.minima(J)
+    assert (Jk, mins) == oracle_minima(frame, J)
+    got = frame.argmin_sets(Jk, mins)
+    assert got == oracle_argmin_sets(frame, Jk, mins)
+    fibres = {id(us) for us in frame.pre}
+    for x, k in enumerate(frame.k_ax):
+        c = k // frame.P
+        if Jk[c * frame.P:(c + 1) * frame.P].count(mins[c]) == 1:
+            assert id(got[x]) in fibres
 
 
 def test_policy_iteration_builds_argmin_sets_twice(monkeypatch):

@@ -292,8 +292,10 @@ class CosetFrame:
     The state-sized kernels run as C-level map and slice passes, with no
     Python step per state: minima takes the minimum over zip of the P
     strided slices of J in coordinate order, and argmin_sets reads every
-    state's set off a table of fibre rows (one row per position v, holding
-    pre[v - w] for each w) concatenated coset by coset.
+    state's set off the fibre rows (row v holds pre[v - w] for each w) of
+    each coset's first minimal position, concatenated coset by coset.
+    Those kernels cost O(p^n) whatever the rank of B; the add and sub
+    tables hold P^2 entries each, so building a frame also costs p^(2r).
     """
 
     P: int
@@ -338,20 +340,28 @@ class CosetFrame:
 
         u is optimal at x exactly when w(Ax) + R u is a position v where J
         reaches its minimum on the coset of Ax, that is when R u = v - w(Ax).
-        The P fibre rows rows[v][w] = pre[v - w] answer that for one minimal
+        The fibre row rows[v][w] = pre[v - w] answers that for one minimal
         position v, so concatenating the row of each coset's first minimal
-        position gives the set at every coordinate index; only the cosets
-        whose minimum ties are patched with unions.  A state with one
+        position gives the set at every coordinate index.  Rows are built
+        only for the positions used: the first minimal positions number at
+        most min(P, p^n / P), so their rows hold at most p^n entries however
+        large P is, and a coset whose minimum ties builds the rows of its
+        tied positions and is patched with their unions.  A state with one
         minimal position gets the shared fibre frozenset itself."""
-        P, pre = self.P, self.pre
-        rows = [tuple(map(pre.__getitem__, self.sub[v::P])) for v in range(P)]
+        P, pre, sub = self.P, self.pre, self.sub
+
+        def fibre_row(v):  # fibre_row(v)[w] is pre[v - w]
+            return tuple(map(pre.__getitem__, sub[v::P]))
+
         blocks = [Jk[b:b + P] for b in range(0, len(Jk), P)]
         first = list(map(list.index, blocks, mins))
+        rows = {v: fibre_row(v) for v in set(first)}
         table = list(chain.from_iterable(map(rows.__getitem__, first)))
         for c, ties in enumerate(map(list.count, blocks, mins)):
             if ties > 1:
-                tied = [rows[v] for v, j in enumerate(blocks[c]) if j == mins[c]]
-                table[c * P:c * P + P] = [frozenset().union(*sets) for sets in zip(*tied)]
+                tied = [rows[v] if v in rows else rows.setdefault(v, fibre_row(v))
+                        for v, j in enumerate(blocks[c]) if j == mins[c]]
+                table[c * P:c * P + P] = map(frozenset().union, *tied)
         return list(map(table.__getitem__, self.k_ax))
 
     def least_argmins(self, Jk: Sequence, mins: Sequence,

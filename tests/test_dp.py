@@ -14,6 +14,7 @@ per-state loops they replaced.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -693,6 +694,26 @@ def test_coset_kernels_match_per_state_oracle(data):
         c = k // frame.P
         if Jk[c * frame.P:(c + 1) * frame.P].count(mins[c]) == 1:
             assert id(got[x]) in fibres
+
+
+def test_argmin_sets_on_one_coset_allocates_per_state_not_per_row():
+    """With B invertible there is one coset of P = p^n positions, and the P
+    fibre rows would hold P^2 entries (2 MB at P = 512); argmin_sets builds
+    only the row of the coset's first minimal position, and a tie is patched
+    with one union per reached position, so it allocates O(p^n)."""
+    n = 9
+    frame = dp.CosetFrame.of(MatrixFp.identity(F2, n), MatrixFp.identity(F2, n))
+    assert frame.P == 2**n
+    for J in (list(range(2**n, 0, -1)), [0, 0] + [1] * (2**n - 2)):
+        Jk, mins = frame.minima(J)
+        tracemalloc.start()
+        try:
+            got = frame.argmin_sets(Jk, mins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == oracle_argmin_sets(frame, Jk, mins)
+        assert peak < 2**20
 
 
 def test_policy_iteration_builds_argmin_sets_twice(monkeypatch):

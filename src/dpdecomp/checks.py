@@ -35,6 +35,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import compress, count
 from typing import Any, Sequence
 
 from .dp import (
@@ -199,9 +200,9 @@ def check_minimizer_condition(bundle: SubproblemBundle, argmin: ArgminTable
     span = _input_span(bundle)
     p = bundle.parent.field.p
     for t, row in enumerate(argmin.per_time):
-        for x, actions in enumerate(row):
-            if span.isdisjoint(actions):
-                return False, {"state": list(index_state(x, p, bundle.parent.n)), "t": t}
+        x = next(compress(count(), map(span.isdisjoint, row)), None)
+        if x is not None:
+            return False, {"state": list(index_state(x, p, bundle.parent.n)), "t": t}
     return True, None
 
 
@@ -214,9 +215,9 @@ def check_stationary_selector(bundle: SubproblemBundle, argmin: ArgminTable
         raise ValueError("stationary selector applies to discounted horizons")
     span = _input_span(bundle)
     p = bundle.parent.field.p
-    for x, actions in enumerate(argmin.stationary):
-        if span.isdisjoint(actions):
-            return False, {"state": list(index_state(x, p, bundle.parent.n))}
+    x = next(compress(count(), map(span.isdisjoint, argmin.stationary)), None)
+    if x is not None:
+        return False, {"state": list(index_state(x, p, bundle.parent.n))}
     return True, None
 
 
@@ -437,8 +438,8 @@ def _assert_min_over_parts(bundle: SubproblemBundle) -> None:
         under_span = index_map(a_part.hstack(span_inputs))
         step = inst.field.p**part.dim
         for xi in range(step):
-            if (min(g[y] for y in under_part[xi::step])
-                    != min(g[y] for y in under_span[xi::step])):
+            if (min(map(g.__getitem__, under_part[xi::step]))
+                    != min(map(g.__getitem__, under_span[xi::step]))):
                 raise TheoremViolation(
                     "one-step minimum over a part's feasible inputs differs "
                     "from the minimum over the summed feasible inputs")

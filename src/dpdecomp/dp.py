@@ -10,7 +10,9 @@ approximate route (with an explicit error bound).
 The successors of x are exactly the coset Ax + im(B), so the solvers never
 try inputs one by one: a Bellman stage takes the minimum of the next value
 table over each coset of im(B) once (p^n comparisons) and reads every
-state's minimum and full minimizer set off the coset of Ax.
+state's minimum and full minimizer set off the coset of Ax.  The frame of
+cosets costs one elimination: rref([B | I]) = [Q^-1 B | Q^-1] for the
+basis Q of its pivot columns (see CosetFrame).
 
 Values are exact integers over one scale: a cost keeps its numerators over
 the common denominator of its table (CostFunction.num over .scale), and a
@@ -127,18 +129,19 @@ class CostFunction:
         values = tuple(Fraction(v) for v in self.table)
         if len(values) != size:
             raise ValueError(f"cost table must have {size} entries, got {len(values)}")
-        if any(v < 0 for v in values):
+        # scale > 0, so the signs of the numerators are the signs of the values
+        scale, num = _integer_form(values)
+        if min(num) < 0:
             raise ValueError("stage cost must be nonnegative")
-        if values[0] != 0:
+        if num[0] != 0:
             raise ValueError("stage cost must vanish at the zero state")
-        strict = all(v > 0 for v in values[1:])
+        strict = all(num[1:])
         if not strict and not self.allow_vanishing:
             raise ValueError(
                 "stage cost vanishes at a nonzero state; pass allow_vanishing=True "
                 "if that is intended")
         object.__setattr__(self, "table", values)
         object.__setattr__(self, "is_strict", strict)
-        scale, num = _integer_form(values)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "num", num)
 
@@ -296,6 +299,11 @@ class CosetFrame:
     each coset's first minimal position, concatenated coset by coset.
     Those kernels cost O(p^n) whatever the rank of B; the add and sub
     tables hold P^2 entries each, so building a frame also costs p^(2r).
+
+    One elimination builds the frame.  The pivot columns of [B | I_n] are
+    Q's columns, and rref sends them to e_1..e_n, so
+    rref([B | I_n]) = [Q^-1 B | Q^-1]: the right block is Q^-1 and the top
+    r rows of the left block are R.
     """
 
     P: int
@@ -310,24 +318,24 @@ class CosetFrame:
     def of(cls, A: MatrixFp, B: MatrixFp) -> "CosetFrame":
         field = A.field
         n, m = B.nrows, B.ncols
-        eye = MatrixFp.identity(field, n)
-        # pivots of [B | I] in B are a basis of im(B); those in I complete it
-        _, _, pivots = rref(B.hstack(eye))
+        BI = B.hstack(MatrixFp.identity(field, n))
+        # the pivots of [B | I] in B are a basis of im(B), those in I complete it
+        red, _, pivots = rref(BI)
         r = sum(1 for j in pivots if j < m)
-        Q = MatrixFp.from_cols(field, [B.col(j) if j < m else eye.col(j - m)
-                                       for j in pivots], nrows=n)
-        to_frame = Q.inverse()
+        to_frame = MatrixFp(field, n, n, chain.from_iterable(red.row(i)[m:] for i in range(n)))
         # im(B) is spanned by Q's first r columns, so Q^-1 B vanishes below row r
-        R = MatrixFp(field, r, m, (to_frame @ B).entries[:r * m])
+        R = MatrixFp(field, r, m, chain.from_iterable(red.row(i)[:m] for i in range(r)))
         P = field.p**r
         offset = index_map(R)
         pre: list[list[int]] = [[] for _ in range(P)]
         for u, d in enumerate(offset):
             pre[d].append(u)
-        eye_r = MatrixFp.identity(field, r)
-        return cls(P, index_map(Q), index_map(to_frame @ A), offset,
-                   [frozenset(us) for us in pre], index_map(eye_r.hstack(eye_r)),
-                   index_map(eye_r.hstack(eye_r.scale(-1))))
+        # add and sub are the maps of [I_r | I_r] and [I_r | -I_r]
+        add_sub = [index_map(MatrixFp(field, r, 2 * r, [
+            (j == i) + s * (j == r + i) for i in range(r) for j in range(2 * r)]))
+            for s in (1, -1)]
+        return cls(P, index_map(MatrixFp.from_cols(field, list(map(BI.col, pivots)), nrows=n)),
+                   index_map(to_frame @ A), offset, [frozenset(us) for us in pre], *add_sub)
 
     def minima(self, J: Sequence) -> tuple[list, list]:
         """J in coordinate order, and its minimum over every coset."""
@@ -457,7 +465,11 @@ class ValueTable:
         return self._exact[t]
 
     def value(self, x_idx: int, t: int = 0) -> Fraction:
-        return self.table(t)[x_idx]
+        """One exact value, read without building the time-t table."""
+        if t in self._exact:
+            return self._exact[t][x_idx]
+        v = self.nums[t][x_idx]
+        return Fraction(v, self.scale) if type(v) is int else v / self.scale
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import InitVar, dataclass
-from operator import add
+from itertools import chain, repeat
+from operator import add, mod, mul
 from typing import Iterable, Sequence
 
 from .errors import NotDirectSum, ShapeError
@@ -32,7 +33,7 @@ class MatrixFp:
     def __post_init__(self):
         if self.nrows < 0 or self.ncols < 0:
             raise ShapeError("matrix dimensions must be nonnegative")
-        ent = tuple(e % self.field.p for e in self.entries)
+        ent = tuple(map(mod, self.entries, repeat(self.field.p)))
         if len(ent) != self.nrows * self.ncols:
             raise ShapeError(f"expected {self.nrows * self.ncols} entries, got {len(ent)}")
         object.__setattr__(self, "entries", ent)
@@ -48,8 +49,7 @@ class MatrixFp:
                 raise ShapeError("ragged rows")
         elif ncols is None:
             raise ShapeError("ncols required for a matrix with no rows")
-        flat = [e for r in rows for e in r]
-        return cls(field, len(rows), ncols, flat)
+        return cls(field, len(rows), ncols, chain.from_iterable(rows))
 
     @classmethod
     def from_cols(cls, field: PrimeField, cols: Sequence[Sequence[int]], nrows: int | None = None) -> "MatrixFp":
@@ -60,8 +60,7 @@ class MatrixFp:
                 raise ShapeError("ragged columns")
         elif nrows is None:
             raise ShapeError("nrows required for a matrix with no columns")
-        flat = [cols[j][i] for i in range(nrows) for j in range(len(cols))]
-        return cls(field, nrows, len(cols), flat)
+        return cls(field, nrows, len(cols), chain.from_iterable(zip(*cols)))
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "MatrixFp":
@@ -114,29 +113,22 @@ class MatrixFp:
             raise ValueError("matrices must share a field")
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        p = self.field.p
-        out = []
         ocols = other.cols()
-        for i in range(self.nrows):
-            r = self.row(i)
-            for c in ocols:
-                out.append(sum(a * b for a, b in zip(r, c)) % p)
-        return MatrixFp(self.field, self.nrows, other.ncols, out)
+        # __post_init__ reduces the sums mod p
+        return MatrixFp(self.field, self.nrows, other.ncols,
+                        [sum(map(mul, self.row(i), c)) for i in range(self.nrows) for c in ocols])
 
     def matvec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.ncols:
             raise ShapeError(f"vector length {len(v)} vs {self.ncols} columns")
         p = self.field.p
-        return tuple(sum(a * b for a, b in zip(self.row(i), v)) % p for i in range(self.nrows))
+        return tuple([sum(map(mul, self.row(i), v)) % p for i in range(self.nrows)])
 
     def hstack(self, other: "MatrixFp") -> "MatrixFp":
         if other.nrows != self.nrows or other.field != self.field:
             raise ShapeError("hstack needs equal row counts over one field")
-        ent = []
-        for i in range(self.nrows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return MatrixFp(self.field, self.nrows, self.ncols + other.ncols, ent)
+        return MatrixFp(self.field, self.nrows, self.ncols + other.ncols,
+                        chain.from_iterable(self.row(i) + other.row(i) for i in range(self.nrows)))
 
     # -- solved forms ------------------------------------------------------
 
@@ -150,14 +142,11 @@ class MatrixFp:
         if self.nrows != self.ncols:
             raise ShapeError("only square matrices invert")
         n = self.nrows
-        if n == 0:
-            return self
-        aug = self.hstack(MatrixFp.identity(self.field, n))
-        red, _, pivots = rref(aug)
+        # rref([M | I]) = [I | M^-1] exactly when M is invertible
+        red, _, pivots = rref(self.hstack(MatrixFp.identity(self.field, n)))
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        ent = [red[i, n + j] for i in range(n) for j in range(n)]
-        return MatrixFp(self.field, n, n, ent)
+        return MatrixFp(self.field, n, n, chain.from_iterable(red.row(i)[n:] for i in range(n)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.nrows))
@@ -182,17 +171,16 @@ def index_map(M: MatrixFp) -> list[int]:
     there are more), so each state costs a few C-level map steps per group
     and no Python loop step.
     """
-    p, n, m = M.field.p, M.nrows, M.ncols
+    p, n, m, ent = M.field.p, M.nrows, M.ncols, M.entries
     h = max(1, min(-(-n // 2), m))
     out = [0] * p**m
     for top in range(0, n, h):
-        rows = range(top, min(top + h, n))
+        stop = min(top + h, n) * m
         idx = [0]
         for j in range(m):
             t = [0]
             weight = 1
-            for i in rows:
-                a = M[i, j]
+            for a in ent[top * m + j:stop:m]:
                 t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
                 weight *= p
             block = idx

@@ -26,8 +26,7 @@ from typing import Literal, Sequence
 from .dp import ArgminTable, CostFunction, DPInstance, FiniteHorizon, ValueTable, is_in_Gs, solve
 from .errors import NotSeparableCost
 from .invariant_decomp import verify_decomposition
-from .linalg import (DirectSumDecomposition, MatrixFp, Subspace, index_map, preimage,
-                     subspace_sum)
+from .linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, preimage, rref
 
 Family = Literal["restricted", "projected"]
 
@@ -49,10 +48,8 @@ class SubproblemBundle:
     input_span: Subspace = dataclasses.field(init=False)
 
     def __post_init__(self):
-        span = Subspace.zero(self.parent.field, self.parent.m)
-        for e in self.input_parts:
-            span = subspace_sum(span, e)
-        object.__setattr__(self, "input_span", span)
+        spanning = [b for e in self.input_parts for b in e.basis_vectors()]
+        object.__setattr__(self, "input_span", Subspace(self.parent.field, self.parent.m, spanning))
 
     @property
     def r(self) -> int:
@@ -94,33 +91,33 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     field = inst.field
     input_parts = [preimage(inst.B, part) for part in decomp.parts]
 
-    # complement of the feasible-input span, grown from standard basis vectors
-    spanning = [list(b) for e in input_parts for b in e.basis_vectors()]
-    added: list[list[int]] = []
-    rank = MatrixFp.from_rows(field, spanning, ncols=inst.m).rank() if spanning else 0
-    for j in range(inst.m):
-        e_j = [1 if k == j else 0 for k in range(inst.m)]
-        candidate = MatrixFp.from_rows(field, spanning + added + [e_j], ncols=inst.m)
-        if candidate.rank() > rank + len(added):
-            added.append(e_j)
-    complement = Subspace(field, inst.m, added)
+    # complement of the feasible-input span, grown greedily from standard
+    # basis vectors: the pivots of [E_1 ... E_r | I] that fall in I
+    spanning = [b for e in input_parts for b in e.basis_vectors()]
+    eye = MatrixFp.identity(field, inst.m)
+    _, _, pivots = rref(MatrixFp.from_cols(field, spanning + eye.cols(), nrows=inst.m))
+    complement = Subspace(field, inst.m, [eye.col(j - len(spanning))
+                                          for j in pivots if j >= len(spanning)])
 
-    restricted = []
-    projected = []
-    for i, part in enumerate(decomp.parts):
-        # the parts are invariant and E_i maps into part i, so these products
-        # are the local matrices in the part's canonical basis
-        to_local = decomp.coordinates(i)
-        a_local = to_local @ inst.A @ part.basis_matrix()
-        b_restricted = to_local @ inst.B @ input_parts[i].basis_matrix()
+    # the parts are invariant, so C^-1 A C is block diagonal: part i's block
+    # and its rows of C^-1 B are the local matrices in the part's basis
+    local_A = decomp.change_of_basis_inv @ inst.A @ decomp.change_of_basis
+    local_B = decomp.change_of_basis_inv @ inst.B
+    restricted, projected, at = [], [], 0
+    for part, feasible, emb in zip(decomp.parts, input_parts, embedding):
+        rows = range(at, at + part.dim)
+        at += part.dim
+        a_local = MatrixFp.from_rows(field, [local_A.row(k)[rows.start:at] for k in rows],
+                                     ncols=part.dim)
+        b_projected = MatrixFp.from_rows(field, [local_B.row(k) for k in rows], ncols=inst.m)
         cost_local = CostFunction(
-            field, part.dim, [inst.cost.table[e] for e in embedding[i]],
+            field, part.dim, [inst.cost.table[e] for e in emb],
             allow_vanishing=inst.cost.allow_vanishing)
         restricted.append(DPInstance(
-            a_local, b_restricted, cost_local, inst.horizon,
+            a_local, b_projected @ feasible.basis_matrix(), cost_local, inst.horizon,
             max_states=None, max_inputs=None))
         projected.append(DPInstance(
-            a_local, to_local @ inst.B, cost_local, inst.horizon,
+            a_local, b_projected, cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))
     return SubproblemBundle(inst, decomp, input_parts, complement, restricted, projected,
                             comp, embedding)

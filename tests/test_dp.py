@@ -14,6 +14,7 @@ per-state loops they replaced.
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -29,7 +30,8 @@ from dpdecomp.dp import (ArgminTable, CostFunction,
                          solve_discounted_pi, solve_discounted_vi,
                          solve_finite, state_index, value_split_defect)
 from dpdecomp.fields import PrimeField
-from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
+from dpdecomp import linalg
+from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, rref
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -210,6 +212,30 @@ def oracle_argmin_sets(frame, Jk, mins):
         out.append(pre[sub[best[0] + P * w]] if len(best) == 1 else
                    frozenset().union(*(pre[sub[v + P * w]] for v in best)))
     return out
+
+
+def oracle_coset_frame(A, B):
+    """The coset frame built by two eliminations (how CosetFrame.of built it
+    before it read Q^-1 off rref([B | I])): Q from the pivots of [B | I],
+    Q^-1 by a second elimination, R from the product Q^-1 B, and add and
+    sub as the maps of identity blocks stacked side by side."""
+    field = A.field
+    n, m = B.nrows, B.ncols
+    eye = MatrixFp.identity(field, n)
+    _, _, pivots = rref(B.hstack(eye))
+    r = sum(1 for j in pivots if j < m)
+    Q = MatrixFp.from_cols(field, [B.col(j) if j < m else eye.col(j - m)
+                                   for j in pivots], nrows=n)
+    to_frame = Q.inverse()
+    R = MatrixFp(field, r, m, (to_frame @ B).entries[:r * m])
+    offset = index_map(R)
+    pre = [[] for _ in range(field.p**r)]
+    for u, d in enumerate(offset):
+        pre[d].append(u)
+    eye_r = MatrixFp.identity(field, r)
+    return dp.CosetFrame(field.p**r, index_map(Q), index_map(to_frame @ A), offset,
+                         [frozenset(us) for us in pre], index_map(eye_r.hstack(eye_r)),
+                         index_map(eye_r.hstack(eye_r.scale(-1))))
 
 
 # Mersenne primes: a table holding the first two has an LCD above 2^150, so
@@ -694,6 +720,97 @@ def test_coset_kernels_match_per_state_oracle(data):
         c = k // frame.P
         if Jk[c * frame.P:(c + 1) * frame.P].count(mins[c]) == 1:
             assert id(got[x]) in fibres
+
+
+FRAME_FIELDS = ("P", "order", "k_ax", "offset", "pre", "add", "sub")
+
+
+def _frame_case(rng, F, n, shape):
+    """(A, B) on GF(p)^n with B of the given shape: random of any width,
+    m = 0, zero, non-injective (more columns than its rank, as a projected
+    family's input map has), or invertible (one coset)."""
+    p = F.p
+    A = MatrixFp(F, n, n, [rng.randrange(p) for _ in range(n * n)])
+    if shape == "invertible":  # unit lower triangular
+        return A, MatrixFp(F, n, n, [1 if i == j else rng.randrange(p) if i > j else 0
+                                     for i in range(n) for j in range(n)])
+    if shape == "non-injective":  # n x k times k x (k + 1) has rank at most k
+        k = rng.randint(1, n)
+        X = MatrixFp(F, n, k, [rng.randrange(p) for _ in range(n * k)])
+        return A, X @ MatrixFp(F, k, k + 1, [rng.randrange(p) for _ in range(k * k + k)])
+    m = 0 if shape == "autonomous" else rng.randint(1, n + 1)
+    entries = [0] * (n * m) if shape == "zero" else [rng.randrange(p) for _ in range(n * m)]
+    return A, MatrixFp(F, n, m, entries)
+
+
+def test_coset_frame_matches_two_elimination_oracle():
+    """Every field of the one-elimination frame equals the two-elimination
+    oracle's, for p in {2, 3, 5, 7} up to n = 6 (one-coset frames stay at
+    P <= 125, since add and sub hold P^2 entries each)."""
+    rng = random.Random("coset-frame")
+    shapes = ("any", "autonomous", "zero", "non-injective", "invertible")
+    max_n = {2: 6, 3: 5, 5: 3, 7: 3}
+    one_coset_n = {2: 6, 3: 4, 5: 3, 7: 2}
+    for p, top in max_n.items():
+        F = PrimeField(p)
+        for n, shape, _ in itertools.product(range(1, top + 1), shapes, range(3)):
+            if shape == "invertible" and n > one_coset_n[p]:
+                continue
+            A, B = _frame_case(rng, F, n, shape)
+            got, want = dp.CosetFrame.of(A, B), oracle_coset_frame(A, B)
+            for name in FRAME_FIELDS:
+                assert getattr(got, name) == getattr(want, name), (p, n, shape, name)
+            if shape in ("autonomous", "zero"):
+                assert got.P == 1
+            if shape == "invertible":
+                assert got.P == p**n
+
+
+def test_coset_frame_eliminates_once(monkeypatch):
+    """Building a frame runs one elimination and inverts nothing: Q^-1 is
+    the right block of rref([B | I])."""
+    calls = {"rref": 0, "inverse": 0}
+    original_rref, original_inverse = linalg.rref, MatrixFp.inverse
+
+    def counting_rref(M):
+        calls["rref"] += 1
+        return original_rref(M)
+
+    def counting_inverse(self):
+        calls["inverse"] += 1
+        return original_inverse(self)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(dp, "rref", counting_rref)
+    monkeypatch.setattr(MatrixFp, "inverse", counting_inverse)
+    A, B = _frame_case(random.Random("eliminate-once"), F3, 4, "any")
+    dp.CosetFrame.of(A, B)
+    assert calls == {"rref": 1, "inverse": 0}
+
+
+def test_value_reads_one_entry_without_building_the_table():
+    """value(x, t) equals table(t)[x] on an integer table and on wide
+    tables (Fractions over scale 1, and over a larger scale as value
+    iteration leaves them), read before table(t) exists and after."""
+    w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
+    ZERO = Fraction(0)
+    horizon = FiniteHorizon(1)
+    integer = ValueTable.exact(horizon, [[ZERO, Fraction(1, 3), Fraction(5, 2)],
+                                         [ZERO, Fraction(1), Fraction(7)]])
+    wide = ValueTable.exact(horizon, [[ZERO, w61, w89], [w127, Fraction(1), w61 + w89]])
+    assert type(integer.nums[0][1]) is int and integer.scale == 6
+    assert type(wide.nums[0][1]) is Fraction and wide.scale == 1
+    wide_scaled = ValueTable(horizon, wide.nums, 7)
+    for vt in (integer, wide, wide_scaled):
+        fresh = ValueTable(vt.horizon, vt.nums, vt.scale)
+        read = [[vt.value(x, t) for x in range(3)] for t in range(2)]
+        assert vt._exact == {}
+        assert read == [list(fresh.table(t)) for t in range(2)]
+        assert all(type(v) is Fraction for row in read for v in row)
+        for t in range(2):
+            row = vt.table(t)
+            assert [vt.value(x, t) for x in range(3)] == list(row)
+            assert all(vt.value(x, t) is row[x] for x in range(3))
 
 
 def test_argmin_sets_on_one_coset_allocates_per_state_not_per_row():

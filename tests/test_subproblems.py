@@ -5,6 +5,7 @@ derived quantity (feasible input subspaces, complement, local matrices,
 local costs) frozen from hand computation.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from dpdecomp.errors import NotInvariant, NotSeparableCost
 from dpdecomp.fields import Poly, PrimeField
 from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
 from dpdecomp.subproblems import build_bundle, lift_policy, solve_bundle
+from test_acceptance import rand_B, rand_forced_B, rand_split_system
 
 F3 = PrimeField(3)
 HALF = Fraction(1, 2)
@@ -167,6 +169,35 @@ def test_build_bundle_builds_each_state_table_once(monkeypatch):
     bundle = build_bundle(inst, decomp)
     assert calls == {"embedding_tables": 1, "local_index_tables": 1}
     assert bundle.embedding_tables == bundle.decomp.embedding_tables()
+
+
+def oracle_local_matrices(inst, decomp, input_parts):
+    """Per part: (A, restricted B, projected B) by products through the
+    part's coordinates and basis, one part at a time (how build_bundle
+    computed them before it sliced one C^-1 A C and one C^-1 B)."""
+    out = []
+    for i, part in enumerate(decomp.parts):
+        to_local = decomp.coordinates(i)
+        out.append((to_local @ inst.A @ part.basis_matrix(),
+                    to_local @ inst.B @ input_parts[i].basis_matrix(),
+                    to_local @ inst.B))
+    return out
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["split-B", "generic-B"])
+def test_local_matrices_match_per_part_products(forced):
+    """The blocks of one change of basis equal the per-part products on
+    seeded invariant splittings, with B inside the parts or generic."""
+    rng = random.Random(f"bundle-{forced}")
+    for _ in range(40):
+        F, A, decomp = rand_split_system(rng, primes=(2, 3, 5), n_max=5)
+        B = rand_forced_B(rng, F, decomp) if forced else rand_B(rng, F, A.nrows)
+        cost = CostFunction.indicator(decomp, [Fraction(1)] * decomp.r)
+        inst = DPInstance(A, B, cost, FiniteHorizon(1), max_states=None, max_inputs=None)
+        bundle = build_bundle(inst, decomp)
+        got = [(r.A, r.B, q.B) for r, q in zip(bundle.restricted, bundle.projected)]
+        assert got == oracle_local_matrices(bundle.parent, decomp, bundle.input_parts)
+        assert all(r.A is q.A for r, q in zip(bundle.restricted, bundle.projected))
 
 
 # === solving and lifting ===

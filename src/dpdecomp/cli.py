@@ -28,6 +28,8 @@ from .invariant_decomp import primary_decomposition
 
 GUARD_STATES = 2**16
 GUARD_INPUTS = 2**12
+# T·p^n: a finite-horizon solve keeps about 2T tables of p^n entries
+GUARD_STAGES = 2**20
 # decompose never enumerates states, but factoring the characteristic
 # polynomial grows steeply with n: a random 48x48 matrix takes under 2 s
 GUARD_DIM = 48
@@ -94,8 +96,14 @@ def _read_json(path: str) -> dict[str, Any]:
 def _load(args: argparse.Namespace) -> LoadedInstance:
     data = _read_json(args.instance)
     _precheck_size(data, args.force)
-    return load_instance(data, horizon_override=_horizon_override(args),
-                         max_states=None, max_inputs=None)
+    loaded = load_instance(data, horizon_override=_horizon_override(args),
+                           max_states=None, max_inputs=None)
+    inst = loaded.instance
+    stages = inst.horizon.T * inst.num_states if isinstance(inst.horizon, FiniteHorizon) else 0
+    if stages > GUARD_STAGES and not args.force:
+        raise ValueError(f"T·p^n = {stages} is above the guard of {GUARD_STAGES}; "
+                         "rerun with --force to proceed")
+    return loaded
 
 
 def _emit(payload: dict[str, Any]) -> None:
@@ -338,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--force", action="store_true",
-                        help="lift the state/input space size guard (the "
-                             "dimension guard for decompose)")
+                        help="lift the state/input space size and horizon "
+                             "guards (the dimension guard for decompose)")
 
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--horizon", choices=["finite", "discounted"],

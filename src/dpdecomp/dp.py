@@ -11,8 +11,9 @@ The successors of x are exactly the coset Ax + im(B), so the solvers never
 try inputs one by one: a Bellman stage takes the minimum of the next value
 table over each coset of im(B) once (p^n comparisons) and reads every
 state's minimum and full minimizer set off the coset of Ax.  The frame of
-cosets costs one elimination: rref([B | I]) = [Q^-1 B | Q^-1] for the
-basis Q of its pivot columns (see CosetFrame).
+cosets costs one elimination (see dpdecomp.cosets), and every vector sum the
+solvers need, successors and minimizer sets alike, is one digit-wise sum
+of indices (linalg.index_sum), so no table outgrows p^n or p^m.
 
 Values are exact integers over one scale: a cost keeps its numerators over
 the common denominator of its table (CostFunction.num over .scale), and a
@@ -37,13 +38,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import add, eq, floordiv, mul, truediv
+from itertools import compress, count, repeat
+from operator import add, eq, floordiv, gt, mul, truediv
 from typing import Sequence
 
+from .cosets import CosetFrame
 from .errors import ShapeError
 from .fields import PrimeField
-from .linalg import DirectSumDecomposition, MatrixFp, index_map, rref
+from .linalg import DirectSumDecomposition, MatrixFp, index_map
 
 DEFAULT_MAX_STATES = 729
 DEFAULT_MAX_INPUTS = 81
@@ -281,127 +283,6 @@ class DPInstance:
         return self._frame
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CosetFrame:
-    """GF(p)^n in a basis Q whose first r = rank B vectors span im(B).
-
-    The coordinate index of a state y (its index under Q^-1) has the
-    position w of y inside its coset of im(B) as its low r digits and the
-    coset label c as its high n - r digits, so coset c is the block of
-    P = p^r consecutive coordinate indices starting at c·P.  The successor
-    of x under u is then the state at coordinate index
-    c(Ax)·P + add[w(Ax) + P·offset[u]].
-
-    The state-sized kernels run as C-level map and slice passes, with no
-    Python step per state: minima takes the minimum over zip of the P
-    strided slices of J in coordinate order, and argmin_sets reads every
-    state's set off the fibre rows (row v holds pre[v - w] for each w) of
-    each coset's first minimal position, concatenated coset by coset.
-    Those kernels cost O(p^n) whatever the rank of B; the add and sub
-    tables hold P^2 entries each, so building a frame also costs p^(2r).
-
-    One elimination builds the frame.  The pivot columns of [B | I_n] are
-    Q's columns, and rref sends them to e_1..e_n, so
-    rref([B | I_n]) = [Q^-1 B | Q^-1]: the right block is Q^-1 and the top
-    r rows of the left block are R.
-    """
-
-    P: int
-    order: list[int]           # order[k]: the state with coordinate index k
-    k_ax: list[int]            # coordinate index of A x, per state x
-    offset: list[int]          # R u, the in-coset shift of B u, per input u
-    pre: list[frozenset[int]]  # pre[d]: the inputs u with R u = d
-    add: list[int]             # add[w + P·v] = w + v, digit by digit
-    sub: list[int]             # sub[w + P·v] = w - v, digit by digit
-
-    @classmethod
-    def of(cls, A: MatrixFp, B: MatrixFp) -> "CosetFrame":
-        field = A.field
-        n, m = B.nrows, B.ncols
-        BI = B.hstack(MatrixFp.identity(field, n))
-        # the pivots of [B | I] in B are a basis of im(B), those in I complete it
-        red, _, pivots = rref(BI)
-        r = sum(1 for j in pivots if j < m)
-        to_frame = MatrixFp(field, n, n, chain.from_iterable(red.row(i)[m:] for i in range(n)))
-        # im(B) is spanned by Q's first r columns, so Q^-1 B vanishes below row r
-        R = MatrixFp(field, r, m, chain.from_iterable(red.row(i)[:m] for i in range(r)))
-        P = field.p**r
-        offset = index_map(R)
-        pre: list[list[int]] = [[] for _ in range(P)]
-        for u, d in enumerate(offset):
-            pre[d].append(u)
-        # add and sub are the maps of [I_r | I_r] and [I_r | -I_r]
-        add_sub = [index_map(MatrixFp(field, r, 2 * r, [
-            (j == i) + s * (j == r + i) for i in range(r) for j in range(2 * r)]))
-            for s in (1, -1)]
-        return cls(P, index_map(MatrixFp.from_cols(field, list(map(BI.col, pivots)), nrows=n)),
-                   index_map(to_frame @ A), offset, [frozenset(us) for us in pre], *add_sub)
-
-    def minima(self, J: Sequence) -> tuple[list, list]:
-        """J in coordinate order, and its minimum over every coset."""
-        P = self.P
-        Jk = list(map(J.__getitem__, self.order))
-        return Jk, list(map(min, zip(*[Jk[i::P] for i in range(P)])))
-
-    def argmin_sets(self, Jk: list, mins: Sequence) -> list[frozenset[int]]:
-        """Every state's full set of inputs u with J(Ax + Bu) minimal.
-
-        u is optimal at x exactly when w(Ax) + R u is a position v where J
-        reaches its minimum on the coset of Ax, that is when R u = v - w(Ax).
-        The fibre row rows[v][w] = pre[v - w] answers that for one minimal
-        position v, so concatenating the row of each coset's first minimal
-        position gives the set at every coordinate index.  Rows are built
-        only for the positions used: the first minimal positions number at
-        most min(P, p^n / P), so their rows hold at most p^n entries however
-        large P is, and a coset whose minimum ties builds the rows of its
-        tied positions and is patched with their unions.  A state with one
-        minimal position gets the shared fibre frozenset itself."""
-        P, pre, sub = self.P, self.pre, self.sub
-
-        def fibre_row(v):  # fibre_row(v)[w] is pre[v - w]
-            return tuple(map(pre.__getitem__, sub[v::P]))
-
-        blocks = [Jk[b:b + P] for b in range(0, len(Jk), P)]
-        first = list(map(list.index, blocks, mins))
-        rows = {v: fibre_row(v) for v in set(first)}
-        table = list(chain.from_iterable(map(rows.__getitem__, first)))
-        for c, ties in enumerate(map(list.count, blocks, mins)):
-            if ties > 1:
-                tied = [rows[v] if v in rows else rows.setdefault(v, fibre_row(v))
-                        for v, j in enumerate(blocks[c]) if j == mins[c]]
-                table[c * P:c * P + P] = map(frozenset().union, *tied)
-        return list(map(table.__getitem__, self.k_ax))
-
-    def least_argmins(self, Jk: Sequence, mins: Sequence,
-                      states: Sequence[int]) -> list[int]:
-        """min(argmin_sets(Jk, mins)[x]) for each x in states, without
-        building the sets: the least input of the fibres pre[v - w(Ax)]
-        over the minimal positions v of the coset of Ax."""
-        P, sub, k_ax = self.P, self.sub, self.k_ax
-        least = [min(us) for us in self.pre]
-        where: dict[int, list[int]] = {}
-        out = []
-        for x in states:
-            c, w = divmod(k_ax[x], P)
-            best = where.get(c)
-            if best is None:
-                m = mins[c]
-                best = where[c] = [v for v, j in enumerate(Jk[c * P:c * P + P]) if j == m]
-            w *= P
-            out.append(least[sub[best[0] + w]] if len(best) == 1 else
-                       min([least[sub[v + w]] for v in best]))
-        return out
-
-    def successors(self, inputs: Sequence[int]) -> list[int]:
-        """The successor of every state x under the input inputs[x]."""
-        P, add, off, order = self.P, self.add, self.offset, self.order
-        out = []
-        for k, u in zip(self.k_ax, inputs):
-            w = k % P
-            out.append(order[k - w + add[w + P * off[u]]])
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class ValueTable:
     """Optimal (or policy) values per state; one table per time for finite
@@ -522,8 +403,10 @@ def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     return solve_discounted_pi(inst)
 
 
-def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int]) -> ValueTable:
-    """Exact discounted value of a stationary policy, computed on integers.
+def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
+                               successors: Sequence[int] | None = None) -> ValueTable:
+    """Exact discounted value of a stationary policy, computed on integers
+    (successors: CosetFrame.successors(policy), if the caller has it).
 
     The closed-loop map is a functional graph: every trajectory runs down a
     tree into a cycle.  With alpha = a/b and the cost in integer form G / L
@@ -547,7 +430,7 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int]) -> Value
     integral = type(G[0]) is int
     # b divides every cycle numerator, so this division is exact
     divide = floordiv if integral else truediv
-    nxt = inst.coset_frame().successors(policy)
+    nxt = inst.coset_frame().successors(policy) if successors is None else successors
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # x's value is num[x] / (L·den[x]); 0: unseen, -1: on the path
     # walk only the states some state steps to (their successors are such
@@ -623,18 +506,20 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
     frame = inst.coset_frame()
-    P = frame.P
+    c_ax = list(map(floordiv, frame.k_ax, repeat(frame.P)))
     policy = [min(chosen) for chosen in frame.argmin_sets(*frame.minima(inst.cost.num))]
+    nxt = frame.successors(policy)
     while True:
-        values = evaluate_stationary_policy(inst, policy)
+        values = evaluate_stationary_policy(inst, policy, nxt)
         J = _over_common_scale(values.nums[0])
         Jk, mins = frame.minima(J)
-        stale = [x for x, (y, k) in enumerate(zip(frame.successors(policy), frame.k_ax))
-                 if J[y] > mins[k // P]]
+        stale = list(compress(count(), map(gt, map(J.__getitem__, nxt),
+                                           map(mins.__getitem__, c_ax))))
         if not stale:
             break
-        for x, u in zip(stale, frame.least_argmins(Jk, mins, stale)):
-            policy[x] = u
+        better = frame.least_argmins(Jk, mins, stale)
+        for x, u, y in zip(stale, better, frame.successors(better, stale)):
+            policy[x], nxt[x] = u, y
     return values, ArgminTable(inst.horizon, (tuple(frame.argmin_sets(Jk, mins)),))
 
 
@@ -717,7 +602,7 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> Val
     V = g
     tables = [g]  # V_T, V_{T-1}, ..., V_0
     for inputs in reversed(law):
-        V = tuple([gx + V[y] for gx, y in zip(g, frame.successors(inputs))])
+        V = tuple(map(add, g, map(V.__getitem__, frame.successors(inputs))))
         tables.append(V)
     return ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale)
 

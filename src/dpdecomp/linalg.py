@@ -10,9 +10,10 @@ they show up as autonomous subproblem input maps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import InitVar, dataclass
 from itertools import chain, repeat
-from operator import add, mod, mul
+from operator import add, floordiv, getitem, mod, mul, sub, xor
 from typing import Iterable, Sequence
 
 from .errors import NotDirectSum, ShapeError
@@ -153,6 +154,10 @@ class MatrixFp:
         return f"MatrixFp({self.nrows}x{self.ncols} mod {self.field.p}: [{body}])"
 
 
+# a sum table this short serves any output, a longer one no shorter output
+SMALL_TABLE = 4096
+
+
 def index_map(M: MatrixFp) -> list[int]:
     """The base-p index of M x for every x in GF(p)^ncols, in index order of x.
 
@@ -160,35 +165,72 @@ def index_map(M: MatrixFp) -> list[int]:
     one place that computes the image index of every state; every other
     state-indexed table is read off its results.
 
-    The rows are split into groups of h rows: two halves of a square or wide
-    matrix, and groups of at most ncols rows for a tall one, so no table
-    below is longer than the output.  For each group and column j, a
-    translation table of p^h entries maps the index y of a group image to
-    the index of y + (column j's digits in the group), digit by digit mod p.
-    The group's index list then grows one coordinate at a time: the states
-    with x_j = k follow the block of states below p^j, translated k times.
-    The group lists are joined as lo + p^h·hi (a sum over every group when
-    there are more), so each state costs a few C-level map steps per group
-    and no Python loop step.
+    The list grows one column at a time: the states with x_j = k follow the
+    block of states below p^j, translated by k times column j: xor with the
+    index of column j at p = 2.  For odd p the rows go in groups of h (two
+    halves, or at most ncols rows each), each group list is translated by a
+    row of index_sum's sum table (or a table built for the column where that
+    would not fit), and the lists are joined as lo + p^h·hi.
     """
     p, n, m, ent = M.field.p, M.nrows, M.ncols, M.entries
+    if p == 2:
+        out = [0]
+        for j in range(m):
+            c = sum(a << i for i, a in enumerate(ent[j::m]))
+            out += list(map(xor, out, repeat(c)))  # a list extended by a map over itself never ends
+        return out
     h = max(1, min(-(-n // 2), m))
     out = [0] * p**m
     for top in range(0, n, h):
-        stop = min(top + h, n) * m
+        k = min(h, n - top)
+        rows = _sum_table(p, k) if p ** (2 * k) <= max(p**m, SMALL_TABLE) else None
         idx = [0]
         for j in range(m):
-            t = [0]
-            weight = 1
-            for a in ent[top * m + j:stop:m]:
-                t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
-                weight *= p
+            column = ent[top * m + j:(top + k) * m:m]
+            if rows:
+                t = rows[sum(a * p**i for i, a in enumerate(column))]
+            else:
+                t, weight = [0], 1
+                for a in column:
+                    t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
+                    weight *= p
             block = idx
             for _ in range(p - 1):
                 block = list(map(t.__getitem__, block))
                 idx += block
-        out = idx if top == 0 else list(map(add, out, map((p**top).__mul__, idx)))
+        out = idx if top == 0 else list(map(add, out, map(mul, idx, repeat(p**top))))
     return out
+
+
+def index_sum(p: int, xs: Iterable[int], ys: Iterable[int], digits: int) -> list[int]:
+    """The index of x + y, digit by digit mod p, for each x of xs and y of
+    ys (y below p^digits; the digits of x from there up pass through).  At
+    p = 2 it is xor.  For odd p the low digits of x and y index the kept
+    table of p^(2·digits) sums where that is no longer than the output or
+    SMALL_TABLE, and are added one digit at a time otherwise."""
+    if p == 2:
+        return list(map(xor, xs, ys))
+    xs, ys, size = list(xs), list(ys), p**digits
+    low = xs if not xs or max(xs) < size else list(map(mod, xs, repeat(size)))
+    if p ** (2 * digits) <= max(len(xs), SMALL_TABLE):
+        sums = map(getitem, map(_sum_table(p, digits).__getitem__, ys), low)
+    else:
+        sums = [0] * len(xs)
+        for s in map(p.__pow__, range(digits)):
+            a, b = (map(mod, map(floordiv, v, repeat(s)), repeat(p)) for v in (low, ys))
+            sums = list(map(add, sums, map(mul, map(mod, map(add, a, b), repeat(p)), repeat(s))))
+    return list(sums) if low is xs else list(map(add, map(sub, xs, low), sums))
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_table(p: int, k: int) -> list[list[int]]:
+    """t[b][a] = a + b digit by digit, for a, b below p^k: rows of the map of [I_k | I_k]."""
+    if k < 2:
+        return [[(a + b) % p for a in range(p**k)] for b in range(p**k)]
+    q = p**k
+    total = index_map(MatrixFp(PrimeField(p), k, 2 * k,
+                               [int(j % k == i) for i in range(k) for j in range(2 * k)]))
+    return [total[i:i + q] for i in range(0, q * q, q)]
 
 
 def rref(M: MatrixFp) -> tuple[MatrixFp, int, tuple[int, ...]]:
@@ -280,12 +322,6 @@ class Subspace:
         if any(v):
             return None
         return tuple(coeffs)
-
-    def vectors(self):
-        """Iterate all p^dim member vectors (desk scale only)."""
-        p = self.field.p
-        for idx in index_map(self.basis_matrix()):
-            yield tuple(idx // p**k % p for k in range(self.ambient_dim))
 
     def __repr__(self) -> str:
         vecs = ", ".join(str(list(r)) for r in self._rows)

@@ -26,7 +26,7 @@ from typing import Literal, Sequence
 from .dp import ArgminTable, CostFunction, DPInstance, FiniteHorizon, ValueTable, is_in_Gs, solve
 from .errors import NotSeparableCost
 from .invariant_decomp import verify_decomposition
-from .linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, preimage, rref
+from .linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, index_sum, preimage, rref
 
 Family = Literal["restricted", "projected"]
 
@@ -142,18 +142,17 @@ def lift_policy(bundle: SubproblemBundle, family: Family,
     """
     bundle.family(family)  # rejects an unknown family name
     parent = bundle.parent
-    pm = parent.num_inputs
-    eye = MatrixFp.identity(parent.field, parent.m)
-    # adds[i][u + p^m a] is the parent input u plus part i's action a, embedded;
-    # each table has p^(m + dim of the action space) <= p^(n + m) entries
-    adds = [index_map(eye.hstack(bundle.input_basis(i) if family == "restricted" else eye))
-            for i in range(bundle.r)]
+    p, m = parent.field.p, parent.m
+    # each part's action indices as parent input indices
+    embed = ([index_map(bundle.input_basis(i)) for i in range(bundle.r)]
+             if family == "restricted" else [range(parent.num_inputs)] * bundle.r)
     comp = bundle.component_state_tables()
 
     def lift(choices: Sequence[Sequence[int]]) -> list[int]:
-        law = [0] * parent.num_states
-        for add, chosen, loc in zip(adds, choices, comp):
-            law = [add[u + pm * chosen[y]] for u, y in zip(law, loc)]
+        law = None
+        for chosen, emb, loc in zip(choices, embed, comp):
+            step = map(list(map(emb.__getitem__, chosen)).__getitem__, loc)
+            law = list(step) if law is None else index_sum(p, law, step, m)
         return law
 
     if isinstance(parent.horizon, FiniteHorizon):

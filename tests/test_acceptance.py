@@ -30,6 +30,7 @@ from dpdecomp.linalg import (DirectSumDecomposition, MatrixFp, Subspace,
                              subspace_intersect, subspace_sum)
 from dpdecomp.lqr import block_diagonal_check, riccati_backward, trajectory_cost
 from dpdecomp.subproblems import build_bundle, solve_bundle
+from test_linalg import members
 
 F3 = PrimeField(3)
 HALF = Fraction(1, 2)
@@ -368,10 +369,10 @@ def test_criterion_7_supporting_propositions(criterion):
 
             # one-step minimum over a part's inputs equals the minimum over
             # the summed feasible inputs, from every state of that part
-            span_vecs = list(bundle.input_span.vectors())
+            span_vecs = members(bundle.input_span)
             for i, part in enumerate(decomp.parts):
-                part_vecs = list(bundle.input_parts[i].vectors())
-                for y in part.vectors():
+                part_vecs = members(bundle.input_parts[i])
+                for y in members(part):
                     ay = inst.A.matvec(y)
                     def step(u):
                         bu = inst.B.matvec(u)

@@ -389,6 +389,38 @@ def _cli_process(path, argv):
                           env=env, capture_output=True, text=True, timeout=20)
 
 
+def long_horizon_doc(T):
+    return {"schema_version": "1.0", "field": {"prime": 2}, "dims": {"n": 1, "m": 1},
+            "A": [[1]], "B": [[1]], "cost": {"table": [0, 1]},
+            "horizon": {"finite": {"T": T}}}
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["check"], ["solve", "--json"]])
+def test_long_finite_horizon_exits_2_in_bounded_time(tmp_path, argv):
+    """T = 10^9 over 2 states would keep 2·10^9 table entries: the horizon
+    guard refuses it before solving, from the file or from --T."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(long_horizon_doc(10**9)))
+    proc = _cli_process(path, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "above the guard" in proc.stderr and "--force" in proc.stderr
+    path.write_text(json.dumps(long_horizon_doc(1)))
+    proc = _cli_process(path, argv + ["--T", str(10**9)])
+    assert proc.returncode == 2, proc.stderr
+
+
+def test_horizon_guard_is_lifted_by_force(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GUARD_STAGES", 8)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(long_horizon_doc(5)))  # 5 stages over 2 states
+    rc, _, err = run(capsys, "solve", str(path))
+    assert rc == 2 and "--force" in err
+    rc, out, _ = run(capsys, "solve", str(path), "--json", "--force")
+    assert rc == 0 and json.loads(out)["horizon"] == {"finite": {"T": 5}}
+    rc, _, _ = run(capsys, "solve", str(path), "--T", "4")
+    assert rc == 0
+
+
 @pytest.mark.parametrize("argv, prime, code", [
     (["decompose"], 2**61 - 1, 0),
     (["decompose"], 2**64 + 13, 2),

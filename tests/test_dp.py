@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpdecomp import dp
+from dpdecomp import cosets, dp
 from dpdecomp.dp import (ArgminTable, CostFunction,
                          DiscountedHorizon, DPInstance, FiniteHorizon,
                          ValueIterationResult, ValueTable,
@@ -198,29 +198,35 @@ def oracle_minima(frame, J):
     return Jk, [min(Jk[b:b + P]) for b in range(0, len(Jk), P)]
 
 
+def digit_difference(p, r, v, w):
+    """The index of v - w for two r-digit base-p indices, read off their
+    digit vectors."""
+    return state_index([a - b for a, b in zip(index_state(v, p, r), index_state(w, p, r))], p)
+
+
 def oracle_argmin_sets(frame, Jk, mins):
     """Every state's minimizer set, one state at a time: the union of the
     fibres pre[v - w(Ax)] over the minimal positions v of the coset of Ax
-    (how CosetFrame.argmin_sets built them before its fibre rows)."""
-    P, pre, sub = frame.P, frame.pre, frame.sub
+    (how CosetFrame.argmin_sets built them before its fibre rows), with
+    v - w taken from digit vectors."""
+    P, pre = frame.P, frame.pre
     where = [[v for v, j in enumerate(Jk[b:b + P]) if j == best]
              for b, best in zip(range(0, len(Jk), P), mins)]
     out = []
     for k in frame.k_ax:
         c, w = divmod(k, P)
-        best = where[c]
-        out.append(pre[sub[best[0] + P * w]] if len(best) == 1 else
-                   frozenset().union(*(pre[sub[v + P * w]] for v in best)))
+        fibres = [pre[digit_difference(frame.p, frame.r, v, w)] for v in where[c]]
+        out.append(fibres[0] if len(fibres) == 1 else frozenset().union(*fibres))
     return out
 
 
 def oracle_coset_frame(A, B):
     """The coset frame built by two eliminations (how CosetFrame.of built it
     before it read Q^-1 off rref([B | I])): Q from the pivots of [B | I],
-    Q^-1 by a second elimination, R from the product Q^-1 B, and add and
-    sub as the maps of identity blocks stacked side by side."""
+    Q^-1 by a second elimination, R from the product Q^-1 B, and neg from
+    the digit vectors of the positions."""
     field = A.field
-    n, m = B.nrows, B.ncols
+    p, n, m = field.p, B.nrows, B.ncols
     eye = MatrixFp.identity(field, n)
     _, _, pivots = rref(B.hstack(eye))
     r = sum(1 for j in pivots if j < m)
@@ -229,13 +235,21 @@ def oracle_coset_frame(A, B):
     to_frame = Q.inverse()
     R = MatrixFp(field, r, m, (to_frame @ B).entries[:r * m])
     offset = index_map(R)
-    pre = [[] for _ in range(field.p**r)]
+    pre = [[] for _ in range(p**r)]
     for u, d in enumerate(offset):
         pre[d].append(u)
-    eye_r = MatrixFp.identity(field, r)
-    return dp.CosetFrame(field.p**r, index_map(Q), index_map(to_frame @ A), offset,
-                         [frozenset(us) for us in pre], index_map(eye_r.hstack(eye_r)),
-                         index_map(eye_r.hstack(eye_r.scale(-1))))
+    return dp.CosetFrame(p, r, p**r, index_map(Q), index_map(to_frame @ A), offset,
+                         [frozenset(us) for us in pre],
+                         [digit_difference(p, r, 0, w) for w in range(p**r)])
+
+
+def oracle_successors(inst, inputs):
+    """The successor of every state under inputs[x], from the digit vectors
+    of A x + B u."""
+    p = inst.field.p
+    return [state_index([a + b for a, b in zip(inst.A.matvec(inst.state_vector(x)),
+                                                inst.B.matvec(inst.input_vector(u)))], p)
+            for x, u in enumerate(inputs)]
 
 
 # Mersenne primes: a table holding the first two has an LCD above 2^150, so
@@ -722,7 +736,7 @@ def test_coset_kernels_match_per_state_oracle(data):
             assert id(got[x]) in fibres
 
 
-FRAME_FIELDS = ("P", "order", "k_ax", "offset", "pre", "add", "sub")
+FRAME_FIELDS = ("p", "r", "P", "order", "k_ax", "offset", "pre", "neg")
 
 
 def _frame_case(rng, F, n, shape):
@@ -745,17 +759,14 @@ def _frame_case(rng, F, n, shape):
 
 def test_coset_frame_matches_two_elimination_oracle():
     """Every field of the one-elimination frame equals the two-elimination
-    oracle's, for p in {2, 3, 5, 7} up to n = 6 (one-coset frames stay at
-    P <= 125, since add and sub hold P^2 entries each)."""
+    oracle's, for p in {2, 3, 5, 7} up to n = 6, one-coset frames
+    included."""
     rng = random.Random("coset-frame")
     shapes = ("any", "autonomous", "zero", "non-injective", "invertible")
     max_n = {2: 6, 3: 5, 5: 3, 7: 3}
-    one_coset_n = {2: 6, 3: 4, 5: 3, 7: 2}
     for p, top in max_n.items():
         F = PrimeField(p)
         for n, shape, _ in itertools.product(range(1, top + 1), shapes, range(3)):
-            if shape == "invertible" and n > one_coset_n[p]:
-                continue
             A, B = _frame_case(rng, F, n, shape)
             got, want = dp.CosetFrame.of(A, B), oracle_coset_frame(A, B)
             for name in FRAME_FIELDS:
@@ -781,7 +792,7 @@ def test_coset_frame_eliminates_once(monkeypatch):
         return original_inverse(self)
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
-    monkeypatch.setattr(dp, "rref", counting_rref)
+    monkeypatch.setattr(cosets, "rref", counting_rref)
     monkeypatch.setattr(MatrixFp, "inverse", counting_inverse)
     A, B = _frame_case(random.Random("eliminate-once"), F3, 4, "any")
     dp.CosetFrame.of(A, B)
@@ -831,6 +842,43 @@ def test_argmin_sets_on_one_coset_allocates_per_state_not_per_row():
             tracemalloc.stop()
         assert got == oracle_argmin_sets(frame, Jk, mins)
         assert peak < 2**20
+
+
+@given(coset_instances(_finite_horizon), st.data())
+@settings(max_examples=150, deadline=None)
+def test_successors_match_per_state_oracle(inst, data):
+    """Whole-table successors, and successors of a few states, equal A x + B u
+    computed from digit vectors, for p in {2, 3, 5, 7} and B of any rank."""
+    inputs = data.draw(st.lists(st.integers(0, inst.num_inputs - 1),
+                                min_size=inst.num_states, max_size=inst.num_states))
+    frame = inst.coset_frame()
+    want = oracle_successors(inst, inputs)
+    assert frame.successors(inputs) == want
+    states = data.draw(st.lists(st.integers(0, inst.num_states - 1), max_size=8))
+    assert frame.successors([inputs[x] for x in states], states) == [want[x] for x in states]
+
+
+def test_one_coset_frame_and_solve_allocate_per_state():
+    """p = 2, n = m = 12 with B invertible: one coset of P = 4096 positions.
+    Tables of P^2 entries (16.8 million) would take hundreds of MB; the frame
+    and a T = 8 solve with distinct values stay within a few MB."""
+    n = 12
+    rng = random.Random("one-coset-12")
+    A = MatrixFp(F2, n, n, [rng.randrange(2) for _ in range(n * n)])
+    B = MatrixFp(F2, n, n, [1 if i == j else rng.randrange(2) if i > j else 0
+                            for i in range(n) for j in range(n)])
+    inst = DPInstance(A, B, CostFunction(F2, n, list(range(2**n))), FiniteHorizon(8),
+                      max_states=None, max_inputs=None)
+    tracemalloc.start()
+    try:
+        frame = inst.coset_frame()
+        values, _ = solve_finite(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frame.P == 2**n
+    assert values.nums[0] == tuple(range(2**n))  # every state reaches 0 in one step
+    assert peak < 16 * 2**20
 
 
 def test_policy_iteration_builds_argmin_sets_twice(monkeypatch):

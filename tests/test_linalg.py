@@ -5,19 +5,28 @@ intersections, preimage maximality) are checked by exhaustive enumeration
 at small sizes, which is feasible because the spaces are finite.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpdecomp.dp import index_state, state_index
 from dpdecomp.errors import NotDirectSum, ShapeError
 from dpdecomp.fields import Poly, PrimeField
+from dpdecomp import linalg
 from dpdecomp.linalg import (DirectSumDecomposition, MatrixFp, Subspace,
-                             column_space, index_map, is_invariant, null_space,
+                             column_space, index_map, index_sum, is_invariant, null_space,
                              poly_eval_matrix, preimage, rref,
                              subspace_intersect, subspace_sum)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+def members(S):
+    """Every member vector of S, read off the index map of its basis."""
+    return [index_state(i, S.field.p, S.ambient_dim) for i in index_map(S.basis_matrix())]
 
 
 @st.composite
@@ -109,7 +118,7 @@ def test_rank_nullity(M):
 def test_null_space_members_annihilate(M):
     ns = null_space(M)
     zero = (0,) * M.nrows
-    for v in ns.vectors():
+    for v in members(ns):
         assert M.matvec(v) == zero
 
 
@@ -133,6 +142,51 @@ def test_index_map_matches_matvec(p, nrows, data):
     entries = data.draw(st.lists(st.integers(0, p - 1), min_size=nrows * ncols,
                                  max_size=nrows * ncols))
     M = MatrixFp(PrimeField(p), nrows, ncols, entries)
+    assert index_map(M) == matvec_index_oracle(M)
+
+
+def index_sum_oracle(p, xs, ys, digits):
+    """Reference for index_sum: decode both indices, add the low digits mod
+    p and keep the high digits of x, encode."""
+    width = digits + 8  # past every digit of x
+    return [state_index([a + b if k < digits else a for k, (a, b) in enumerate(
+        zip(index_state(x, p, width), index_state(y, p, width)))], p) for x, y in zip(xs, ys)]
+
+
+@given(st.sampled_from([2, 3, 5, 7, 101]), st.integers(0, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_index_sum_matches_digit_oracle(p, digits, data):
+    # every odd p meets sums through a table (few digits) and digit by digit
+    # (more digits, and every sum at p = 101, whose p^2 sums outgrow both a
+    # short output and SMALL_TABLE)
+    size = data.draw(st.integers(0, 60))
+    high = data.draw(st.integers(0, 2))
+    xs = data.draw(st.lists(st.integers(0, p**(digits + high) - 1), min_size=size, max_size=size))
+    ys = data.draw(st.lists(st.integers(0, p**digits - 1), min_size=size, max_size=size))
+    assert index_sum(p, xs, ys, digits) == index_sum_oracle(p, xs, ys, digits)
+    # iterables are consumed once, lists are left as they were
+    assert index_sum(p, iter(xs), iter(ys), digits) == index_sum_oracle(p, xs, ys, digits)
+
+
+def test_index_sum_with_a_table_longer_than_small_table():
+    """5^6 sums of 3 digits go through the table of 5^6 sums, more than
+    SMALL_TABLE entries."""
+    rng = random.Random(5)
+    size = 5**6
+    assert size > linalg.SMALL_TABLE
+    xs = [rng.randrange(5**5) for _ in range(size)]
+    ys = [rng.randrange(5**3) for _ in range(size)]
+    assert index_sum(5, xs, ys, 3) == index_sum_oracle(5, xs, ys, 3)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (1, 1), (3, 1), (1, 3), (4, 2)])
+def test_index_map_with_a_large_prime(shape):
+    # p^2 = 10201 entries outgrow SMALL_TABLE and these outputs, so each
+    # column builds its own translation table
+    rng = random.Random(str(shape))
+    F101 = PrimeField(101)
+    nrows, ncols = shape
+    M = MatrixFp(F101, nrows, ncols, [rng.randrange(101) for _ in range(nrows * ncols)])
     assert index_map(M) == matvec_index_oracle(M)
 
 
@@ -170,9 +224,9 @@ def test_subspace_membership_and_coords():
 @given(subspace_pairs())
 def test_vectors_enumeration_count(pair):
     S, _ = pair
-    members = set(S.vectors())
-    assert len(members) == S.field.p ** S.dim
-    assert all(S.contains(v) for v in members)
+    found = set(members(S))
+    assert len(found) == S.field.p ** S.dim
+    assert all(S.contains(v) for v in found)
 
 
 @given(subspace_pairs())
@@ -188,7 +242,7 @@ def test_dimension_law(pair):
 def test_intersection_is_lower_bound(pair):
     S, T = pair
     I = subspace_intersect(S, T)
-    for v in I.vectors():
+    for v in members(I):
         assert S.contains(v) and T.contains(v)
     assert all(subspace_sum(S, T).contains(b) for b in S.basis_vectors())
 
@@ -215,7 +269,7 @@ def test_preimage_is_exact(M):
             c //= p
         if S.contains(M.matvec(digits)):
             expected.append(tuple(digits))
-    assert set(pre.vectors()) == set(expected)
+    assert set(members(pre)) == set(expected)
 
 
 def test_preimage_of_zero_is_kernel():

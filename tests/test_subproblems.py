@@ -18,6 +18,7 @@ from dpdecomp.fields import Poly, PrimeField
 from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
 from dpdecomp.subproblems import build_bundle, lift_policy, solve_bundle
 from test_acceptance import rand_B, rand_forced_B, rand_split_system
+from test_linalg import members
 
 F3 = PrimeField(3)
 HALF = Fraction(1, 2)
@@ -99,7 +100,7 @@ def test_feasible_inputs_land_in_their_part():
         inst, decomp = maker()
         bundle = build_bundle(inst, decomp)
         for i, e in enumerate(bundle.input_parts):
-            for u in e.vectors():
+            for u in members(e):
                 assert decomp.parts[i].contains(inst.B.matvec(u))
 
 
@@ -270,6 +271,49 @@ def test_lift_projected_policy_runs():
     closed = evaluate_time_varying(inst, law)
     for x in range(inst.num_states):
         assert closed.value(x, 0) >= parent_values.value(x, 0)
+
+
+def oracle_lift(bundle, family, choices):
+    """A lifted law at one time, state by state from digit vectors: the sum
+    over parts of each part's action at the state's component, embedded
+    through the feasible-input basis (restricted) or as is (projected)."""
+    parent = bundle.parent
+    p, m = parent.field.p, parent.m
+    law = []
+    for x in range(parent.num_states):
+        u = [0] * m
+        for i, (chosen, loc) in enumerate(zip(choices, bundle.component_tables)):
+            sub = bundle.family(family)[i]
+            action = index_state(chosen[loc[x]], p, sub.m)
+            vec = bundle.input_basis(i).matvec(action) if family == "restricted" else action
+            u = [a + b for a, b in zip(u, vec)]
+        law.append(state_index(u, p))
+    return law
+
+
+@pytest.mark.parametrize("family", ["restricted", "projected"])
+def test_lift_policy_matches_per_state_oracle(family):
+    """Random local selections lift to the same parent law as the digit
+    vector oracle, for p in {2, 3, 5, 7}, finite (per time) and discounted."""
+    rng = random.Random(f"lift-{family}")
+    for k in range(24):
+        F, A, decomp = rand_split_system(rng, primes=(2, 3, 5, 7), n_max=4 if k % 4 else 3)
+        B = rand_forced_B(rng, F, decomp) if k % 2 else rand_B(rng, F, A.nrows)
+        cost = CostFunction.indicator(decomp, [Fraction(1)] * decomp.r)
+        horizon = FiniteHorizon(2) if k % 3 else DiscountedHorizon(HALF)
+        inst = DPInstance(A, B, cost, horizon, max_states=None, max_inputs=None)
+        bundle = build_bundle(inst, decomp)
+        subs = bundle.family(family)
+        times = 2 if k % 3 else 1
+        picks = [[[rng.randrange(sub.num_inputs) for _ in range(sub.num_states)]
+                  for _ in range(times)] for sub in subs]
+        if k % 3:
+            law = lift_policy(bundle, family, picks)
+            assert law == [oracle_lift(bundle, family, [sel[t] for sel in picks])
+                           for t in range(times)]
+        else:
+            law = lift_policy(bundle, family, [sel[0] for sel in picks])
+            assert law == oracle_lift(bundle, family, [sel[0] for sel in picks])
 
 
 def test_discounted_bundle_solves():

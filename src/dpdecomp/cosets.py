@@ -14,8 +14,8 @@ Python step per state: minima takes the minimum over zip of the P
 strided slices of J in coordinate order, argmin_sets reads every
 state's set off the fibre rows (row v holds pre[v - w] for each w) of
 each coset's first minimal position, concatenated coset by coset, and
-successors is one index sum.  No table has more than p^n or p^m
-entries, whatever the rank of B.
+successors is one index sum.  The frame keeps no table of more than
+p^n or p^m entries, whatever the rank of B.
 
 One elimination builds the frame.  The pivot columns of [B | I_n] are
 Q's columns, and rref sends them to e_1..e_n, so

@@ -154,8 +154,7 @@ class MatrixFp:
         return f"MatrixFp({self.nrows}x{self.ncols} mod {self.field.p}: [{body}])"
 
 
-# a sum table this short serves any output, a longer one no shorter output
-SMALL_TABLE = 4096
+SMALL_TABLE = 4096  # a sum table this short serves any output, a longer one no shorter one
 
 
 def index_map(M: MatrixFp) -> list[int]:

@@ -5,20 +5,14 @@ The coordinate index of a state y (its index under Q^-1) has the
 position w of y inside its coset of im(B) as its low r digits and the
 coset label c as its high n - r digits, so coset c is the block of
 P = p^r consecutive coordinate indices starting at c·P.  The successor
-of x under u is then the state at coordinate index k(Ax) + offset[u],
-the sum taken digit by digit (linalg.index_sum), which moves w and
-keeps c.
+of x under u is the state at coordinate index k(Ax) + offset[u], summed
+digit by digit (linalg.index_sum), which moves w and keeps c.  Every
+kernel is a few C-level map and slice passes, with no Python step per
+state, and no table has more than p^n or p^m entries, whatever the rank
+of B.
 
-The state-sized kernels run as C-level map and slice passes, with no
-Python step per state: minima takes the minimum over zip of the P
-strided slices of J in coordinate order, argmin_sets reads every
-state's set off the fibre rows (row v holds pre[v - w] for each w) of
-each coset's first minimal position, concatenated coset by coset, and
-successors is one index sum.  The frame keeps no table of more than
-p^n or p^m entries, whatever the rank of B.
-
-One elimination builds the frame.  The pivot columns of [B | I_n] are
-Q's columns, and rref sends them to e_1..e_n, so
+One elimination builds the frame: the pivot columns of [B | I_n] are Q's
+columns, and rref sends them to e_1..e_n, so
 rref([B | I_n]) = [Q^-1 B | Q^-1]: the right block is Q^-1 and the top
 r rows of the left block are R.
 """

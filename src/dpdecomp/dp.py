@@ -405,8 +405,9 @@ def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
 
 def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
                                successors: Sequence[int] | None = None) -> ValueTable:
-    """Exact discounted value of a stationary policy, computed on integers
-    (successors: CosetFrame.successors(policy), if the caller has it).
+    """Exact discounted value of a stationary policy, computed on integers.
+    successors, when given, must equal inst.coset_frame().successors(policy)
+    (policy iteration keeps that list from round to round); it is not checked.
 
     The closed-loop map is a functional graph: every trajectory runs down a
     tree into a cycle.  With alpha = a/b and the cost in integer form G / L

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import InitVar, dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import add, floordiv, getitem, mod, mul, sub, xor
 from typing import Iterable, Sequence
 
@@ -154,7 +154,10 @@ class MatrixFp:
         return f"MatrixFp({self.nrows}x{self.ncols} mod {self.field.p}: [{body}])"
 
 
-SMALL_TABLE = 4096  # a sum table this short serves any output, a longer one no shorter one
+# the most entries in one sum table of index_sum.  First calls (table build
+# included) at p = 3, 5, 7 and 2..8 digits, bounds 3^2..3^12: 3^8 was fastest on
+# the longest sums, and 3^12 up to 6x slower (its tables cost more to build).
+SUM_TABLE = 3**8
 
 
 def index_map(M: MatrixFp) -> list[int]:
@@ -164,12 +167,18 @@ def index_map(M: MatrixFp) -> list[int]:
     one place that computes the image index of every state; every other
     state-indexed table is read off its results.
 
-    The list grows one column at a time: the states with x_j = k follow the
-    block of states below p^j, translated by k times column j: xor with the
-    index of column j at p = 2.  For odd p the rows go in groups of h (two
-    halves, or at most ncols rows each), each group list is translated by a
-    row of index_sum's sum table (or a table built for the column where that
-    would not fit), and the lists are joined as lo + p^h·hi.
+    At p = 2 the list grows one column at a time: the states with x_j = 1
+    follow the block of states below 2^j, each xor the index of column j.
+    For odd p the rows are split into groups of h rows: two halves of a
+    square or wide matrix, and groups of at most ncols rows for a tall one,
+    so no table below is longer than the output.  For each group and column
+    j, a translation table of p^h entries maps the index y of a group image
+    to the index of y + (column j's digits in the group), digit by digit mod
+    p (kept for later calls).  The group's index list then grows one
+    coordinate at a time: the states with x_j = k follow the block of
+    states below p^j, translated k times.  The group lists are joined as
+    lo + p^h·hi (a sum over every group when there are more), so each state
+    costs a few C-level map steps per group and no Python loop step.
     """
     p, n, m, ent = M.field.p, M.nrows, M.ncols, M.entries
     if p == 2:
@@ -181,18 +190,10 @@ def index_map(M: MatrixFp) -> list[int]:
     h = max(1, min(-(-n // 2), m))
     out = [0] * p**m
     for top in range(0, n, h):
-        k = min(h, n - top)
-        rows = _sum_table(p, k) if p ** (2 * k) <= max(p**m, SMALL_TABLE) else None
+        stop = min(top + h, n) * m
         idx = [0]
         for j in range(m):
-            column = ent[top * m + j:(top + k) * m:m]
-            if rows:
-                t = rows[sum(a * p**i for i, a in enumerate(column))]
-            else:
-                t, weight = [0], 1
-                for a in column:
-                    t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
-                    weight *= p
+            t = _translation(p, ent[top * m + j:stop:m])
             block = idx
             for _ in range(p - 1):
                 block = list(map(t.__getitem__, block))
@@ -201,31 +202,48 @@ def index_map(M: MatrixFp) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _translation(p: int, column: tuple[int, ...]) -> list[int]:
+    """t[y] = the index of y + column, digit by digit mod p, for y below
+    p^len(column); kept for the next matrix with that column (no table is
+    longer than the output of the index_map that built it)."""
+    t, weight = [0], 1
+    for a in column:
+        t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
+        weight *= p
+    return t
+
+
 def index_sum(p: int, xs: Iterable[int], ys: Iterable[int], digits: int) -> list[int]:
     """The index of x + y, digit by digit mod p, for each x of xs and y of
-    ys (y below p^digits; the digits of x from there up pass through).  At
-    p = 2 it is xor.  For odd p the low digits of x and y index the kept
-    table of p^(2·digits) sums where that is no longer than the output or
-    SMALL_TABLE, and are added one digit at a time otherwise."""
+    ys (y below p^digits; the digits of x from there up pass through).
+
+    At p = 2 it is xor.  For odd p the digits go in groups of h, the most
+    for which the p^(2h) sums of a group fit in SUM_TABLE entries, and each
+    group is added by one lookup in the kept table of those sums (a prime
+    whose p^2 sums outgrow SUM_TABLE adds each digit mod p instead)."""
     if p == 2:
         return list(map(xor, xs, ys))
-    xs, ys, size = list(xs), list(ys), p**digits
+    xs, ys = list(xs), list(ys)
+    size = p**digits
     low = xs if not xs or max(xs) < size else list(map(mod, xs, repeat(size)))
-    if p ** (2 * digits) <= max(len(xs), SMALL_TABLE):
+    if size * size <= SUM_TABLE:  # one group
         sums = map(getitem, map(_sum_table(p, digits).__getitem__, ys), low)
     else:
+        h = max(1, next(k for k in count() if p ** (2 * k + 2) > SUM_TABLE))
         sums = [0] * len(xs)
-        for s in map(p.__pow__, range(digits)):
-            a, b = (map(mod, map(floordiv, v, repeat(s)), repeat(p)) for v in (low, ys))
-            sums = list(map(add, sums, map(mul, map(mod, map(add, a, b), repeat(p)), repeat(s))))
+        for s in range(0, digits, h):
+            k = min(h, digits - s)
+            a, b = (map(mod, map(floordiv, v, repeat(p**s)), repeat(p**k)) for v in (low, ys))
+            part = (map(getitem, map(_sum_table(p, k).__getitem__, b), a) if p * p <= SUM_TABLE
+                    else map(mod, map(add, a, b), repeat(p)))
+            sums = list(map(add, sums, map(mul, part, repeat(p**s))))
     return list(sums) if low is xs else list(map(add, map(sub, xs, low), sums))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _sum_table(p: int, k: int) -> list[list[int]]:
     """t[b][a] = a + b digit by digit, for a, b below p^k: rows of the map of [I_k | I_k]."""
-    if k < 2:
-        return [[(a + b) % p for a in range(p**k)] for b in range(p**k)]
     q = p**k
     total = index_map(MatrixFp(PrimeField(p), k, 2 * k,
                                [int(j % k == i) for i in range(k) for j in range(2 * k)]))

@@ -656,6 +656,11 @@ def test_policy_evaluation_matches_fraction_oracle(inst, data):
                                 min_size=inst.num_states, max_size=inst.num_states))
     _assert_same_representation(evaluate_stationary_policy(inst, policy),
                                 oracle_evaluate_stationary_policy(inst, policy))
+    # the successors policy iteration passes in give the same table
+    given_successors = evaluate_stationary_policy(
+        inst, policy, inst.coset_frame().successors(policy))
+    assert given_successors == evaluate_stationary_policy(inst, policy)
+    _assert_same_representation(given_successors, oracle_evaluate_stationary_policy(inst, policy))
 
 
 def test_policy_evaluation_fraction_domain_matches_oracle():

@@ -156,9 +156,9 @@ def index_sum_oracle(p, xs, ys, digits):
 @given(st.sampled_from([2, 3, 5, 7, 101]), st.integers(0, 6), st.data())
 @settings(max_examples=300, deadline=None)
 def test_index_sum_matches_digit_oracle(p, digits, data):
-    # every odd p meets sums through a table (few digits) and digit by digit
-    # (more digits, and every sum at p = 101, whose p^2 sums outgrow both a
-    # short output and SMALL_TABLE)
+    # every odd p meets sums through one table (few digits) and through
+    # groups of digits (more digits); p = 101, whose p^2 sums outgrow
+    # SUM_TABLE, adds digit by digit
     size = data.draw(st.integers(0, 60))
     high = data.draw(st.integers(0, 2))
     xs = data.draw(st.lists(st.integers(0, p**(digits + high) - 1), min_size=size, max_size=size))
@@ -168,21 +168,30 @@ def test_index_sum_matches_digit_oracle(p, digits, data):
     assert index_sum(p, iter(xs), iter(ys), digits) == index_sum_oracle(p, xs, ys, digits)
 
 
-def test_index_sum_with_a_table_longer_than_small_table():
-    """5^6 sums of 3 digits go through the table of 5^6 sums, more than
-    SMALL_TABLE entries."""
-    rng = random.Random(5)
-    size = 5**6
-    assert size > linalg.SMALL_TABLE
-    xs = [rng.randrange(5**5) for _ in range(size)]
-    ys = [rng.randrange(5**3) for _ in range(size)]
-    assert index_sum(5, xs, ys, 3) == index_sum_oracle(5, xs, ys, 3)
+@pytest.mark.parametrize("p, digits", [(3, 9), (5, 5), (7, 3), (101, 2)])
+def test_index_sum_keeps_no_table_above_sum_table(p, digits, monkeypatch):
+    """Sums of more digits than one table holds go through groups of
+    digits, and no sum table used holds more than SUM_TABLE entries."""
+    built = []
+    table = linalg._sum_table
+
+    def recording(p, k):
+        built.append(p ** (2 * k))
+        return table(p, k)
+
+    monkeypatch.setattr(linalg, "_sum_table", recording)
+    rng = random.Random(p)
+    size = 3 * p**digits
+    xs = [rng.randrange(p ** (digits + 1)) for _ in range(size)]
+    ys = [rng.randrange(p**digits) for _ in range(size)]
+    assert index_sum(p, xs, ys, digits) == index_sum_oracle(p, xs, ys, digits)
+    assert p ** (2 * digits) > linalg.SUM_TABLE
+    assert max(built, default=0) <= linalg.SUM_TABLE
 
 
 @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (1, 1), (3, 1), (1, 3), (4, 2)])
 def test_index_map_with_a_large_prime(shape):
-    # p^2 = 10201 entries outgrow SMALL_TABLE and these outputs, so each
-    # column builds its own translation table
+    # translation tables of up to 101 entries, joined over up to 4 row groups
     rng = random.Random(str(shape))
     F101 = PrimeField(101)
     nrows, ncols = shape

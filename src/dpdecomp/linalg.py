@@ -174,11 +174,11 @@ def index_map(M: MatrixFp) -> list[int]:
     so no table below is longer than the output.  For each group and column
     j, a translation table of p^h entries maps the index y of a group image
     to the index of y + (column j's digits in the group), digit by digit mod
-    p (kept for later calls).  The group's index list then grows one
-    coordinate at a time: the states with x_j = k follow the block of
-    states below p^j, translated k times.  The group lists are joined as
-    lo + p^h·hi (a sum over every group when there are more), so each state
-    costs a few C-level map steps per group and no Python loop step.
+    p.  The group's index list then grows one coordinate at a time: the
+    states with x_j = k follow the block of states below p^j, translated k
+    times.  The group lists are joined as lo + p^h·hi (a sum over every
+    group when there are more), so each state costs a few C-level map steps
+    per group and no Python loop step.
     """
     p, n, m, ent = M.field.p, M.nrows, M.ncols, M.entries
     if p == 2:
@@ -193,25 +193,17 @@ def index_map(M: MatrixFp) -> list[int]:
         stop = min(top + h, n) * m
         idx = [0]
         for j in range(m):
-            t = _translation(p, ent[top * m + j:stop:m])
+            t = [0]
+            weight = 1
+            for a in ent[top * m + j:stop:m]:
+                t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
+                weight *= p
             block = idx
             for _ in range(p - 1):
                 block = list(map(t.__getitem__, block))
                 idx += block
-        out = idx if top == 0 else list(map(add, out, map(mul, idx, repeat(p**top))))
+        out = idx if top == 0 else list(map(add, out, map((p**top).__mul__, idx)))
     return out
-
-
-@functools.lru_cache(maxsize=128)
-def _translation(p: int, column: tuple[int, ...]) -> list[int]:
-    """t[y] = the index of y + column, digit by digit mod p, for y below
-    p^len(column); kept for the next matrix with that column (no table is
-    longer than the output of the index_map that built it)."""
-    t, weight = [0], 1
-    for a in column:
-        t = [e + weight * ((d + a) % p) for d in range(p) for e in t]
-        weight *= p
-    return t
 
 
 def index_sum(p: int, xs: Iterable[int], ys: Iterable[int], digits: int) -> list[int]:

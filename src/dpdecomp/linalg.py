@@ -14,7 +14,7 @@ import functools
 from dataclasses import InitVar, dataclass
 from itertools import chain, count, repeat
 from operator import add, floordiv, getitem, mod, mul, sub, xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDirectSum, ShapeError
 from .fields import Poly, PrimeField
@@ -206,16 +206,17 @@ def index_map(M: MatrixFp) -> list[int]:
     return out
 
 
-def index_sum(p: int, xs: Iterable[int], ys: Iterable[int], digits: int) -> list[int]:
+def index_sum(p: int, xs: Iterable[int], ys: Iterable[int], digits: int) -> Iterator[int]:
     """The index of x + y, digit by digit mod p, for each x of xs and y of
-    ys (y below p^digits; the digits of x from there up pass through).
+    ys (y below p^digits; the digits of x from there up pass through), as
+    an iterator, so a caller that maps the sums on holds none of them.
 
     At p = 2 it is xor.  For odd p the digits go in groups of h, the most
     for which the p^(2h) sums of a group fit in SUM_TABLE entries, and each
     group is added by one lookup in the kept table of those sums (a prime
     whose p^2 sums outgrow SUM_TABLE adds each digit mod p instead)."""
     if p == 2:
-        return list(map(xor, xs, ys))
+        return map(xor, xs, ys)
     xs, ys = list(xs), list(ys)
     size = p**digits
     low = xs if not xs or max(xs) < size else list(map(mod, xs, repeat(size)))
@@ -230,7 +231,7 @@ def index_sum(p: int, xs: Iterable[int], ys: Iterable[int], digits: int) -> list
             part = (map(getitem, map(_sum_table(p, k).__getitem__, b), a) if p * p <= SUM_TABLE
                     else map(mod, map(add, a, b), repeat(p)))
             sums = list(map(add, sums, map(mul, part, repeat(p**s))))
-    return list(sums) if low is xs else list(map(add, map(sub, xs, low), sums))
+    return iter(sums) if low is xs else map(add, map(sub, xs, low), sums)
 
 
 @functools.lru_cache(maxsize=16)

@@ -152,8 +152,8 @@ def lift_policy(bundle: SubproblemBundle, family: Family,
         law = None
         for chosen, emb, loc in zip(choices, embed, comp):
             step = map(list(map(emb.__getitem__, chosen)).__getitem__, loc)
-            law = list(step) if law is None else index_sum(p, law, step, m)
-        return law
+            law = step if law is None else index_sum(p, law, step, m)
+        return list(law)
 
     if isinstance(parent.horizon, FiniteHorizon):
         return [lift([sel[t] for sel in selections]) for t in range(parent.horizon.T)]

@@ -15,15 +15,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import Any, Sequence
 
 from .checks import DecompositionReport, report_from_dict, run_battery, verify_witnesses
-from .dp import (DiscountedHorizon, DPInstance, FiniteHorizon, Horizon,
-                 solve_discounted_pi, solve_discounted_vi, solve_finite)
+from .dp import (DiscountedHorizon, FiniteHorizon, Horizon, solve_discounted_pi,
+                 solve_discounted_vi, solve_finite)
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
                      NotInvariant, NotSeparableCost, PreconditionFailed,
                      TheoremViolation)
-from .instancefile import LoadedInstance, load_instance, load_lqr_block, parse_rational
+from .instancefile import (LoadedInstance, load_instance, load_lqr_block, parse_matrix,
+                           parse_rational, read_header)
 from .invariant_decomp import primary_decomposition
 
 GUARD_STATES = 2**16
@@ -33,6 +35,8 @@ GUARD_STAGES = 2**20
 # decompose never enumerates states, but factoring the characteristic
 # polynomial grows steeply with n: a random 48x48 matrix takes under 2 s
 GUARD_DIM = 48
+# the Riccati recursion keeps T + 1 gains: at n = 2, T = 2^12 takes 0.4 s
+GUARD_LQR_T = 2**12
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -44,8 +48,21 @@ def _fmt_vec(v: Sequence[int]) -> str:
     return "[" + " ".join(str(d) for d in v) + "]"
 
 
-def _fmt_argmin(inst: DPInstance, chosen: frozenset[int]) -> str:
-    return "{" + ", ".join(_fmt_vec(inst.input_vector(u)) for u in sorted(chosen)) + "}"
+def _vectors(p: int, k: int) -> list[tuple[int, ...]]:
+    """The digit vector of every index in GF(p)^k, in index order (digit 0
+    varies fastest)."""
+    return [v[::-1] for v in product(range(p), repeat=k)]
+
+
+def _input_sets(sets: Sequence[frozenset[int]], inputs: list) -> list[list]:
+    """Each set of input indices as its input vectors, in index order."""
+    return [[inputs[u] for u in sorted(chosen)] for chosen in sets]
+
+
+def _guard(args: argparse.Namespace, size: int, limit: int, what: str) -> None:
+    """Refuse a run whose size is above its guard unless --force is given."""
+    if size > limit and not args.force:
+        raise ValueError(f"{what}, above the guard of {limit}; rerun with --force to proceed")
 
 
 def _horizon_override(args: argparse.Namespace) -> Horizon | None:
@@ -63,46 +80,29 @@ def _horizon_override(args: argparse.Namespace) -> Horizon | None:
     return DiscountedHorizon(parse_rational(args.alpha))
 
 
-def _precheck_size(data: dict[str, Any], force: bool) -> None:
-    """Refuse state or input spaces too large to enumerate comfortably
-    unless --force is given.  Malformed documents fall through to the
-    loader, which produces the better message."""
-    if force:
-        return
-    try:
-        p, n, m = data["field"]["prime"], data["dims"]["n"], data["dims"]["m"]
-    except (KeyError, TypeError):
-        return
-    if not all(type(v) is int for v in (p, n, m)) or p < 2:
-        return
-    for what, k, guard in (("state", n, GUARD_STATES), ("input", m, GUARD_INPUTS)):
-        # p >= 2, so a k past the guard's bit length exceeds it without p**k
-        if k > guard.bit_length() or (k >= 0 and p**k > guard):
-            raise ValueError(f"{what} space has {p}^{k} points, above the guard of "
-                             f"{guard}; rerun with --force to proceed")
-
-
-def _read_json(path: str) -> dict[str, Any]:
+def _read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("instance document must be a JSON object")
-    return data
 
 
 def _load(args: argparse.Namespace) -> LoadedInstance:
     data = _read_json(args.instance)
-    _precheck_size(data, args.force)
-    loaded = load_instance(data, horizon_override=_horizon_override(args),
-                           max_states=None, max_inputs=None)
-    inst = loaded.instance
-    stages = inst.horizon.T * inst.num_states if isinstance(inst.horizon, FiniteHorizon) else 0
-    if stages > GUARD_STAGES and not args.force:
-        raise ValueError(f"T·p^n = {stages} is above the guard of {GUARD_STAGES}; "
-                         "rerun with --force to proceed")
+    field, n, m = read_header(data)
+    p = field.p
+    # the size guards fire before any table is built; p >= 2, so an
+    # exponent past a guard's bit length is above it without computing p**n
+    _guard(args, p ** min(n, GUARD_STATES.bit_length()), GUARD_STATES,
+           f"state space has {p}^{n} points")
+    _guard(args, p ** min(m, GUARD_INPUTS.bit_length()), GUARD_INPUTS,
+           f"input space has {p}^{m} points")
+    loaded = load_instance(data, horizon_override=_horizon_override(args))
+    horizon = loaded.instance.horizon
+    if isinstance(horizon, FiniteHorizon):
+        stages = horizon.T * p**n
+        _guard(args, stages, GUARD_STAGES, f"T·p^n = {stages}")
     return loaded
 
 
@@ -110,90 +110,71 @@ def _emit(payload: dict[str, Any]) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _print_table(title: str, states: list, values: list[str], argmin: list | None = None) -> None:
+    print(title)
+    for x, (state, value) in enumerate(zip(states, values)):
+        line = f"  {_fmt_vec(state)}  {value}"
+        if argmin is not None:
+            line += "  argmin {" + ", ".join(map(_fmt_vec, argmin[x])) + "}"
+        print(line)
+
+
+def _print_solution(d: dict[str, Any]) -> None:
+    """The text form of cmd_solve's payload."""
+    head, argmin = f"field GF({d['field']}), n={d['n']}, m={d['m']}", d.get("argmin")
+    if "finite" in d["horizon"]:
+        print(f"{head}, horizon T={d['horizon']['finite']['T']}")
+        for t, values in d["values"].items():
+            _print_table(f"values at t={t}:", d["states"], values,
+                         None if argmin is None else argmin.get(t))
+        return
+    print(f"{head}, discount alpha={d['horizon']['discounted']['alpha']}")
+    _print_table("exact values (policy iteration):", d["states"], d["values"], argmin)
+    vi = d["value_iteration"]
+    _print_table(f"value iteration (tol {vi['tolerance']}): sup-error bound "
+                 f"{vi['error_bound']} after {vi['iterations']} sweeps", d["states"], vi["values"])
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args).instance
-    p = inst.field.p
-    if isinstance(inst.horizon, FiniteHorizon):
-        T = inst.horizon.T
+    p, horizon = inst.field.p, inst.horizon
+    payload: dict[str, Any] = {"field": p, "n": inst.n, "m": inst.m,
+                               "states": _vectors(p, inst.n)}
+    inputs = _vectors(p, inst.m)
+    if isinstance(horizon, FiniteHorizon):
         values, argmin = solve_finite(inst)
-        times = list(range(T + 1)) if args.all_t else [0]
-        if args.json:
-            payload: dict[str, Any] = {
-                "field": p, "n": inst.n, "m": inst.m,
-                "horizon": {"finite": {"T": T}},
-                "states": [list(inst.state_vector(x)) for x in range(inst.num_states)],
-                "values": {str(t): [str(v) for v in values.table(t)] for t in times},
-            }
-            if args.argmin:
-                payload["argmin"] = {
-                    str(t): [[list(inst.input_vector(u)) for u in sorted(argmin.at(x, t))]
-                             for x in range(inst.num_states)]
-                    for t in times if t < T}
-            _emit(payload)
-            return EXIT_OK
-        print(f"field GF({p}), n={inst.n}, m={inst.m}, horizon T={T}")
-        for t in times:
-            print(f"values at t={t}:")
-            for x in range(inst.num_states):
-                line = f"  {_fmt_vec(inst.state_vector(x))}  {values.value(x, t)}"
-                if args.argmin and t < T:
-                    line += f"  argmin {_fmt_argmin(inst, argmin.at(x, t))}"
-                print(line)
-        return EXIT_OK
-    alpha = inst.horizon.alpha
-    values, argmin = solve_discounted_pi(inst)
-    vi = solve_discounted_vi(inst, args.tol)
-    if args.json:
-        payload = {
-            "field": p, "n": inst.n, "m": inst.m,
-            "horizon": {"discounted": {"alpha": str(alpha)}},
-            "states": [list(inst.state_vector(x)) for x in range(inst.num_states)],
-            "values": [str(v) for v in values.stationary],
-            "value_iteration": {
-                "tolerance": str(args.tol),
-                "values": [str(v) for v in vi.values.stationary],
-                "error_bound": str(vi.error_bound),
-                "iterations": vi.iterations,
-            },
+        times = range(horizon.T + 1) if args.all_t else [0]
+        payload["horizon"] = {"finite": {"T": horizon.T}}
+        payload["values"] = {str(t): [str(v) for v in values.table(t)] for t in times}
+        if args.argmin:
+            payload["argmin"] = {str(t): _input_sets(argmin.per_time[t], inputs)
+                                 for t in times if t < horizon.T}
+    else:
+        values, argmin = solve_discounted_pi(inst)
+        vi = solve_discounted_vi(inst, args.tol)
+        payload["horizon"] = {"discounted": {"alpha": str(horizon.alpha)}}
+        payload["values"] = [str(v) for v in values.stationary]
+        payload["value_iteration"] = {
+            "tolerance": str(args.tol),
+            "values": [str(v) for v in vi.values.stationary],
+            "error_bound": str(vi.error_bound),
+            "iterations": vi.iterations,
         }
         if args.argmin:
-            payload["argmin"] = [[list(inst.input_vector(u)) for u in sorted(s)]
-                                 for s in argmin.stationary]
+            payload["argmin"] = _input_sets(argmin.stationary, inputs)
+    if args.json:
         _emit(payload)
-        return EXIT_OK
-    print(f"field GF({p}), n={inst.n}, m={inst.m}, discount alpha={alpha}")
-    print("exact values (policy iteration):")
-    for x in range(inst.num_states):
-        line = f"  {_fmt_vec(inst.state_vector(x))}  {values.value(x)}"
-        if args.argmin:
-            line += f"  argmin {_fmt_argmin(inst, argmin.at(x))}"
-        print(line)
-    print(f"value iteration (tol {args.tol}): sup-error bound {vi.error_bound} "
-          f"after {vi.iterations} sweeps")
-    for x in range(inst.num_states):
-        print(f"  {_fmt_vec(inst.state_vector(x))}  {vi.values.value(x)}")
+    else:
+        _print_solution(payload)
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     # Only the dynamics matter here, so accept documents without cost/horizon.
     data = _read_json(args.instance)
-    from .fields import PrimeField
-    from .instancefile import _parse_matrix
-    try:
-        prime = data["field"]["prime"]
-        n = data["dims"]["n"]
-    except (KeyError, TypeError):
-        raise ValueError("missing field.prime / dims.n") from None
-    if not isinstance(prime, int) or isinstance(prime, bool):
-        raise ValueError("field.prime must be an integer")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("dims.n must be an integer >= 1")
-    if n > GUARD_DIM and not args.force:
-        raise ValueError(f"dims.n is {n}, above the decompose guard of {GUARD_DIM}; "
-                         "rerun with --force to proceed")
-    field = PrimeField(prime)
-    A = _parse_matrix(field, data.get("A"), n, n, "A")
+    field, n, _ = read_header(data, dynamics_only=True)
+    _guard(args, n, GUARD_DIM, f"dims.n is {n}")
+    A = parse_matrix(field, data.get("A"), n, n, "A")
     try:
         decomp, factorization = primary_decomposition(A)
     except NotDecomposable as exc:
@@ -209,27 +190,17 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "decomposable": True,
             "factors": [{"coefficients": list(q.coeffs), "degree": q.degree,
                          "multiplicity": mult} for q, mult in factorization],
-            "parts": [[list(row) for row in _basis_rows(part)]
+            "parts": [[list(row) for row in zip(*part.basis_vectors())]
                       for part in decomp.parts],
         })
         return EXIT_OK
-    print(f"field GF({prime}), n={n}: {decomp.r} invariant parts")
+    print(f"field GF({field.p}), n={n}: {decomp.r} invariant parts")
     for i, ((q, mult), part) in enumerate(zip(factorization, decomp.parts)):
         print(f"part {i}: dim {part.dim}, factor coefficients (low to high) "
               f"{list(q.coeffs)} multiplicity {mult}")
         for v in part.basis_vectors():
             print(f"  basis {_fmt_vec(v)}")
     return EXIT_OK
-
-
-def _basis_rows(part) -> list[tuple[int, ...]]:
-    cols = part.basis_vectors()
-    n = part.ambient_dim
-    return [tuple(c[i] for c in cols) for i in range(n)]
-
-
-def _render_verdict(v: bool | None) -> str:
-    return {None: "skipped", True: "holds", False: "fails"}[v]
 
 
 def _print_report(report: DecompositionReport) -> None:
@@ -250,7 +221,7 @@ def _print_report(report: DecompositionReport) -> None:
     for key in order:
         if d[key] is None:
             continue
-        print(f"{key}: {_render_verdict(d[key])}")
+        print(f"{key}: {'holds' if d[key] else 'fails'}")
         witness = d.get(witness_key.get(key, ""))
         if witness:
             print(f"  witness: {json.dumps(witness, sort_keys=True)}")
@@ -271,8 +242,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot check: {exc}") from exc
         source = "decomposition computed from the dynamics"
     if args.verify_witness is not None:
-        report_data = _read_json(args.verify_witness)
-        report = report_from_dict(report_data)
+        report = report_from_dict(_read_json(args.verify_witness))
         results = verify_witnesses(inst, decomp, report)
         if args.json:
             _emit({"witnesses": results})
@@ -296,6 +266,7 @@ def cmd_lqr(args: argparse.Namespace) -> int:
 
     from .lqr import block_diagonal_check, riccati_backward, trajectory_cost
     data = load_lqr_block(_read_json(args.instance))
+    _guard(args, data["T"], GUARD_LQR_T, f"lqr.T is {data['T']}")
     A = np.array(data["A"], dtype=float)
     B = np.array(data["B"], dtype=float)
     P = np.array(data["P"], dtype=float)
@@ -347,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     common.add_argument("--force", action="store_true",
                         help="lift the state/input space size and horizon "
-                             "guards (the dimension guard for decompose)")
+                             "guards (the dimension guard for decompose, the "
+                             "horizon guard for lqr)")
 
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--horizon", choices=["finite", "discounted"],

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from operator import floordiv
 from typing import Sequence
 
 from .linalg import MatrixFp, index_map, index_sum, rref
@@ -39,9 +40,13 @@ class CosetFrame:
     offset: list[int]          # R u, the in-coset shift of B u, per input u
     pre: list[frozenset[int]]  # pre[d]: the inputs u with R u = d
     neg: list[int]             # neg[w]: the position -w, digit by digit
+    c_ax: list[int] = dataclasses.field(init=False)  # coset label of A x, per state x
     # rows of fibres and of their least inputs, by position (see _by_coordinate)
     _rows: dict = dataclasses.field(default_factory=dict, init=False)
     _least: dict = dataclasses.field(default_factory=dict, init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "c_ax", list(map(floordiv, self.k_ax, repeat(self.P))))
 
     @classmethod
     def of(cls, A: MatrixFp, B: MatrixFp) -> "CosetFrame":

@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from operator import add, eq, floordiv, gt, mul, truediv
+from operator import add, eq, floordiv, gt, mul, sub, truediv
 from typing import Sequence
 
 from .cosets import CosetFrame
@@ -260,12 +260,6 @@ class DPInstance:
     def num_inputs(self) -> int:
         return self.field.p**self.m
 
-    def input_vector(self, u_idx: int) -> tuple[int, ...]:
-        return index_state(u_idx, self.field.p, self.m)
-
-    def state_vector(self, x_idx: int) -> tuple[int, ...]:
-        return index_state(x_idx, self.field.p, self.n)
-
     def transitions(self) -> list[list[int]]:
         """next-state index for every (state, input) pair, computed once."""
         if self._trans is None:
@@ -380,15 +374,13 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("solve_finite needs a finite horizon")
     frame = inst.coset_frame()
-    P = frame.P
-    c_ax = [k // P for k in frame.k_ax]
     g = inst.cost.num
     J = g
     tables = [g]  # J_T, J_{T-1}, ..., J_0
     argmins = []
     for _ in range(inst.horizon.T):
         Jk, mins = frame.minima(J)
-        J = tuple(map(add, g, map(mins.__getitem__, c_ax)))
+        J = tuple(map(add, g, map(mins.__getitem__, frame.c_ax)))
         tables.append(J)
         argmins.append(tuple(frame.argmin_sets(Jk, mins)))
     return (ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale),
@@ -507,7 +499,6 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
     frame = inst.coset_frame()
-    c_ax = list(map(floordiv, frame.k_ax, repeat(frame.P)))
     policy = [min(chosen) for chosen in frame.argmin_sets(*frame.minima(inst.cost.num))]
     nxt = frame.successors(policy)
     while True:
@@ -515,7 +506,7 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
         J = _over_common_scale(values.nums[0])
         Jk, mins = frame.minima(J)
         stale = list(compress(count(), map(gt, map(J.__getitem__, nxt),
-                                           map(mins.__getitem__, c_ax))))
+                                           map(mins.__getitem__, frame.c_ax))))
         if not stale:
             break
         better = frame.least_argmins(Jk, mins, stale)
@@ -561,7 +552,6 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
                 f"and tol = {tol}, more than its exact values can carry; "
                 "raise the tolerance")
     frame = inst.coset_frame()
-    P = frame.P
     G = inst.cost.num
     current = (0,) * inst.num_states
     power = 1  # current is over b^iterations·L
@@ -569,9 +559,10 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
     while True:
         mins = frame.minima(current)[1]
         power *= b
-        new = tuple([power * gx + a * mins[k // P] for gx, k in zip(G, frame.k_ax)])
+        new = tuple(map(add, map(mul, G, repeat(power)),
+                        map(mul, repeat(a), map(mins.__getitem__, frame.c_ax))))
         # the old iterate over the new scale is b·current
-        delta = max(abs(u - b * v) for u, v in zip(new, current))
+        delta = max(map(abs, map(sub, new, map(mul, current, repeat(b)))))
         current = new
         iterations += 1
         if delta * tol.denominator <= tol.numerator * power * inst.cost.scale:

@@ -35,7 +35,8 @@ def parse_rational(value: Any) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
-def _parse_matrix(field: PrimeField, data: Any, nrows: int, ncols: int, name: str) -> MatrixFp:
+def parse_matrix(field: PrimeField, data: Any, nrows: int, ncols: int, name: str) -> MatrixFp:
+    """The nrows x ncols integer matrix `name`, reduced mod p."""
     if (not isinstance(data, list) or len(data) != nrows
             or any(not isinstance(row, list) or len(row) != ncols for row in data)):
         raise ValueError(f"{name} must be a {nrows}x{ncols} integer matrix")
@@ -78,8 +79,8 @@ def _parse_decomposition(field: PrimeField, n: int, data: Any) -> DirectSumDecom
     for k, mat in enumerate(data):
         if not isinstance(mat, list) or not mat or not isinstance(mat[0], list):
             raise ValueError(f"decomposition part {k} must be a matrix (list of rows)")
-        # the first row fixes the width; _parse_matrix checks everything else
-        basis = _parse_matrix(field, mat, n, len(mat[0]), f"decomposition part {k}")
+        # the first row fixes the width; parse_matrix checks everything else
+        basis = parse_matrix(field, mat, n, len(mat[0]), f"decomposition part {k}")
         part = Subspace(field, n, basis.cols())
         if part.dim != basis.ncols:
             raise ValueError(f"decomposition part {k} columns are dependent")
@@ -119,10 +120,10 @@ def _parse_cost(field: PrimeField, n: int, data: Any,
     return CostFunction.indicator(decomp, [parse_rational(v) for v in weights])
 
 
-def load_instance(data: dict[str, Any], *, horizon_override: Horizon | None = None,
-                  max_states: int | None, max_inputs: int | None) -> LoadedInstance:
-    """Build a control problem (and optional splitting) from a parsed JSON
-    document.  Raises ValueError on any schema or validation failure."""
+def read_header(data: Any, *, dynamics_only: bool = False) -> tuple[PrimeField, int, int]:
+    """The field and the dimensions n and m of an instance document, read
+    before anything larger.  A document for the dynamics alone
+    (dynamics_only) may leave out dims.m, which then reads as 0."""
     if not isinstance(data, dict):
         raise ValueError("instance document must be a JSON object")
     version = data.get("schema_version", SCHEMA_VERSION)
@@ -135,31 +136,36 @@ def load_instance(data: dict[str, Any], *, horizon_override: Horizon | None = No
     if not isinstance(prime, int) or isinstance(prime, bool):
         raise ValueError("field.prime must be an integer")
     field = PrimeField(prime)
-    try:
-        n = data["dims"]["n"]
-        m = data["dims"]["m"]
-    except (KeyError, TypeError):
-        raise ValueError("missing dims.n / dims.m") from None
+    dims = data.get("dims")
+    if not isinstance(dims, dict) or "n" not in dims or ("m" not in dims and not dynamics_only):
+        raise ValueError("missing dims.n / dims.m")
+    n, m = dims["n"], dims.get("m", 0)
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (n, m)):
         raise ValueError("dims must be nonnegative integers")
     if n < 1:
         raise ValueError("state dimension n must be at least 1")
-    A = _parse_matrix(field, data.get("A"), n, n, "A")
-    B = _parse_matrix(field, data.get("B"), n, m, "B")
+    return field, n, m
+
+
+def load_instance(data: dict[str, Any], *,
+                  horizon_override: Horizon | None = None) -> LoadedInstance:
+    """Build a control problem (and optional splitting) from a parsed JSON
+    document.  Raises ValueError on any schema or validation failure.  The
+    state and input spaces are not bounded here: a caller that must bound
+    them checks read_header's dimensions first."""
+    field, n, m = read_header(data)
+    A = parse_matrix(field, data.get("A"), n, n, "A")
+    B = parse_matrix(field, data.get("B"), n, m, "B")
     decomp = None
     if "decomposition" in data:
         decomp = _parse_decomposition(field, n, data["decomposition"])
     if "cost" not in data:
         raise ValueError("missing cost")
     cost = _parse_cost(field, n, data["cost"], decomp)
-    if horizon_override is not None:
-        horizon = horizon_override
-    else:
-        if "horizon" not in data:
-            raise ValueError("missing horizon (and no override given)")
-        horizon = _parse_horizon(data["horizon"])
-    instance = DPInstance(A, B, cost, horizon,
-                          max_states=max_states, max_inputs=max_inputs)
+    if horizon_override is None and "horizon" not in data:
+        raise ValueError("missing horizon (and no override given)")
+    horizon = horizon_override or _parse_horizon(data["horizon"])
+    instance = DPInstance(A, B, cost, horizon, max_states=None, max_inputs=None)
     return LoadedInstance(instance, decomp)
 
 

@@ -251,7 +251,7 @@ def test_criterion_1_lifted_subproblem_optimizers(criterion):
         basis = bundle.input_basis(1)
         for x in range(inst.num_states):
             for a in sub_argmin.at(comp[1][x], 0):
-                a_vec = bundle.restricted[1].input_vector(a)
+                a_vec = index_state(a, 3, bundle.restricted[1].m)
                 u_vec = basis.matvec(a_vec)
                 assert u_vec[1] == 0  # lifted input uses only the first channel
                 assert state_index(u_vec, 3) in parent_argmin.at(x, 0)

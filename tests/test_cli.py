@@ -55,6 +55,22 @@ def test_solve_text(worked_path, capsys):
     assert "[0 1 0]  1  argmin {[1 0], [0 1], [2 2]}" in out
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--all-t", "--argmin"], "solve-worked-finite-all-t-argmin.txt"),
+    (["--horizon", "discounted", "--alpha", "1/2", "--argmin"],
+     "solve-worked-discounted-argmin.txt"),
+], ids=["finite", "discounted"])
+def test_solve_text_is_pinned(worked_path, capsys, argv, name):
+    """solve's whole text output on the worked example, byte for byte (the
+    golden digests cover only --json)."""
+    rc, out, err = run(capsys, "solve", worked_path, *argv)
+    assert rc == 0 and err == ""
+    assert out.encode() == (DATA / name).read_bytes()
+
+
 def test_solve_json_frozen_values(worked_path, capsys):
     rc, out, _ = run(capsys, "solve", worked_path, "--json", "--all-t")
     assert rc == 0
@@ -341,6 +357,38 @@ def test_invalid_cost_is_invalid(tmp_path, capsys):
     assert "vanish at the zero state" in err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.pop("field"), "missing field.prime"),
+    (lambda d: d.update(field=[3]), "missing field.prime"),
+    (lambda d: d["field"].update(prime="3"), "field.prime must be an integer"),
+    (lambda d: d["field"].update(prime=True), "field.prime must be an integer"),
+    (lambda d: d["field"].update(prime=4), "not prime"),
+    (lambda d: d["field"].update(prime=2**64 + 13), "not below 2^64"),
+    (lambda d: d.pop("dims"), "missing dims"),
+    (lambda d: d.update(dims=[3, 2]), "missing dims"),
+    (lambda d: d["dims"].update(n=0), "at least 1"),
+    (lambda d: d["dims"].update(n=-1), "nonnegative integers"),
+    (lambda d: d["dims"].update(n="3"), "nonnegative integers"),
+    (lambda d: d["dims"].update(m=-1), "nonnegative integers"),
+    (lambda d: d.update(schema_version="2.0"), "unsupported schema_version"),
+], ids=["no-field", "field-list", "prime-string", "prime-bool", "prime-4", "prime-huge",
+        "no-dims", "dims-list", "n-zero", "n-negative", "n-string", "m-negative",
+        "schema-2"])
+def test_malformed_header_gets_one_error(tmp_path, capsys, mutate, message):
+    """solve, check and decompose read the header through one reader, so a
+    malformed header exits 2 with the same message from all three."""
+    doc = worked_doc()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    errors = set()
+    for argv in (["solve"], ["check"], ["decompose"], ["solve", "--force"]):
+        rc, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert rc == 2 and out == "", argv
+        errors.add(err)
+    assert len(errors) == 1 and message in errors.pop()
+
+
 def test_size_guard_and_force(tmp_path, capsys):
     doc = {"schema_version": "1.0", "field": {"prime": 7},
            "dims": {"n": 7, "m": 1},
@@ -419,6 +467,27 @@ def test_horizon_guard_is_lifted_by_force(tmp_path, capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["horizon"] == {"finite": {"T": 5}}
     rc, _, _ = run(capsys, "solve", str(path), "--T", "4")
     assert rc == 0
+
+
+def test_lqr_long_horizon_exits_2_in_bounded_time(tmp_path):
+    """The Riccati recursion keeps T + 1 gains, so lqr.T = 10^7 would run
+    for minutes: the lqr horizon guard refuses it up front."""
+    path = tmp_path / "lqr.json"
+    path.write_text(json.dumps({"lqr": {"A": [[1.0]], "B": [[1.0]], "P": [[1.0]],
+                                        "T": 10**7}}))
+    proc = _cli_process(path, ["lqr"])
+    assert proc.returncode == 2, proc.stderr
+    assert "lqr.T" in proc.stderr and "--force" in proc.stderr
+
+
+def test_lqr_horizon_guard_is_lifted_by_force(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GUARD_LQR_T", 4)
+    path = tmp_path / "lqr.json"
+    path.write_text(json.dumps(lqr_doc()))  # T = 6
+    rc, out, err = run(capsys, "lqr", str(path), "--json")
+    assert rc == 2 and out == "" and "--force" in err
+    rc, out, _ = run(capsys, "lqr", str(path), "--json", "--force")
+    assert rc == 0 and json.loads(out)["T"] == 6
 
 
 @pytest.mark.parametrize("argv, prime, code", [

@@ -247,8 +247,8 @@ def oracle_successors(inst, inputs):
     """The successor of every state under inputs[x], from the digit vectors
     of A x + B u."""
     p = inst.field.p
-    return [state_index([a + b for a, b in zip(inst.A.matvec(inst.state_vector(x)),
-                                                inst.B.matvec(inst.input_vector(u)))], p)
+    return [state_index([a + b for a, b in zip(inst.A.matvec(index_state(x, p, inst.n)),
+                                                inst.B.matvec(index_state(u, p, inst.m)))], p)
             for x, u in enumerate(inputs)]
 
 
@@ -776,6 +776,7 @@ def test_coset_frame_matches_two_elimination_oracle():
             got, want = dp.CosetFrame.of(A, B), oracle_coset_frame(A, B)
             for name in FRAME_FIELDS:
                 assert getattr(got, name) == getattr(want, name), (p, n, shape, name)
+            assert got.c_ax == [k // got.P for k in got.k_ax]
             if shape in ("autonomous", "zero"):
                 assert got.P == 1
             if shape == "invertible":

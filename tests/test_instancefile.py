@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 from dpdecomp.dp import DiscountedHorizon, FiniteHorizon, state_index
 from dpdecomp.instancefile import load_instance, load_lqr_block, parse_rational
 
-UNBOUNDED = {"max_states": None, "max_inputs": None}
-
 
 def base_doc():
     return {
@@ -51,7 +49,7 @@ def test_rational_round_trip(q):
 # === instance documents ===
 
 def test_load_worked_instance():
-    loaded = load_instance(base_doc(), **UNBOUNDED)
+    loaded = load_instance(base_doc())
     inst = loaded.instance
     assert inst.field.p == 3 and inst.n == 3 and inst.m == 2
     assert inst.horizon == FiniteHorizon(1)
@@ -64,7 +62,7 @@ def test_load_worked_instance():
 def test_load_from_file(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(base_doc()))
-    loaded = load_instance(json.loads(path.read_text()), **UNBOUNDED)
+    loaded = load_instance(json.loads(path.read_text()))
     assert loaded.instance.n == 3
 
 
@@ -72,11 +70,11 @@ def test_schema_version_checked():
     doc = base_doc()
     doc["schema_version"] = "2.0"
     with pytest.raises(ValueError, match="schema_version"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
     # omitting the version assumes the current one
     doc2 = base_doc()
     del doc2["schema_version"]
-    load_instance(doc2, **UNBOUNDED)
+    load_instance(doc2)
 
 
 def test_missing_and_malformed_sections():
@@ -104,39 +102,38 @@ def test_missing_and_malformed_sections():
         doc = base_doc()
         mutate(doc)
         with pytest.raises(ValueError, match=message):
-            load_instance(doc, **UNBOUNDED)
+            load_instance(doc)
 
 
 def test_matrix_entries_reduced_mod_p():
     doc = base_doc()
     doc["A"][0][0] = 4  # 4 = 1 mod 3
-    loaded = load_instance(doc, **UNBOUNDED)
+    loaded = load_instance(doc)
     assert loaded.instance.A[0, 0] == 1
     doc["A"][0][0] = 1.5
     with pytest.raises(ValueError, match="integers"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
 
 
 def test_horizon_forms():
     doc = base_doc()
     doc["horizon"] = {"discounted": {"alpha": "1/2"}}
-    loaded = load_instance(doc, **UNBOUNDED)
+    loaded = load_instance(doc)
     assert loaded.instance.horizon == DiscountedHorizon(Fraction(1, 2))
     for bad in ({"finite": {"T": 0}}, {"finite": {}}, {"weekly": {}},
                 {"finite": {"T": 1}, "discounted": {"alpha": "1/2"}},
                 {"discounted": {"alpha": "3/2"}}, "finite"):
         doc["horizon"] = bad
         with pytest.raises(ValueError):
-            load_instance(doc, **UNBOUNDED)
+            load_instance(doc)
 
 
 def test_horizon_override_wins():
     doc = base_doc()
     del doc["horizon"]
-    loaded = load_instance(doc, horizon_override=FiniteHorizon(3), **UNBOUNDED)
+    loaded = load_instance(doc, horizon_override=FiniteHorizon(3))
     assert loaded.instance.horizon == FiniteHorizon(3)
-    loaded2 = load_instance(base_doc(), horizon_override=DiscountedHorizon(Fraction(1, 3)),
-                            **UNBOUNDED)
+    loaded2 = load_instance(base_doc(), horizon_override=DiscountedHorizon(Fraction(1, 3)))
     assert loaded2.instance.horizon == DiscountedHorizon(Fraction(1, 3))
 
 
@@ -144,22 +141,22 @@ def test_decomposition_validation():
     doc = base_doc()
     doc["decomposition"] = doc["decomposition"][:1]
     with pytest.raises(ValueError, match="at least two"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
     doc = base_doc()
     doc["decomposition"][0] = [[1], [1]]
     with pytest.raises(ValueError, match="3x1 integer matrix"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
     doc = base_doc()
     doc["decomposition"][0] = [[1, 2], [1, 2], [0, 0]]
     with pytest.raises(ValueError, match="dependent"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
 
 
 def test_cost_kinds():
     # indicator with per-part weights
     doc = base_doc()
     doc["cost"] = {"indicator": {"weights": [0, 1, 0]}}
-    loaded = load_instance(doc, **UNBOUNDED)
+    loaded = load_instance(doc)
     g = loaded.instance.cost.table
     assert g[state_index((0, 1, 0), 3)] == Fraction(1)
     assert g[state_index((1, 0, 0), 3)] == Fraction(0)
@@ -167,7 +164,7 @@ def test_cost_kinds():
     doc = base_doc()
     del doc["decomposition"]
     doc["cost"] = {"table": [0] + ["1/2"] * 26}
-    loaded = load_instance(doc, **UNBOUNDED)
+    loaded = load_instance(doc)
     assert loaded.instance.cost.table[state_index((1, 0, 0), 3)] == Fraction(1, 2)
 
 
@@ -175,20 +172,20 @@ def test_cost_requires_exactly_one_kind():
     doc = base_doc()
     doc["cost"] = {"table": [0] * 27, "indicator": {"weights": [1, 1, 1]}}
     with pytest.raises(ValueError, match="exactly one"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
     doc["cost"] = {}
     with pytest.raises(ValueError, match="exactly one"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
 
 
 def test_part_costs_require_decomposition():
     doc = base_doc()
     del doc["decomposition"]
     with pytest.raises(ValueError, match="requires a decomposition"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
     doc["cost"] = {"indicator": {"weights": [1, 1, 1]}}
     with pytest.raises(ValueError, match="requires a decomposition"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
 
 
 def test_strictness_policy_enforced():
@@ -196,19 +193,19 @@ def test_strictness_policy_enforced():
     doc = base_doc()
     doc["cost"] = {"separable": {"tables": [[0, 0, 0], [0, 1, 1], [0, 0, 0]]}}
     with pytest.raises(ValueError, match="allow_vanishing"):
-        load_instance(doc, **UNBOUNDED)
+        load_instance(doc)
 
 
 def test_size_guards_apply():
+    """The loader bounds no state space (the CLI checks read_header's
+    dimensions first): 3^7 states load, above DPInstance's default guard."""
     doc = base_doc()
     doc["dims"] = {"n": 7, "m": 1}
     doc["A"] = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
     doc["B"] = [[1]] + [[0]] * 6
     doc["cost"] = {"table": [0] + [1] * (3**7 - 1)}
     del doc["decomposition"]
-    with pytest.raises(ValueError, match="guard"):
-        load_instance(doc, max_states=729, max_inputs=81)
-    loaded = load_instance(doc, **UNBOUNDED)
+    loaded = load_instance(doc)
     assert loaded.instance.num_states == 3**7
 
 

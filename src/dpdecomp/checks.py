@@ -191,6 +191,14 @@ def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
     return range_condition, input_space_is_sum
 
 
+def _first_outside(span: frozenset[int], row: Sequence[frozenset[int]]) -> int | None:
+    """The first state whose set of optimal inputs is disjoint from span, or
+    None.  The sets repeat (mostly shared fibre sets), so each distinct set
+    is decided once."""
+    outside = {chosen for chosen in set(row) if span.isdisjoint(chosen)}
+    return next(compress(count(), map(outside.__contains__, row)), None) if outside else None
+
+
 def check_minimizer_condition(bundle: SubproblemBundle, argmin: ArgminTable
                               ) -> tuple[bool, dict[str, Any] | None]:
     """Finite horizon: every state and time must have some optimal input
@@ -200,7 +208,7 @@ def check_minimizer_condition(bundle: SubproblemBundle, argmin: ArgminTable
     span = _input_span(bundle)
     p = bundle.parent.field.p
     for t, row in enumerate(argmin.per_time):
-        x = next(compress(count(), map(span.isdisjoint, row)), None)
+        x = _first_outside(span, row)
         if x is not None:
             return False, {"state": list(index_state(x, p, bundle.parent.n)), "t": t}
     return True, None
@@ -215,7 +223,7 @@ def check_stationary_selector(bundle: SubproblemBundle, argmin: ArgminTable
         raise ValueError("stationary selector applies to discounted horizons")
     span = _input_span(bundle)
     p = bundle.parent.field.p
-    x = next(compress(count(), map(span.isdisjoint, argmin.stationary)), None)
+    x = _first_outside(span, argmin.stationary)
     if x is not None:
         return False, {"state": list(index_state(x, p, bundle.parent.n))}
     return True, None
@@ -428,7 +436,7 @@ def _assert_min_over_parts(bundle: SubproblemBundle) -> None:
     a vanishing cost at zero, and separability, so it is asserted
     unconditionally."""
     inst = bundle.parent
-    g = inst.cost.num
+    g = inst.cost.row
     span_inputs = inst.B @ bundle.input_span.basis_matrix()
     for part, feasible in zip(bundle.decomp.parts, bundle.input_parts):
         # entry xi + p^d eta of the map of [A E | B F] is the successor of the
@@ -452,7 +460,8 @@ def _assert_positivity_props(inst: DPInstance,
     if not inst.cost.is_strict:
         return
     values, argmin = solution
-    for table in values.nums:
+    for t in range(len(values.nums)):
+        table = values.at_scale(t, values.scale)
         if table[0] != 0 or table.count(0) != 1:
             raise TheoremViolation(
                 "optimal value zero set differs from the zero state "

@@ -25,7 +25,7 @@ from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
                      NotInvariant, NotSeparableCost, PreconditionFailed,
                      TheoremViolation)
 from .instancefile import (LoadedInstance, load_instance, load_lqr_block, parse_matrix,
-                           parse_rational, read_header)
+                           parse_rational, read_header, read_horizon)
 from .invariant_decomp import primary_decomposition
 
 GUARD_STATES = 2**16
@@ -98,12 +98,11 @@ def _load(args: argparse.Namespace) -> LoadedInstance:
            f"state space has {p}^{n} points")
     _guard(args, p ** min(m, GUARD_INPUTS.bit_length()), GUARD_INPUTS,
            f"input space has {p}^{m} points")
-    loaded = load_instance(data, horizon_override=_horizon_override(args))
-    horizon = loaded.instance.horizon
+    horizon = read_horizon(data, _horizon_override(args))
     if isinstance(horizon, FiniteHorizon):
-        stages = horizon.T * p**n
+        stages = horizon.T * p ** min(n, GUARD_STAGES.bit_length())
         _guard(args, stages, GUARD_STAGES, f"T·p^n = {stages}")
-    return loaded
+    return load_instance(data, horizon_override=horizon)
 
 
 def _emit(payload: dict[str, Any]) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import floordiv
+from operator import floordiv, getitem, lt, mul, ne
 from typing import Sequence
 
 from .linalg import MatrixFp, index_map, index_sum, rref
@@ -74,6 +74,34 @@ class CosetFrame:
         P = self.P
         Jk = list(map(J.__getitem__, self.order))
         return Jk, list(map(min, zip(*[Jk[i::P] for i in range(P)])))
+
+    def ratio_minima(self, num: Sequence[int], den: Sequence[int]
+                     ) -> tuple[list, list, list[int], list[int]]:
+        """For the values num[x] / den[x] (every den positive): a key in
+        coordinate order that is 0 exactly where a value is its coset's
+        minimum, the key's coset minima (all 0, so argmin_sets(key, zeros)
+        are the values' minimizer sets), and every coset's minimum as a
+        numerator list and a denominator list.
+
+        Values compare by cross-multiplication, n·d' < n'·d.  The minima
+        come from a tournament over the P strided slices, laid end to end:
+        each round pits the first half of the slices against the second,
+        so whatever P is, a round is a few map passes and halves the list."""
+        P = self.P
+        nk = list(map(num.__getitem__, self.order))
+        dk = list(map(den.__getitem__, self.order))
+        n = list(chain.from_iterable(nk[w::P] for w in range(P)))
+        d = list(chain.from_iterable(dk[w::P] for w in range(P)))
+        cosets = len(nk) // P
+        while len(n) > cosets:
+            half = (len(n) // cosets + 1) // 2 * cosets
+            right_n, right_d = n[half:], d[half:]
+            less = list(map(lt, map(mul, right_n, d), map(mul, n, right_d)))
+            n = list(map(getitem, zip(n, right_n), less)) + n[len(less):half]
+            d = list(map(getitem, zip(d, right_d), less)) + d[len(less):half]
+        key = list(map(ne, map(mul, nk, chain.from_iterable(map(repeat, d, repeat(P)))),
+                       map(mul, chain.from_iterable(map(repeat, n, repeat(P))), dk)))
+        return key, [False] * cosets, n, d
 
     def _by_coordinate(self, Jk: list, mins: Sequence, cells: Sequence, kept: dict,
                        merge) -> list:

@@ -22,11 +22,13 @@ The solvers and every scan of the battery work on those integers, policy
 evaluation included (one walk of the closed-loop functional graph on
 integer numerators, see evaluate_stationary_policy); a Fraction is built
 only at the API boundary, when a caller reads ValueTable.table(),
-.per_time, .stationary or .value().  The one exception
-is a common denominator wider than WIDE_SCALE_BITS: then every entry would
-be an integer that wide, so the table keeps its exact Fractions over scale
-1 instead, and the same code runs on them (it only adds, compares, takes
-minima and multiplies by integers).  Tables are still dense over the state
+.per_time, .stationary or .value().  A common denominator wider than
+WIDE_SCALE_BITS would make every numerator that wide, so such a cost or
+table is wide: it keeps two integer rows, numerators and denominators,
+each entry its own ratio.  The solvers take wide coset minima by
+cross-multiplication (CosetFrame.ratio_minima) and add ratios without a
+gcd, dividing a row by its gcds only when its widest denominator passes
+a bound read off the cost.  Tables are still dense over the state
 space; guard limits keep that honest (defaults p^n <= 729 and p^m <= 81,
 both overridable).
 """
@@ -39,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from operator import add, eq, floordiv, gt, mul, sub, truediv
+from operator import add, eq, floordiv, gt, le, mul, sub
 from typing import Sequence
 
 from .cosets import CosetFrame
@@ -52,10 +54,10 @@ DEFAULT_MAX_INPUTS = 81
 
 ZERO = Fraction(0)
 
-# A table whose common denominator is wider than this keeps its Fractions
-# (over scale 1): with many unrelated denominators (4096 of them below 2^20
-# give a 32,000-bit LCD) integer numerators would each be that wide, which
-# costs far more memory than the reduced Fractions.
+# A cost or table whose common denominator is wider than this is wide: it
+# keeps a numerator and a denominator per entry.  With many unrelated
+# denominators (4096 of them below 2^20 give a 32,000-bit LCD) numerators
+# over the common one would each be that wide, far more than a ratio's own.
 WIDE_SCALE_BITS = 256
 
 # Value iteration's scale gains log2(b) bits per sweep for alpha = a/b; it
@@ -122,9 +124,11 @@ class CostFunction:
     table: Sequence[Fraction]
     allow_vanishing: bool = False
     is_strict: bool = dataclasses.field(init=False)
-    # the integer form the solvers use: table[x] == num[x] / scale
+    # the integer form the solvers use: table[x] == num[x] / scale, or for a
+    # wide cost (den not None) table[x] == num[x] / den[x] over scale 1
     scale: int = dataclasses.field(init=False)
     num: tuple[int, ...] = dataclasses.field(init=False)
+    den: tuple[int, ...] | None = dataclasses.field(init=False)
 
     def __post_init__(self):
         size = self.field.p**self.n
@@ -132,7 +136,7 @@ class CostFunction:
         if len(values) != size:
             raise ValueError(f"cost table must have {size} entries, got {len(values)}")
         # scale > 0, so the signs of the numerators are the signs of the values
-        scale, num = _integer_form(values)
+        scale, num, den = _integer_form(values)
         if min(num) < 0:
             raise ValueError("stage cost must be nonnegative")
         if num[0] != 0:
@@ -146,6 +150,13 @@ class CostFunction:
         object.__setattr__(self, "is_strict", strict)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def row(self) -> Sequence:
+        """Entries that add and compare as the values do: num (over the
+        positive scale), or a wide cost's Fractions."""
+        return self.num if self.den is None else self.table
 
     @classmethod
     def indicator(cls, decomp: DirectSumDecomposition,
@@ -189,18 +200,36 @@ class CostFunction:
         return cls(field, decomp.ambient_dim, table, allow_vanishing=allow_vanishing)
 
 
-def _integer_form(values: Sequence[Fraction]) -> tuple[int, tuple]:
-    """(scale, nums) with values[x] == nums[x] / scale: integers over the
-    common denominator, or the values themselves over 1 when that
-    denominator is wider than WIDE_SCALE_BITS."""
+def _integer_form(values: Sequence[Fraction]) -> tuple[int, tuple, tuple | None]:
+    """(scale, nums, None) with values[x] == nums[x] / scale: integers over
+    the common denominator; or, when that denominator is wider than
+    WIDE_SCALE_BITS, (1, nums, dens) with values[x] == nums[x] / dens[x],
+    each value's own terms."""
     dens = {v.denominator for v in values}
     scale = 1
     for d in dens:
         scale = math.lcm(scale, d)
         if scale.bit_length() > WIDE_SCALE_BITS:
-            return 1, tuple(values)
+            return (1, tuple([v.numerator for v in values]),
+                    tuple([v.denominator for v in values]))
     factor = {d: scale // d for d in dens}
-    return scale, tuple([v.numerator * factor[v.denominator] for v in values])
+    return scale, tuple([v.numerator * factor[v.denominator] for v in values]), None
+
+
+def _ratio_sum(n1, d1: Sequence[int], n2, d2) -> tuple[list[int], list[int]]:
+    """n1[x]/d1[x] + n2[x]/d2[x] for every x, as numerators and positive
+    denominators, where d1 is a wide cost's den and the sums are integer
+    combinations of cost values.  A sum stays unreduced,
+    (n1·d2 + n2·d1) / (d1·d2), until some denominator passes the total bit
+    length of d1's distinct values; no reduced one can, as each divides
+    their lcm, so then the whole row is put in lowest terms."""
+    d2 = list(d2)
+    num = list(map(add, map(mul, n1, d2), map(mul, n2, d1)))
+    den = list(map(mul, d1, d2))
+    if max(den).bit_length() <= sum(map(int.bit_length, set(d1))):
+        return num, den
+    common = list(map(math.gcd, num, den))
+    return list(map(floordiv, num, common)), list(map(floordiv, den, common))
 
 
 class DPInstance:
@@ -283,27 +312,40 @@ class ValueTable:
     horizons (times 0..T), a single table for discounted problems.
 
     The values are nums[t][x] / scale: integer numerators over one positive
-    scale (or, past WIDE_SCALE_BITS, the Fractions themselves over 1).
-    table(), per_time, stationary and value() read them as reduced
-    Fractions, built on first use and kept.  Two tables are equal when they
-    hold the same exact values, whatever their scales."""
+    scale.  A wide table (dens not None) holds nums[t][x] / (scale ·
+    dens[t][x]) instead, one positive denominator per entry.  table(),
+    per_time, stationary and value() read the values as reduced Fractions,
+    built on first use and kept; a wide row's Fractions replace its integer
+    rows, which are then None.  Two tables are equal when they hold the
+    same exact values, whatever their scales."""
 
     horizon: Horizon
-    nums: tuple[tuple[int, ...], ...]
+    nums: Sequence[Sequence[int]]
     scale: int
+    dens: Sequence[Sequence[int]] | None = None
     _exact: dict[int, tuple[Fraction, ...]] = dataclasses.field(
         default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.dens is not None:  # rows that table() frees
+            object.__setattr__(self, "nums", list(self.nums))
+            object.__setattr__(self, "dens", list(self.dens))
 
     @classmethod
     def exact(cls, horizon: Horizon, tables: Sequence[Sequence[Fraction]]) -> "ValueTable":
         """The table of exact rational values in integer form (equal-length
         rows, one per time)."""
-        scale, flat = _integer_form([v for t in tables for v in t])
+        scale, flat, dens = _integer_form([v for t in tables for v in t])
         size = len(flat) // len(tables)
-        return cls(horizon, tuple(flat[k:k + size] for k in range(0, len(flat), size)), scale)
+        rows = range(0, len(flat), size)
+        return cls(horizon, tuple(flat[k:k + size] for k in rows), scale,
+                   None if dens is None else [dens[k:k + size] for k in rows])
 
-    def at_scale(self, t: int, scale: int) -> tuple[int, ...]:
-        """The time-t numerators over scale, a multiple of self.scale."""
+    def at_scale(self, t: int, scale: int) -> tuple:
+        """The time-t values times scale, a multiple of self.scale: integers,
+        or a wide table's Fractions (read through table(t))."""
+        if self.dens is not None:
+            return tuple([scale * v for v in self.table(t)])
         k = scale // self.scale
         row = self.nums[t]
         return tuple(row) if k == 1 else tuple([k * v for v in row])
@@ -321,7 +363,11 @@ class ValueTable:
 
     @property
     def per_time(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.table(t) for t in range(len(self.nums)))
+        # built from t = T down, the order a backward recursion made the rows
+        # in: a wide table then frees its oldest integer rows first, which
+        # left about 1 MB less resident peak than the other order at 2^12
+        # states and T = 8
+        return tuple(reversed([self.table(t) for t in reversed(range(len(self.nums)))]))
 
     @property
     def stationary(self) -> tuple[Fraction, ...]:
@@ -331,20 +377,22 @@ class ValueTable:
 
     def table(self, t: int = 0) -> tuple[Fraction, ...]:
         if t not in self._exact:
-            row = self.nums[t]
-            if type(row[0]) is int:
+            if self.dens is None:
+                row = self.nums[t]
                 exact = {v: Fraction(v, self.scale) for v in set(row)}
                 self._exact[t] = tuple(map(exact.__getitem__, row))
-            else:  # a wide table's Fractions (which hash slowly)
-                self._exact[t] = row if self.scale == 1 else tuple([v / self.scale for v in row])
+            else:
+                self._exact[t] = tuple(map(Fraction, self.nums[t],
+                                           map(mul, self.dens[t], repeat(self.scale))))
+                self.nums[t] = self.dens[t] = None
         return self._exact[t]
 
     def value(self, x_idx: int, t: int = 0) -> Fraction:
         """One exact value, read without building the time-t table."""
         if t in self._exact:
             return self._exact[t][x_idx]
-        v = self.nums[t][x_idx]
-        return Fraction(v, self.scale) if type(v) is int else v / self.scale
+        den = 1 if self.dens is None else self.dens[t][x_idx]
+        return Fraction(self.nums[t][x_idx], self.scale * den)
 
 
 @dataclass(frozen=True)
@@ -370,20 +418,29 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     the successor; minimizer sets are recorded in full for every t in 0..T-1.
 
     Each stage is one pass of coset minima (see CosetFrame) over the cost's
-    integer form, so every table is over the cost's scale."""
+    integer form, so every table is over the cost's scale.  A wide cost's
+    stage takes ratio minima and adds g + min as ratios:
+    n/d + n'/d' = (n·d' + n'·d) / (d·d')."""
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("solve_finite needs a finite horizon")
     frame = inst.coset_frame()
-    g = inst.cost.num
-    J = g
-    tables = [g]  # J_T, J_{T-1}, ..., J_0
+    g, gd = inst.cost.num, inst.cost.den
+    J, D = g, gd
+    tables, dens = [g], [gd]  # J_T, J_{T-1}, ..., J_0
     argmins = []
     for _ in range(inst.horizon.T):
-        Jk, mins = frame.minima(J)
-        J = tuple(map(add, g, map(mins.__getitem__, frame.c_ax)))
+        if gd is None:
+            Jk, mins = frame.minima(J)
+            J = tuple(map(add, g, map(mins.__getitem__, frame.c_ax)))
+        else:
+            Jk, mins, mn, md = frame.ratio_minima(J, D)
+            J, D = _ratio_sum(g, gd, map(mn.__getitem__, frame.c_ax),
+                              map(md.__getitem__, frame.c_ax))
+            dens.append(D)
         tables.append(J)
         argmins.append(tuple(frame.argmin_sets(Jk, mins)))
-    return (ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale),
+    return (ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale,
+                       None if gd is None else dens[::-1]),
             ArgminTable(inst.horizon, tuple(reversed(argmins))))
 
 
@@ -409,10 +466,9 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
     a numerator over L·d, and a state k steps above the cycle has one over
     L·b^k·d (from V = G / L + alpha·V_next).  One walk of the graph fills
     them in.  The table then takes the least common scale of its values,
-    the one ValueTable.exact gives, and like ValueTable.exact keeps the
-    values' Fractions over scale 1 when that scale is wider than
-    WIDE_SCALE_BITS; a cost that keeps its Fractions goes through
-    ValueTable.exact itself.
+    the one ValueTable.exact gives, and is wide, holding the walk's own
+    numerators over L and denominators, when that scale is wider than
+    WIDE_SCALE_BITS.  A wide cost's values are wide (see _wide_policy_values).
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("stationary-policy evaluation needs a discounted horizon")
@@ -420,10 +476,9 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
         raise ValueError("policy must assign an input to every state")
     a, b = inst.horizon.alpha.numerator, inst.horizon.alpha.denominator
     G = inst.cost.num
-    integral = type(G[0]) is int
-    # b divides every cycle numerator, so this division is exact
-    divide = floordiv if integral else truediv
     nxt = inst.coset_frame().successors(policy) if successors is None else successors
+    if inst.cost.den is not None:
+        return ValueTable(inst.horizon, *_wide_policy_values(nxt, G, inst.cost.den, a, b))
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # x's value is num[x] / (L·den[x]); 0: unseen, -1: on the path
     # walk only the states some state steps to (their successors are such
@@ -447,7 +502,7 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
             d = bl - a ** len(cycle)
             num[x], den[x] = v, d
             for s in reversed(cycle[1:]):
-                v = d * G[s] + a * divide(v, b)
+                v = d * G[s] + a * (v // b)  # b divides every cycle numerator
                 num[s], den[s] = v, d
         v, dn = num[x], den[x]
         for s in reversed(path):  # each s steps to the state just done
@@ -459,29 +514,50 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
             dn = b * den[y]
             num[x], den[x] = dn * G[x] + a * num[y], dn
     L = inst.cost.scale
-    if integral:
-        dens = set(den)
-        common = math.lcm(*dens)
-        lift = {dn: common // dn for dn in dens}
-        over = list(map(mul, num, map(lift.__getitem__, den)))  # over L·common
-        # the least common scale of the values is L·common over this gcd
-        g = math.gcd(L * common, *over)
-        if (L * common // g).bit_length() <= WIDE_SCALE_BITS:
-            return ValueTable(inst.horizon, (tuple([v // g for v in over]),), L * common // g)
-    values = tuple([Fraction(v, L * dn) for v, dn in zip(num, den)])
-    # an integer table wider than WIDE_SCALE_BITS keeps its Fractions
-    return (ValueTable(inst.horizon, (values,), 1) if integral
-            else ValueTable.exact(inst.horizon, (values,)))
+    over, common = _lifted(num, den)  # over L·common
+    # the least common scale of the values is L·common over this gcd
+    g = math.gcd(L * common, *over)
+    if (L * common // g).bit_length() <= WIDE_SCALE_BITS:
+        return ValueTable(inst.horizon, (tuple([v // g for v in over]),), L * common // g)
+    return ValueTable(inst.horizon, (num,), L, (den,))
 
 
-def _over_common_scale(row: Sequence) -> Sequence[int]:
-    """A table row as integers over one scale, in the same order: the row
-    itself unless it holds a wide table's Fractions, which are lifted to
-    their least common denominator (integers compare far faster)."""
-    if type(row[0]) is int:
-        return row
-    common = math.lcm(*{v.denominator for v in row})
-    return [v.numerator * (common // v.denominator) for v in row]
+def _wide_policy_values(nxt: Sequence[int], G: Sequence[int], Q: Sequence[int],
+                        a: int, b: int) -> tuple[tuple[list[int]], int, tuple[list[int]]]:
+    """(nums, scale, dens) of the wide table of discounted values at alpha =
+    a/b when x steps to nxt[x] and costs G[x] / Q[x]: each value a ratio,
+    from V(s) = g(s) + alpha·V(nxt[s]) on the walk's paths and, at the
+    state x where a path closes a cycle c_0 = x, ..., c_{l-1},
+    V(x) = (sum over j of alpha^j·g(c_j)) / (1 - alpha^l)."""
+    num = [0] * len(nxt)
+    den = [0] * len(nxt)  # 0: unseen, -1: on the path
+    for start in range(len(nxt)):
+        path = []
+        x = start
+        while not den[x]:
+            den[x] = -1
+            path.append(x)
+            x = nxt[x]
+        if den[x] < 0:
+            cycle = path[path.index(x):]
+            v, w = 0, 1  # the lap sum v / w, by Horner's rule from the last state
+            for s in reversed(cycle):
+                v, w = b * w * G[s] + a * Q[s] * v, b * w * Q[s]
+            bl = b ** len(cycle)
+            num[x], den[x] = bl * v, w * (bl - a ** len(cycle))
+            path.remove(x)
+        for s in reversed(path):  # each s steps to the state just done
+            y = nxt[s]
+            num[s], den[s] = b * den[y] * G[s] + a * Q[s] * num[y], b * den[y] * Q[s]
+    return (num,), 1, (den,)
+
+
+def _lifted(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], int]:
+    """The row num / den over the lcm of den: (numerators, that lcm)."""
+    dens = set(den)
+    common = math.lcm(*dens)
+    lift = {dn: common // dn for dn in dens}
+    return list(map(mul, num, map(lift.__getitem__, den))), common
 
 
 def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
@@ -492,21 +568,36 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     see evaluate_stationary_policy) with greedy improvement, and only
     switches an action on a strict improvement, which rules out cycling: a
     state moves to its lowest optimal input exactly when its current
-    successor's value exceeds the minimum over its coset.  On convergence
-    the values satisfy the fixed-point equation exactly, and the minimizer
-    sets, built in full once from those values, are complete.
+    successor's value exceeds the minimum over its coset.  Every round
+    compares integers: a wide table's ratios are lifted to the lcm of their
+    denominators, however wide, unless the cost is wide (the lcm of its
+    path products would be far wider still): then a round compares ratios
+    by cross-multiplication.  On convergence the values satisfy the
+    fixed-point equation exactly, and the minimizer sets, built in full
+    once from those values, are complete.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
     frame = inst.coset_frame()
-    policy = [min(chosen) for chosen in frame.argmin_sets(*frame.minima(inst.cost.num))]
+    cost = inst.cost
+    greedy = (frame.minima(cost.num) if cost.den is None
+              else frame.ratio_minima(cost.num, cost.den)[:2])
+    policy = [min(chosen) for chosen in frame.argmin_sets(*greedy)]
     nxt = frame.successors(policy)
     while True:
         values = evaluate_stationary_policy(inst, policy, nxt)
-        J = _over_common_scale(values.nums[0])
-        Jk, mins = frame.minima(J)
-        stale = list(compress(count(), map(gt, map(J.__getitem__, nxt),
-                                           map(mins.__getitem__, frame.c_ax))))
+        if cost.den is None:
+            J = (values.nums[0] if values.dens is None
+                 else _lifted(values.nums[0], values.dens[0])[0])
+            Jk, mins = frame.minima(J)
+            sides = map(J.__getitem__, nxt), map(mins.__getitem__, frame.c_ax)
+        else:
+            num, den = values.nums[0], values.dens[0]
+            Jk, mins, mn, md = frame.ratio_minima(num, den)
+            # J(nxt[x]) > (mn / md)[c_ax[x]] as n·md > mn·d
+            sides = (map(mul, map(num.__getitem__, nxt), map(md.__getitem__, frame.c_ax)),
+                     map(mul, map(mn.__getitem__, frame.c_ax), map(den.__getitem__, nxt)))
+        stale = list(compress(count(), map(gt, *sides)))
         if not stale:
             break
         better = frame.least_argmins(Jk, mins, stale)
@@ -530,8 +621,9 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
 
     With alpha = a/b and the cost in integer form G / L (CostFunction.num
     over .scale), the k-th iterate is N_k / (b^k·L): N_0 = 0 and
-    N_{k+1} = b^(k+1)·G + a·(coset minimum of N_k).  Before the first
-    sweep the sweep count is predicted as
+    N_{k+1} = b^(k+1)·G + a·(coset minimum of N_k).  A wide cost's N_k is
+    a row of ratios (the table's dens), run through the same recursion by
+    ratio minima.  Before the first sweep the sweep count is predicted as
     k = ceil(log(tol·(1 - alpha)/max g) / log alpha); a ValueError names it
     when k·log2(b) bits would pass what str() prints (PRINTABLE_BITS).
     """
@@ -542,39 +634,58 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
         raise ValueError("tolerance must be positive")
     alpha = inst.horizon.alpha
     a, b = alpha.numerator, alpha.denominator
-    top = max(inst.cost.table)
-    reach = tol * (1 - alpha) / top if top else Fraction(1)
-    if reach < 1:
-        sweeps = math.ceil(_log(reach) / _log(alpha))
+    G, Q, L = inst.cost.num, inst.cost.den, inst.cost.scale
+    top, bottom = max(G), L  # max g = top / bottom
+    if Q is not None:
+        top = 0
+        for v, q in zip(G, Q):
+            if v * bottom > top * q:
+                top, bottom = v, q
+    # reach = tol·(1 - alpha) / max g; no sweep count to predict when reach >= 1
+    reach = (tol.numerator * (b - a) * bottom, tol.denominator * b * top)
+    if reach[0] < reach[1]:
+        sweeps = math.ceil(_log(*reach) / _log(a, b))
         if sweeps * math.log2(b) > PRINTABLE_BITS:
             raise ValueError(
                 f"value iteration would need about {sweeps} sweeps at alpha = {alpha} "
                 f"and tol = {tol}, more than its exact values can carry; "
                 "raise the tolerance")
     frame = inst.coset_frame()
-    G = inst.cost.num
     current = (0,) * inst.num_states
+    dens = None if Q is None else [1] * inst.num_states
     power = 1  # current is over b^iterations·L
     iterations = 0
     while True:
-        mins = frame.minima(current)[1]
         power *= b
-        new = tuple(map(add, map(mul, G, repeat(power)),
-                        map(mul, repeat(a), map(mins.__getitem__, frame.c_ax))))
-        # the old iterate over the new scale is b·current
-        delta = max(map(abs, map(sub, new, map(mul, current, repeat(b)))))
+        if Q is None:
+            mins = frame.minima(current)[1]
+            new = tuple(map(add, map(mul, G, repeat(power)),
+                            map(mul, repeat(a), map(mins.__getitem__, frame.c_ax))))
+            # the old iterate over the new scale is b·current
+            delta = max(map(abs, map(sub, new, map(mul, current, repeat(b)))))
+            done = delta * tol.denominator <= tol.numerator * power * L
+        else:
+            _, _, mn, md = frame.ratio_minima(current, dens)
+            new, new_dens = _ratio_sum(map(mul, G, repeat(power)), Q,
+                                       map(mul, map(mn.__getitem__, frame.c_ax), repeat(a)),
+                                       map(md.__getitem__, frame.c_ax))
+            # |new / new_dens - b·current / dens| <= tol·power at every state
+            done = all(map(le, map(mul, map(abs, map(sub, map(mul, new, dens), map(
+                mul, map(mul, current, repeat(b)), new_dens))), repeat(tol.denominator)),
+                map(mul, map(mul, new_dens, dens), repeat(tol.numerator * power))))
+            dens = new_dens
         current = new
         iterations += 1
-        if delta * tol.denominator <= tol.numerator * power * inst.cost.scale:
+        if done:
             break
     bound = alpha * tol / (1 - alpha)
-    return ValueIterationResult(ValueTable(inst.horizon, (current,), power * inst.cost.scale),
-                                bound, iterations)
+    values = ValueTable(inst.horizon, (current,), power * L, None if dens is None else (dens,))
+    return ValueIterationResult(values, bound, iterations)
 
 
-def _log(q: Fraction) -> float:
-    """Natural log of a positive rational of any size."""
-    return math.log(q.numerator) - math.log(q.denominator)
+def _log(num: int, den: int) -> float:
+    """Natural log of num / den, positive integers of any size."""
+    return math.log(num) - math.log(den)
 
 
 def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> ValueTable:
@@ -582,21 +693,27 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> Val
 
     law[t][x] is the input index applied at time t in state x, for t in
     0..T-1.  Runs the backward recursion V_T = g, V_t = g + V_{t+1} at the
-    successor under law[t], on the cost's integer form; table(0) is the
-    total cost from every start state.
+    successor under law[t], on the cost's integer form (adding ratios for
+    a wide cost); table(0) is the total cost from every start state.
     """
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("closed-loop evaluation needs a finite horizon")
     if len(law) != inst.horizon.T:
         raise ValueError("law must cover times 0..T-1")
     frame = inst.coset_frame()
-    g = inst.cost.num
-    V = g
-    tables = [g]  # V_T, V_{T-1}, ..., V_0
+    g, gd = inst.cost.num, inst.cost.den
+    V, D = g, gd
+    tables, dens = [g], [gd]  # V_T, V_{T-1}, ..., V_0
     for inputs in reversed(law):
-        V = tuple(map(add, g, map(V.__getitem__, frame.successors(inputs))))
+        nxt = frame.successors(inputs)
+        if gd is None:
+            V = tuple(map(add, g, map(V.__getitem__, nxt)))
+        else:
+            V, D = _ratio_sum(g, gd, map(V.__getitem__, nxt), map(D.__getitem__, nxt))
+            dens.append(D)
         tables.append(V)
-    return ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale)
+    return ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale,
+                      None if gd is None else dens[::-1])
 
 
 def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition, *,
@@ -611,7 +728,7 @@ def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition, *,
         embedding = decomp.embedding_tables()
     if comp is None:
         comp = decomp.local_index_tables()
-    g = cost.num
+    g = cost.row
     return value_split_defect(g, [[g[e] for e in emb] for emb in embedding], comp) is None
 
 

@@ -147,6 +147,16 @@ def read_header(data: Any, *, dynamics_only: bool = False) -> tuple[PrimeField, 
     return field, n, m
 
 
+def read_horizon(data: dict[str, Any], override: Horizon | None = None) -> Horizon:
+    """The override if given, else the document's horizon; it reads no
+    table, so a caller can bound the solve before loading."""
+    if override is not None:
+        return override
+    if "horizon" not in data:
+        raise ValueError("missing horizon (and no override given)")
+    return _parse_horizon(data["horizon"])
+
+
 def load_instance(data: dict[str, Any], *,
                   horizon_override: Horizon | None = None) -> LoadedInstance:
     """Build a control problem (and optional splitting) from a parsed JSON
@@ -162,10 +172,8 @@ def load_instance(data: dict[str, Any], *,
     if "cost" not in data:
         raise ValueError("missing cost")
     cost = _parse_cost(field, n, data["cost"], decomp)
-    if horizon_override is None and "horizon" not in data:
-        raise ValueError("missing horizon (and no override given)")
-    horizon = horizon_override or _parse_horizon(data["horizon"])
-    instance = DPInstance(A, B, cost, horizon, max_states=None, max_inputs=None)
+    instance = DPInstance(A, B, cost, read_horizon(data, horizon_override),
+                          max_states=None, max_inputs=None)
     return LoadedInstance(instance, decomp)
 
 

@@ -469,6 +469,27 @@ def test_horizon_guard_is_lifted_by_force(tmp_path, capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["check"], ["solve", "--T", "100"]])
+def test_horizon_guard_fires_before_the_instance_is_loaded(tmp_path, capsys, monkeypatch, argv):
+    """T·p^n is read off the header and the horizon (or --T), so a p = 2,
+    n = 16 file with T = 100 exits 2 before load_instance expands any
+    table."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the instance was loaded before the horizon guard")
+
+    monkeypatch.setattr(cli, "load_instance", refuse)
+    n = 16
+    doc = {"schema_version": "1.0", "field": {"prime": 2}, "dims": {"n": n, "m": 1},
+           "A": [[int(i == j) for j in range(n)] for i in range(n)],
+           "B": [[int(i == 0)] for i in range(n)], "cost": {"table": [0] + [1] * (2**n - 1)},
+           "horizon": {"finite": {"T": 1 if "--T" in argv else 100}}}
+    path = tmp_path / "wide16.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert rc == 2 and out == ""
+    assert "T·p^n = 6553600" in err and "--force" in err
+
+
 def test_lqr_long_horizon_exits_2_in_bounded_time(tmp_path):
     """The Riccati recursion keeps T + 1 gains, so lqr.T = 10^7 would run
     for minutes: the lqr horizon guard refuses it up front."""

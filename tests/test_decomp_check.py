@@ -418,3 +418,27 @@ def test_componentwise_count_matches_enumerating_oracle():
             assert verify_witnesses(inst, decomp, report) == {"componentwise_witness": True}
     # the corpus exercises every outcome
     assert min(kinds.get(k, 0) for k in (None, "value", "tuple")) >= 20
+
+
+class _CountingSpan(frozenset):
+    """A span that counts the sets it is asked about."""
+
+    def isdisjoint(self, other):
+        self.asked.append(other)
+        return super().isdisjoint(other)
+
+
+def test_outside_span_scan_decides_each_distinct_set_once():
+    """The minimizer and selector checks find the same first state as a
+    state-by-state scan, asking the span about each distinct argmin set
+    once, whether the sets are shared objects or equal copies."""
+    rng = random.Random("outside-span")
+    for _ in range(200):
+        span = _CountingSpan(rng.sample(range(8), rng.randint(0, 4)))
+        span.asked = []
+        shared = [frozenset(rng.sample(range(8), rng.randint(1, 3))) for _ in range(4)]
+        row = [rng.choice(shared) if rng.random() < 0.8 else frozenset(rng.choice(shared))
+               for _ in range(30)]
+        want = next((x for x, chosen in enumerate(row) if not span & chosen), None)
+        assert checks._first_outside(span, row) == want
+        assert sorted(map(sorted, span.asked)) == sorted(map(sorted, set(row)))

@@ -15,6 +15,7 @@ per-state loops they replaced.
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -189,6 +190,23 @@ def oracle_solve_discounted_vi(inst, tol):
                                 alpha * tol / (1 - alpha), iterations)
 
 
+def oracle_evaluate_time_varying(inst, law):
+    """The cost of law from every state and time, by forward simulation
+    summing exact Fractions."""
+    T, trans, g = inst.horizon.T, inst.transitions(), inst.cost.table
+    expected = []
+    for t in range(T + 1):
+        row = []
+        for start in range(inst.num_states):
+            x, total = start, g[start]
+            for s in range(t, T):
+                x = trans[x][law[s][x]]
+                total += g[x]
+            row.append(total)
+        expected.append(row)
+    return ValueTable.exact(inst.horizon, expected)
+
+
 def oracle_minima(frame, J):
     """J in coordinate order and its minimum over every coset, one state and
     one coset at a time (how CosetFrame.minima computed them before it read
@@ -254,7 +272,8 @@ def oracle_successors(inst, inputs):
 
 # Mersenne primes: a table holding the first two has an LCD above 2^150, so
 # its integer numerators run far past 64 bits; with the third as well the LCD
-# passes WIDE_SCALE_BITS and the table keeps its Fractions
+# passes WIDE_SCALE_BITS and the table is wide (a numerator and a denominator
+# per entry)
 WIDE_DENOMINATORS = (2**61 - 1, 2**89 - 1, 2**127 - 1)
 
 
@@ -413,11 +432,15 @@ def test_integer_split_scan_matches_fraction_oracle(data):
                                [v.at_scale(0, scale) for v in pieces], comp)
     assert found == _fraction_split_defect(table, parts, comp)
     # a perturbed numerator is seen at the same first state as its Fraction
+    # (a read frees a wide table's integer rows, so the row is built afresh)
+    whole = ValueTable.exact(horizon, (table,))
     x = data.draw(st.integers(0, p**n - 1))
     bumped = list(whole.nums[0])
     bumped[x] += data.draw(st.integers(-2, 2).filter(bool))
-    exact = [Fraction(v, whole.scale) for v in bumped]
-    lifted = ValueTable(horizon, (tuple(bumped),), whole.scale).at_scale(0, scale)
+    dens = whole.dens[0] if whole.dens else [1] * len(bumped)
+    exact = [Fraction(v, whole.scale * d) for v, d in zip(bumped, dens)]
+    lifted = ValueTable(horizon, (tuple(bumped),), whole.scale,
+                        whole.dens and (dens,)).at_scale(0, scale)
     assert (value_split_defect(lifted, [v.at_scale(0, scale) for v in pieces], comp)
             == _fraction_split_defect(exact, parts, comp))
 
@@ -522,19 +545,7 @@ def test_time_varying_evaluation_matches_fraction_oracle(inst, data):
     T, N = inst.horizon.T, inst.num_states
     law = [data.draw(st.lists(st.integers(0, inst.num_inputs - 1), min_size=N, max_size=N))
            for _ in range(T)]
-    trans = inst.transitions()
-    g = inst.cost.table
-    expected = []
-    for t in range(T + 1):
-        row = []
-        for start in range(N):
-            x, total = start, g[start]
-            for s in range(t, T):
-                x = trans[x][law[s][x]]
-                total += g[x]
-            row.append(total)
-        expected.append(row)
-    assert evaluate_time_varying(inst, law) == ValueTable.exact(inst.horizon, expected)
+    assert evaluate_time_varying(inst, law) == oracle_evaluate_time_varying(inst, law)
 
 
 @given(coset_instances(_finite_horizon))
@@ -549,7 +560,7 @@ def test_finite_matches_oracle_exactly(inst):
 
 def test_finite_fraction_side_matches_oracle():
     # 1/(2^61-1) and 1/(2^89-1) together put the LCD past 2^150; with
-    # 1/(2^127-1) too it passes WIDE_SCALE_BITS and the Fractions stay
+    # 1/(2^127-1) too it passes WIDE_SCALE_BITS and the cost is wide
     A = MatrixFp(F3, 2, 2, [1, 1, 0, 1])
     B = MatrixFp(F3, 2, 1, [0, 1])
     w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
@@ -562,13 +573,130 @@ def test_finite_fraction_side_matches_oracle():
 
 
 def test_wide_cost_keeps_its_own_fractions():
-    # past WIDE_SCALE_BITS the integer form is the table's Fractions
-    # themselves, not copies of them
+    # past WIDE_SCALE_BITS the integer form is each value's own reduced
+    # terms: a numerator and a denominator per state, over scale 1
     w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
     cost = CostFunction(F3, 2, [0, w61, w89, 2 * w89, w61 + w89, 0, 1, w61, w127],
                         allow_vanishing=True)
     assert cost.scale == 1
-    assert all(num is value for num, value in zip(cost.num, cost.table, strict=True))
+    assert cost.num == tuple(v.numerator for v in cost.table)
+    assert cost.den == tuple(v.denominator for v in cost.table)
+    assert cost.row is cost.table
+    narrow = CostFunction(F3, 1, [0, Fraction(1, 2), Fraction(1, 3)])
+    assert (narrow.scale, narrow.num, narrow.den) == (6, (0, 3, 2), None)
+    assert narrow.row is narrow.num
+
+
+def _wide_instance(seed, p, n, m, horizon, *, one_coset=False):
+    """A random instance whose cost is wide: every state's denominator is
+    one of WIDE_DENOMINATORS, each of which occurs.  one_coset makes B
+    invertible (m = n, P = p^n)."""
+    rng = random.Random(seed)
+    F = PrimeField(p)
+    A = MatrixFp(F, n, n, [rng.randrange(p) for _ in range(n * n)])
+    if one_coset:  # unit lower triangular
+        B = MatrixFp(F, n, n, [1 if i == j else rng.randrange(p) if i > j else 0
+                               for i in range(n) for j in range(n)])
+    else:
+        B = MatrixFp(F, n, m, [rng.randrange(p) for _ in range(n * m)])
+    dens = list(WIDE_DENOMINATORS) + [rng.choice(WIDE_DENOMINATORS) for _ in range(p**n - 4)]
+    table = [Fraction(0)] + [Fraction(rng.randint(1, 9), d) for d in dens]
+    inst = DPInstance(A, B, CostFunction(F, n, table), horizon, require_injective=False,
+                      max_states=None, max_inputs=None)
+    assert inst.cost.den is not None
+    return inst
+
+
+def test_one_coset_wide_instance_matches_fraction_oracles():
+    """B invertible: one coset of P = 16 positions, so the ratio minima's
+    tournament runs four halving rounds down to one minimum."""
+    inst = _wide_instance("one-coset-wide", 2, 4, 4, FiniteHorizon(3), one_coset=True)
+    assert inst.coset_frame().P == 16
+    values, argmin = solve_finite(inst)
+    assert values.dens is not None
+    assert (values, argmin) == oracle_solve_finite(inst)
+    law = [[min(chosen) for chosen in row] for row in argmin.per_time]
+    assert evaluate_time_varying(inst, law) == oracle_evaluate_time_varying(inst, law)
+    discounted = _wide_instance("one-coset-wide", 2, 4, 4, DiscountedHorizon(Fraction(2, 3)),
+                                one_coset=True)
+    assert solve_discounted_pi(discounted) == oracle_solve_discounted_pi(discounted)
+    tol = Fraction(1, 50)
+    assert solve_discounted_vi(discounted, tol) == oracle_solve_discounted_vi(discounted, tol)
+
+
+def test_long_wide_horizon_keeps_denominators_within_the_cost_bound():
+    """T = 500 on GF(3)^2: unreduced, a denominator would be the product of
+    501 cost denominators; a row is reduced once its widest denominator
+    passes the total bit length of the cost's distinct denominators, so no
+    stored row is wider than that."""
+    inst = _wide_instance("long-wide", 3, 2, 1, FiniteHorizon(500))
+    bound = sum(d.bit_length() for d in set(inst.cost.den))
+    values, argmin = solve_finite(inst)
+    assert max(max(row).bit_length() for row in values.dens) <= bound
+    law = [[min(chosen) for chosen in row] for row in argmin.per_time]
+    evaluated = evaluate_time_varying(inst, law)
+    assert max(max(row).bit_length() for row in evaluated.dens) <= bound
+    assert (values, argmin) == oracle_solve_finite(inst)
+    assert evaluated == values  # the argmin law is optimal
+    # the costs are near 2^-58, so at alpha = 1/2 a tolerance of 2^-700 takes
+    # over 500 sweeps; the sweeps' b^k stays in the scale, not the dens
+    discounted = _wide_instance("long-wide", 3, 2, 1, DiscountedHorizon(HALF))
+    tol = Fraction(1, 2**700)
+    result = solve_discounted_vi(discounted, tol)
+    assert result.iterations > 500
+    assert max(result.values.dens[0]).bit_length() <= bound
+    assert result == oracle_solve_discounted_vi(discounted, tol)
+
+
+def test_wide_solvers_do_no_fraction_arithmetic(monkeypatch):
+    """The solvers run on integers from a wide cost (and from the wide
+    rounds a narrow cost gives policy iteration): with Fraction addition
+    and ordering disabled they still finish, and match the oracles."""
+    finite = _wide_instance("no-fractions", 3, 2, 1, FiniteHorizon(4))
+    discounted = _wide_instance("no-fractions", 3, 2, 1, DiscountedHorizon(Fraction(9, 10)))
+    cycles = _many_cycle_lengths_instance()
+    law = [[(x + t) % 3 for x in range(9)] for t in range(4)]
+    tol = Fraction(1, 1000)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside a solver")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__add__", refuse)
+        patched.setattr(Fraction, "__lt__", refuse)
+        got = [solve_finite(finite), evaluate_time_varying(finite, law),
+               solve_discounted_pi(discounted), solve_discounted_vi(discounted, tol),
+               solve_discounted_pi(cycles[0])]
+    assert got[0] == oracle_solve_finite(finite)
+    assert got[1] == oracle_evaluate_time_varying(finite, law)
+    assert got[2] == oracle_solve_discounted_pi(discounted)
+    assert got[3] == oracle_solve_discounted_vi(discounted, tol)
+    assert got[4] == oracle_solve_discounted_pi(cycles[0])
+
+
+def test_reading_a_wide_table_frees_each_integer_row():
+    """per_time builds a wide table's Fractions one row at a time and frees
+    that row's integers as it goes: the traced peak is never more than one
+    integer row above what the Fractions alone hold at the end."""
+    inst = _wide_instance("free-rows", 2, 8, 2, FiniteHorizon(6))
+    tracemalloc.start()
+    try:
+        values, _ = solve_finite(inst)
+        row_bytes = [sum(map(sys.getsizeof, itertools.chain(values.nums[t], values.dens[t])))
+                     for t in range(7)]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        read = values.per_time
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.nums == [None] * 7 and values.dens == [None] * 7
+    # the integers are gone: what remains grew by less than the Fractions
+    fraction_bytes = sum(map(sys.getsizeof, itertools.chain.from_iterable(
+        (v, v.numerator, v.denominator) for row in read for v in row)))
+    assert after - before < fraction_bytes - sum(row_bytes) / 2
+    assert peak - after < max(row_bytes) * 1.5
+    assert values == oracle_solve_finite(inst)[0]
 
 
 def test_finite_hand_example():
@@ -641,12 +769,20 @@ def test_discounted_matches_oracle_exactly(inst):
         inst, Fraction(1, 50))
 
 
-def _assert_same_representation(got, values):
-    """got holds exactly ValueTable.exact(values): the same scale and the
-    same numerators (integers, or a wide table's Fractions over 1)."""
+def _assert_same_representation(got, values, inst):
+    """got holds exactly the values, in ValueTable.exact(values)'s form:
+    the same scale and numerators when that is narrow and the cost is not
+    wide, and otherwise a wide row of integer ratios,
+    got.nums[0][x] / (got.scale · got.dens[0][x])."""
     want = ValueTable.exact(got.horizon, (values,))
-    assert (got.scale, got.nums) == (want.scale, want.nums)
-    assert [type(v) for v in got.nums[0]] == [type(v) for v in want.nums[0]]
+    assert (got.dens is None) == (want.dens is None and inst.cost.den is None)
+    if got.dens is None:
+        assert (got.scale, got.nums) == (want.scale, want.nums)
+    else:
+        assert all(type(v) is int for row in (got.nums[0], got.dens[0]) for v in row)
+        assert [Fraction(v, got.scale * d)
+                for v, d in zip(got.nums[0], got.dens[0], strict=True)] == list(values)
+    assert got.table(0) == tuple(values)
 
 
 @given(coset_instances(_discounted_horizon), st.data())
@@ -655,12 +791,13 @@ def test_policy_evaluation_matches_fraction_oracle(inst, data):
     policy = data.draw(st.lists(st.integers(0, inst.num_inputs - 1),
                                 min_size=inst.num_states, max_size=inst.num_states))
     _assert_same_representation(evaluate_stationary_policy(inst, policy),
-                                oracle_evaluate_stationary_policy(inst, policy))
+                                oracle_evaluate_stationary_policy(inst, policy), inst)
     # the successors policy iteration passes in give the same table
     given_successors = evaluate_stationary_policy(
         inst, policy, inst.coset_frame().successors(policy))
+    _assert_same_representation(given_successors,
+                                oracle_evaluate_stationary_policy(inst, policy), inst)
     assert given_successors == evaluate_stationary_policy(inst, policy)
-    _assert_same_representation(given_successors, oracle_evaluate_stationary_policy(inst, policy))
 
 
 def test_policy_evaluation_fraction_domain_matches_oracle():
@@ -676,13 +813,14 @@ def test_policy_evaluation_fraction_domain_matches_oracle():
     for k, policy in enumerate(itertools.product(range(3), repeat=9)):
         if k % 97 == 0:  # 203 of the 3^9 policies
             _assert_same_representation(evaluate_stationary_policy(inst, policy),
-                                        oracle_evaluate_stationary_policy(inst, policy))
+                                        oracle_evaluate_stationary_policy(inst, policy), inst)
 
 
-def test_policy_evaluation_of_many_cycle_lengths_keeps_fractions():
-    # with B = I any successor is one input away: 0 stays put, states 1..230
-    # close cycles of every length 2..21, and 231..255 feed into them; the
-    # d = 10^l - 9^l of twenty lengths put the least scale near 2^491
+def _many_cycle_lengths_instance():
+    """(instance, policy) on GF(2)^8 with B = I, so any successor is one
+    input away: 0 stays put, states 1..230 close cycles of every length
+    2..21, and 231..255 feed into them; the d = 10^l - 9^l of twenty
+    lengths put the least scale of the policy's values near 2^491."""
     n = 8
     eye = MatrixFp.identity(F2, n)
     succ = list(range(2**n))
@@ -696,10 +834,14 @@ def test_policy_evaluation_of_many_cycle_lengths_keeps_fractions():
     table = [Fraction(0)] + [Fraction(1 + x * x % 11) for x in range(1, 2**n)]
     inst = DPInstance(eye, eye, CostFunction(F2, n, table), DiscountedHorizon(Fraction(9, 10)),
                       max_inputs=None)
-    policy = [x ^ y for x, y in enumerate(succ)]  # u = y - x over GF(2)
+    return inst, [x ^ y for x, y in enumerate(succ)]  # u = y - x over GF(2)
+
+
+def test_policy_evaluation_of_many_cycle_lengths_keeps_fractions():
+    inst, policy = _many_cycle_lengths_instance()
     got = evaluate_stationary_policy(inst, policy)
-    assert got.scale == 1 and all(type(v) is Fraction for v in got.nums[0])
-    _assert_same_representation(got, oracle_evaluate_stationary_policy(inst, policy))
+    assert got.dens is not None  # wide
+    _assert_same_representation(got, oracle_evaluate_stationary_policy(inst, policy), inst)
 
 
 @given(st.data())
@@ -807,7 +949,7 @@ def test_coset_frame_eliminates_once(monkeypatch):
 
 def test_value_reads_one_entry_without_building_the_table():
     """value(x, t) equals table(t)[x] on an integer table and on wide
-    tables (Fractions over scale 1, and over a larger scale as value
+    tables (integer ratios over scale 1, and over a larger scale as value
     iteration leaves them), read before table(t) exists and after."""
     w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
     ZERO = Fraction(0)
@@ -816,10 +958,10 @@ def test_value_reads_one_entry_without_building_the_table():
                                          [ZERO, Fraction(1), Fraction(7)]])
     wide = ValueTable.exact(horizon, [[ZERO, w61, w89], [w127, Fraction(1), w61 + w89]])
     assert type(integer.nums[0][1]) is int and integer.scale == 6
-    assert type(wide.nums[0][1]) is Fraction and wide.scale == 1
-    wide_scaled = ValueTable(horizon, wide.nums, 7)
+    assert wide.dens is not None and type(wide.nums[0][1]) is int and wide.scale == 1
+    wide_scaled = ValueTable(horizon, wide.nums, 7, wide.dens)
     for vt in (integer, wide, wide_scaled):
-        fresh = ValueTable(vt.horizon, vt.nums, vt.scale)
+        fresh = ValueTable(vt.horizon, vt.nums, vt.scale, vt.dens)
         read = [[vt.value(x, t) for x in range(3)] for t in range(2)]
         assert vt._exact == {}
         assert read == [list(fresh.table(t)) for t in range(2)]

@@ -86,21 +86,34 @@ class CosetFrame:
         Values compare by cross-multiplication, n·d' < n'·d.  The minima
         come from a tournament over the P strided slices, laid end to end:
         each round pits the first half of the slices against the second,
-        so whatever P is, a round is a few map passes and halves the list."""
-        P = self.P
-        nk = list(map(num.__getitem__, self.order))
-        dk = list(map(den.__getitem__, self.order))
-        n = list(chain.from_iterable(nk[w::P] for w in range(P)))
-        d = list(chain.from_iterable(dk[w::P] for w in range(P)))
-        cosets = len(nk) // P
+        so whatever P is, a round is a few map passes and halves the list.
+        A minimum can only lose a tie, so when no match was tied each
+        coset's winner is its one minimal position; otherwise every value
+        is compared with its coset's minimum."""
+        P, size = self.P, len(self.order)
+        cosets = size // P
+        at = list(chain.from_iterable(range(w, size, P) for w in range(P)))
+        n = list(map(num.__getitem__, map(self.order.__getitem__, at)))
+        d = list(map(den.__getitem__, map(self.order.__getitem__, at)))
+        tied = False
         while len(n) > cosets:
             half = (len(n) // cosets + 1) // 2 * cosets
             right_n, right_d = n[half:], d[half:]
-            less = list(map(lt, map(mul, right_n, d), map(mul, n, right_d)))
+            lhs, rhs = list(map(mul, right_n, d)), list(map(mul, n, right_d))
+            tied = tied or not all(map(ne, lhs, rhs))
+            less = list(map(lt, lhs, rhs))
             n = list(map(getitem, zip(n, right_n), less)) + n[len(less):half]
             d = list(map(getitem, zip(d, right_d), less)) + d[len(less):half]
-        key = list(map(ne, map(mul, nk, chain.from_iterable(map(repeat, d, repeat(P)))),
-                       map(mul, chain.from_iterable(map(repeat, n, repeat(P))), dk)))
+            at = list(map(getitem, zip(at, at[half:]), less)) + at[len(less):half]
+        if tied:
+            nk = list(map(num.__getitem__, self.order))
+            dk = list(map(den.__getitem__, self.order))
+            key = list(map(ne, map(mul, nk, chain.from_iterable(map(repeat, d, repeat(P)))),
+                           map(mul, chain.from_iterable(map(repeat, n, repeat(P))), dk)))
+        else:
+            key = [True] * size
+            for k in at:
+                key[k] = False
         return key, [False] * cosets, n, d
 
     def _by_coordinate(self, Jk: list, mins: Sequence, cells: Sequence, kept: dict,

@@ -129,6 +129,10 @@ class CostFunction:
     scale: int = dataclasses.field(init=False)
     num: tuple[int, ...] = dataclasses.field(init=False)
     den: tuple[int, ...] | None = dataclasses.field(init=False)
+    # a wide cost's total bit length of its distinct denominators: their lcm,
+    # which every reduced denominator of a sum of its values divides, is no
+    # wider (0 for a narrow cost)
+    den_bits: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         size = self.field.p**self.n
@@ -151,6 +155,8 @@ class CostFunction:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den_bits",
+                           0 if den is None else sum(map(int.bit_length, set(den))))
 
     @property
     def row(self) -> Sequence:
@@ -216,20 +222,28 @@ def _integer_form(values: Sequence[Fraction]) -> tuple[int, tuple, tuple | None]
     return scale, tuple([v.numerator * factor[v.denominator] for v in values]), None
 
 
-def _ratio_sum(n1, d1: Sequence[int], n2, d2) -> tuple[list[int], list[int]]:
+def _ratio_sum(n1, d1: Sequence[int], n2, d2, cap: int) -> tuple[list[int], list[int]]:
     """n1[x]/d1[x] + n2[x]/d2[x] for every x, as numerators and positive
     denominators, where d1 is a wide cost's den and the sums are integer
     combinations of cost values.  A sum stays unreduced,
-    (n1·d2 + n2·d1) / (d1·d2), until some denominator passes the total bit
-    length of d1's distinct values; no reduced one can, as each divides
-    their lcm, so then the whole row is put in lowest terms."""
+    (n1·d2 + n2·d1) / (d1·d2), until some denominator passes cap, the
+    cost's den_bits; no reduced one can, so then the whole row is put in
+    lowest terms."""
     d2 = list(d2)
     num = list(map(add, map(mul, n1, d2), map(mul, n2, d1)))
     den = list(map(mul, d1, d2))
-    if max(den).bit_length() <= sum(map(int.bit_length, set(d1))):
+    if max(den).bit_length() <= cap:
         return num, den
     common = list(map(math.gcd, num, den))
     return list(map(floordiv, num, common)), list(map(floordiv, den, common))
+
+
+def _lowest(num: int, den: int, cap: int) -> tuple[int, int]:
+    """num / den, put in lowest terms when den is wider than cap bits."""
+    if den.bit_length() <= cap:
+        return num, den
+    common = math.gcd(num, den)
+    return num // common, den // common
 
 
 class DPInstance:
@@ -435,7 +449,7 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
         else:
             Jk, mins, mn, md = frame.ratio_minima(J, D)
             J, D = _ratio_sum(g, gd, map(mn.__getitem__, frame.c_ax),
-                              map(md.__getitem__, frame.c_ax))
+                              map(md.__getitem__, frame.c_ax), inst.cost.den_bits)
             dens.append(D)
         tables.append(J)
         argmins.append(tuple(frame.argmin_sets(Jk, mins)))
@@ -478,7 +492,7 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
     G = inst.cost.num
     nxt = inst.coset_frame().successors(policy) if successors is None else successors
     if inst.cost.den is not None:
-        return ValueTable(inst.horizon, *_wide_policy_values(nxt, G, inst.cost.den, a, b))
+        return ValueTable(inst.horizon, *_wide_policy_values(nxt, inst.cost, a, b))
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # x's value is num[x] / (L·den[x]); 0: unseen, -1: on the path
     # walk only the states some state steps to (their successors are such
@@ -514,7 +528,10 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
             dn = b * den[y]
             num[x], den[x] = dn * G[x] + a * num[y], dn
     L = inst.cost.scale
-    over, common = _lifted(num, den)  # over L·common
+    dens = set(den)
+    common = math.lcm(*dens)
+    lift = {dn: common // dn for dn in dens}
+    over = list(map(mul, num, map(lift.__getitem__, den)))  # over L·common
     # the least common scale of the values is L·common over this gcd
     g = math.gcd(L * common, *over)
     if (L * common // g).bit_length() <= WIDE_SCALE_BITS:
@@ -522,15 +539,24 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
     return ValueTable(inst.horizon, (num,), L, (den,))
 
 
-def _wide_policy_values(nxt: Sequence[int], G: Sequence[int], Q: Sequence[int],
-                        a: int, b: int) -> tuple[tuple[list[int]], int, tuple[list[int]]]:
+def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
+                        ) -> tuple[tuple[list[int]], int, tuple[list[int]]]:
     """(nums, scale, dens) of the wide table of discounted values at alpha =
-    a/b when x steps to nxt[x] and costs G[x] / Q[x]: each value a ratio,
-    from V(s) = g(s) + alpha·V(nxt[s]) on the walk's paths and, at the
-    state x where a path closes a cycle c_0 = x, ..., c_{l-1},
-    V(x) = (sum over j of alpha^j·g(c_j)) / (1 - alpha^l)."""
+    a/b when x steps to nxt[x] under a wide cost: each value a ratio, from
+    V(s) = g(s) + alpha·V(nxt[s]) on the walk's paths and, at the state x
+    where a path closes a cycle c_0 = x, ..., c_{l-1},
+    V(x) = (sum over j of alpha^j·g(c_j)) / (1 - alpha^l).
+
+    A ratio is put in lowest terms only when its denominator passes a bound
+    on the reduced one: V(x) has one dividing lcm(den)·(b^l - a^l), and a
+    state k steps above the cycle one dividing lcm(den)·b^k·(b^l - a^l),
+    so the bound is the cost's den_bits plus bit_length(b) per step and
+    per cycle state."""
+    G, Q = cost.num, cost.den
+    step = b.bit_length()
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # 0: unseen, -1: on the path
+    cap = [0] * len(nxt)  # the bound on den[x]
     for start in range(len(nxt)):
         path = []
         x = start
@@ -540,24 +566,21 @@ def _wide_policy_values(nxt: Sequence[int], G: Sequence[int], Q: Sequence[int],
             x = nxt[x]
         if den[x] < 0:
             cycle = path[path.index(x):]
-            v, w = 0, 1  # the lap sum v / w, by Horner's rule from the last state
+            # the lap sum v / w, by Horner's rule from the last state
+            v, w, bits = 0, 1, cost.den_bits
             for s in reversed(cycle):
-                v, w = b * w * G[s] + a * Q[s] * v, b * w * Q[s]
+                v, w = _lowest(b * w * G[s] + a * Q[s] * v, b * w * Q[s], bits)
+                bits += step
             bl = b ** len(cycle)
-            num[x], den[x] = bl * v, w * (bl - a ** len(cycle))
+            cap[x] = cost.den_bits + len(cycle) * step
+            num[x], den[x] = _lowest(bl * v, w * (bl - a ** len(cycle)), cap[x])
             path.remove(x)
         for s in reversed(path):  # each s steps to the state just done
             y = nxt[s]
-            num[s], den[s] = b * den[y] * G[s] + a * Q[s] * num[y], b * den[y] * Q[s]
+            cap[s] = cap[y] + step
+            num[s], den[s] = _lowest(b * den[y] * G[s] + a * Q[s] * num[y],
+                                     b * den[y] * Q[s], cap[s])
     return (num,), 1, (den,)
-
-
-def _lifted(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], int]:
-    """The row num / den over the lcm of den: (numerators, that lcm)."""
-    dens = set(den)
-    common = math.lcm(*dens)
-    lift = {dn: common // dn for dn in dens}
-    return list(map(mul, num, map(lift.__getitem__, den))), common
 
 
 def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
@@ -569,10 +592,8 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     switches an action on a strict improvement, which rules out cycling: a
     state moves to its lowest optimal input exactly when its current
     successor's value exceeds the minimum over its coset.  Every round
-    compares integers: a wide table's ratios are lifted to the lcm of their
-    denominators, however wide, unless the cost is wide (the lcm of its
-    path products would be far wider still): then a round compares ratios
-    by cross-multiplication.  On convergence the values satisfy the
+    compares integers: a wide round's ratios (see ValueTable) by
+    cross-multiplication.  On convergence the values satisfy the
     fixed-point equation exactly, and the minimizer sets, built in full
     once from those values, are complete.
     """
@@ -586,9 +607,8 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     nxt = frame.successors(policy)
     while True:
         values = evaluate_stationary_policy(inst, policy, nxt)
-        if cost.den is None:
-            J = (values.nums[0] if values.dens is None
-                 else _lifted(values.nums[0], values.dens[0])[0])
+        if values.dens is None:
+            J = values.nums[0]
             Jk, mins = frame.minima(J)
             sides = map(J.__getitem__, nxt), map(mins.__getitem__, frame.c_ax)
         else:
@@ -634,23 +654,17 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
         raise ValueError("tolerance must be positive")
     alpha = inst.horizon.alpha
     a, b = alpha.numerator, alpha.denominator
-    G, Q, L = inst.cost.num, inst.cost.den, inst.cost.scale
-    top, bottom = max(G), L  # max g = top / bottom
-    if Q is not None:
-        top = 0
-        for v, q in zip(G, Q):
-            if v * bottom > top * q:
-                top, bottom = v, q
-    # reach = tol·(1 - alpha) / max g; no sweep count to predict when reach >= 1
-    reach = (tol.numerator * (b - a) * bottom, tol.denominator * b * top)
-    if reach[0] < reach[1]:
-        sweeps = math.ceil(_log(*reach) / _log(a, b))
+    top = max(inst.cost.table)
+    reach = tol * (1 - alpha) / top if top else Fraction(1)
+    if reach.numerator < reach.denominator:
+        sweeps = math.ceil(_log(reach) / _log(alpha))
         if sweeps * math.log2(b) > PRINTABLE_BITS:
             raise ValueError(
                 f"value iteration would need about {sweeps} sweeps at alpha = {alpha} "
                 f"and tol = {tol}, more than its exact values can carry; "
                 "raise the tolerance")
     frame = inst.coset_frame()
+    G, Q, L = inst.cost.num, inst.cost.den, inst.cost.scale
     current = (0,) * inst.num_states
     dens = None if Q is None else [1] * inst.num_states
     power = 1  # current is over b^iterations·L
@@ -668,7 +682,7 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
             _, _, mn, md = frame.ratio_minima(current, dens)
             new, new_dens = _ratio_sum(map(mul, G, repeat(power)), Q,
                                        map(mul, map(mn.__getitem__, frame.c_ax), repeat(a)),
-                                       map(md.__getitem__, frame.c_ax))
+                                       map(md.__getitem__, frame.c_ax), inst.cost.den_bits)
             # |new / new_dens - b·current / dens| <= tol·power at every state
             done = all(map(le, map(mul, map(abs, map(sub, map(mul, new, dens), map(
                 mul, map(mul, current, repeat(b)), new_dens))), repeat(tol.denominator)),
@@ -683,9 +697,9 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
     return ValueIterationResult(values, bound, iterations)
 
 
-def _log(num: int, den: int) -> float:
-    """Natural log of num / den, positive integers of any size."""
-    return math.log(num) - math.log(den)
+def _log(q: Fraction) -> float:
+    """Natural log of a positive rational of any size."""
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> ValueTable:
@@ -709,7 +723,8 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> Val
         if gd is None:
             V = tuple(map(add, g, map(V.__getitem__, nxt)))
         else:
-            V, D = _ratio_sum(g, gd, map(V.__getitem__, nxt), map(D.__getitem__, nxt))
+            V, D = _ratio_sum(g, gd, map(V.__getitem__, nxt), map(D.__getitem__, nxt),
+                              inst.cost.den_bits)
             dens.append(D)
         tables.append(V)
     return ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale,

@@ -648,6 +648,23 @@ def test_long_wide_horizon_keeps_denominators_within_the_cost_bound():
     assert result == oracle_solve_discounted_vi(discounted, tol)
 
 
+def test_long_wide_policy_paths_keep_denominators_linear():
+    """A wide cost's policy values on a 255-step chain into a fixed point and
+    on one 256-state cycle.  Unreduced, a denominator would gather about 100
+    bits per step (one cost denominator each); a reduced one gains only
+    bit_length(b) per step and per cycle state over the cost's den_bits."""
+    inst = _wide_instance("long-chain", 2, 8, 8, DiscountedHorizon(Fraction(9, 10)),
+                          one_coset=True)
+    N = inst.num_states
+    bound = inst.cost.den_bits + 2 * N * (10).bit_length()
+    trans = inst.transitions()
+    for target in ([x + 1 for x in range(N - 1)] + [N - 1], [(x + 1) % N for x in range(N)]):
+        policy = [trans[x].index(y) for x, y in enumerate(target)]
+        values = evaluate_stationary_policy(inst, policy)
+        assert max(values.dens[0]).bit_length() <= bound
+        assert list(values.table(0)) == oracle_evaluate_stationary_policy(inst, policy)
+
+
 def test_wide_solvers_do_no_fraction_arithmetic(monkeypatch):
     """The solvers run on integers from a wide cost (and from the wide
     rounds a narrow cost gives policy iteration): with Fraction addition

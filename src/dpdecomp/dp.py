@@ -551,7 +551,7 @@ def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
     on the reduced one: V(x) has one dividing lcm(den)·(b^l - a^l), and a
     state k steps above the cycle one dividing lcm(den)·b^k·(b^l - a^l),
     so the bound is the cost's den_bits plus bit_length(b) per step and
-    per cycle state."""
+    per cycle state (den_bits > 0, so a bound of 0 is one not yet set)."""
     G, Q = cost.num, cost.den
     step = b.bit_length()
     num = [0] * len(nxt)
@@ -572,12 +572,13 @@ def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
                 v, w = _lowest(b * w * G[s] + a * Q[s] * v, b * w * Q[s], bits)
                 bits += step
             bl = b ** len(cycle)
-            cap[x] = cost.den_bits + len(cycle) * step
+            for s in cycle:  # every cycle state is some rotation's head
+                cap[s] = cost.den_bits + len(cycle) * step
             num[x], den[x] = _lowest(bl * v, w * (bl - a ** len(cycle)), cap[x])
             path.remove(x)
         for s in reversed(path):  # each s steps to the state just done
             y = nxt[s]
-            cap[s] = cap[y] + step
+            cap[s] = cap[s] or cap[y] + step
             num[s], den[s] = _lowest(b * den[y] * G[s] + a * Q[s] * num[y],
                                      b * den[y] * Q[s], cap[s])
     return (num,), 1, (den,)

@@ -656,7 +656,7 @@ def test_long_wide_policy_paths_keep_denominators_linear():
     inst = _wide_instance("long-chain", 2, 8, 8, DiscountedHorizon(Fraction(9, 10)),
                           one_coset=True)
     N = inst.num_states
-    bound = inst.cost.den_bits + 2 * N * (10).bit_length()
+    bound = inst.cost.den_bits + N * (10).bit_length()
     trans = inst.transitions()
     for target in ([x + 1 for x in range(N - 1)] + [N - 1], [(x + 1) % N for x in range(N)]):
         policy = [trans[x].index(y) for x, y in enumerate(target)]

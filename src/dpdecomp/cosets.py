@@ -69,28 +69,28 @@ class CosetFrame:
                    index_map(to_frame @ A), offset, [frozenset(us) for us in pre],
                    index_map(MatrixFp.identity(field, r).scale(-1)))
 
-    def minima(self, J: Sequence) -> tuple[list, list]:
-        """J in coordinate order, and its minimum over every coset."""
-        P = self.P
-        Jk = list(map(J.__getitem__, self.order))
-        return Jk, list(map(min, zip(*[Jk[i::P] for i in range(P)])))
+    def minima(self, num: Sequence, den: Sequence[int] | None = None
+               ) -> tuple[list, list, list, list[int] | None]:
+        """The minima over every coset of the values num[x], or of
+        num[x] / den[x] given den (every den positive): a key in coordinate
+        order, the key's coset minima (argmin_sets(key, key minima) are the
+        values' minimizer sets), and every coset's minimum as a numerator
+        list and a denominator list (None without den).
 
-    def ratio_minima(self, num: Sequence[int], den: Sequence[int]
-                     ) -> tuple[list, list, list[int], list[int]]:
-        """For the values num[x] / den[x] (every den positive): a key in
-        coordinate order that is 0 exactly where a value is its coset's
-        minimum, the key's coset minima (all 0, so argmin_sets(key, zeros)
-        are the values' minimizer sets), and every coset's minimum as a
-        numerator list and a denominator list.
-
-        Values compare by cross-multiplication, n·d' < n'·d.  The minima
-        come from a tournament over the P strided slices, laid end to end:
-        each round pits the first half of the slices against the second,
-        so whatever P is, a round is a few map passes and halves the list.
-        A minimum can only lose a tie, so when no match was tied each
-        coset's winner is its one minimal position; otherwise every value
-        is compared with its coset's minimum."""
+        Without den the key is num in coordinate order and its minima are
+        the values'.  With den the key is 0 exactly where a value is its
+        coset's minimum, and values compare by cross-multiplication,
+        n·d' < n'·d, in a tournament over the P strided slices laid end to
+        end: each round pits the first half of the slices against the
+        second, so whatever P is, a round is a few map passes and halves the
+        list.  A minimum can only lose a tie, so when no match was tied each
+        coset's winner is its one minimal position; otherwise every value is
+        compared with its coset's minimum."""
         P, size = self.P, len(self.order)
+        if den is None:
+            Jk = list(map(num.__getitem__, self.order))
+            mins = list(map(min, zip(*[Jk[i::P] for i in range(P)])))
+            return Jk, mins, mins, None
         cosets = size // P
         at = list(chain.from_iterable(range(w, size, P) for w in range(P)))
         n = list(map(num.__getitem__, map(self.order.__getitem__, at)))

@@ -25,12 +25,13 @@ only at the API boundary, when a caller reads ValueTable.table(),
 .per_time, .stationary or .value().  A common denominator wider than
 WIDE_SCALE_BITS would make every numerator that wide, so such a cost or
 table is wide: it keeps two integer rows, numerators and denominators,
-each entry its own ratio.  The solvers take wide coset minima by
-cross-multiplication (CosetFrame.ratio_minima) and add ratios without a
-gcd, dividing a row by its gcds only when its widest denominator passes
-a bound read off the cost.  Tables are still dense over the state
-space; guard limits keep that honest (defaults p^n <= 729 and p^m <= 81,
-both overridable).
+each entry its own ratio.  Both forms run through the same two steps:
+CosetFrame.minima, which compares wide values by cross-multiplication,
+and _step (cost plus a row read at given states), which adds ratios
+without a gcd, dividing a row by its gcds only when its widest
+denominator passes a bound read off the cost.  Tables are still dense
+over the state space; guard limits keep that honest (defaults
+p^n <= 729 and p^m <= 81, both overridable).
 """
 
 from __future__ import annotations
@@ -200,9 +201,7 @@ class CostFunction:
                 raise ValueError(f"part {i} table must have {want} entries")
             tables.append(vals)
 
-        comp = decomp.local_index_tables()
-        table = [sum((t[c[x]] for t, c in zip(tables, comp)), ZERO)
-                 for x in range(p**decomp.ambient_dim)]
+        table = _part_sums(tables, decomp.local_index_tables())
         return cls(field, decomp.ambient_dim, table, allow_vanishing=allow_vanishing)
 
 
@@ -222,20 +221,25 @@ def _integer_form(values: Sequence[Fraction]) -> tuple[int, tuple, tuple | None]
     return scale, tuple([v.numerator * factor[v.denominator] for v in values]), None
 
 
-def _ratio_sum(n1, d1: Sequence[int], n2, d2, cap: int) -> tuple[list[int], list[int]]:
-    """n1[x]/d1[x] + n2[x]/d2[x] for every x, as numerators and positive
-    denominators, where d1 is a wide cost's den and the sums are integer
-    combinations of cost values.  A sum stays unreduced,
-    (n1·d2 + n2·d1) / (d1·d2), until some denominator passes cap, the
-    cost's den_bits; no reduced one can, so then the whole row is put in
-    lowest terms."""
-    d2 = list(d2)
-    num = list(map(add, map(mul, n1, d2), map(mul, n2, d1)))
-    den = list(map(mul, d1, d2))
-    if max(den).bit_length() <= cap:
-        return num, den
-    common = list(map(math.gcd, num, den))
-    return list(map(floordiv, num, common)), list(map(floordiv, den, common))
+def _step(g, cost: CostFunction, num: Sequence[int], den: Sequence[int] | None,
+          at: Sequence[int]) -> tuple[tuple, None] | tuple[list[int], list[int]]:
+    """g[x] + num[at[x]] for every x, with g cost.num or a multiple of it:
+    integers, or given den (a wide cost's row), the ratios
+    g[x]/cost.den[x] + num[y]/den[y] at y = at[x] as numerators and
+    positive denominators.  A ratio sum stays unreduced,
+    (n·d' + n'·d) / (d·d'), until some denominator passes the cost's
+    den_bits; the sums are integer combinations of cost values, so no
+    reduced one can, and then the whole row is put in lowest terms."""
+    read = map(num.__getitem__, at)
+    if den is None:
+        return tuple(map(add, g, read)), None
+    d = list(map(den.__getitem__, at))
+    sums = list(map(add, map(mul, g, d), map(mul, read, cost.den)))
+    d = list(map(mul, cost.den, d))
+    if max(d).bit_length() <= cost.den_bits:
+        return sums, d
+    common = list(map(math.gcd, sums, d))
+    return list(map(floordiv, sums, common)), list(map(floordiv, d, common))
 
 
 def _lowest(num: int, den: int, cap: int) -> tuple[int, int]:
@@ -330,8 +334,9 @@ class ValueTable:
     dens[t][x]) instead, one positive denominator per entry.  table(),
     per_time, stationary and value() read the values as reduced Fractions,
     built on first use and kept; a wide row's Fractions replace its integer
-    rows, which are then None.  Two tables are equal when they hold the
-    same exact values, whatever their scales."""
+    rows, which are then None.  Rows of None for dens (a narrow solve's)
+    mean a table that is not wide.  Two tables are equal when they hold
+    the same exact values, whatever their scales."""
 
     horizon: Horizon
     nums: Sequence[Sequence[int]]
@@ -341,9 +346,10 @@ class ValueTable:
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.dens is not None:  # rows that table() frees
+        wide = any(self.dens or ())
+        object.__setattr__(self, "dens", list(self.dens) if wide else None)
+        if wide:  # rows that table() frees
             object.__setattr__(self, "nums", list(self.nums))
-            object.__setattr__(self, "dens", list(self.dens))
 
     @classmethod
     def exact(cls, horizon: Horizon, tables: Sequence[Sequence[Fraction]]) -> "ValueTable":
@@ -432,29 +438,20 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     the successor; minimizer sets are recorded in full for every t in 0..T-1.
 
     Each stage is one pass of coset minima (see CosetFrame) over the cost's
-    integer form, so every table is over the cost's scale.  A wide cost's
-    stage takes ratio minima and adds g + min as ratios:
-    n/d + n'/d' = (n·d' + n'·d) / (d·d')."""
+    integer form, so every table is over the cost's scale, and one _step,
+    g plus the minimum over the coset of Ax (as ratios for a wide cost)."""
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("solve_finite needs a finite horizon")
     frame = inst.coset_frame()
-    g, gd = inst.cost.num, inst.cost.den
-    J, D = g, gd
-    tables, dens = [g], [gd]  # J_T, J_{T-1}, ..., J_0
+    cost = inst.cost
+    rows = [(cost.num, cost.den)]  # J_T, J_{T-1}, ..., J_0 with their dens
     argmins = []
     for _ in range(inst.horizon.T):
-        if gd is None:
-            Jk, mins = frame.minima(J)
-            J = tuple(map(add, g, map(mins.__getitem__, frame.c_ax)))
-        else:
-            Jk, mins, mn, md = frame.ratio_minima(J, D)
-            J, D = _ratio_sum(g, gd, map(mn.__getitem__, frame.c_ax),
-                              map(md.__getitem__, frame.c_ax), inst.cost.den_bits)
-            dens.append(D)
-        tables.append(J)
+        Jk, mins, mn, md = frame.minima(*rows[-1])
+        rows.append(_step(cost.num, cost, mn, md, frame.c_ax))
         argmins.append(tuple(frame.argmin_sets(Jk, mins)))
-    return (ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale,
-                       None if gd is None else dens[::-1]),
+    nums, dens = zip(*reversed(rows))
+    return (ValueTable(inst.horizon, nums, cost.scale, dens),
             ArgminTable(inst.horizon, tuple(reversed(argmins))))
 
 
@@ -593,32 +590,26 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     switches an action on a strict improvement, which rules out cycling: a
     state moves to its lowest optimal input exactly when its current
     successor's value exceeds the minimum over its coset.  Every round
-    compares integers: a wide round's ratios (see ValueTable) by
-    cross-multiplication.  On convergence the values satisfy the
-    fixed-point equation exactly, and the minimizer sets, built in full
-    once from those values, are complete.
+    takes its coset minima from CosetFrame.minima and compares integers, a
+    wide round's ratios (see ValueTable) by cross-multiplication.  On
+    convergence the values satisfy the fixed-point equation exactly, and
+    the minimizer sets, built in full once from those values, are complete.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
     frame = inst.coset_frame()
-    cost = inst.cost
-    greedy = (frame.minima(cost.num) if cost.den is None
-              else frame.ratio_minima(cost.num, cost.den)[:2])
-    policy = [min(chosen) for chosen in frame.argmin_sets(*greedy)]
+    greedy = frame.minima(inst.cost.num, inst.cost.den)
+    policy = [min(chosen) for chosen in frame.argmin_sets(*greedy[:2])]
     nxt = frame.successors(policy)
     while True:
         values = evaluate_stationary_policy(inst, policy, nxt)
-        if values.dens is None:
-            J = values.nums[0]
-            Jk, mins = frame.minima(J)
-            sides = map(J.__getitem__, nxt), map(mins.__getitem__, frame.c_ax)
-        else:
-            num, den = values.nums[0], values.dens[0]
-            Jk, mins, mn, md = frame.ratio_minima(num, den)
-            # J(nxt[x]) > (mn / md)[c_ax[x]] as n·md > mn·d
-            sides = (map(mul, map(num.__getitem__, nxt), map(md.__getitem__, frame.c_ax)),
-                     map(mul, map(mn.__getitem__, frame.c_ax), map(den.__getitem__, nxt)))
-        stale = list(compress(count(), map(gt, *sides)))
+        num, den = values.nums[0], values.dens and values.dens[0]
+        Jk, mins, mn, md = frame.minima(num, den)
+        here, best = map(num.__getitem__, nxt), map(mn.__getitem__, frame.c_ax)
+        if den is not None:  # J(nxt[x]) > (mn / md)[c_ax[x]] as n·md > mn·d
+            here, best = (map(mul, here, map(md.__getitem__, frame.c_ax)),
+                          map(mul, best, map(den.__getitem__, nxt)))
+        stale = list(compress(count(), map(gt, here, best)))
         if not stale:
             break
         better = frame.least_argmins(Jk, mins, stale)
@@ -642,11 +633,12 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
 
     With alpha = a/b and the cost in integer form G / L (CostFunction.num
     over .scale), the k-th iterate is N_k / (b^k·L): N_0 = 0 and
-    N_{k+1} = b^(k+1)·G + a·(coset minimum of N_k).  A wide cost's N_k is
-    a row of ratios (the table's dens), run through the same recursion by
-    ratio minima.  Before the first sweep the sweep count is predicted as
-    k = ceil(log(tol·(1 - alpha)/max g) / log alpha); a ValueError names it
-    when k·log2(b) bits would pass what str() prints (PRINTABLE_BITS).
+    N_{k+1} = b^(k+1)·G + a·(coset minimum of N_k), one _step.  A wide
+    cost's N_k is a row of ratios (the table's dens), starting from 0 over
+    the cost's denominators.  Before the first sweep the sweep count is
+    predicted as k = ceil(log(tol·(1 - alpha)/max g) / log alpha); a
+    ValueError names it when k·log2(b) bits would pass what str() prints
+    (PRINTABLE_BITS).
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_vi needs a discounted horizon")
@@ -665,36 +657,29 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
                 f"and tol = {tol}, more than its exact values can carry; "
                 "raise the tolerance")
     frame = inst.coset_frame()
-    G, Q, L = inst.cost.num, inst.cost.den, inst.cost.scale
-    current = (0,) * inst.num_states
-    dens = None if Q is None else [1] * inst.num_states
+    cost = inst.cost
+    current, dens = (0,) * inst.num_states, cost.den
     power = 1  # current is over b^iterations·L
     iterations = 0
     while True:
         power *= b
-        if Q is None:
-            mins = frame.minima(current)[1]
-            new = tuple(map(add, map(mul, G, repeat(power)),
-                            map(mul, repeat(a), map(mins.__getitem__, frame.c_ax))))
-            # the old iterate over the new scale is b·current
+        mn, md = frame.minima(current, dens)[2:]
+        new, new_dens = _step(map(mul, cost.num, repeat(power)), cost,
+                              [a * v for v in mn], md, frame.c_ax)
+        # the old iterate over the new scale is b·current
+        if dens is None:
             delta = max(map(abs, map(sub, new, map(mul, current, repeat(b)))))
-            done = delta * tol.denominator <= tol.numerator * power * L
-        else:
-            _, _, mn, md = frame.ratio_minima(current, dens)
-            new, new_dens = _ratio_sum(map(mul, G, repeat(power)), Q,
-                                       map(mul, map(mn.__getitem__, frame.c_ax), repeat(a)),
-                                       map(md.__getitem__, frame.c_ax), inst.cost.den_bits)
-            # |new / new_dens - b·current / dens| <= tol·power at every state
+            done = delta * tol.denominator <= tol.numerator * power * cost.scale
+        else:  # |new / new_dens - b·current / dens| <= tol·power at every state
             done = all(map(le, map(mul, map(abs, map(sub, map(mul, new, dens), map(
                 mul, map(mul, current, repeat(b)), new_dens))), repeat(tol.denominator)),
                 map(mul, map(mul, new_dens, dens), repeat(tol.numerator * power))))
-            dens = new_dens
-        current = new
+        current, dens = new, new_dens
         iterations += 1
         if done:
             break
     bound = alpha * tol / (1 - alpha)
-    values = ValueTable(inst.horizon, (current,), power * L, None if dens is None else (dens,))
+    values = ValueTable(inst.horizon, (current,), power * cost.scale, (dens,))
     return ValueIterationResult(values, bound, iterations)
 
 
@@ -708,28 +693,20 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> Val
 
     law[t][x] is the input index applied at time t in state x, for t in
     0..T-1.  Runs the backward recursion V_T = g, V_t = g + V_{t+1} at the
-    successor under law[t], on the cost's integer form (adding ratios for
-    a wide cost); table(0) is the total cost from every start state.
+    successor under law[t], one _step per stage on the cost's integer form;
+    table(0) is the total cost from every start state.
     """
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("closed-loop evaluation needs a finite horizon")
     if len(law) != inst.horizon.T:
         raise ValueError("law must cover times 0..T-1")
     frame = inst.coset_frame()
-    g, gd = inst.cost.num, inst.cost.den
-    V, D = g, gd
-    tables, dens = [g], [gd]  # V_T, V_{T-1}, ..., V_0
+    cost = inst.cost
+    rows = [(cost.num, cost.den)]  # V_T, V_{T-1}, ..., V_0 with their dens
     for inputs in reversed(law):
-        nxt = frame.successors(inputs)
-        if gd is None:
-            V = tuple(map(add, g, map(V.__getitem__, nxt)))
-        else:
-            V, D = _ratio_sum(g, gd, map(V.__getitem__, nxt), map(D.__getitem__, nxt),
-                              inst.cost.den_bits)
-            dens.append(D)
-        tables.append(V)
-    return ValueTable(inst.horizon, tuple(reversed(tables)), inst.cost.scale,
-                      None if gd is None else dens[::-1])
+        rows.append(_step(cost.num, cost, *rows[-1], frame.successors(inputs)))
+    nums, dens = zip(*reversed(rows))
+    return ValueTable(inst.horizon, nums, cost.scale, dens)
 
 
 def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition, *,
@@ -757,12 +734,19 @@ def value_split_defect(table: Sequence[int], part_tables: Sequence[Sequence[int]
     state to its part-i local index, as in
     DirectSumDecomposition.local_index_tables.
     """
-    total = list(map(part_tables[0].__getitem__, comp[0]))
-    for part, c in zip(part_tables[1:], comp[1:]):
-        total = list(map(add, total, map(part.__getitem__, c)))
+    total = _part_sums(part_tables, comp)
     if all(map(eq, table, total)):
         return None
     return next(x for x, (v, s) in enumerate(zip(table, total)) if v != s)
+
+
+def _part_sums(part_tables: Sequence[Sequence], comp: Sequence[Sequence[int]]) -> list:
+    """part_tables[0][comp[0][x]] + part_tables[1][comp[1][x]] + ... at
+    every state x: the sum of the part values at x's components."""
+    total = list(map(part_tables[0].__getitem__, comp[0]))
+    for part, c in zip(part_tables[1:], comp[1:]):
+        total = list(map(add, total, map(part.__getitem__, c)))
+    return total
 
 
 def bellman_residual(inst: DPInstance, values: ValueTable) -> Fraction:

@@ -3,12 +3,13 @@
 The document layout is published in docs/instance-schema.json (versioned;
 this module accepts schema_version "1.0").  Matrices are nested row-major
 integer lists reduced mod p on load; rationals are JSON strings "num/den"
-(a bare integer, JSON number or string, is also accepted).  Cost tables are
-indexed by the base-p little-endian state index.
+or bare integers (JSON numbers or strings), and nothing else.  Cost tables
+are indexed by the base-p little-endian state index.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,15 +20,15 @@ from .fields import PrimeField
 from .linalg import DirectSumDecomposition, MatrixFp, Subspace
 
 SCHEMA_VERSION = "1.0"
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the schema's pattern
 
 
 def parse_rational(value: Any) -> Fraction:
-    """Accept 7, "7", or "7/3" spellings."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    """Accept 7, "7", or "7/3" spellings and no other: Fraction alone would
+    also take "0.5" or "1e100000000", whose exponent it expands in full."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -568,6 +568,24 @@ def test_value_iteration_too_long_to_run_exits_2(tmp_path):
     assert "20713 sweeps" in proc.stderr
 
 
+def test_exponent_rationals_exit_2_at_once(tmp_path):
+    """Fraction expands a decimal exponent in full (Fraction("1e10000000")
+    alone takes seconds), so only the published spellings, integers and
+    "num/den", are read: an exponent in a cost entry, --alpha or --tol
+    exits 2 within the deadline instead of running on."""
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({
+        "field": {"prime": 2}, "dims": {"n": 1, "m": 1}, "A": [[1]], "B": [[1]],
+        "cost": {"table": ["0", "1e100000000"]}, "horizon": {"finite": {"T": 1}}}))
+    proc = _cli_process(path, ["solve"])
+    assert proc.returncode == 2 and "1e100000000" in proc.stderr, proc.stderr
+    path.write_text(path.read_text().replace("1e100000000", "1"))
+    for flag in ("--alpha", "--tol"):
+        proc = _cli_process(path, ["solve", "--horizon", "discounted", "--alpha", "1/2",
+                                   flag, "1e-100000000"])
+        assert proc.returncode == 2 and "1e-100000000" in proc.stderr, (flag, proc.stderr)
+
+
 def test_theorem_violation_exit_code(worked_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise TheoremViolation("forced for the exit-code test")

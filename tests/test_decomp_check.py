@@ -32,7 +32,8 @@ from dpdecomp.fields import PrimeField
 from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
 from dpdecomp.subproblems import build_bundle, solve_bundle
 
-from test_acceptance import rand_B, rand_forced_B, rand_invertible, rand_matrix
+from test_acceptance import (rand_B, rand_forced_B, rand_invertible, rand_matrix,
+                             rand_split_system)
 from test_cli import worked_doc
 from test_subproblems import make_axes_parent, make_parent
 
@@ -442,3 +443,34 @@ def test_outside_span_scan_decides_each_distinct_set_once():
         want = next((x for x, chosen in enumerate(row) if not span & chosen), None)
         assert checks._first_outside(span, row) == want
         assert sorted(map(sorted, span.asked)) == sorted(map(sorted, set(row)))
+
+
+def _battery_results(seed, p):
+    """run_battery's report and verify_witnesses' verdicts on one seeded
+    split system over GF(p) with a separable cost over denominators 1..3."""
+    rng = random.Random(f"battery-forms-{seed}")
+    F, A, decomp = rand_split_system(rng, primes=(p,), n_max={2: 4, 3: 3, 5: 2}[p])
+    B = rand_forced_B(rng, F, decomp) if seed % 2 else rand_B(rng, F, decomp.ambient_dim)
+    tables = [[0] + [Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                     for _ in range(p**part.dim - 1)] for part in decomp.parts]
+    horizon = FiniteHorizon(2) if seed % 4 < 2 else DiscountedHorizon(HALF)
+    inst = DPInstance(A, B, CostFunction.separable(decomp, tables), horizon)
+    report = run_battery(inst, decomp)
+    return report, verify_witnesses(inst, decomp, report), inst.cost.den is None
+
+
+def test_battery_reports_match_on_wide_and_narrow_values(monkeypatch):
+    """With dp.WIDE_SCALE_BITS = 0 every cost and value table is wide; the
+    battery's reports and witness verdicts on 20 seeded systems over
+    GF(2), GF(3) and GF(5) equal those of the narrow run."""
+    refuted = 0
+    for seed in range(20):
+        p = (2, 3, 5)[seed % 3]
+        narrow = _battery_results(seed, p)
+        with monkeypatch.context() as patched:
+            patched.setattr(dp, "WIDE_SCALE_BITS", 0)
+            wide = _battery_results(seed, p)
+        assert narrow[2] and not wide[2]  # the narrow cost, and the wide one
+        assert wide[:2] == narrow[:2]
+        refuted += bool(narrow[1])
+    assert 0 < refuted < 20  # some batteries split, some are refuted

@@ -665,6 +665,42 @@ def test_long_wide_policy_paths_keep_denominators_linear():
         assert list(values.table(0)) == oracle_evaluate_stationary_policy(inst, policy)
 
 
+def _solver_results(seed, p):
+    """Every solver's result on one seeded instance over GF(p): small
+    costs over denominators 1..4 (zeros included, for ties), any B."""
+    rng = random.Random(f"forms-{seed}")
+    F = PrimeField(p)
+    n = rng.randint(1, {2: 5, 3: 3, 5: 2}[p])
+    m = rng.randint(0, n)
+    A = MatrixFp(F, n, n, [rng.randrange(p) for _ in range(n * n)])
+    B = MatrixFp(F, n, m, [rng.randrange(p) for _ in range(n * m)])
+    table = [0] + [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(p**n - 1)]
+    finite, discounted = (DPInstance(A, B, CostFunction(F, n, table, allow_vanishing=True),
+                                     horizon, require_injective=False)
+                          for horizon in (FiniteHorizon(3), DiscountedHorizon(Fraction(2, 3))))
+    law = [[rng.randrange(p**m) for _ in range(p**n)] for _ in range(3)]
+    policy = [rng.randrange(p**m) for _ in range(p**n)]
+    return [solve_finite(finite), evaluate_time_varying(finite, law),
+            solve_discounted_pi(discounted), solve_discounted_vi(discounted, Fraction(1, 100)),
+            evaluate_stationary_policy(discounted, policy)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_wide_form_matches_narrow_form_on_the_same_inputs(monkeypatch, p):
+    """With dp.WIDE_SCALE_BITS = 0 every cost and every table is wide, a
+    numerator and a denominator row; on 20 seeded instances per prime each
+    solver returns the same exact tables and minimizer sets as it does on
+    narrow integer rows."""
+    for seed in range(20):
+        narrow = _solver_results(seed, p)
+        with monkeypatch.context() as patched:
+            patched.setattr(dp, "WIDE_SCALE_BITS", 0)
+            wide = _solver_results(seed, p)
+        tables = [wide[0][0], wide[1], wide[2][0], wide[3].values, wide[4]]
+        assert all(t.dens is not None for t in tables)
+        assert wide == narrow
+
+
 def test_wide_solvers_do_no_fraction_arithmetic(monkeypatch):
     """The solvers run on integers from a wide cost (and from the wide
     rounds a narrow cost gives policy iteration): with Fraction addition
@@ -867,7 +903,10 @@ def test_coset_kernels_match_per_state_oracle(data):
     """minima and argmin_sets equal the per-state loops on p = 2 up to n = 6,
     P = 1 (m = 0), a single coset (B invertible), singular A, non-injective
     B and tie-heavy values in {0, 1}; a coset with one minimal position
-    hands out the shared fibre frozenset itself."""
+    hands out the shared fibre frozenset itself.  The same values as
+    ratios num·k / den·k, with a random positive k per state, give the
+    same coset minima and minimizer sets (ties in {0, 1} run the
+    tournament's tied branch, distinct values its untied one)."""
     draw = data.draw
     p = draw(st.sampled_from([2, 2, 3, 5]))
     F = PrimeField(p)
@@ -889,10 +928,17 @@ def test_coset_kernels_match_per_state_oracle(data):
     values = draw(st.sampled_from([st.integers(0, 1), st.integers(0, 20),
                                    st.builds(Fraction, st.integers(0, 6), st.just(3))]))
     J = draw(st.lists(values, min_size=p**n, max_size=p**n))
-    Jk, mins = frame.minima(J)
+    Jk, mins, min_num, min_den = frame.minima(J)
     assert (Jk, mins) == oracle_minima(frame, J)
+    assert (min_num, min_den) == (mins, None)
     got = frame.argmin_sets(Jk, mins)
     assert got == oracle_argmin_sets(frame, Jk, mins)
+    ks = draw(st.lists(st.integers(1, 10**6), min_size=p**n, max_size=p**n))
+    key, key_mins, min_num, min_den = frame.minima(
+        [Fraction(v).numerator * k for v, k in zip(J, ks)],
+        [Fraction(v).denominator * k for v, k in zip(J, ks)])
+    assert list(map(Fraction, min_num, min_den)) == mins
+    assert frame.argmin_sets(key, key_mins) == got
     fibres = {id(us) for us in frame.pre}
     for x, k in enumerate(frame.k_ax):
         c = k // frame.P
@@ -998,7 +1044,7 @@ def test_argmin_sets_on_one_coset_allocates_per_state_not_per_row():
     frame = dp.CosetFrame.of(MatrixFp.identity(F2, n), MatrixFp.identity(F2, n))
     assert frame.P == 2**n
     for J in (list(range(2**n, 0, -1)), [0, 0] + [1] * (2**n - 2)):
-        Jk, mins = frame.minima(J)
+        Jk, mins = frame.minima(J)[:2]
         tracemalloc.start()
         try:
             got = frame.argmin_sets(Jk, mins)

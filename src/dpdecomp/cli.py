@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import product
 from typing import Any, Sequence
 
@@ -68,9 +67,11 @@ def _guard(args: argparse.Namespace, size: int, limit: int, what: str) -> None:
 def _horizon_override(args: argparse.Namespace) -> Horizon | None:
     if args.horizon is None and args.T is None and args.alpha is None:
         return None
-    kind = args.horizon
-    if kind is None:
-        kind = "finite" if args.T is not None else "discounted"
+    kind = args.horizon or ("finite" if args.T is not None else "discounted")
+    flag, stray = ("--alpha", args.alpha) if kind == "finite" else ("--T", args.T)
+    if stray is not None:
+        given = f"--horizon {kind}" if args.horizon else "--T"
+        raise ValueError(f"{flag} conflicts with {given}: give one horizon")
     if kind == "finite":
         if args.T is None:
             raise ValueError("--horizon finite needs --T")
@@ -135,6 +136,7 @@ def _print_solution(d: dict[str, Any]) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    tol = parse_rational(args.tol)
     inst = _load(args).instance
     p, horizon = inst.field.p, inst.horizon
     payload: dict[str, Any] = {"field": p, "n": inst.n, "m": inst.m,
@@ -150,11 +152,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                  for t in times if t < horizon.T}
     else:
         values, argmin = solve_discounted_pi(inst)
-        vi = solve_discounted_vi(inst, args.tol)
+        vi = solve_discounted_vi(inst, tol)
         payload["horizon"] = {"discounted": {"alpha": str(horizon.alpha)}}
         payload["values"] = [str(v) for v in values.stationary]
         payload["value_iteration"] = {
-            "tolerance": str(args.tol),
+            "tolerance": str(tol),
             "values": [str(v) for v in vi.values.stationary],
             "error_bound": str(vi.error_bound),
             "iterations": vi.iterations,
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print every time step, not just t=0")
     p_solve.add_argument("--argmin", action="store_true",
                          help="also print minimizing input sets")
-    p_solve.add_argument("--tol", type=parse_rational, default=Fraction(1, 1000),
+    p_solve.add_argument("--tol", default="1/1000",
                          help="value-iteration stopping tolerance (discounted)")
     p_solve.set_defaults(func=cmd_solve)
 

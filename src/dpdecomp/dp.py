@@ -351,16 +351,6 @@ class ValueTable:
         if wide:  # rows that table() frees
             object.__setattr__(self, "nums", list(self.nums))
 
-    @classmethod
-    def exact(cls, horizon: Horizon, tables: Sequence[Sequence[Fraction]]) -> "ValueTable":
-        """The table of exact rational values in integer form (equal-length
-        rows, one per time)."""
-        scale, flat, dens = _integer_form([v for t in tables for v in t])
-        size = len(flat) // len(tables)
-        rows = range(0, len(flat), size)
-        return cls(horizon, tuple(flat[k:k + size] for k in rows), scale,
-                   None if dens is None else [dens[k:k + size] for k in rows])
-
     def at_scale(self, t: int, scale: int) -> tuple:
         """The time-t values times scale, a multiple of self.scale: integers,
         or a wide table's Fractions (read through table(t))."""
@@ -477,7 +467,7 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
     a numerator over L·d, and a state k steps above the cycle has one over
     L·b^k·d (from V = G / L + alpha·V_next).  One walk of the graph fills
     them in.  The table then takes the least common scale of its values,
-    the one ValueTable.exact gives, and is wide, holding the walk's own
+    the one _integer_form gives, and is wide, holding the walk's own
     numerators over L and denominators, when that scale is wider than
     WIDE_SCALE_BITS.  A wide cost's values are wide (see _wide_policy_values).
     """

@@ -100,10 +100,6 @@ class Poly:
         return cls(field, (1,))
 
     @classmethod
-    def constant(cls, field: PrimeField, c: int) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
     def monomial(cls, field: PrimeField, k: int, c: int = 1) -> "Poly":
         return cls(field, (0,) * k + (c,))
 

@@ -2,13 +2,12 @@
 
 The characteristic polynomial comes from the division-free Samuelson-
 Berkowitz recurrence, so it is valid in any characteristic.  Factorization
-is square-free decomposition followed by Berlekamp splitting: for small p
-exhaustive over the p shift constants, for large p gcd splitting on kernel
-elements drawn from a fixed-seed random.Random (Cantor-Zassenhaus), so the
-result never varies.  Factors are ordered lexicographically by coefficient
-tuple.  The primary parts ker f_i(A)^{m_i} then give the canonical
-invariant direct sum; a single irreducible power means no splitting of this
-kind exists.
+is square-free decomposition followed by Berlekamp splitting, the same at
+every prime: gcds with kernel elements drawn from a fixed-seed
+random.Random (Cantor-Zassenhaus), so the result never varies.  Factors are
+ordered lexicographically by coefficient tuple.  The primary parts
+ker f_i(A)^{m_i} then give the canonical invariant direct sum; a single
+irreducible power means no splitting of this kind exists.
 """
 
 from __future__ import annotations
@@ -26,13 +25,6 @@ from .linalg import (
     null_space,
     poly_eval_matrix,
 )
-
-# Up to this prime, splitting tries every constant of GF(p), which costs p
-# gcds per factor; above it, random kernel elements raised to (p-1)/2 split
-# in O(log p) products each, which measured faster from p = 11 on (and
-# p = 2 has no such power).
-SWEEP_MAX_PRIME = 7
-
 
 def char_poly(A: MatrixFp) -> Poly:
     """Monic characteristic polynomial det(xI - A) by Samuelson-Berkowitz."""
@@ -77,15 +69,18 @@ class CharPolyFactorization:
     def __len__(self) -> int:
         return len(self.factors)
 
-    def product(self) -> Poly:
-        out = Poly.one(self.field)
-        for q, m in self.factors:
-            out = out * q**m
-        return out
-
 
 def _berlekamp_split(f: Poly) -> list[Poly]:
-    """All monic irreducible factors of a monic square-free polynomial."""
+    """All monic irreducible factors of a monic square-free polynomial.
+
+    Every element v of the Berlekamp kernel is a constant modulo each
+    irreducible factor.  A random v splits a reducible factor g by
+    gcd(w, g) (Cantor-Zassenhaus): at p = 2, w = v keeps the factors where
+    that constant is 0; at odd p, w = v^((p-1)/2) - 1 keeps those where it
+    is a nonzero square, at O(log p) products modulo g.  Each try splits g
+    with probability at least about 1/2; the seed is fixed, so the factors
+    found are the same on every run.
+    """
     field = f.field
     p = field.p
     d = f.degree
@@ -99,62 +94,18 @@ def _berlekamp_split(f: Poly) -> list[Poly]:
         cols.append([power[i] for i in range(d)])
         power = power * x_p % f
     Q = MatrixFp.from_cols(field, cols, nrows=d)
-    kernel = null_space(Q - MatrixFp.identity(field, d))
-    count = kernel.dim
-    if count == 1:
-        return [f]
-    # every kernel element v is a constant s_i modulo each irreducible factor
-    basis = kernel.basis_vectors()
-    if p <= SWEEP_MAX_PRIME:
-        factors = _split_by_constants(f, [Poly(field, vec) for vec in basis], count)
-    else:
-        factors = _split_by_residues(f, basis, count)
-    assert len(factors) == count, "Berlekamp basis failed to separate factors"
-    return sorted(factors, key=lambda q: q.coeffs)
-
-
-def _split_by_constants(f: Poly, kernel: list[Poly], count: int) -> set[Poly]:
-    """Split f by gcd(v - s, g) for every kernel basis element v and every
-    constant s of GF(p): p gcds per factor and element."""
-    field = f.field
-    factors = {f}
-    for v in kernel:
-        if v.degree < 1:
-            continue
-        refined: set[Poly] = set()
-        for g in factors:
-            if g.degree == 1:
-                refined.add(g)
-                continue
-            pieces = [h.monic() for h in (g.gcd(v - Poly.constant(field, s))
-                                          for s in range(field.p))
-                      if h.degree >= 1]
-            refined.update(pieces if pieces else {g})
-        factors = refined
-        if len(factors) == count:
-            break
-    return factors
-
-
-def _split_by_residues(f: Poly, basis: list[list[int]], count: int) -> set[Poly]:
-    """Split f, for odd p, by gcd(v^((p-1)/2) - 1, g) on random kernel
-    elements v (Cantor-Zassenhaus): that gcd keeps the factors where v's
-    constant is a nonzero square, so each try splits a reducible g with
-    probability about 1/2, at O(log p) products modulo g.  The seed is
-    fixed, so the factors found are the same on every run."""
-    field = f.field
-    p = field.p
+    basis = null_space(Q - MatrixFp.identity(field, d)).basis_vectors()
     rng = random.Random(0)
     one = Poly.one(field)
-    factors = {f}
-    while len(factors) < count:
+    factors = [f]
+    while len(factors) < len(basis):
         weights = [rng.randrange(p) for _ in basis]
         v = Poly(field, [sum(w * vec[i] for w, vec in zip(weights, basis))
-                         for i in range(f.degree)])
-        refined: set[Poly] = set()
+                         for i in range(d)])
+        refined = []
         for g in factors:
-            h = (pow(v, (p - 1) // 2, g) - one).gcd(g) if g.degree > 1 else g
-            refined.update({h, g // h} if 0 < h.degree < g.degree else {g})
+            h = g if g.degree == 1 else (v if p == 2 else pow(v, (p - 1) // 2, g) - one).gcd(g)
+            refined += [h, g // h] if 0 < h.degree < g.degree else [g]
         factors = refined
     return factors
 

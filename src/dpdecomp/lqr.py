@@ -82,13 +82,13 @@ def riccati_backward(A, B, P, T: int) -> RiccatiSolution:
     P = _symmetrize(P)
     K: list[np.ndarray] = [np.empty(0)] * (T + 1)
     K[T] = P
+    # the gain from K[t + 1] is the recursion's L, gains_std[t] and gains[t + 1]
+    L: list[np.ndarray] = [np.empty(0)] * T
     for t in range(T - 1, -1, -1):
         Kn = K[t + 1]
-        L = _feedback(A, B, Kn)
-        K[t] = _symmetrize(P + A.T @ Kn @ A - A.T @ Kn @ B @ L)
-    gains = tuple(_feedback(A, B, K[t]) for t in range(T))
-    gains_std = tuple(_feedback(A, B, K[t + 1]) for t in range(T))
-    return RiccatiSolution(tuple(K), gains, gains_std)
+        L[t] = _feedback(A, B, Kn)
+        K[t] = _symmetrize(P + A.T @ Kn @ A - A.T @ Kn @ B @ L[t])
+    return RiccatiSolution(tuple(K), (_feedback(A, B, K[0]), *L[:-1]), tuple(L))
 
 
 def trajectory_cost(A, B, P, gains, x0) -> float:

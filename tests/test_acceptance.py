@@ -30,6 +30,7 @@ from dpdecomp.linalg import (DirectSumDecomposition, MatrixFp, Subspace,
                              subspace_intersect, subspace_sum)
 from dpdecomp.lqr import block_diagonal_check, riccati_backward, trajectory_cost
 from dpdecomp.subproblems import build_bundle, solve_bundle
+from test_invariant_decomp import product
 from test_linalg import members
 
 F3 = PrimeField(3)
@@ -485,7 +486,7 @@ def test_criterion_10_algebra_suite(criterion):
             chi = char_poly(A)
             assert poly_eval_matrix(chi, A) == MatrixFp.zeros(F, n, n)
             fact = factor_poly(chi)
-            assert fact.product() == chi
+            assert product(fact) == chi
             try:
                 decomp, _ = primary_decomposition(A)
             except NotDecomposable:

@@ -113,6 +113,27 @@ def test_horizon_override_flags(worked_path, capsys):
     assert "--T" in err
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--alpha", "2/3", "--T", "2"], ["--alpha", "--T"]),
+    (["--horizon", "finite", "--alpha", "1/2"], ["--horizon finite", "--alpha"]),
+    (["--horizon", "discounted", "--alpha", "1/2", "--T", "3"], ["--horizon discounted", "--T"]),
+], ids=["T-and-alpha", "finite-and-alpha", "discounted-and-T"])
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_conflicting_horizon_flags_exit_2(worked_path, capsys, command, argv, flags):
+    """A flag the chosen horizon cannot use is refused, not dropped."""
+    rc, out, err = run(capsys, command, worked_path, *argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and all(flag in err for flag in flags), err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--tol"])
+def test_rational_flags_refuse_alike(worked_path, capsys, flag):
+    rc, out, err = run(capsys, "solve", worked_path, "--horizon", "discounted",
+                       "--alpha", "1/2", flag, "0.5")
+    assert rc == 2 and out == ""
+    assert err == "error: not a rational: '0.5'\n"
+
+
 # === decompose ===
 
 def test_decompose_text(worked_path, capsys):

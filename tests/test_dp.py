@@ -40,6 +40,16 @@ F3 = PrimeField(3)
 HALF = Fraction(1, 2)
 
 
+def exact_table(horizon, tables):
+    """The ValueTable of exact rational values in integer form (equal-length
+    rows, one per time), as the solvers build it."""
+    scale, flat, dens = dp._integer_form([v for t in tables for v in t])
+    size = len(flat) // len(tables)
+    rows = range(0, len(flat), size)
+    return ValueTable(horizon, tuple(flat[k:k + size] for k in rows), scale,
+                      None if dens is None else [dens[k:k + size] for k in rows])
+
+
 def _strict_table(rng_vals, size):
     return [Fraction(0)] + [Fraction(v) for v in rng_vals[:size - 1]]
 
@@ -119,7 +129,7 @@ def oracle_solve_finite(inst):
         solved = [_minimize(values[t + 1], trans[x]) for x in range(inst.num_states)]
         values[t] = tuple(g[x] + best for x, (best, _) in enumerate(solved))
         argmin[t] = tuple(chosen for _, chosen in solved)
-    return (ValueTable.exact(inst.horizon, values),
+    return (exact_table(inst.horizon, values),
             ArgminTable(inst.horizon, tuple(argmin)))
 
 
@@ -167,7 +177,7 @@ def oracle_solve_discounted_pi(inst):
                 policy[x] = min(chosen)
                 improved = True
         if not improved:
-            return (ValueTable.exact(inst.horizon, (values,)),
+            return (exact_table(inst.horizon, (values,)),
                     ArgminTable(inst.horizon, (tuple(argmin),)))
 
 
@@ -186,7 +196,7 @@ def oracle_solve_discounted_vi(inst, tol):
         current = new
         if delta <= tol:
             break
-    return ValueIterationResult(ValueTable.exact(inst.horizon, (current,)),
+    return ValueIterationResult(exact_table(inst.horizon, (current,)),
                                 alpha * tol / (1 - alpha), iterations)
 
 
@@ -204,7 +214,7 @@ def oracle_evaluate_time_varying(inst, law):
                 total += g[x]
             row.append(total)
         expected.append(row)
-    return ValueTable.exact(inst.horizon, expected)
+    return exact_table(inst.horizon, expected)
 
 
 def oracle_minima(frame, J):
@@ -425,15 +435,15 @@ def test_integer_split_scan_matches_fraction_oracle(data):
         table[x] += data.draw(st.builds(Fraction, st.integers(-3, 3).filter(bool),
                                         st.sampled_from(SPLIT_DENOMINATORS)))
     horizon = DiscountedHorizon(Fraction(9, 10))
-    whole = ValueTable.exact(horizon, (table,))
-    pieces = [ValueTable.exact(horizon, (t,)) for t in parts]
+    whole = exact_table(horizon, (table,))
+    pieces = [exact_table(horizon, (t,)) for t in parts]
     scale = math.lcm(whole.scale, *(v.scale for v in pieces))
     found = value_split_defect(whole.at_scale(0, scale),
                                [v.at_scale(0, scale) for v in pieces], comp)
     assert found == _fraction_split_defect(table, parts, comp)
     # a perturbed numerator is seen at the same first state as its Fraction
     # (a read frees a wide table's integer rows, so the row is built afresh)
-    whole = ValueTable.exact(horizon, (table,))
+    whole = exact_table(horizon, (table,))
     x = data.draw(st.integers(0, p**n - 1))
     bumped = list(whole.nums[0])
     bumped[x] += data.draw(st.integers(-2, 2).filter(bool))
@@ -449,7 +459,7 @@ def test_value_table_equality_is_exact_whatever_the_scale():
     h = FiniteHorizon(1)
     a = ValueTable(h, ((0, 1), (0, 2)), 2)
     assert a == ValueTable(h, ((0, 3), (0, 6)), 6)
-    assert a == ValueTable.exact(h, ((Fraction(0), HALF), (Fraction(0), Fraction(1))))
+    assert a == exact_table(h, ((Fraction(0), HALF), (Fraction(0), Fraction(1))))
     assert a != ValueTable(h, ((0, 1), (0, 3)), 2)
     assert a != ValueTable(DiscountedHorizon(HALF), a.nums, 2)
     assert a.table(0) == (Fraction(0), HALF) and a.value(1, 1) == 1
@@ -823,11 +833,11 @@ def test_discounted_matches_oracle_exactly(inst):
 
 
 def _assert_same_representation(got, values, inst):
-    """got holds exactly the values, in ValueTable.exact(values)'s form:
+    """got holds exactly the values, in exact_table(values)'s form:
     the same scale and numerators when that is narrow and the cost is not
     wide, and otherwise a wide row of integer ratios,
     got.nums[0][x] / (got.scale · got.dens[0][x])."""
-    want = ValueTable.exact(got.horizon, (values,))
+    want = exact_table(got.horizon, (values,))
     assert (got.dens is None) == (want.dens is None and inst.cost.den is None)
     if got.dens is None:
         assert (got.scale, got.nums) == (want.scale, want.nums)
@@ -1017,9 +1027,9 @@ def test_value_reads_one_entry_without_building_the_table():
     w61, w89, w127 = (Fraction(1, d) for d in WIDE_DENOMINATORS)
     ZERO = Fraction(0)
     horizon = FiniteHorizon(1)
-    integer = ValueTable.exact(horizon, [[ZERO, Fraction(1, 3), Fraction(5, 2)],
+    integer = exact_table(horizon, [[ZERO, Fraction(1, 3), Fraction(5, 2)],
                                          [ZERO, Fraction(1), Fraction(7)]])
-    wide = ValueTable.exact(horizon, [[ZERO, w61, w89], [w127, Fraction(1), w61 + w89]])
+    wide = exact_table(horizon, [[ZERO, w61, w89], [w127, Fraction(1), w61 + w89]])
     assert type(integer.nums[0][1]) is int and integer.scale == 6
     assert wide.dens is not None and type(wide.nums[0][1]) is int and wide.scale == 1
     wide_scaled = ValueTable(horizon, wide.nums, 7, wide.dens)

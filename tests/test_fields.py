@@ -166,7 +166,7 @@ def test_modular_power_for_a_large_prime():
     without forming the degree-p power."""
     F = PrimeField(2**61 - 1)
     x = Poly.monomial(F, 1)
-    f = (x - Poly.constant(F, 1)) * (x - Poly.constant(F, 2))
+    f = (x - Poly(F, [1])) * (x - Poly(F, [2]))
     assert pow(x, F.p, f) == x
 
 

@@ -2,17 +2,20 @@
 
 char_poly is checked against an independent cofactor-expansion determinant
 of xI - A computed over the polynomial ring.  Factorization is checked by
-multiplying back and by irreducibility of each factor (no roots for degree
-<= 3 test cases is not enough, so divisibility by all lower-degree monics
-is tested directly at small sizes).
+multiplying back and by irreducibility of each factor: divisibility by all
+lower-degree monics at small sizes, and at any prime, for products of
+factors of degree <= 3, the absence of a root (which is irreducibility only
+up to degree 3).  primary_decomposition is also held to outputs recorded
+from an independent splitting routine.
 """
 
-from unittest.mock import patch
+import hashlib
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpdecomp import invariant_decomp
 from dpdecomp.errors import NotDecomposable, NotInvariant, ShapeError
 from dpdecomp.fields import Poly, PrimeField
 from dpdecomp.invariant_decomp import (char_poly, factor_poly,
@@ -44,6 +47,11 @@ def all_polys(field, degree):
     p = field.p
     for code in range(p**degree, p ** (degree + 1)):
         yield Poly(field, [code // p**k % p for k in range(degree + 1)])
+
+
+def product(fact):
+    """The product of a factorization's factors with their multiplicities."""
+    return math.prod((q**m for q, m in fact), start=Poly.one(fact.field))
 
 
 def det_poly_matrix(field, entries):
@@ -111,7 +119,7 @@ def nonzero_polys(draw, max_deg=5, primes=(2, 3, 5)):
 @settings(max_examples=80)
 def test_factorization_reconstructs(f):
     fact = factor_poly(f)
-    assert fact.product() == f.monic()
+    assert product(fact) == f.monic()
     for q, m in fact:
         assert q.is_monic and m >= 1
 
@@ -129,23 +137,26 @@ def test_factors_are_irreducible(f):
                     assert not rem.is_zero
 
 
-@given(st.sampled_from([11, 67, 2**61 - 1]), st.data())
-@settings(max_examples=40, deadline=None)
-def test_residue_splitting_matches_the_constant_sweep(p, data):
-    # above SWEEP_MAX_PRIME the factors come from random kernel elements;
-    # a product of small monic polynomials factors exactly as the sweep of
-    # every constant finds (which is only affordable for the small primes)
+@given(st.sampled_from([2, 3, 5, 7, 11, 67, 2**61 - 1]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_residue_splitting_yields_rootless_factors(p, data):
+    # a product of small monic polynomials has irreducible factors of
+    # degree at most 3, and such a factor q is irreducible exactly when it
+    # has no root in GF(p): gcd(x^p - x, q) = 1, computed without forming
+    # the degree-p power
     F = PrimeField(p)
+    x = Poly.monomial(F, 1)
     f = Poly.one(F)
     for _ in range(data.draw(st.integers(2, 4))):
         deg = data.draw(st.integers(1, 3))
         f = f * Poly(F, data.draw(st.lists(st.integers(0, p - 1), min_size=deg,
                                            max_size=deg)) + [1])
     fact = factor_poly(f)
-    assert fact.product() == f
-    if p < 1000:
-        with patch.object(invariant_decomp, "SWEEP_MAX_PRIME", p):
-            assert factor_poly(f) == fact
+    assert product(fact) == f
+    for q, m in fact:
+        assert q.is_monic and m >= 1 and 1 <= q.degree <= 3
+        if q.degree > 1:
+            assert (pow(x, p, q) - x).gcd(q) == Poly.one(F)
 
 
 def test_factor_poly_known():
@@ -217,6 +228,76 @@ def test_primary_decomposition_properties(A):
         for v in part.basis_vectors():
             assert qm.matvec(v) == (0,) * A.nrows
     assert verify_decomposition(A, decomp)
+
+
+def companion_rows(field, coeffs):
+    """Rows of the companion matrix of x^d + sum coeffs[i] x^i."""
+    d = len(coeffs)
+    rows = [[0] * d for _ in range(d)]
+    for i in range(1, d):
+        rows[i][i - 1] = 1
+    for i in range(d):
+        rows[i][d - 1] = -coeffs[i] % field.p
+    return rows
+
+
+def seeded_matrices(p, count=36):
+    """Random matrices, companion matrices of random monic polynomials
+    (often irreducible or a prime power: NotDecomposable) and random
+    conjugates of block-diagonal companions with repeated blocks."""
+    F = PrimeField(p)
+    rng = random.Random(f"primary/{p}")
+    for k in range(count):
+        n = rng.randint(1, 10)
+        if k % 3 == 0:
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        elif k % 3 == 1:
+            rows = companion_rows(F, [rng.randrange(p) for _ in range(n)])
+        else:
+            degs = [rng.randint(1, 3) for _ in range(rng.randint(2, 6))]
+            polys = [[rng.randrange(p) for _ in range(d)] for d in degs]
+            blocks = [companion_rows(F, polys[rng.randrange(len(polys))]) for _ in degs]
+            n = sum(map(len, blocks))
+            rows, at = [[0] * n for _ in range(n)], 0
+            for block in blocks:
+                for i, row in enumerate(block):
+                    rows[at + i][at:at + len(row)] = row
+                at += len(block)
+            while True:
+                S = MatrixFp(F, n, n, [rng.randrange(p) for _ in range(n * n)])
+                if S.is_invertible():
+                    break
+            conj = S @ MatrixFp.from_rows(F, rows) @ S.inverse()
+            rows = [conj.row(i) for i in range(n)]
+        yield MatrixFp.from_rows(F, rows)
+
+
+# sha256 of repr() of the list of records below for seeded_matrices(p),
+# recorded with the exhaustive constant sweep that split Berlekamp kernels
+# for p <= 7 before every prime took random kernel elements
+PRIMARY_DIGESTS = {
+    2: "6c8149fed2669e12d76d7fcec883f3ac156763e1a48fa42301738316be6d61a5",
+    3: "8d08ca555d5a8657f3a6e59ffa164c78fda380d7811322b94484073a07bf6f51",
+    5: "fac049d2aa9073cbb48ca9b451b960969b231bfdec2521ec9d4c9a19b8b5ad4c",
+    7: "b549daeb742412b5d0b9621ee33490089eb8d5a7963284a41e8d22e6e4f9318c",
+    11: "b74216c8723f94a6a13d22c39f72bb2b8764312b053ef41c9a2c2c2caf9a9915",
+    13: "ac34394439619b45de1ccb960c31eec0be6f37a6c185709af46aaf0bd8061ccf",
+}
+
+
+@pytest.mark.parametrize("p", sorted(PRIMARY_DIGESTS))
+def test_primary_decomposition_matches_recorded_outputs(p):
+    records = []
+    for A in seeded_matrices(p):
+        try:
+            decomp, fact = primary_decomposition(A)
+        except NotDecomposable as exc:
+            records.append(("not decomposable", exc.factor.coeffs, exc.multiplicity))
+        else:
+            records.append((tuple((q.coeffs, m) for q, m in fact),
+                            tuple(tuple(part.basis_vectors()) for part in decomp.parts)))
+    assert sum(r[0] == "not decomposable" for r in records) >= 8
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == PRIMARY_DIGESTS[p]
 
 
 # === verification error paths ===

@@ -7,7 +7,7 @@ from .checks import (DecompositionReport, report_from_dict, run_battery,
                      verify_witnesses)
 from .dp import (ArgminTable, CostFunction, DiscountedHorizon, DPInstance,
                  FiniteHorizon, ValueIterationResult, ValueTable,
-                 bellman_residual, evaluate_stationary_policy, evaluate_time_varying,
+                 evaluate_stationary_policy, evaluate_time_varying,
                  index_state, is_in_Gs, solve_discounted_pi,
                  solve_discounted_vi, solve_finite, state_index)
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
@@ -27,7 +27,7 @@ __all__ = [
     "NotDecomposable", "NotDirectSum", "NotInvariant", "NotSeparableCost",
     "Poly", "PreconditionFailed", "PrimeField", "ShapeError",
     "Subspace", "SubproblemBundle", "TheoremViolation", "ValueIterationResult",
-    "ValueTable", "bellman_residual", "build_bundle", "char_poly",
+    "ValueTable", "build_bundle", "char_poly",
     "column_space", "evaluate_stationary_policy", "evaluate_time_varying", "factor_poly",
     "index_state", "is_in_Gs", "lift_policy", "null_space",
     "preimage", "primary_decomposition", "report_from_dict", "run_battery",

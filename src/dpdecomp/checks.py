@@ -47,6 +47,7 @@ from .dp import (
     evaluate_stationary_policy,
     evaluate_time_varying,
     index_state,
+    printed,
     solve,
     state_index,
     value_split_defect,
@@ -134,12 +135,13 @@ def _value_witness(bundle: SubproblemBundle, x: int, parent_values: ValueTable,
     the subproblem values (time 0) at the state's components, as exact
     rationals."""
     comp = bundle.component_state_tables()
+    parent, total = printed([parent_values.value(x), sum(
+        (sol[0].value(c[x]) for sol, c in zip(solutions, comp)), Fraction(0))])
     return {
         "kind": "value",
         "state": list(index_state(x, bundle.parent.field.p, bundle.parent.n)),
-        "parent_value": str(parent_values.value(x)),
-        "subproblem_sum": str(sum((sol[0].value(c[x]) for sol, c in zip(solutions, comp)),
-                                  Fraction(0))),
+        "parent_value": parent,
+        "subproblem_sum": total,
     }
 
 

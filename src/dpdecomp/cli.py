@@ -18,7 +18,7 @@ from itertools import product
 from typing import Any, Sequence
 
 from .checks import DecompositionReport, report_from_dict, run_battery, verify_witnesses
-from .dp import (DiscountedHorizon, FiniteHorizon, Horizon, solve_discounted_pi,
+from .dp import (DiscountedHorizon, FiniteHorizon, Horizon, printed, solve_discounted_pi,
                  solve_discounted_vi, solve_finite)
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
                      NotInvariant, NotSeparableCost, PreconditionFailed,
@@ -146,7 +146,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         values, argmin = solve_finite(inst)
         times = range(horizon.T + 1) if args.all_t else [0]
         payload["horizon"] = {"finite": {"T": horizon.T}}
-        payload["values"] = {str(t): [str(v) for v in values.table(t)] for t in times}
+        payload["values"] = {str(t): printed(values.table(t)) for t in times}
         if args.argmin:
             payload["argmin"] = {str(t): _input_sets(argmin.per_time[t], inputs)
                                  for t in times if t < horizon.T}
@@ -154,11 +154,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         values, argmin = solve_discounted_pi(inst)
         vi = solve_discounted_vi(inst, tol)
         payload["horizon"] = {"discounted": {"alpha": str(horizon.alpha)}}
-        payload["values"] = [str(v) for v in values.stationary]
+        payload["values"] = printed(values.stationary)
         payload["value_iteration"] = {
             "tolerance": str(tol),
-            "values": [str(v) for v in vi.values.stationary],
-            "error_bound": str(vi.error_bound),
+            "values": printed(vi.values.stationary),
+            "error_bound": printed([vi.error_bound])[0],
             "iterations": vi.iterations,
         }
         if args.argmin:

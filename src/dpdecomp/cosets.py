@@ -11,6 +11,11 @@ kernel is a few C-level map and slice passes, with no Python step per
 state, and no table has more than p^n or p^m entries, whatever the rank
 of B.
 
+Every state x whose A x lies in coset c can reach exactly the states of
+c, so a stationary policy that picks one coordinate index per coset (a
+first_minimal position) already holds a best successor for all of them:
+policy iteration keeps p^(n-r) choices, not p^n inputs.
+
 One elimination builds the frame: the pivot columns of [B | I_n] are Q's
 columns, and rref sends them to e_1..e_n, so
 rref([B | I_n]) = [Q^-1 B | Q^-1]: the right block is Q^-1 and the top
@@ -41,9 +46,8 @@ class CosetFrame:
     pre: list[frozenset[int]]  # pre[d]: the inputs u with R u = d
     neg: list[int]             # neg[w]: the position -w, digit by digit
     c_ax: list[int] = dataclasses.field(init=False)  # coset label of A x, per state x
-    # rows of fibres and of their least inputs, by position (see _by_coordinate)
+    # rows of fibres by position (see argmin_sets)
     _rows: dict = dataclasses.field(default_factory=dict, init=False)
-    _least: dict = dataclasses.field(default_factory=dict, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c_ax", list(map(floordiv, self.k_ax, repeat(self.P))))
@@ -116,50 +120,46 @@ class CosetFrame:
                 key[k] = False
         return key, [False] * cosets, n, d
 
-    def _by_coordinate(self, Jk: list, mins: Sequence, cells: Sequence, kept: dict,
-                       merge) -> list:
-        """Per coordinate index c·P + w, cells[v - w] at the first minimal
-        position v of coset c, merged over every minimal position where the
-        coset's minimum ties.  The row of each position v used (cells[v - w]
-        for each w) comes from one index sum; rows are kept in `kept` for
-        later calls when all P of them fit in p^n entries."""
+    def first_minimal(self, key: list, mins: Sequence,
+                      cosets: Sequence[int] | None = None) -> list[int]:
+        """The coordinate index of the first position where key reaches its
+        coset's minimum (mins as minima returns them), for every coset or
+        for each coset in cosets: one C-level list.index per coset."""
         P = self.P
-        blocks = [Jk[b:b + P] for b in range(0, len(Jk), P)]
-        first = list(map(list.index, blocks, mins))
-        tied = {c: [v for v, j in enumerate(blocks[c]) if j == mins[c]]
-                for c, ties in enumerate(map(list.count, blocks, mins)) if ties > 1}
-        rows = kept if P * P <= len(Jk) else {}
-        new = [v for v in set(first).union(*tied.values()) if v not in rows]
-        if new:
-            shifts = chain.from_iterable(map(repeat, new, repeat(P)))
-            found = map(cells.__getitem__, index_sum(self.p, self.neg * len(new), shifts, self.r))
-            rows.update((v, tuple(islice(found, P))) for v in new)
-        table = list(chain.from_iterable(map(rows.__getitem__, first)))
-        for c, vs in tied.items():
-            table[c * P:c * P + P] = map(merge, *map(rows.__getitem__, vs))
-        return table
+        starts = [c * P for c in (range(len(mins)) if cosets is None else cosets)]
+        wanted = mins if cosets is None else map(mins.__getitem__, cosets)
+        return list(map(key.index, wanted, starts, map(P.__add__, starts)))
 
     def argmin_sets(self, Jk: list, mins: Sequence) -> list[frozenset[int]]:
         """Every state's full set of inputs u with J(Ax + Bu) minimal.
 
         u is optimal at x exactly when w(Ax) + R u is a position v where J
         reaches its minimum on the coset of Ax, that is when R u = v - w(Ax):
-        the fibre pre[v - w(Ax)].  Fibres are read only for the positions
-        used, and a state with one minimal position gets the shared fibre
-        frozenset itself."""
-        table = self._by_coordinate(Jk, mins, self.pre, self._rows, frozenset().union)
+        the fibre pre[v - w(Ax)].  Per coordinate index c·P + w the table
+        holds the fibre at coset c's first minimal position v, merged over
+        every minimal position where the coset's minimum ties.  Each
+        position's row of fibres (pre[v - w] for every w) comes from one
+        index sum, and rows are kept for later calls when all P of them fit
+        in p^n entries; a state with one minimal position gets the shared
+        fibre frozenset itself."""
+        P = self.P
+        blocks = [Jk[b:b + P] for b in range(0, len(Jk), P)]
+        first = list(map(list.index, blocks, mins))
+        tied = {c: [v for v, j in enumerate(blocks[c]) if j == mins[c]]
+                for c, ties in enumerate(map(list.count, blocks, mins)) if ties > 1}
+        rows = self._rows if P * P <= len(Jk) else {}
+        new = [v for v in set(first).union(*tied.values()) if v not in rows]
+        if new:
+            shifts = chain.from_iterable(map(repeat, new, repeat(P)))
+            found = map(self.pre.__getitem__,
+                        index_sum(self.p, self.neg * len(new), shifts, self.r))
+            rows.update((v, tuple(islice(found, P))) for v in new)
+        table = list(chain.from_iterable(map(rows.__getitem__, first)))
+        for c, vs in tied.items():
+            table[c * P:c * P + P] = map(frozenset().union, *map(rows.__getitem__, vs))
         return list(map(table.__getitem__, self.k_ax))
 
-    def least_argmins(self, Jk: list, mins: Sequence, states: Sequence[int]) -> list[int]:
-        """min(argmin_sets(Jk, mins)[x]) for each x in states, without
-        building the sets: the same table over the least input of each fibre."""
-        table = self._by_coordinate(Jk, mins, list(map(min, self.pre)), self._least, min)
-        return list(map(table.__getitem__, map(self.k_ax.__getitem__, states)))
-
-    def successors(self, inputs: Sequence[int],
-                   states: Sequence[int] | None = None) -> list[int]:
-        """The successor of every state x under the input inputs[x], or,
-        given states, of each states[i] under inputs[i]."""
-        k = self.k_ax if states is None else map(self.k_ax.__getitem__, states)
+    def successors(self, inputs: Sequence[int]) -> list[int]:
+        """The successor of every state x under the input inputs[x]."""
         return list(map(self.order.__getitem__, index_sum(
-            self.p, k, map(self.offset.__getitem__, inputs), self.r)))
+            self.p, self.k_ax, map(self.offset.__getitem__, inputs), self.r)))

@@ -41,8 +41,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import add, eq, floordiv, gt, le, mul, sub
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, eq, floordiv, le, mul, ne, sub
 from typing import Sequence
 
 from .cosets import CosetFrame
@@ -53,18 +53,30 @@ from .linalg import DirectSumDecomposition, MatrixFp, index_map
 DEFAULT_MAX_STATES = 729
 DEFAULT_MAX_INPUTS = 81
 
-ZERO = Fraction(0)
-
 # A cost or table whose common denominator is wider than this is wide: it
 # keeps a numerator and a denominator per entry.  With many unrelated
 # denominators (4096 of them below 2^20 give a 32,000-bit LCD) numerators
 # over the common one would each be that wide, far more than a ratio's own.
 WIDE_SCALE_BITS = 256
 
-# Value iteration's scale gains log2(b) bits per sweep for alpha = a/b; it
-# refuses to start when the predicted sweeps would carry it past the widest
-# integer str() prints under Python's default limit on int digits.
+# The widest integer str() prints under Python's default limit on int
+# digits: value iteration refuses sweeps whose scale b^k would pass it, and
+# printed() any value with a wider term.
 PRINTABLE_BITS = int(sys.int_info.default_max_str_digits * math.log2(10))
+
+
+def printed(values: Sequence[Fraction]) -> list[str]:
+    """str() of each exact value, or a ValueError for a term wider than
+    PRINTABLE_BITS: only a discount factor with a very wide denominator
+    makes one from a cost whose own entries print."""
+    widest = max(map(int.bit_length, chain(map(attrgetter("numerator"), values),
+                                           map(attrgetter("denominator"), values))))
+    if widest > PRINTABLE_BITS:
+        raise ValueError(
+            f"an exact value has a {widest}-bit term, wider than the {PRINTABLE_BITS} "
+            "bits Python prints; give a discount factor (--alpha or "
+            "horizon.discounted.alpha) with a narrower denominator")
+    return list(map(str, values))
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,7 @@ class CostFunction:
         if all(w == 0 for w in ws):
             raise ValueError("at least one indicator weight must be positive")
         p = decomp.field.p
-        tables = [[ZERO] + [w] * (p**s.dim - 1) for w, s in zip(ws, decomp.parts)]
+        tables = [[Fraction(0)] + [w] * (p**s.dim - 1) for w, s in zip(ws, decomp.parts)]
         return cls.separable(decomp, tables, allow_vanishing=any(w == 0 for w in ws))
 
     @classmethod
@@ -453,38 +465,42 @@ def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     return solve_discounted_pi(inst)
 
 
-def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
+def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int] | None,
                                successors: Sequence[int] | None = None) -> ValueTable:
     """Exact discounted value of a stationary policy, computed on integers.
-    successors, when given, must equal inst.coset_frame().successors(policy)
-    (policy iteration keeps that list from round to round); it is not checked.
+    successors, when given, is the successor of every state and stands in
+    for the policy, which may then be None (policy iteration passes one
+    chosen successor per coset of im(B), spread over its states); it is not
+    checked against policy.
 
     The closed-loop map is a functional graph: every trajectory runs down a
-    tree into a cycle.  With alpha = a/b and the cost in integer form G / L
-    (CostFunction.num over .scale), a cycle c_0..c_{l-1} with
-    d = b^l - a^l has the value H / (L·d) at its head c_0, where
-    H = sum over j of a^j·b^(l-j)·G(c_j); every other cycle state also has
-    a numerator over L·d, and a state k steps above the cycle has one over
-    L·b^k·d (from V = G / L + alpha·V_next).  One walk of the graph fills
-    them in.  The table then takes the least common scale of its values,
-    the one _integer_form gives, and is wide, holding the walk's own
-    numerators over L and denominators, when that scale is wider than
+    tree into a cycle.  Only the states some state steps to are walked
+    (their successors are such states too); under policy iteration they are
+    at most p^(n-r), one per coset.  With alpha = a/b and the cost in
+    integer form G / L (CostFunction.num over .scale), a cycle
+    c_0..c_{l-1} with d = b^l - a^l has the value H / (L·d) at its head
+    c_0, where H = sum over j of a^j·b^(l-j)·G(c_j); every other cycle state
+    also has a numerator over L·d, and a walked state k steps above the
+    cycle one over L·b^k·d (from V = G / L + alpha·V_next).  Lifted to
+    the walked states' common scale L·D, one _step then gives every state
+    V(x) = G(x) / L + alpha·V(next x) over L·b·D.  The table takes the least
+    common scale of its values, the one _integer_form gives, and is wide,
+    holding those numerators over L·b·D, when that scale is wider than
     WIDE_SCALE_BITS.  A wide cost's values are wide (see _wide_policy_values).
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("stationary-policy evaluation needs a discounted horizon")
-    if len(policy) != inst.num_states:
+    if successors is None and len(policy) != inst.num_states:
         raise ValueError("policy must assign an input to every state")
     a, b = inst.horizon.alpha.numerator, inst.horizon.alpha.denominator
-    G = inst.cost.num
     nxt = inst.coset_frame().successors(policy) if successors is None else successors
     if inst.cost.den is not None:
         return ValueTable(inst.horizon, *_wide_policy_values(nxt, inst.cost, a, b))
+    G = inst.cost.num
+    walked = set(nxt)
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # x's value is num[x] / (L·den[x]); 0: unseen, -1: on the path
-    # walk only the states some state steps to (their successors are such
-    # states too); every other state then steps to a finished one
-    for start in set(nxt):
+    for start in walked:
         if den[start]:
             continue
         path = []
@@ -510,41 +526,42 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int],
             dn *= b
             v = dn * G[s] + a * v
             num[s], den[s] = v, dn
-    for x, y in enumerate(nxt):
-        if not den[x]:  # no state steps to x, and y is done
-            dn = b * den[y]
-            num[x], den[x] = dn * G[x] + a * num[y], dn
-    L = inst.cost.scale
-    dens = set(den)
+    dens = set(map(den.__getitem__, walked))
     common = math.lcm(*dens)
-    lift = {dn: common // dn for dn in dens}
-    over = list(map(mul, num, map(lift.__getitem__, den)))  # over L·common
-    # the least common scale of the values is L·common over this gcd
-    g = math.gcd(L * common, *over)
-    if (L * common // g).bit_length() <= WIDE_SCALE_BITS:
-        return ValueTable(inst.horizon, (tuple([v // g for v in over]),), L * common // g)
-    return ValueTable(inst.horizon, (num,), L, (den,))
+    lift = {dn: a * (common // dn) for dn in dens}
+    for s in walked:  # alpha·V(s) over L·b·common
+        num[s] *= lift[den[s]]
+    L, scale = inst.cost.scale, b * common
+    row = _step(map(mul, G, repeat(scale)), inst.cost, num, None, nxt)[0]
+    # the least common scale of the values is L·scale over this gcd
+    g = math.gcd(L * scale, *row)
+    if (L * scale // g).bit_length() <= WIDE_SCALE_BITS:
+        return ValueTable(inst.horizon, (tuple(map(floordiv, row, repeat(g))),), L * scale // g)
+    return ValueTable(inst.horizon, (row,), L, ([scale] * len(row),))
 
 
 def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
                         ) -> tuple[tuple[list[int]], int, tuple[list[int]]]:
     """(nums, scale, dens) of the wide table of discounted values at alpha =
-    a/b when x steps to nxt[x] under a wide cost: each value a ratio, from
-    V(s) = g(s) + alpha·V(nxt[s]) on the walk's paths and, at the state x
-    where a path closes a cycle c_0 = x, ..., c_{l-1},
-    V(x) = (sum over j of alpha^j·g(c_j)) / (1 - alpha^l).
+    a/b when x steps to nxt[x] under a wide cost: each value a ratio.  The
+    walk covers the states some state steps to, from
+    V(s) = g(s) + alpha·V(nxt[s]) on its paths and, at the state x where a
+    path closes a cycle c_0 = x, ..., c_{l-1},
+    V(x) = (sum over j of alpha^j·g(c_j)) / (1 - alpha^l); one _step then
+    gives every state g(x) + alpha·V(nxt[x]).
 
-    A ratio is put in lowest terms only when its denominator passes a bound
-    on the reduced one: V(x) has one dividing lcm(den)·(b^l - a^l), and a
-    state k steps above the cycle one dividing lcm(den)·b^k·(b^l - a^l),
-    so the bound is the cost's den_bits plus bit_length(b) per step and
-    per cycle state (den_bits > 0, so a bound of 0 is one not yet set)."""
+    A walked ratio is put in lowest terms only when its denominator passes
+    a bound on the reduced one: V(x) has one dividing lcm(den)·(b^l - a^l),
+    and a state k steps above the cycle one dividing
+    lcm(den)·b^k·(b^l - a^l), so the bound is the cost's den_bits plus
+    bit_length(b) per step and per cycle state (den_bits > 0, so a bound of
+    0 is one not yet set)."""
     G, Q = cost.num, cost.den
     step = b.bit_length()
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # 0: unseen, -1: on the path
     cap = [0] * len(nxt)  # the bound on den[x]
-    for start in range(len(nxt)):
+    for start in set(nxt):
         path = []
         x = start
         while not den[x]:
@@ -568,43 +585,39 @@ def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
             cap[s] = cap[s] or cap[y] + step
             num[s], den[s] = _lowest(b * den[y] * G[s] + a * Q[s] * num[y],
                                      b * den[y] * Q[s], cap[s])
-    return (num,), 1, (den,)
+    nums, dens = _step(G, cost, list(map(mul, num, repeat(a))),
+                       list(map(mul, den, repeat(b))), nxt)
+    return (nums,), 1, (dens,)
 
 
 def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
-    """Exact policy iteration.
+    """Exact policy iteration over the cosets of im(B).
 
-    Starts from the greedy-on-g policy (cheapest successor stage cost,
-    lowest input index on ties), alternates exact evaluation (on integers,
-    see evaluate_stationary_policy) with greedy improvement, and only
-    switches an action on a strict improvement, which rules out cycling: a
-    state moves to its lowest optimal input exactly when its current
-    successor's value exceeds the minimum over its coset.  Every round
-    takes its coset minima from CosetFrame.minima and compares integers, a
-    wide round's ratios (see ValueTable) by cross-multiplication.  On
+    Every state x can reach exactly the coset of Ax, so the states of one
+    coset share their best successor, and the policy is one chosen
+    coordinate index per coset (p^(n-r) choices for r = rank B), starting
+    from each coset's first state of least stage cost.  A round evaluates
+    the policy exactly (on integers, see evaluate_stationary_policy) with
+    successors chosen[c(Ax)], takes the coset minima of the values from
+    CosetFrame.minima, and switches a coset only on a strict improvement
+    (its key differs from the key minimum, for narrow and wide rows alike),
+    to its first minimal position, which rules out cycling.  On
     convergence the values satisfy the fixed-point equation exactly, and
     the minimizer sets, built in full once from those values, are complete.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
     frame = inst.coset_frame()
-    greedy = frame.minima(inst.cost.num, inst.cost.den)
-    policy = [min(chosen) for chosen in frame.argmin_sets(*greedy[:2])]
-    nxt = frame.successors(policy)
+    chosen = frame.first_minimal(*frame.minima(inst.cost.num, inst.cost.den)[:2])
     while True:
-        values = evaluate_stationary_policy(inst, policy, nxt)
-        num, den = values.nums[0], values.dens and values.dens[0]
-        Jk, mins, mn, md = frame.minima(num, den)
-        here, best = map(num.__getitem__, nxt), map(mn.__getitem__, frame.c_ax)
-        if den is not None:  # J(nxt[x]) > (mn / md)[c_ax[x]] as n·md > mn·d
-            here, best = (map(mul, here, map(md.__getitem__, frame.c_ax)),
-                          map(mul, best, map(den.__getitem__, nxt)))
-        stale = list(compress(count(), map(gt, here, best)))
+        ahead = list(map(frame.order.__getitem__, chosen))
+        values = evaluate_stationary_policy(inst, None, list(map(ahead.__getitem__, frame.c_ax)))
+        Jk, mins = frame.minima(values.nums[0], values.dens and values.dens[0])[:2]
+        stale = list(compress(count(), map(ne, map(Jk.__getitem__, chosen), mins)))
         if not stale:
             break
-        better = frame.least_argmins(Jk, mins, stale)
-        for x, u, y in zip(stale, better, frame.successors(better, stale)):
-            policy[x], nxt[x] = u, y
+        for c, k in zip(stale, frame.first_minimal(Jk, mins, stale)):
+            chosen[c] = k
     return values, ArgminTable(inst.horizon, (tuple(frame.argmin_sets(Jk, mins)),))
 
 
@@ -625,10 +638,10 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
     over .scale), the k-th iterate is N_k / (b^k·L): N_0 = 0 and
     N_{k+1} = b^(k+1)·G + a·(coset minimum of N_k), one _step.  A wide
     cost's N_k is a row of ratios (the table's dens), starting from 0 over
-    the cost's denominators.  Before the first sweep the sweep count is
-    predicted as k = ceil(log(tol·(1 - alpha)/max g) / log alpha); a
-    ValueError names it when k·log2(b) bits would pass what str() prints
-    (PRINTABLE_BITS).
+    the cost's denominators.  The sweeps needed are at most the least k
+    with alpha^k <= tol·(1 - alpha)/max g; before the first sweep a
+    ValueError refuses a run whose k would carry the scale b^k past what
+    str() prints (PRINTABLE_BITS), decided on integers.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_vi needs a discounted horizon")
@@ -639,13 +652,21 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
     a, b = alpha.numerator, alpha.denominator
     top = max(inst.cost.table)
     reach = tol * (1 - alpha) / top if top else Fraction(1)
-    if reach.numerator < reach.denominator:
-        sweeps = math.ceil(_log(reach) / _log(alpha))
-        if sweeps * math.log2(b) > PRINTABLE_BITS:
-            raise ValueError(
-                f"value iteration would need about {sweeps} sweeps at alpha = {alpha} "
-                f"and tol = {tol}, more than its exact values can carry; "
-                "raise the tolerance")
+    # alpha^k <= reach bounds the sweeps needed; the scale b^k fits in
+    # PRINTABLE_BITS for k up to `fits` (b^k < 2^(k·bit_length(b)) gives
+    # the bounds searched), and the sweeps past it are counted on integers
+    # up to `cap`, powers of a few hundred thousand bits
+    fits = _last(lambda k: b ** k <= 1 << PRINTABLE_BITS, PRINTABLE_BITS // b.bit_length(),
+                 PRINTABLE_BITS // (b.bit_length() - 1))
+    if a ** fits * reach.denominator > b ** fits * reach.numerator:
+        cap = 16 * (fits + 1)
+        short = _last(lambda k: a ** k * reach.denominator > b ** k * reach.numerator,
+                      fits, cap)
+        sweeps = f"about {short + 1}" if short < cap else f"more than {cap}"
+        raise ValueError(
+            f"value iteration would need {sweeps} sweeps at alpha = {alpha} "
+            f"and tol = {tol}, more than its exact values can carry; "
+            "raise the tolerance")
     frame = inst.coset_frame()
     cost = inst.cost
     current, dens = (0,) * inst.num_states, cost.den
@@ -673,9 +694,13 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
     return ValueIterationResult(values, bound, iterations)
 
 
-def _log(q: Fraction) -> float:
-    """Natural log of a positive rational of any size."""
-    return math.log(q.numerator) - math.log(q.denominator)
+def _last(holds, lo: int, hi: int) -> int:
+    """The largest k in lo..hi with holds(k), for a holds that is true at lo
+    and, from lo up, true on one run only."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid - 1)
+    return lo
 
 
 def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> ValueTable:
@@ -737,31 +762,3 @@ def _part_sums(part_tables: Sequence[Sequence], comp: Sequence[Sequence[int]]) -
     for part, c in zip(part_tables[1:], comp[1:]):
         total = list(map(add, total, map(part.__getitem__, c)))
     return total
-
-
-def bellman_residual(inst: DPInstance, values: ValueTable) -> Fraction:
-    """Max absolute defect of the optimality recursion over all states
-    (and times, for finite horizons).  Zero certifies exact optimality.
-
-    It tries every input through transitions() on purpose: as an oracle for
-    the solvers it must stay independent of the coset operator they use."""
-    trans = inst.transitions()
-    g = inst.cost.table
-    worst = ZERO
-    if isinstance(inst.horizon, FiniteHorizon):
-        T = inst.horizon.T
-        for x in range(inst.num_states):
-            defect = abs(values.per_time[T][x] - g[x])
-            worst = max(worst, defect)
-        for t in range(T):
-            nxt = values.per_time[t + 1]
-            for x in range(inst.num_states):
-                best = min(nxt[y] for y in trans[x])
-                worst = max(worst, abs(values.per_time[t][x] - (g[x] + best)))
-        return worst
-    alpha = inst.horizon.alpha
-    table = values.stationary
-    for x in range(inst.num_states):
-        best = min(table[y] for y in trans[x])
-        worst = max(worst, abs(table[x] - (g[x] + alpha * best)))
-    return worst

@@ -17,7 +17,7 @@ import pytest
 
 from dpdecomp.checks import run_battery
 from dpdecomp.dp import (CostFunction, DiscountedHorizon, DPInstance,
-                         FiniteHorizon, bellman_residual, index_state,
+                         FiniteHorizon, index_state,
                          solve_discounted_pi, solve_discounted_vi,
                          solve_finite, state_index)
 from dpdecomp.errors import NotDecomposable
@@ -30,6 +30,7 @@ from dpdecomp.linalg import (DirectSumDecomposition, MatrixFp, Subspace,
                              subspace_intersect, subspace_sum)
 from dpdecomp.lqr import block_diagonal_check, riccati_backward, trajectory_cost
 from dpdecomp.subproblems import build_bundle, solve_bundle
+from test_dp import bellman_residual
 from test_invariant_decomp import product
 from test_linalg import members
 

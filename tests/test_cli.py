@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dpdecomp import cli
+from dpdecomp import cli, dp
 from dpdecomp.errors import TheoremViolation
 
 
@@ -587,6 +587,41 @@ def test_value_iteration_too_long_to_run_exits_2(tmp_path):
     proc = _cli_process(path, ["solve", "--tol", "1/1000000"])
     assert proc.returncode == 2, proc.stderr
     assert "20713 sweeps" in proc.stderr
+
+
+def axis_doc(alpha):
+    """GF(3)^2 with A = diag(1, 2), B = [1, 1]^T, a separable cost over the
+    axis parts and the discount factor alpha."""
+    return {"field": {"prime": 3}, "dims": {"n": 2, "m": 1}, "A": [[1, 0], [0, 2]],
+            "B": [[1], [1]], "decomposition": [[[1], [0]], [[0], [1]]],
+            "cost": {"separable": {"tables": [[0, 1, 2], [0, "1/2", 3]]}},
+            "horizon": {"discounted": {"alpha": alpha}}}
+
+
+def test_value_iteration_refusal_is_decided_on_integers(tmp_path, capsys):
+    """alpha = 1 - 10^-400: log alpha rounds to 0.0 as a float, so a sweep
+    count predicted in floats divided by zero; on integers the run is
+    refused with the value-iteration message."""
+    path = tmp_path / "near-one.json"
+    path.write_text(json.dumps(axis_doc("1/2")))
+    rc, out, err = run(capsys, "solve", str(path), "--alpha", f"{'9' * 400}/1{'0' * 400}")
+    assert rc == 2 and out == ""
+    assert "value iteration would need more than" in err
+    assert "more than its exact values can carry" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_too_wide_value_exits_2_naming_the_discount_factor(tmp_path, capsys, command):
+    """alpha = 1/D with D of 3,000 nines: the exact values have terms wider
+    than Python prints, so solve's payload and check's value witness refuse
+    them with a message that names the discount factor and the limit."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(axis_doc("1/2")))
+    rc, out, err = run(capsys, command, str(path), "--alpha", f"1/{'9' * 3000}")
+    assert rc == 2 and out == ""
+    assert "--alpha or horizon.discounted.alpha" in err
+    assert f"{dp.PRINTABLE_BITS} bits" in err
+    assert "Exceeds the limit" not in err
 
 
 def test_exponent_rationals_exit_2_at_once(tmp_path):

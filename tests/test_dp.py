@@ -26,7 +26,7 @@ from dpdecomp import cosets, dp
 from dpdecomp.dp import (ArgminTable, CostFunction,
                          DiscountedHorizon, DPInstance, FiniteHorizon,
                          ValueIterationResult, ValueTable,
-                         bellman_residual, evaluate_stationary_policy,
+                         evaluate_stationary_policy,
                          evaluate_time_varying, index_state, is_in_Gs,
                          solve_discounted_pi, solve_discounted_vi,
                          solve_finite, state_index, value_split_defect)
@@ -179,6 +179,34 @@ def oracle_solve_discounted_pi(inst):
         if not improved:
             return (exact_table(inst.horizon, (values,)),
                     ArgminTable(inst.horizon, (tuple(argmin),)))
+
+
+def bellman_residual(inst: DPInstance, values: ValueTable) -> Fraction:
+    """Max absolute defect of the optimality recursion over all states
+    (and times, for finite horizons).  Zero certifies exact optimality.
+
+    It tries every input through transitions() on purpose: as an oracle for
+    the solvers it must stay independent of the coset operator they use."""
+    trans = inst.transitions()
+    g = inst.cost.table
+    worst = Fraction(0)
+    if isinstance(inst.horizon, FiniteHorizon):
+        T = inst.horizon.T
+        for x in range(inst.num_states):
+            defect = abs(values.per_time[T][x] - g[x])
+            worst = max(worst, defect)
+        for t in range(T):
+            nxt = values.per_time[t + 1]
+            for x in range(inst.num_states):
+                best = min(nxt[y] for y in trans[x])
+                worst = max(worst, abs(values.per_time[t][x] - (g[x] + best)))
+        return worst
+    alpha = inst.horizon.alpha
+    table = values.stationary
+    for x in range(inst.num_states):
+        best = min(table[y] for y in trans[x])
+        worst = max(worst, abs(table[x] - (g[x] + alpha * best)))
+    return worst
 
 
 def oracle_solve_discounted_vi(inst, tol):
@@ -1068,15 +1096,11 @@ def test_argmin_sets_on_one_coset_allocates_per_state_not_per_row():
 @given(coset_instances(_finite_horizon), st.data())
 @settings(max_examples=150, deadline=None)
 def test_successors_match_per_state_oracle(inst, data):
-    """Whole-table successors, and successors of a few states, equal A x + B u
-    computed from digit vectors, for p in {2, 3, 5, 7} and B of any rank."""
+    """Whole-table successors equal A x + B u computed from digit vectors,
+    for p in {2, 3, 5, 7} and B of any rank."""
     inputs = data.draw(st.lists(st.integers(0, inst.num_inputs - 1),
                                 min_size=inst.num_states, max_size=inst.num_states))
-    frame = inst.coset_frame()
-    want = oracle_successors(inst, inputs)
-    assert frame.successors(inputs) == want
-    states = data.draw(st.lists(st.integers(0, inst.num_states - 1), max_size=8))
-    assert frame.successors([inputs[x] for x in states], states) == [want[x] for x in states]
+    assert inst.coset_frame().successors(inputs) == oracle_successors(inst, inputs)
 
 
 def test_one_coset_frame_and_solve_allocate_per_state():
@@ -1102,8 +1126,9 @@ def test_one_coset_frame_and_solve_allocate_per_state():
     assert peak < 16 * 2**20
 
 
-def test_policy_iteration_builds_argmin_sets_twice(monkeypatch):
-    # three rounds: two improvements, then no change
+def test_policy_iteration_builds_argmin_sets_once(monkeypatch):
+    # three rounds: two improvements, then no change; the rounds compare
+    # coset minima only, so the full minimizer sets are built for the end
     A = MatrixFp(F3, 2, 2, [2, 1, 2, 0])
     B = MatrixFp(F3, 2, 1, [2, 2])
     inst = DPInstance(A, B, CostFunction(F3, 2, [0, 4, 5, 1, 7, 7, 3, 2, 8]),
@@ -1123,7 +1148,78 @@ def test_policy_iteration_builds_argmin_sets_twice(monkeypatch):
     monkeypatch.setitem(globals(), "oracle_evaluate_stationary_policy",
                         counting("oracle", oracle_evaluate_stationary_policy))
     assert solve_discounted_pi(inst) == oracle_solve_discounted_pi(inst)
-    assert calls == {"argmin_sets": 2, "evaluate": 3, "oracle": 3}
+    assert calls == {"argmin_sets": 1, "evaluate": 3, "oracle": 3}
+
+
+def test_policy_iteration_walks_one_successor_per_coset(monkeypatch):
+    """p = 2, n = 10, m = 3 with a tie-heavy cost: every round hands
+    evaluate_stationary_policy at most p^(n - rank B) = 128 distinct
+    successors, one per coset of im(B).  A per-state policy, which breaks
+    ties by each state's least input, spreads a coset's states over its
+    tied positions and fails this."""
+    rng = random.Random("walk-per-coset")
+    n, m = 10, 3
+    A = MatrixFp(F2, n, n, [rng.randrange(2) for _ in range(n * n)])
+    B = MatrixFp(F2, n, m, [rng.randrange(2) for _ in range(n * m)])
+    table = [0] + [rng.choice((1, 1, 2, 3)) for _ in range(2**n - 1)]
+    inst = DPInstance(A, B, CostFunction(F2, n, table), DiscountedHorizon(Fraction(9, 10)),
+                      max_states=None)
+    walked = []
+    original = dp.evaluate_stationary_policy
+
+    def recording(inst, policy, successors=None):
+        walked.append(len(set(successors)))
+        return original(inst, policy, successors)
+
+    monkeypatch.setattr(dp, "evaluate_stationary_policy", recording)
+    values, argmin = solve_discounted_pi(inst)
+    assert B.rank() == m and len(walked) > 1
+    assert max(walked) <= 2**(n - m)
+    assert bellman_residual(inst, values) == 0
+    policy = [min(chosen) for chosen in argmin.stationary]
+    assert evaluate_stationary_policy(inst, policy) == values
+
+
+def _coset_policy_instance(kind, seed, p):
+    """A seeded discounted instance over GF(p) for the per-state oracle:
+    B of rank 0 (one position per coset), B with a third column summing
+    the other two (not injective), a wide cost, or costs drawn from {0, 1}
+    (many ties)."""
+    rng = random.Random(f"coset-policy-{kind}-{p}-{seed}")
+    F = PrimeField(p)
+    n = {2: 4, 3: 3}[p] - seed % 2
+    A = MatrixFp(F, n, n, [rng.randrange(p) for _ in range(n * n)])
+    cols = [[rng.randrange(p) for _ in range(n)] for _ in range(2)]
+    if kind == "rank0":
+        B = MatrixFp.zeros(F, n, 2)
+    elif kind == "non-injective":
+        B = MatrixFp.from_cols(F, cols + [[(u + v) % p for u, v in zip(*cols)]])
+    else:
+        B = MatrixFp.from_cols(F, cols)
+    dens = [rng.choice((1, 2, 3)) for _ in range(p**n - 1)]
+    if kind == "wide":  # every wide denominator, over nonzero numerators
+        dens = list(WIDE_DENOMINATORS) + [rng.choice(WIDE_DENOMINATORS) for _ in dens[3:]]
+    top = 1 if kind == "ties" else 9
+    table = [Fraction(0)] + [Fraction(rng.randint(kind == "wide", top), d) for d in dens]
+    return DPInstance(A, B, CostFunction(F, n, table, allow_vanishing=True),
+                      DiscountedHorizon(rng.choice([Fraction(1, 2), Fraction(9, 10)])),
+                      require_injective=False)
+
+
+@pytest.mark.parametrize("kind", ["rank0", "non-injective", "wide", "ties"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_policy_iteration_matches_per_state_oracle(kind, p):
+    """Policy iteration over cosets returns the per-state oracle's values,
+    down to the scale and numerators of a narrow table, and its minimizer
+    sets, on eight seeded instances of each kind."""
+    for seed in range(8):
+        inst = _coset_policy_instance(kind, seed, p)
+        assert {"rank0": inst.coset_frame().P == 1, "non-injective": inst.B.rank() < inst.m,
+                "wide": inst.cost.den is not None, "ties": True}[kind]
+        values, argmin = solve_discounted_pi(inst)
+        want_values, want_argmin = oracle_solve_discounted_pi(inst)
+        assert argmin == want_argmin
+        _assert_same_representation(values, want_values.table(0), inst)
 
 
 def test_vi_rejects_bad_tolerance():

@@ -1,39 +1,28 @@
-"""Exact dynamic programming over prime fields with invariant state-space
-splittings, subproblem construction, decomposition checking, and a real-field
-regulator counterpart.
-"""
+"""Exact dynamic programming over prime fields with invariant splittings,
+subproblems, decomposition checks and a real-field regulator.  Each export
+is loaded from its module on first use (PEP 562): ``import dpdecomp`` loads no module."""
 
-from .checks import (DecompositionReport, report_from_dict, run_battery,
-                     verify_witnesses)
-from .dp import (ArgminTable, CostFunction, DiscountedHorizon, DPInstance,
-                 FiniteHorizon, ValueIterationResult, ValueTable,
-                 evaluate_stationary_policy, evaluate_time_varying,
-                 index_state, is_in_Gs, solve_discounted_pi,
-                 solve_discounted_vi, solve_finite, state_index)
-from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
-                     NotInvariant, NotSeparableCost, PreconditionFailed,
-                     ShapeError, TheoremViolation)
-from .fields import Poly, PrimeField
-from .invariant_decomp import (CharPolyFactorization, char_poly, factor_poly,
-                               primary_decomposition, verify_decomposition)
-from .linalg import (DirectSumDecomposition, MatrixFp, Subspace, column_space,
-                     null_space, preimage, subspace_intersect, subspace_sum)
-from .subproblems import SubproblemBundle, build_bundle, lift_policy, solve_bundle
+import importlib
 
-__all__ = [
-    "ArgminTable", "CharPolyFactorization", "CostFunction",
-    "DecompositionReport", "DirectSumDecomposition", "DiscountedHorizon",
-    "DPInstance", "FiniteHorizon", "IllConditioned", "MatrixFp",
-    "NotDecomposable", "NotDirectSum", "NotInvariant", "NotSeparableCost",
-    "Poly", "PreconditionFailed", "PrimeField", "ShapeError",
-    "Subspace", "SubproblemBundle", "TheoremViolation", "ValueIterationResult",
-    "ValueTable", "build_bundle", "char_poly",
-    "column_space", "evaluate_stationary_policy", "evaluate_time_varying", "factor_poly",
-    "index_state", "is_in_Gs", "lift_policy", "null_space",
-    "preimage", "primary_decomposition", "report_from_dict", "run_battery",
-    "solve_bundle", "solve_discounted_pi", "solve_discounted_vi",
-    "solve_finite", "state_index", "subspace_intersect", "subspace_sum",
-    "verify_decomposition", "verify_witnesses",
-]
-
+_EXPORTS = {name: module for module, names in {
+    "checks": "DecompositionReport report_from_dict run_battery verify_witnesses",
+    "dp": "ArgminTable CostFunction DiscountedHorizon DPInstance FiniteHorizon ValueIterationResult "
+          "ValueTable evaluate_stationary_policy evaluate_time_varying index_state is_in_Gs "
+          "solve_discounted_pi solve_discounted_vi solve_finite state_index",
+    "errors": "IllConditioned NotDecomposable NotDirectSum NotInvariant NotSeparableCost "
+              "PreconditionFailed ShapeError TheoremViolation",
+    "fields": "Poly PrimeField",
+    "invariant_decomp": "CharPolyFactorization char_poly factor_poly primary_decomposition "
+                        "verify_decomposition",
+    "linalg": "DirectSumDecomposition MatrixFp Subspace column_space null_space preimage "
+              "subspace_intersect subspace_sum",
+    "subproblems": "SubproblemBundle build_bundle lift_policy solve_bundle",
+}.items() for name in names.split()}
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -17,7 +17,6 @@ import sys
 from itertools import product
 from typing import Any, Sequence
 
-from .checks import DecompositionReport, report_from_dict, run_battery, verify_witnesses
 from .dp import (DiscountedHorizon, FiniteHorizon, Horizon, printed, solve_discounted_pi,
                  solve_discounted_vi, solve_finite)
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
@@ -25,7 +24,6 @@ from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
                      TheoremViolation)
 from .instancefile import (LoadedInstance, load_instance, load_lqr_block, parse_matrix,
                            parse_rational, read_header, read_horizon)
-from .invariant_decomp import primary_decomposition
 
 GUARD_STATES = 2**16
 GUARD_INPUTS = 2**12
@@ -152,9 +150,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                  for t in times if t < horizon.T}
     else:
         values, argmin = solve_discounted_pi(inst)
-        vi = solve_discounted_vi(inst, tol)
         payload["horizon"] = {"discounted": {"alpha": str(horizon.alpha)}}
         payload["values"] = printed(values.stationary)
+        vi = solve_discounted_vi(inst, tol)
         payload["value_iteration"] = {
             "tolerance": str(tol),
             "values": printed(vi.values.stationary),
@@ -171,6 +169,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .invariant_decomp import primary_decomposition
     # Only the dynamics matter here, so accept documents without cost/horizon.
     data = _read_json(args.instance)
     field, n, _ = read_header(data, dynamics_only=True)
@@ -204,8 +203,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_report(report: DecompositionReport) -> None:
-    d = report.to_dict()
+def _print_report(d: dict[str, Any]) -> None:
     h = d["horizon"]
     hdesc = (f"T={h['finite']['T']}" if "finite" in h
              else f"alpha={h['discounted']['alpha']}")
@@ -231,6 +229,8 @@ def _print_report(report: DecompositionReport) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .checks import report_from_dict, run_battery, verify_witnesses
+    from .invariant_decomp import primary_decomposition
     loaded = _load(args)
     inst = loaded.instance
     if loaded.decomposition is not None:
@@ -258,7 +258,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.json:
         _emit(report.to_dict())
     else:
-        _print_report(report)
+        _print_report(report.to_dict())
     return EXIT_OK
 
 

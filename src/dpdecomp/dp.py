@@ -178,8 +178,8 @@ class CostFunction:
         return self.num if self.den is None else self.table
 
     @classmethod
-    def indicator(cls, decomp: DirectSumDecomposition,
-                  weights: Sequence[Fraction]) -> "CostFunction":
+    def indicator(cls, decomp: DirectSumDecomposition, weights: Sequence[Fraction],
+                  allow_vanishing: bool = False) -> "CostFunction":
         """g(x) = sum of w_i over the parts whose component of x is nonzero."""
         if len(weights) != decomp.r:
             raise ValueError("one weight per part required")
@@ -190,7 +190,7 @@ class CostFunction:
             raise ValueError("at least one indicator weight must be positive")
         p = decomp.field.p
         tables = [[Fraction(0)] + [w] * (p**s.dim - 1) for w, s in zip(ws, decomp.parts)]
-        return cls.separable(decomp, tables, allow_vanishing=any(w == 0 for w in ws))
+        return cls.separable(decomp, tables, allow_vanishing=allow_vanishing)
 
     @classmethod
     def separable(cls, decomp: DirectSumDecomposition,
@@ -430,9 +430,6 @@ class ArgminTable:
         if not isinstance(self.horizon, DiscountedHorizon):
             raise ValueError("stationary table only exists for discounted horizons")
         return self.per_time[0]
-
-    def at(self, x_idx: int, t: int = 0) -> frozenset[int]:
-        return self.per_time[t][x_idx]
 
 
 def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:

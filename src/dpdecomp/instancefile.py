@@ -93,7 +93,9 @@ def _parse_cost(field: PrimeField, n: int, data: Any,
                 decomp: DirectSumDecomposition | None) -> CostFunction:
     if not isinstance(data, dict):
         raise ValueError("cost must be an object")
-    allow = bool(data.get("allow_vanishing", False))
+    allow = data.get("allow_vanishing", False)
+    if not isinstance(allow, bool):
+        raise ValueError("cost.allow_vanishing must be true or false")
     kinds = [k for k in ("table", "separable", "indicator") if k in data]
     if len(kinds) != 1:
         raise ValueError('cost needs exactly one of "table", "separable", "indicator"')
@@ -118,7 +120,7 @@ def _parse_cost(field: PrimeField, n: int, data: Any,
     weights = block.get("weights")
     if not isinstance(weights, list):
         raise ValueError("indicator cost needs a list of per-part weights")
-    return CostFunction.indicator(decomp, [parse_rational(v) for v in weights])
+    return CostFunction.indicator(decomp, list(map(parse_rational, weights)), allow_vanishing=allow)
 
 
 def read_header(data: Any, *, dynamics_only: bool = False) -> tuple[PrimeField, int, int]:

@@ -252,11 +252,11 @@ def test_criterion_1_lifted_subproblem_optimizers(criterion):
         comp = bundle.component_state_tables()
         basis = bundle.input_basis(1)
         for x in range(inst.num_states):
-            for a in sub_argmin.at(comp[1][x], 0):
+            for a in sub_argmin.per_time[0][comp[1][x]]:
                 a_vec = index_state(a, 3, bundle.restricted[1].m)
                 u_vec = basis.matvec(a_vec)
                 assert u_vec[1] == 0  # lifted input uses only the first channel
-                assert state_index(u_vec, 3) in parent_argmin.at(x, 0)
+                assert state_index(u_vec, 3) in parent_argmin.per_time[0][x]
 
 
 def test_criterion_2_input_image_intersections(criterion):
@@ -359,7 +359,7 @@ def test_criterion_7_supporting_propositions(criterion):
             # every optimizer at the origin has a null input effect
             zero = (0,) * n
             for t in range(2):
-                for u in argmin.at(0, t):
+                for u in argmin.per_time[t][0]:
                     assert inst.B.matvec(index_state(u, p, inst.m)) == zero
 
             # input-image splitting coincides with its input-space form

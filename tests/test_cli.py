@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dpdecomp import cli, dp
+from dpdecomp import checks, cli, dp
 from dpdecomp.errors import TheoremViolation
 
 
@@ -561,19 +561,41 @@ def test_decompose_splits_over_a_large_prime_in_bounded_time(tmp_path):
     assert [f["coefficients"] for f in out["factors"]] == [[2**61 - 3, 1], [2**61 - 2, 1]]
 
 
+def _fresh_python(code: str) -> None:
+    """Run code in a new interpreter that imports dpdecomp from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exact_core_imports_no_numpy(worked_path):
     """Only the lqr command may load numpy: the CLI, the battery and a solve
     stay stdlib only, so a numpy import on the hot path would slow every
     CLI start-up."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys\n"
-            "import dpdecomp.checks\n"
-            "from dpdecomp.cli import main\n"
-            f"assert main(['solve', {worked_path!r}, '--json']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=20)
-    assert proc.returncode == 0, proc.stderr
+    _fresh_python("import sys\n"
+                  "import dpdecomp.checks\n"
+                  "from dpdecomp.cli import main\n"
+                  f"assert main(['solve', {worked_path!r}, '--json']) == 0\n"
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+
+
+def test_each_subcommand_loads_only_its_modules(worked_path):
+    """The package root loads no module; solve loads neither the battery
+    (checks, subproblems) nor the splitting search (invariant_decomp), and
+    decompose loads no battery."""
+    _fresh_python(
+        "import sys\n"
+        "def loaded():\n"
+        "    return {m[len('dpdecomp.'):] for m in sys.modules if m.startswith('dpdecomp.')}\n"
+        "import dpdecomp\n"
+        "assert loaded() == set(), loaded()\n"
+        "from dpdecomp.cli import main\n"
+        f"assert main(['solve', {worked_path!r}, '--json']) == 0\n"
+        "assert not loaded() & {'checks', 'subproblems', 'invariant_decomp'}, loaded()\n"
+        f"assert main(['decompose', {worked_path!r}, '--json']) == 0\n"
+        "assert not loaded() & {'checks', 'subproblems'}, loaded()\n"
+        f"assert main(['check', {worked_path!r}, '--json']) == 0\n")
 
 
 def test_value_iteration_too_long_to_run_exits_2(tmp_path):
@@ -624,6 +646,37 @@ def test_too_wide_value_exits_2_naming_the_discount_factor(tmp_path, capsys, com
     assert "Exceeds the limit" not in err
 
 
+def test_too_wide_value_is_refused_before_value_iteration(tmp_path, capsys, monkeypatch):
+    """The policy-iteration values are printed, and so refused, before value
+    iteration spends its sweeps on the same discount factor."""
+    def never(*args, **kwargs):
+        raise AssertionError("value iteration ran")
+    monkeypatch.setattr(cli, "solve_discounted_vi", never)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(axis_doc(f"1/{'9' * 3000}")))
+    rc, out, err = run(capsys, "solve", str(path))
+    assert rc == 2 and out == ""
+    assert f"{dp.PRINTABLE_BITS} bits" in err
+
+
+@pytest.mark.parametrize("cost, message", [
+    ({"separable": {"tables": [[0, 0, 0], [0, 1, 2]]}, "allow_vanishing": "false"},
+     "cost.allow_vanishing"),
+    ({"separable": {"tables": [[0, 0, 0], [0, 1, 2]]}, "allow_vanishing": 1},
+     "cost.allow_vanishing"),
+    ({"indicator": {"weights": [0, 1]}, "allow_vanishing": False}, "allow_vanishing"),
+], ids=["string", "integer", "indicator"])
+def test_vanishing_cost_needs_allow_vanishing_true(tmp_path, capsys, cost, message):
+    """Only a JSON true admits a cost that vanishes at a nonzero state, for
+    every cost kind: a string or a number is refused, and an indicator's
+    zero weight does not admit itself."""
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(dict(axis_doc("1/2"), cost=cost)))
+    rc, out, err = run(capsys, "solve", str(path))
+    assert rc == 2 and out == ""
+    assert message in err
+
+
 def test_exponent_rationals_exit_2_at_once(tmp_path):
     """Fraction expands a decimal exponent in full (Fraction("1e10000000")
     alone takes seconds), so only the published spellings, integers and
@@ -645,7 +698,7 @@ def test_exponent_rationals_exit_2_at_once(tmp_path):
 def test_theorem_violation_exit_code(worked_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise TheoremViolation("forced for the exit-code test")
-    monkeypatch.setattr(cli, "run_battery", boom)
+    monkeypatch.setattr(checks, "run_battery", boom)
     rc, _, err = run(capsys, "check", worked_path)
     assert rc == 3
     assert "theorem violation (this is a bug)" in err

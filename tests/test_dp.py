@@ -556,7 +556,7 @@ def test_finite_argmin_sets_are_exact(inst):
     for t in range(T):
         nxt = values.per_time[t + 1]
         for x in range(inst.num_states):
-            chosen = argmin.at(x, t)
+            chosen = argmin.per_time[t][x]
             assert chosen
             achieved = {nxt[trans[x][u]] for u in chosen}
             assert achieved == {values.value(x, t) - g[x]}
@@ -570,7 +570,7 @@ def test_finite_argmin_sets_are_exact(inst):
 def test_time_varying_argmin_law_is_optimal(inst):
     values, argmin = solve_finite(inst)
     T = inst.horizon.T
-    law = [[min(argmin.at(x, t)) for x in range(inst.num_states)]
+    law = [[min(argmin.per_time[t][x]) for x in range(inst.num_states)]
            for t in range(T)]
     assert evaluate_time_varying(inst, law) == values
 
@@ -797,8 +797,8 @@ def test_finite_hand_example():
     values, argmin = solve_finite(inst)
     assert values.table(0) == (Fraction(0), Fraction(1))
     assert values.table(2) == (Fraction(0), Fraction(1))
-    assert argmin.at(0, 0) == frozenset({0})
-    assert argmin.at(1, 0) == frozenset({1})
+    assert argmin.per_time[0][0] == frozenset({0})
+    assert argmin.per_time[0][1] == frozenset({1})
     with pytest.raises(ValueError):
         values.stationary
 

@@ -156,7 +156,7 @@ def test_decomposition_validation():
 def test_cost_kinds():
     # indicator with per-part weights
     doc = base_doc()
-    doc["cost"] = {"indicator": {"weights": [0, 1, 0]}}
+    doc["cost"] = {"indicator": {"weights": [0, 1, 0]}, "allow_vanishing": True}
     loaded = load_instance(doc)
     g = loaded.instance.cost.table
     assert g[state_index((0, 1, 0), 3)] == Fraction(1)

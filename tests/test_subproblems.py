@@ -211,12 +211,12 @@ def test_restricted_solutions_worked_instance():
     values1, argmin1 = sols[1]
     assert values1.table(0) == (Fraction(0), Fraction(1), Fraction(1))
     # local state y maps to 2y + u; the minimizer is u = y
-    assert argmin1.at(1, 0) == frozenset({1})
-    assert argmin1.at(2, 0) == frozenset({2})
+    assert argmin1.per_time[0][1] == frozenset({1})
+    assert argmin1.per_time[0][2] == frozenset({2})
     for i in (0, 2):
         values, argmin = sols[i]
         assert values.table(0) == (Fraction(0),) * 3
-        assert argmin.at(1, 0) == frozenset({0})
+        assert argmin.per_time[0][1] == frozenset({0})
 
 
 def test_local_values_vanish_at_local_origin():
@@ -249,7 +249,7 @@ def test_lifted_restricted_policy_achieves_parent_optimum():
     for i in range(3):
         _, argmin = sols[i]
         T = inst.horizon.T
-        selections.append([[min(argmin.at(y, t))
+        selections.append([[min(argmin.per_time[t][y])
                             for y in range(bundle.restricted[i].num_states)]
                            for t in range(T)])
     law = lift_policy(bundle, "restricted", selections)
@@ -263,7 +263,7 @@ def test_lift_projected_policy_runs():
     selections = []
     for i in range(3):
         _, argmin = sols[i]
-        selections.append([[min(argmin.at(y, 0))
+        selections.append([[min(argmin.per_time[0][y])
                             for y in range(bundle.projected[i].num_states)]])
     law = lift_policy(bundle, "projected", selections)
     # a lifted projected law is a genuine control law; its cost dominates J*

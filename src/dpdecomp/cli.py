@@ -15,15 +15,16 @@ import argparse
 import json
 import sys
 from itertools import product
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .dp import (DiscountedHorizon, FiniteHorizon, Horizon, printed, solve_discounted_pi,
-                 solve_discounted_vi, solve_finite)
 from .errors import (IllConditioned, NotDecomposable, NotDirectSum,
                      NotInvariant, NotSeparableCost, PreconditionFailed,
                      TheoremViolation)
 from .instancefile import (LoadedInstance, load_instance, load_lqr_block, parse_matrix,
                            parse_rational, read_header, read_horizon)
+
+if TYPE_CHECKING:  # dp is loaded only by the subcommands that solve
+    from .dp import Horizon
 
 GUARD_STATES = 2**16
 GUARD_INPUTS = 2**12
@@ -63,6 +64,7 @@ def _guard(args: argparse.Namespace, size: int, limit: int, what: str) -> None:
 
 
 def _horizon_override(args: argparse.Namespace) -> Horizon | None:
+    from .dp import DiscountedHorizon, FiniteHorizon
     if args.horizon is None and args.T is None and args.alpha is None:
         return None
     kind = args.horizon or ("finite" if args.T is not None else "discounted")
@@ -88,6 +90,7 @@ def _read_json(path: str) -> Any:
 
 
 def _load(args: argparse.Namespace) -> LoadedInstance:
+    from .dp import FiniteHorizon
     data = _read_json(args.instance)
     field, n, m = read_header(data)
     p = field.p
@@ -134,6 +137,7 @@ def _print_solution(d: dict[str, Any]) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .dp import FiniteHorizon, printed, solve_discounted_pi, solve_discounted_vi, solve_finite
     tol = parse_rational(args.tol)
     inst = _load(args).instance
     p, horizon = inst.field.p, inst.horizon

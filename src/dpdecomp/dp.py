@@ -9,29 +9,29 @@ approximate route (with an explicit error bound).
 
 The successors of x are exactly the coset Ax + im(B), so the solvers never
 try inputs one by one: a Bellman stage takes the minimum of the next value
-table over each coset of im(B) once (p^n comparisons) and reads every
+row over each coset of im(B) once (p^n comparisons) and reads every
 state's minimum and full minimizer set off the coset of Ax.  The frame of
-cosets costs one elimination (see dpdecomp.cosets), and every vector sum the
-solvers need, successors and minimizer sets alike, is one digit-wise sum
-of indices (linalg.index_sum), so no table outgrows p^n or p^m.
+cosets costs one elimination (see dpdecomp.cosets).  Inside a solver a
+row is kept in the frame's coordinate order, where each coset is a block
+of consecutive entries: a stage builds the next row from the coset minima
+with one read, and a row is read into state order only for a table the
+solver returns.  A round of policy iteration walks the closed-loop graph
+over cosets and builds no table at all.  No table outgrows p^n or p^m.
 
 Values are exact integers over one scale: a cost keeps its numerators over
 the common denominator of its table (CostFunction.num over .scale), and a
-ValueTable keeps integer numerator tables over a single positive scale.
-The solvers and every scan of the battery work on those integers, policy
-evaluation included (one walk of the closed-loop functional graph on
-integer numerators, see evaluate_stationary_policy); a Fraction is built
-only at the API boundary, when a caller reads ValueTable.table(),
-.per_time, .stationary or .value().  A common denominator wider than
-WIDE_SCALE_BITS would make every numerator that wide, so such a cost or
-table is wide: it keeps two integer rows, numerators and denominators,
-each entry its own ratio.  Both forms run through the same two steps:
-CosetFrame.minima, which compares wide values by cross-multiplication,
-and _step (cost plus a row read at given states), which adds ratios
-without a gcd, dividing a row by its gcds only when its widest
-denominator passes a bound read off the cost.  Tables are still dense
-over the state space; guard limits keep that honest (defaults
-p^n <= 729 and p^m <= 81, both overridable).
+ValueTable keeps integer numerator tables over a single positive scale; a
+Fraction is built only when a caller reads ValueTable.table(), .per_time,
+.stationary or .value().  A common denominator wider than WIDE_SCALE_BITS
+would make every numerator that wide, so such a cost or table is wide: it
+keeps two integer rows, numerators and denominators, each entry its own
+ratio.  Both forms run through the same steps: CosetFrame.minima, which
+compares wide values by cross-multiplication, _walk (the closed-loop
+graph of a stationary policy) and _step (cost plus a row read at given
+indices), which add ratios without a gcd until a denominator passes a
+bound read off the cost.  Tables are dense over the state space; guard
+limits keep that honest (defaults p^n <= 729 and p^m <= 81, both
+overridable).
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from operator import add, attrgetter, eq, floordiv, le, mul, ne, sub
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .cosets import CosetFrame
+from .cosets import CosetFrame, reader
 from .errors import ShapeError
 from .fields import PrimeField
 from .linalg import DirectSumDecomposition, MatrixFp, index_map
@@ -233,25 +233,31 @@ def _integer_form(values: Sequence[Fraction]) -> tuple[int, tuple, tuple | None]
     return scale, tuple([v.numerator * factor[v.denominator] for v in values]), None
 
 
-def _step(g, cost: CostFunction, num: Sequence[int], den: Sequence[int] | None,
-          at: Sequence[int]) -> tuple[tuple, None] | tuple[list[int], list[int]]:
-    """g[x] + num[at[x]] for every x, with g cost.num or a multiple of it:
-    integers, or given den (a wide cost's row), the ratios
-    g[x]/cost.den[x] + num[y]/den[y] at y = at[x] as numerators and
-    positive denominators.  A ratio sum stays unreduced,
-    (n·d' + n'·d) / (d·d'), until some denominator passes the cost's
-    den_bits; the sums are integer combinations of cost values, so no
+def _step(g, q: Sequence[int] | None, bits: int, num: Sequence[int],
+          den: Sequence[int] | None, read: Callable[[Sequence], Sequence]
+          ) -> tuple[tuple, None] | tuple[list[int], list[int]]:
+    """g[x] + num[y] for every x, with g a cost's num (or a multiple) in
+    some order and y read's index for x (see cosets.reader): integers, or
+    given den (a wide cost's row; q and bits are the cost's den, in g's
+    order, and den_bits), the ratios g[x]/q[x] + num[y]/den[y].  A ratio
+    sum stays unreduced, (n·d' + n'·d) / (d·d'), until some denominator
+    passes bits; the sums are integer combinations of cost values, so no
     reduced one can, and then the whole row is put in lowest terms."""
-    read = map(num.__getitem__, at)
     if den is None:
-        return tuple(map(add, g, read)), None
-    d = list(map(den.__getitem__, at))
-    sums = list(map(add, map(mul, g, d), map(mul, read, cost.den)))
-    d = list(map(mul, cost.den, d))
-    if max(d).bit_length() <= cost.den_bits:
+        return tuple(map(add, g, read(num))), None
+    d = read(den)
+    sums = list(map(add, map(mul, g, d), map(mul, read(num), q)))
+    d = list(map(mul, q, d))
+    if max(d).bit_length() <= bits:
         return sums, d
     common = list(map(math.gcd, sums, d))
     return list(map(floordiv, sums, common)), list(map(floordiv, d, common))
+
+
+def _check_row(row: Sequence[int], size: int, top: int, name: str) -> None:
+    """A ValueError naming the row unless it holds size indices below top."""
+    if len(row) != size or min(row) < 0 or max(row) >= top:
+        raise ValueError(f"{name} must hold {size} entries, each in 0..{top - 1}")
 
 
 def _lowest(num: int, den: int, cap: int) -> tuple[int, int]:
@@ -437,17 +443,20 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     the successor; minimizer sets are recorded in full for every t in 0..T-1.
 
     Each stage is one pass of coset minima (see CosetFrame) over the cost's
-    integer form, so every table is over the cost's scale, and one _step,
-    g plus the minimum over the coset of Ax (as ratios for a wide cost)."""
+    integer form in coordinate order, and one _step, g plus the minimum
+    over the coset of Ay for the state y at each coordinate index (as
+    ratios for a wide cost); each row is read into state order once."""
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("solve_finite needs a finite horizon")
     frame = inst.coset_frame()
     cost = inst.cost
+    g, q = row = frame.in_coords(cost.num), cost.den and frame.in_coords(cost.den)
     rows = [(cost.num, cost.den)]  # J_T, J_{T-1}, ..., J_0 with their dens
     argmins = []
     for _ in range(inst.horizon.T):
-        Jk, mins, mn, md = frame.minima(*rows[-1])
-        rows.append(_step(cost.num, cost, mn, md, frame.c_ax))
+        Jk, mins, mn, md = frame.minima(*row)
+        row = _step(g, q, cost.den_bits, mn, md, frame.by_coset)
+        rows.append((frame.in_states(row[0]), row[1] and frame.in_states(row[1])))
         argmins.append(tuple(frame.argmin_sets(Jk, mins)))
     nums, dens = zip(*reversed(rows))
     return (ValueTable(inst.horizon, nums, cost.scale, dens),
@@ -466,70 +475,29 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int] | None,
                                successors: Sequence[int] | None = None) -> ValueTable:
     """Exact discounted value of a stationary policy, computed on integers.
     successors, when given, is the successor of every state and stands in
-    for the policy, which may then be None (policy iteration passes one
-    chosen successor per coset of im(B), spread over its states); it is not
-    checked against policy.
-
-    The closed-loop map is a functional graph: every trajectory runs down a
-    tree into a cycle.  Only the states some state steps to are walked
-    (their successors are such states too); under policy iteration they are
-    at most p^(n-r), one per coset.  With alpha = a/b and the cost in
-    integer form G / L (CostFunction.num over .scale), a cycle
-    c_0..c_{l-1} with d = b^l - a^l has the value H / (L·d) at its head
-    c_0, where H = sum over j of a^j·b^(l-j)·G(c_j); every other cycle state
-    also has a numerator over L·d, and a walked state k steps above the
-    cycle one over L·b^k·d (from V = G / L + alpha·V_next).  Lifted to
-    the walked states' common scale L·D, one _step then gives every state
-    V(x) = G(x) / L + alpha·V(next x) over L·b·D.  The table takes the least
-    common scale of its values, the one _integer_form gives, and is wide,
-    holding those numerators over L·b·D, when that scale is wider than
-    WIDE_SCALE_BITS.  A wide cost's values are wide (see _wide_policy_values).
+    for the policy, which may then be None; it is not checked against
+    policy.  A row of the wrong length or with an index out of range is a
+    ValueError.  One _walk gives alpha·V at the states some state steps
+    to, and one _step every state's V(x) = G(x) / L + alpha·V(next x).  A
+    narrow table takes the least common scale of its values, the one
+    _integer_form gives, unless that is wider than WIDE_SCALE_BITS: then
+    it is wide over the walk's common scale, as a wide cost's values are.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("stationary-policy evaluation needs a discounted horizon")
-    if successors is None and len(policy) != inst.num_states:
-        raise ValueError("policy must assign an input to every state")
+    if successors is None:
+        _check_row(policy, inst.num_states, inst.num_inputs, "policy")
+        successors = inst.coset_frame().successors(policy)
+    else:
+        _check_row(successors, inst.num_states, inst.num_states, "successors")
     a, b = inst.horizon.alpha.numerator, inst.horizon.alpha.denominator
-    nxt = inst.coset_frame().successors(policy) if successors is None else successors
-    if inst.cost.den is not None:
-        return ValueTable(inst.horizon, *_wide_policy_values(nxt, inst.cost, a, b))
-    G = inst.cost.num
-    walked = set(nxt)
-    num = [0] * len(nxt)
-    den = [0] * len(nxt)  # x's value is num[x] / (L·den[x]); 0: unseen, -1: on the path
-    for start in walked:
-        if den[start]:
-            continue
-        path = []
-        x = start
-        while not den[x]:
-            den[x] = -1
-            path.append(x)
-            x = nxt[x]
-        if den[x] < 0:  # the path closed a new cycle at x
-            cycle = path[path.index(x):]
-            del path[len(path) - len(cycle):]
-            v, bl = 0, 1
-            for s in reversed(cycle):
-                bl *= b
-                v = bl * G[s] + a * v
-            d = bl - a ** len(cycle)
-            num[x], den[x] = v, d
-            for s in reversed(cycle[1:]):
-                v = d * G[s] + a * (v // b)  # b divides every cycle numerator
-                num[s], den[s] = v, d
-        v, dn = num[x], den[x]
-        for s in reversed(path):  # each s steps to the state just done
-            dn *= b
-            v = dn * G[s] + a * v
-            num[s], den[s] = v, dn
-    dens = set(map(den.__getitem__, walked))
-    common = math.lcm(*dens)
-    lift = {dn: a * (common // dn) for dn in dens}
-    for s in walked:  # alpha·V(s) over L·b·common
-        num[s] *= lift[den[s]]
-    L, scale = inst.cost.scale, b * common
-    row = _step(map(mul, G, repeat(scale)), inst.cost, num, None, nxt)[0]
+    cost = inst.cost
+    scale, num, den = _walk(cost.num, cost.den, cost.den_bits, successors, set(successors), a, b)
+    row, dens = _step(map(mul, cost.num, repeat(scale)), cost.den, cost.den_bits,
+                      num, den, reader(successors))
+    if dens is not None:
+        return ValueTable(inst.horizon, (row,), 1, (dens,))
+    L = cost.scale
     # the least common scale of the values is L·scale over this gcd
     g = math.gcd(L * scale, *row)
     if (L * scale // g).bit_length() <= WIDE_SCALE_BITS:
@@ -537,28 +505,60 @@ def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int] | None,
     return ValueTable(inst.horizon, (row,), L, ([scale] * len(row),))
 
 
-def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
-                        ) -> tuple[tuple[list[int]], int, tuple[list[int]]]:
-    """(nums, scale, dens) of the wide table of discounted values at alpha =
-    a/b when x steps to nxt[x] under a wide cost: each value a ratio.  The
-    walk covers the states some state steps to, from
-    V(s) = g(s) + alpha·V(nxt[s]) on its paths and, at the state x where a
-    path closes a cycle c_0 = x, ..., c_{l-1},
-    V(x) = (sum over j of alpha^j·g(c_j)) / (1 - alpha^l); one _step then
-    gives every state g(x) + alpha·V(nxt[x]).
+def _walk(G: Sequence[int], Q: Sequence[int] | None, bits: int, nxt: Sequence[int],
+          nodes: Iterable[int], a: int, b: int) -> tuple[int, list[int], list[int] | None]:
+    """alpha·V at every node s in nodes (a set closed under nxt) for
+    V(s) = G[s] / (L·Q[s]) + alpha·V(nxt[s]), alpha = a/b, with G and Q a
+    cost's num and den (Q None for a narrow cost over its scale L) read at
+    the nodes, as (scale, num, den): the _step of G·scale plus num and den
+    read at the successors gives V.  A narrow cost's values are lifted to
+    one common scale, alpha·V(s) = num[s] / (L·scale), and a wide cost's
+    are ratios, num[s] / den[s] with scale 1.  The nodes are states for
+    evaluate_stationary_policy and cosets in a round of policy iteration.
 
-    A walked ratio is put in lowest terms only when its denominator passes
-    a bound on the reduced one: V(x) has one dividing lcm(den)·(b^l - a^l),
-    and a state k steps above the cycle one dividing
-    lcm(den)·b^k·(b^l - a^l), so the bound is the cost's den_bits plus
-    bit_length(b) per step and per cycle state (den_bits > 0, so a bound of
-    0 is one not yet set)."""
-    G, Q = cost.num, cost.den
-    step = b.bit_length()
+    Every trajectory runs down a tree into a cycle c_0..c_{l-1}.  Narrow:
+    with d = b^l - a^l the head c_0 is worth H / (L·d) for
+    H = sum over j of a^j·b^(l-j)·G(c_j), every cycle state has a numerator
+    over L·d, and a node k steps above the cycle one over L·b^k·d.  Wide: a
+    walked ratio is put in lowest terms only when its denominator passes
+    a bound on the reduced one, which divides lcm(Q)·b^k·(b^l - a^l): bits
+    (the cost's den_bits, > 0, so a bound of 0 is one not yet set) plus
+    bit_length(b) per step and per cycle state."""
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # 0: unseen, -1: on the path
+    if Q is None:  # num[x] / (L·den[x]) is V(x)
+        for start in nodes:
+            if den[start]:
+                continue
+            path = []
+            x = start
+            while not den[x]:
+                den[x] = -1
+                path.append(x)
+                x = nxt[x]
+            if den[x] < 0:  # the path closed a new cycle at x
+                cycle = path[path.index(x):]
+                del path[len(path) - len(cycle):]
+                v, bl = 0, 1
+                for s in reversed(cycle):
+                    bl *= b
+                    v = bl * G[s] + a * v
+                d = bl - a ** len(cycle)
+                num[x], den[x] = v, d
+                for s in reversed(cycle[1:]):
+                    v = d * G[s] + a * (v // b)  # b divides every cycle numerator
+                    num[s], den[s] = v, d
+            v, dn = num[x], den[x]
+            for s in reversed(path):  # each s steps to the state just done
+                dn *= b
+                v = dn * G[s] + a * v
+                num[s], den[s] = v, dn
+        common = math.lcm(*set(den) - {0})
+        lift = {dn: dn and a * (common // dn) for dn in set(den)}  # alpha·V over L·b·common
+        return b * common, list(map(mul, num, map(lift.__getitem__, den))), None
+    step = b.bit_length()
     cap = [0] * len(nxt)  # the bound on den[x]
-    for start in set(nxt):
+    for start in nodes:
         path = []
         x = start
         while not den[x]:
@@ -568,13 +568,13 @@ def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
         if den[x] < 0:
             cycle = path[path.index(x):]
             # the lap sum v / w, by Horner's rule from the last state
-            v, w, bits = 0, 1, cost.den_bits
+            v, w, cb = 0, 1, bits
             for s in reversed(cycle):
-                v, w = _lowest(b * w * G[s] + a * Q[s] * v, b * w * Q[s], bits)
-                bits += step
+                v, w = _lowest(b * w * G[s] + a * Q[s] * v, b * w * Q[s], cb)
+                cb += step
             bl = b ** len(cycle)
             for s in cycle:  # every cycle state is some rotation's head
-                cap[s] = cost.den_bits + len(cycle) * step
+                cap[s] = bits + len(cycle) * step
             num[x], den[x] = _lowest(bl * v, w * (bl - a ** len(cycle)), cap[x])
             path.remove(x)
         for s in reversed(path):  # each s steps to the state just done
@@ -582,9 +582,7 @@ def _wide_policy_values(nxt: Sequence[int], cost: CostFunction, a: int, b: int
             cap[s] = cap[s] or cap[y] + step
             num[s], den[s] = _lowest(b * den[y] * G[s] + a * Q[s] * num[y],
                                      b * den[y] * Q[s], cap[s])
-    nums, dens = _step(G, cost, list(map(mul, num, repeat(a))),
-                       list(map(mul, den, repeat(b))), nxt)
-    return (nums,), 1, (dens,)
+    return 1, list(map(mul, num, repeat(a))), list(map(mul, den, repeat(b)))
 
 
 def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
@@ -593,28 +591,38 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     Every state x can reach exactly the coset of Ax, so the states of one
     coset share their best successor, and the policy is one chosen
     coordinate index per coset (p^(n-r) choices for r = rank B), starting
-    from each coset's first state of least stage cost.  A round evaluates
-    the policy exactly (on integers, see evaluate_stationary_policy) with
-    successors chosen[c(Ax)], takes the coset minima of the values from
-    CosetFrame.minima, and switches a coset only on a strict improvement
+    from each coset's first state of least stage cost.  A round walks the
+    cosets (see _walk) for alpha·V at each coset's choice, W[c], and builds
+    its keys G·s + W[c(Ay)], the policy's values, in coordinate order with
+    no state-order table; it switches a coset only on a strict improvement
     (its key differs from the key minimum, for narrow and wide rows alike),
-    to its first minimal position, which rules out cycling.  On
-    convergence the values satisfy the fixed-point equation exactly, and
-    the minimizer sets, built in full once from those values, are complete.
+    to its first minimal position, which rules out cycling.  On convergence
+    one evaluate_stationary_policy gives the table, whose values satisfy
+    the fixed-point equation exactly, and the minimizer sets, built in full
+    once from the last keys, are complete.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
+    a, b = inst.horizon.alpha.numerator, inst.horizon.alpha.denominator
     frame = inst.coset_frame()
-    chosen = frame.first_minimal(*frame.minima(inst.cost.num, inst.cost.den)[:2])
+    cost = inst.cost
+    g, q = frame.in_coords(cost.num), cost.den and frame.in_coords(cost.den)
+    reached = set(frame.c_ak)  # the cosets some state steps into
+    chosen = frame.first_minimal(*frame.minima(g, q)[:2])
     while True:
-        ahead = list(map(frame.order.__getitem__, chosen))
-        values = evaluate_stationary_policy(inst, None, list(map(ahead.__getitem__, frame.c_ax)))
-        Jk, mins = frame.minima(values.nums[0], values.dens and values.dens[0])[:2]
+        pick = reader(chosen)
+        scale, num, den = _walk(pick(g), q and pick(q), cost.den_bits, pick(frame.c_ak),
+                                reached, a, b)
+        Jk, mins = frame.minima(*_step(map(mul, g, repeat(scale)), q, cost.den_bits,
+                                       num, den, frame.by_coset))[:2]
         stale = list(compress(count(), map(ne, map(Jk.__getitem__, chosen), mins)))
         if not stale:
             break
         for c, k in zip(stale, frame.first_minimal(Jk, mins, stale)):
             chosen[c] = k
+    # each coset's chosen state, at the successor coset of every state
+    values = evaluate_stationary_policy(
+        inst, None, frame.in_states(frame.by_coset(pick(frame.order))))
     return values, ArgminTable(inst.horizon, (tuple(frame.argmin_sets(Jk, mins)),))
 
 
@@ -666,14 +674,15 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
             "raise the tolerance")
     frame = inst.coset_frame()
     cost = inst.cost
-    current, dens = (0,) * inst.num_states, cost.den
+    g, q = frame.in_coords(cost.num), cost.den and frame.in_coords(cost.den)
+    current, dens = (0,) * inst.num_states, q  # in coordinate order
     power = 1  # current is over b^iterations·L
     iterations = 0
     while True:
         power *= b
         mn, md = frame.minima(current, dens)[2:]
-        new, new_dens = _step(map(mul, cost.num, repeat(power)), cost,
-                              [a * v for v in mn], md, frame.c_ax)
+        new, new_dens = _step(map(mul, g, repeat(power)), q, cost.den_bits,
+                              [a * v for v in mn], md, frame.by_coset)
         # the old iterate over the new scale is b·current
         if dens is None:
             delta = max(map(abs, map(sub, new, map(mul, current, repeat(b)))))
@@ -687,6 +696,7 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
         if done:
             break
     bound = alpha * tol / (1 - alpha)
+    current, dens = frame.in_states(current), dens and frame.in_states(dens)
     values = ValueTable(inst.horizon, (current,), power * cost.scale, (dens,))
     return ValueIterationResult(values, bound, iterations)
 
@@ -706,7 +716,8 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> Val
     law[t][x] is the input index applied at time t in state x, for t in
     0..T-1.  Runs the backward recursion V_T = g, V_t = g + V_{t+1} at the
     successor under law[t], one _step per stage on the cost's integer form;
-    table(0) is the total cost from every start state.
+    table(0) is the total cost from every start state.  A row law[t] of
+    the wrong length or with an input out of range is a ValueError.
     """
     if not isinstance(inst.horizon, FiniteHorizon):
         raise ValueError("closed-loop evaluation needs a finite horizon")
@@ -715,8 +726,10 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> Val
     frame = inst.coset_frame()
     cost = inst.cost
     rows = [(cost.num, cost.den)]  # V_T, V_{T-1}, ..., V_0 with their dens
-    for inputs in reversed(law):
-        rows.append(_step(cost.num, cost, *rows[-1], frame.successors(inputs)))
+    for t in reversed(range(len(law))):
+        _check_row(law[t], inst.num_states, inst.num_inputs, f"law[{t}]")
+        rows.append(_step(cost.num, cost.den, cost.den_bits, *rows[-1],
+                          reader(frame.successors(law[t]))))
     nums, dens = zip(*reversed(rows))
     return ValueTable(inst.horizon, nums, cost.scale, dens)
 

@@ -13,11 +13,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .dp import CostFunction, DiscountedHorizon, DPInstance, FiniteHorizon, Horizon
 from .fields import PrimeField
 from .linalg import DirectSumDecomposition, MatrixFp, Subspace
+
+if TYPE_CHECKING:  # dp is loaded only where a solve needs it
+    from .dp import CostFunction, DPInstance, Horizon
 
 SCHEMA_VERSION = "1.0"
 RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the schema's pattern
@@ -57,6 +59,7 @@ class LoadedInstance:
 
 
 def _parse_horizon(data: Any) -> Horizon:
+    from .dp import DiscountedHorizon, FiniteHorizon
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError('horizon must be {"finite": {"T": ...}} or '
                          '{"discounted": {"alpha": ...}}')
@@ -91,6 +94,7 @@ def _parse_decomposition(field: PrimeField, n: int, data: Any) -> DirectSumDecom
 
 def _parse_cost(field: PrimeField, n: int, data: Any,
                 decomp: DirectSumDecomposition | None) -> CostFunction:
+    from .dp import CostFunction
     if not isinstance(data, dict):
         raise ValueError("cost must be an object")
     allow = data.get("allow_vanishing", False)
@@ -166,6 +170,7 @@ def load_instance(data: dict[str, Any], *,
     document.  Raises ValueError on any schema or validation failure.  The
     state and input spaces are not bounded here: a caller that must bound
     them checks read_header's dimensions first."""
+    from .dp import DPInstance
     field, n, m = read_header(data)
     A = parse_matrix(field, data.get("A"), n, n, "A")
     B = parse_matrix(field, data.get("B"), n, m, "B")

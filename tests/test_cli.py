@@ -583,7 +583,7 @@ def test_exact_core_imports_no_numpy(worked_path):
 def test_each_subcommand_loads_only_its_modules(worked_path):
     """The package root loads no module; solve loads neither the battery
     (checks, subproblems) nor the splitting search (invariant_decomp), and
-    decompose loads no battery."""
+    decompose loads no battery and no solver (dp, cosets)."""
     _fresh_python(
         "import sys\n"
         "def loaded():\n"
@@ -596,6 +596,12 @@ def test_each_subcommand_loads_only_its_modules(worked_path):
         f"assert main(['decompose', {worked_path!r}, '--json']) == 0\n"
         "assert not loaded() & {'checks', 'subproblems'}, loaded()\n"
         f"assert main(['check', {worked_path!r}, '--json']) == 0\n")
+    _fresh_python(
+        "import sys\n"
+        "from dpdecomp.cli import main\n"
+        f"assert main(['decompose', {worked_path!r}, '--json']) == 0\n"
+        "loaded = {m[len('dpdecomp.'):] for m in sys.modules if m.startswith('dpdecomp.')}\n"
+        "assert not loaded & {'checks', 'subproblems', 'dp', 'cosets'}, loaded\n")
 
 
 def test_value_iteration_too_long_to_run_exits_2(tmp_path):
@@ -651,7 +657,7 @@ def test_too_wide_value_is_refused_before_value_iteration(tmp_path, capsys, monk
     iteration spends its sweeps on the same discount factor."""
     def never(*args, **kwargs):
         raise AssertionError("value iteration ran")
-    monkeypatch.setattr(cli, "solve_discounted_vi", never)
+    monkeypatch.setattr(dp, "solve_discounted_vi", never)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(axis_doc(f"1/{'9' * 3000}")))
     rc, out, err = run(capsys, "solve", str(path))

@@ -966,15 +966,16 @@ def test_coset_kernels_match_per_state_oracle(data):
     values = draw(st.sampled_from([st.integers(0, 1), st.integers(0, 20),
                                    st.builds(Fraction, st.integers(0, 6), st.just(3))]))
     J = draw(st.lists(values, min_size=p**n, max_size=p**n))
-    Jk, mins, min_num, min_den = frame.minima(J)
+    # minima reads rows in coordinate order; the oracle reads J by state
+    Jk, mins, min_num, min_den = frame.minima([J[y] for y in frame.order])
     assert (Jk, mins) == oracle_minima(frame, J)
     assert (min_num, min_den) == (mins, None)
     got = frame.argmin_sets(Jk, mins)
     assert got == oracle_argmin_sets(frame, Jk, mins)
     ks = draw(st.lists(st.integers(1, 10**6), min_size=p**n, max_size=p**n))
     key, key_mins, min_num, min_den = frame.minima(
-        [Fraction(v).numerator * k for v, k in zip(J, ks)],
-        [Fraction(v).denominator * k for v, k in zip(J, ks)])
+        [Fraction(J[y]).numerator * ks[y] for y in frame.order],
+        [Fraction(J[y]).denominator * ks[y] for y in frame.order])
     assert list(map(Fraction, min_num, min_den)) == mins
     assert frame.argmin_sets(key, key_mins) == got
     fibres = {id(us) for us in frame.pre}
@@ -1019,7 +1020,7 @@ def test_coset_frame_matches_two_elimination_oracle():
             got, want = dp.CosetFrame.of(A, B), oracle_coset_frame(A, B)
             for name in FRAME_FIELDS:
                 assert getattr(got, name) == getattr(want, name), (p, n, shape, name)
-            assert got.c_ax == [k // got.P for k in got.k_ax]
+            assert got.c_ak == tuple(got.k_ax[y] // got.P for y in got.order)
             if shape in ("autonomous", "zero"):
                 assert got.P == 1
             if shape == "invertible":
@@ -1127,13 +1128,15 @@ def test_one_coset_frame_and_solve_allocate_per_state():
 
 
 def test_policy_iteration_builds_argmin_sets_once(monkeypatch):
-    # three rounds: two improvements, then no change; the rounds compare
-    # coset minima only, so the full minimizer sets are built for the end
+    # three rounds: two improvements, then no change; the rounds walk the
+    # cosets and compare coset minima only, so one policy evaluation and
+    # the full minimizer sets are built for the end, and the walk runs once
+    # per round and once more in that evaluation
     A = MatrixFp(F3, 2, 2, [2, 1, 2, 0])
     B = MatrixFp(F3, 2, 1, [2, 2])
     inst = DPInstance(A, B, CostFunction(F3, 2, [0, 4, 5, 1, 7, 7, 3, 2, 8]),
                       DiscountedHorizon(Fraction(9, 10)))
-    calls = {"argmin_sets": 0, "evaluate": 0, "oracle": 0}
+    calls = {"argmin_sets": 0, "evaluate": 0, "walk": 0, "oracle": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -1145,18 +1148,19 @@ def test_policy_iteration_builds_argmin_sets_once(monkeypatch):
                         counting("argmin_sets", dp.CosetFrame.argmin_sets))
     monkeypatch.setattr(dp, "evaluate_stationary_policy",
                         counting("evaluate", dp.evaluate_stationary_policy))
+    monkeypatch.setattr(dp, "_walk", counting("walk", dp._walk))
     monkeypatch.setitem(globals(), "oracle_evaluate_stationary_policy",
                         counting("oracle", oracle_evaluate_stationary_policy))
     assert solve_discounted_pi(inst) == oracle_solve_discounted_pi(inst)
-    assert calls == {"argmin_sets": 1, "evaluate": 3, "oracle": 3}
+    assert calls == {"argmin_sets": 1, "evaluate": 1, "walk": 4, "oracle": 3}
 
 
 def test_policy_iteration_walks_one_successor_per_coset(monkeypatch):
-    """p = 2, n = 10, m = 3 with a tie-heavy cost: every round hands
-    evaluate_stationary_policy at most p^(n - rank B) = 128 distinct
-    successors, one per coset of im(B).  A per-state policy, which breaks
-    ties by each state's least input, spreads a coset's states over its
-    tied positions and fails this."""
+    """p = 2, n = 10, m = 3 with a tie-heavy cost: every walk, each round's
+    and the final evaluation's, covers at most p^(n - rank B) = 128
+    distinct nodes, one per coset of im(B).  A per-state policy, which
+    breaks ties by each state's least input, spreads a coset's states over
+    its tied positions and fails this."""
     rng = random.Random("walk-per-coset")
     n, m = 10, 3
     A = MatrixFp(F2, n, n, [rng.randrange(2) for _ in range(n * n)])
@@ -1165,19 +1169,102 @@ def test_policy_iteration_walks_one_successor_per_coset(monkeypatch):
     inst = DPInstance(A, B, CostFunction(F2, n, table), DiscountedHorizon(Fraction(9, 10)),
                       max_states=None)
     walked = []
-    original = dp.evaluate_stationary_policy
+    original = dp._walk
 
-    def recording(inst, policy, successors=None):
-        walked.append(len(set(successors)))
-        return original(inst, policy, successors)
+    def recording(G, Q, bits, nxt, nodes, a, b):
+        walked.append(len(set(nodes)))
+        return original(G, Q, bits, nxt, nodes, a, b)
 
-    monkeypatch.setattr(dp, "evaluate_stationary_policy", recording)
+    monkeypatch.setattr(dp, "_walk", recording)
     values, argmin = solve_discounted_pi(inst)
     assert B.rank() == m and len(walked) > 1
     assert max(walked) <= 2**(n - m)
     assert bellman_residual(inst, values) == 0
     policy = [min(chosen) for chosen in argmin.stationary]
     assert evaluate_stationary_policy(inst, policy) == values
+
+
+def _pi_rounds_instance(kind, seed):
+    """A seeded discounted instance for the round-by-round test: a narrow
+    cost at alpha = 9/10, a narrow cost at alpha = 1 - 10^-20, whose round
+    tables pass WIDE_SCALE_BITS (wide rounds), or a wide cost."""
+    rng = random.Random(f"pi-rounds-{kind}-{seed}")
+    n = 6
+    A = MatrixFp(F2, n, n, [rng.randrange(2) for _ in range(n * n)])
+    B = MatrixFp(F2, n, 1, [rng.randrange(2) for _ in range(n)])
+    wide = WIDE_DENOMINATORS if kind == "wide-cost" else (1,)
+    table = [Fraction(0)] + [Fraction(rng.randint(1, 9), rng.choice(wide))
+                             for _ in range(2**n - 1)]
+    alpha = Fraction(10**20 - 1, 10**20) if kind == "wide-round" else Fraction(9, 10)
+    return DPInstance(A, B, CostFunction(F2, n, table), DiscountedHorizon(alpha),
+                      require_injective=False)
+
+
+def full_evaluation_rounds(inst):
+    """(coset minima, stale cosets) of every round of coset policy
+    iteration as it ran before its rounds walked cosets, where each round
+    reads the policy's full table from evaluate_stationary_policy, and
+    whether some round's table was wide."""
+    frame = inst.coset_frame()
+    chosen = frame.first_minimal(*oracle_minima(frame, inst.cost.table))
+    rounds, wide = [], False
+    while True:
+        ahead = [frame.order[k] for k in chosen]
+        values = evaluate_stationary_policy(inst, None, [ahead[k // frame.P] for k in frame.k_ax])
+        wide = wide or values.dens is not None
+        Jk, mins = oracle_minima(frame, values.table())
+        stale = [c for c, k in enumerate(chosen) if Jk[k] != mins[c]]
+        rounds.append((mins, stale))
+        if not stale:
+            return rounds, wide
+        for c, k in zip(stale, frame.first_minimal(Jk, mins, stale)):
+            chosen[c] = k
+
+
+# rounds per seed of policy iteration with a full evaluation per round
+PI_ROUNDS = {"narrow": [4, 3, 4], "wide-round": [2, 6, 6], "wide-cost": [5, 3, 2]}
+
+
+@pytest.mark.parametrize("kind", sorted(PI_ROUNDS))
+def test_policy_iteration_rounds_match_full_evaluation(kind, monkeypatch):
+    """Every round of policy iteration, which builds no table of the
+    policy's values, has the coset minima and the stale cosets that a full
+    evaluate_stationary_policy of the same policy gives, so the rounds are
+    as many as with a full evaluation per round (pinned in PI_ROUNDS), on
+    narrow rounds, wide rounds of a narrow cost and a wide cost."""
+    for seed, rounds in enumerate(PI_ROUNDS[kind]):
+        inst = _pi_rounds_instance(kind, seed)
+        want, wide = full_evaluation_rounds(inst)
+        assert len(want) == rounds
+        assert wide == (kind != "narrow") and (inst.cost.den is not None) == (kind == "wide-cost")
+        scales, minima, stale = [], [], []
+        walk, kernel, first = dp._walk, dp.CosetFrame.minima, dp.CosetFrame.first_minimal
+
+        def recording_walk(*args):
+            out = walk(*args)
+            scales.append(out[0])
+            return out
+
+        def recording_minima(frame, num, den=None):
+            minima.append(kernel(frame, num, den))
+            return minima[-1]
+
+        def recording_first(frame, key, mins, cosets=None):
+            if cosets is not None:
+                stale.append(list(cosets))
+            return first(frame, key, mins, cosets)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dp, "_walk", recording_walk)
+            patch.setattr(dp.CosetFrame, "minima", recording_minima)
+            patch.setattr(dp.CosetFrame, "first_minimal", recording_first)
+            solve_discounted_pi(inst)
+        # the first minima ranks the stage cost; the final evaluation walks once more
+        assert len(minima) == len(scales) == rounds + 1
+        L = inst.cost.scale
+        got = [([Fraction(v, L * scale * d) for v, d in zip(mn, md or [1] * len(mn))], cosets)
+               for (_, _, mn, md), scale, cosets in zip(minima[1:], scales, stale + [[]])]
+        assert got == want
 
 
 def _coset_policy_instance(kind, seed, p):
@@ -1240,3 +1327,29 @@ def test_solver_horizon_mismatch():
         solve_discounted_pi(fin)
     with pytest.raises(ValueError):
         solve_discounted_vi(fin, Fraction(1, 10))
+
+
+def test_policy_evaluation_refuses_bad_rows():
+    """A policy, successor list or law row of the wrong length or with an
+    index out of range is a ValueError that names the row; before, -1 was
+    read as the last input, a short row gave a short table and a successor
+    past the end raised IndexError.  p = 2, n = 2, m = 1: 4 states, 2 inputs."""
+    A = MatrixFp.identity(F2, 2)
+    B = MatrixFp(F2, 2, 1, [1, 0])
+    cost = CostFunction(F2, 2, [0, 1, 2, 3])
+    disc = DPInstance(A, B, cost, DiscountedHorizon(HALF))
+    fin = DPInstance(A, B, cost, FiniteHorizon(2))
+    for policy in ([-1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0], [0] * 5):
+        with pytest.raises(ValueError, match=r"^policy must hold 4 entries, each in 0\.\.1$"):
+            evaluate_stationary_policy(disc, policy)
+    for successors in ([0, 1], [0, 1, 2, 4], [0, -1, 2, 3]):
+        with pytest.raises(ValueError, match=r"^successors must hold 4 entries, each in 0\.\.3$"):
+            evaluate_stationary_policy(disc, None, successors)
+    for t, row in ((0, [0, 0, 0]), (1, [0, 0, 0, 2]), (1, [0, -1, 0, 0])):
+        law = [[0] * 4, [0] * 4]
+        law[t] = row
+        with pytest.raises(ValueError, match=rf"^law\[{t}\] must hold 4 entries, each in 0\.\.1$"):
+            evaluate_time_varying(fin, law)
+    assert evaluate_stationary_policy(disc, [1, 1, 0, 0]) == evaluate_stationary_policy(
+        disc, None, [1, 0, 2, 3])
+    assert evaluate_time_varying(fin, [[1] * 4, [0] * 4]).table(0) == (2, 1, 8, 7)

@@ -38,6 +38,7 @@ from fractions import Fraction
 from itertools import compress, count
 from typing import Any, Sequence
 
+from .cosets import reader
 from .dp import (
     ArgminTable,
     DiscountedHorizon,
@@ -325,10 +326,10 @@ def check_componentwise(bundle: SubproblemBundle,
 
     decided: dict[tuple[frozenset[int], ...], tuple[list[int], int] | None] = {}
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
+    reads = list(map(reader, bundle.component_state_tables()))
     for t in range(bundle.parent.horizon.T) if finite else (None,):
         t_idx = t or 0
-        local = [list(map(sol[1].per_time[t_idx].__getitem__, c))
-                 for sol, c in zip(projected_solutions, bundle.component_state_tables())]
+        local = [read(sol[1].per_time[t_idx]) for sol, read in zip(projected_solutions, reads)]
         for x, key in enumerate(zip(parent_argmin.per_time[t_idx], *local)):
             if key not in decided:
                 decided[key] = first_missed(key)
@@ -401,10 +402,11 @@ def _assert_value_separability(bundle: SubproblemBundle,
     split is the restricted split already decided in `defects`; at time T
     it is the cost's own separability, which build_bundle enforces."""
     scale = math.lcm(parent_values.scale, *(sol[0].scale for sol in restricted_solutions))
+    reads = list(map(reader, bundle.embedding_tables))
     for t in range(len(parent_values.nums)):
         parent_t = parent_values.at_scale(t, scale)
-        if any(sol[0].at_scale(t, scale) != tuple([parent_t[e] for e in emb])
-               for sol, emb in zip(restricted_solutions, bundle.embedding_tables)):
+        if any(sol[0].at_scale(t, scale) != read(parent_t)
+               for sol, read in zip(restricted_solutions, reads)):
             raise TheoremViolation(
                 "restricted subproblem value disagrees with the parent value "
                 "on its part although the minimizer condition holds")

@@ -139,6 +139,8 @@ def _print_solution(d: dict[str, Any]) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     from .dp import FiniteHorizon, printed, solve_discounted_pi, solve_discounted_vi, solve_finite
     tol = parse_rational(args.tol)
+    if tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     inst = _load(args).instance
     p, horizon = inst.field.p, inst.horizon
     payload: dict[str, Any] = {"field": p, "n": inst.n, "m": inst.m,

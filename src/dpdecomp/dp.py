@@ -471,33 +471,31 @@ def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     return solve_discounted_pi(inst)
 
 
-def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int] | None,
-                               successors: Sequence[int] | None = None) -> ValueTable:
-    """Exact discounted value of a stationary policy, computed on integers.
-    successors, when given, is the successor of every state and stands in
-    for the policy, which may then be None; it is not checked against
-    policy.  A row of the wrong length or with an index out of range is a
-    ValueError.  One _walk gives alpha·V at the states some state steps
-    to, and one _step every state's V(x) = G(x) / L + alpha·V(next x).  A
-    narrow table takes the least common scale of its values, the one
-    _integer_form gives, unless that is wider than WIDE_SCALE_BITS: then
-    it is wide over the walk's common scale, as a wide cost's values are.
-    """
+def evaluate_stationary_policy(inst: DPInstance, policy: Sequence[int]) -> ValueTable:
+    """Exact discounted value of a caller's stationary policy, computed on
+    integers.  A policy of the wrong length or with an input out of range
+    is a ValueError.  One _walk gives alpha·V at the states some state
+    steps to, and one _step every state's V(x) = G(x) / L + alpha·V(next
+    x).  Policy iteration does not call it: its table is its last round's."""
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("stationary-policy evaluation needs a discounted horizon")
-    if successors is None:
-        _check_row(policy, inst.num_states, inst.num_inputs, "policy")
-        successors = inst.coset_frame().successors(policy)
-    else:
-        _check_row(successors, inst.num_states, inst.num_states, "successors")
+    _check_row(policy, inst.num_states, inst.num_inputs, "policy")
+    successors = inst.coset_frame().successors(policy)
     a, b = inst.horizon.alpha.numerator, inst.horizon.alpha.denominator
     cost = inst.cost
     scale, num, den = _walk(cost.num, cost.den, cost.den_bits, successors, set(successors), a, b)
-    row, dens = _step(map(mul, cost.num, repeat(scale)), cost.den, cost.den_bits,
-                      num, den, reader(successors))
+    return _policy_table(inst, scale, *_step(map(mul, cost.num, repeat(scale)), cost.den,
+                                             cost.den_bits, num, den, reader(successors)))
+
+
+def _policy_table(inst: DPInstance, scale: int, row, dens) -> ValueTable:
+    """The ValueTable of a policy's values in state order from the _step
+    of a _walk: a wide cost's ratios, or numerators over L·scale taken to
+    their least common scale (as _integer_form), unless that is wider than
+    WIDE_SCALE_BITS: then wide over the walk's scale, as a wide cost is."""
     if dens is not None:
         return ValueTable(inst.horizon, (row,), 1, (dens,))
-    L = cost.scale
+    L = inst.cost.scale
     # the least common scale of the values is L·scale over this gcd
     g = math.gcd(L * scale, *row)
     if (L * scale // g).bit_length() <= WIDE_SCALE_BITS:
@@ -514,7 +512,8 @@ def _walk(G: Sequence[int], Q: Sequence[int] | None, bits: int, nxt: Sequence[in
     read at the successors gives V.  A narrow cost's values are lifted to
     one common scale, alpha·V(s) = num[s] / (L·scale), and a wide cost's
     are ratios, num[s] / den[s] with scale 1.  The nodes are states for
-    evaluate_stationary_policy and cosets in a round of policy iteration.
+    evaluate_stationary_policy and cosets in a round of policy iteration,
+    whose last round's _step is then its returned table.
 
     Every trajectory runs down a tree into a cycle c_0..c_{l-1}.  Narrow:
     with d = b^l - a^l the head c_0 is worth H / (L·d) for
@@ -596,10 +595,10 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     its keys G·s + W[c(Ay)], the policy's values, in coordinate order with
     no state-order table; it switches a coset only on a strict improvement
     (its key differs from the key minimum, for narrow and wide rows alike),
-    to its first minimal position, which rules out cycling.  On convergence
-    one evaluate_stationary_policy gives the table, whose values satisfy
-    the fixed-point equation exactly, and the minimizer sets, built in full
-    once from the last keys, are complete.
+    to its first minimal position, which rules out cycling.  A round with
+    no stale coset has a policy greedy for its own values, so its keys are
+    J*: they give the table, read into state order once, and the full
+    minimizer sets, built once.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
@@ -613,16 +612,14 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
         pick = reader(chosen)
         scale, num, den = _walk(pick(g), q and pick(q), cost.den_bits, pick(frame.c_ak),
                                 reached, a, b)
-        Jk, mins = frame.minima(*_step(map(mul, g, repeat(scale)), q, cost.den_bits,
-                                       num, den, frame.by_coset))[:2]
-        stale = list(compress(count(), map(ne, map(Jk.__getitem__, chosen), mins)))
+        row, dens = _step(map(mul, g, repeat(scale)), q, cost.den_bits, num, den, frame.by_coset)
+        Jk, mins = frame.minima(row, dens)[:2]
+        stale = list(compress(count(), map(ne, pick(Jk), mins)))
         if not stale:
             break
         for c, k in zip(stale, frame.first_minimal(Jk, mins, stale)):
             chosen[c] = k
-    # each coset's chosen state, at the successor coset of every state
-    values = evaluate_stationary_policy(
-        inst, None, frame.in_states(frame.by_coset(pick(frame.order))))
+    values = _policy_table(inst, scale, frame.in_states(row), dens and frame.in_states(dens))
     return values, ArgminTable(inst.horizon, (tuple(frame.argmin_sets(Jk, mins)),))
 
 
@@ -747,7 +744,7 @@ def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition, *,
     if comp is None:
         comp = decomp.local_index_tables()
     g = cost.row
-    return value_split_defect(g, [[g[e] for e in emb] for emb in embedding], comp) is None
+    return value_split_defect(g, [reader(emb)(g) for emb in embedding], comp) is None
 
 
 def value_split_defect(table: Sequence[int], part_tables: Sequence[Sequence[int]],
@@ -765,10 +762,10 @@ def value_split_defect(table: Sequence[int], part_tables: Sequence[Sequence[int]
     return next(x for x, (v, s) in enumerate(zip(table, total)) if v != s)
 
 
-def _part_sums(part_tables: Sequence[Sequence], comp: Sequence[Sequence[int]]) -> list:
+def _part_sums(part_tables: Sequence[Sequence], comp: Sequence[Sequence[int]]) -> Sequence:
     """part_tables[0][comp[0][x]] + part_tables[1][comp[1][x]] + ... at
     every state x: the sum of the part values at x's components."""
-    total = list(map(part_tables[0].__getitem__, comp[0]))
+    total = reader(comp[0])(part_tables[0])
     for part, c in zip(part_tables[1:], comp[1:]):
-        total = list(map(add, total, map(part.__getitem__, c)))
+        total = list(map(add, total, reader(c)(part)))
     return total

@@ -23,6 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
+from .cosets import reader
 from .dp import ArgminTable, CostFunction, DPInstance, FiniteHorizon, ValueTable, is_in_Gs, solve
 from .errors import NotSeparableCost
 from .invariant_decomp import verify_decomposition
@@ -111,7 +112,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
                                      ncols=part.dim)
         b_projected = MatrixFp.from_rows(field, [local_B.row(k) for k in rows], ncols=inst.m)
         cost_local = CostFunction(
-            field, part.dim, [inst.cost.table[e] for e in emb],
+            field, part.dim, reader(emb)(inst.cost.table),
             allow_vanishing=inst.cost.allow_vanishing)
         restricted.append(DPInstance(
             a_local, b_projected @ feasible.basis_matrix(), cost_local, inst.horizon,

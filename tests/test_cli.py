@@ -134,6 +134,17 @@ def test_rational_flags_refuse_alike(worked_path, capsys, flag):
     assert err == "error: not a rational: '0.5'\n"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_non_positive_tol_exits_2_before_loading(tmp_path, worked_path, capsys, tol):
+    """--tol is refused where it is parsed, whatever the horizon: before the
+    instance file is read, and with a finite horizon, which never uses it."""
+    rc, out, err = run(capsys, "solve", str(tmp_path / "missing.json"), "--tol", tol)
+    assert (rc, out, err) == (2, "", f"error: --tol must be positive, got {tol}\n")
+    rc, out, err = run(capsys, "solve", worked_path, "--horizon", "finite", "--T", "2",
+                       "--tol", tol)
+    assert (rc, out, err) == (2, "", f"error: --tol must be positive, got {tol}\n")
+
+
 # === decompose ===
 
 def test_decompose_text(worked_path, capsys):

@@ -1,8 +1,7 @@
 """The benchmark's tracer patches dpdecomp functions and methods by name;
 every name it lists must still resolve, or a traced run breaks.  It also
-reads two structural facts these tests pin down: the exact solvers and the
-battery never build the per-(state, input) transitions table, and policy
-iteration evaluates its policies through dp.evaluate_stationary_policy."""
+reads a structural fact these tests pin down: the exact solvers and the
+battery never build the per-(state, input) transitions table."""
 
 import importlib
 import importlib.util
@@ -77,17 +76,3 @@ def test_solvers_and_battery_leave_transitions_unbuilt():
         run_battery(inst, decomp, family="both")
         assert inst._trans is None
 
-
-def test_policy_iteration_evaluates_through_module_global(monkeypatch):
-    # the traced run counts these calls as policy iteration's stages
-    calls = []
-    original = dp.evaluate_stationary_policy
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(dp, "evaluate_stationary_policy", counting)
-    inst, _ = _split_instance(DiscountedHorizon(Fraction(1, 2)))
-    dp.solve_discounted_pi(inst)
-    assert calls

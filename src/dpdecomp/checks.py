@@ -116,18 +116,22 @@ def _input_span(bundle: SubproblemBundle) -> frozenset[int]:
     return frozenset(index_map(bundle.input_span.basis_matrix()))
 
 
-def _input_images(bundle: SubproblemBundle) -> tuple[list[list[int]], list[int]]:
+def _input_images(bundle: SubproblemBundle
+                  ) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
     """Images in adapted coordinates (the parts' local coordinates,
     concatenated): for each part, every input through B and that part's
     projection; and every input through B itself.  Each part owns its own
     digits there, so the image of a tuple of inputs, one per part, is the
-    integer sum of their images and compares directly with B u."""
-    projected = []
+    integer sum of their images and compares directly with B u.  Also each
+    part's digit block (lo, hi): the part's digits of an adapted index a
+    are a % hi - a % lo."""
+    projected, blocks = [], []
     weight = 1
     for part, sub in zip(bundle.decomp.parts, bundle.projected):
         projected.append([weight * y for y in index_map(sub.B)])
-        weight *= bundle.parent.field.p**part.dim
-    return projected, index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B)
+        blocks.append((weight, weight * bundle.parent.field.p**part.dim))
+        weight = blocks[-1][1]
+    return projected, index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B), blocks
 
 
 def _value_witness(bundle: SubproblemBundle, x: int, parent_values: ValueTable,
@@ -235,7 +239,7 @@ def check_stationary_selector(bundle: SubproblemBundle, argmin: ArgminTable
 def check_additive(bundle: SubproblemBundle,
                    parent_solution: tuple[ValueTable, ArgminTable],
                    restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]],
-                   defect: int | None, rng: random.Random | None = None
+                   defect: int | None, rng: random.Random
                    ) -> tuple[bool, dict[str, Any] | None]:
     """Additive decomposition verdict: parent value equals the sum of the
     restricted subproblem values at the state's components, every state.
@@ -248,8 +252,7 @@ def check_additive(bundle: SubproblemBundle,
     parent_values, _ = parent_solution
     if defect is not None:
         return False, _value_witness(bundle, defect, parent_values, restricted_solutions)
-    _spot_check_lift(bundle, parent_values, restricted_solutions,
-                     rng or random.Random(0))
+    _spot_check_lift(bundle, parent_values, restricted_solutions, rng)
     return True, None
 
 
@@ -300,11 +303,7 @@ def check_componentwise(bundle: SubproblemBundle,
     if defect is not None:
         return False, _value_witness(bundle, defect, parent_values, projected_solutions)
 
-    images, bu_adapted = _input_images(bundle)
-    blocks, weight = [], 1  # each part's digits of an adapted index a: a % hi - a % lo
-    for part in bundle.decomp.parts:
-        blocks.append((weight, weight * bundle.parent.field.p**part.dim))
-        weight = blocks[-1][1]
+    images, bu_adapted, blocks = _input_images(bundle)
 
     def first_missed(key: tuple[frozenset[int], ...]) -> tuple[list[int], int] | None:
         parent_set, *local_sets = key
@@ -503,15 +502,13 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
         report.notes.append(
             "stage cost vanishes off the zero state; assertions whose proofs "
             "need strict positivity are skipped")
-    else:
-        _assert_positivity_props(inst, parent_solution)
+    _assert_positivity_props(inst, parent_solution)
     _assert_min_over_parts(bundle)
 
     if family in ("restricted", "both"):
         restricted_solutions = solve_bundle(bundle, "restricted")
-        if strict:
-            for sub, sol in zip(bundle.restricted, restricted_solutions):
-                _assert_positivity_props(sub, sol)
+        for sub, sol in zip(bundle.restricted, restricted_solutions):
+            _assert_positivity_props(sub, sol)
         if finite:
             cond, witness = check_minimizer_condition(bundle, parent_solution[1])
             report.minimizer_condition = cond
@@ -561,9 +558,8 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
 
     if family in ("projected", "both"):
         projected_solutions = solve_bundle(bundle, "projected")
-        if strict:
-            for sub, sol in zip(bundle.projected, projected_solutions):
-                _assert_positivity_props(sub, sol)
+        for sub, sol in zip(bundle.projected, projected_solutions):
+            _assert_positivity_props(sub, sol)
         report.componentwise_holds, report.componentwise_witness = check_componentwise(
             bundle, parent_solution, projected_solutions)
 
@@ -635,7 +631,7 @@ def _tuple_witness_confirmed(bundle: SubproblemBundle, w: dict[str, Any],
     comp = bundle.component_state_tables()
     if any(a not in subs[i][1].per_time[t_idx][comp[i][x]] for i, a in enumerate(chosen)):
         return False
-    images, bu_adapted = _input_images(bundle)
+    images, bu_adapted, _ = _input_images(bundle)
     target = sum(images[i][a] for i, a in enumerate(chosen))
     if target in {bu_adapted[u] for u in parent_argmin.per_time[t_idx][x]}:
         return False
@@ -644,16 +640,14 @@ def _tuple_witness_confirmed(bundle: SubproblemBundle, w: dict[str, Any],
 
 
 def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
-                     report: DecompositionReport | dict[str, Any]) -> dict[str, bool]:
+                     report: DecompositionReport) -> dict[str, bool]:
     """Re-derive every witness recorded in a report from scratch.
 
     Returns a map from witness field name to whether it still certifies the
     recorded failure.  An empty map means the report carries no witnesses.
     A report for another prime or other dimensions, or a malformed witness,
-    raises ValueError.
+    raises ValueError.  A report read from JSON goes through report_from_dict.
     """
-    if isinstance(report, dict):
-        report = report_from_dict(report)
     p = inst.field.p
     if (report.prime, report.n, report.m) != (p, inst.n, inst.m):
         raise ValueError(
@@ -664,14 +658,11 @@ def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
     parent_values, parent_argmin = solve(inst)
     span = _input_span(bundle)
 
-    if report.minimizer_witness is not None:
-        w = report.minimizer_witness
-        x = _witness_state(w, inst)
-        out["minimizer_witness"] = span.isdisjoint(
-            parent_argmin.per_time[_witness_time(w, inst)][x])
-    if report.stationary_selector_witness is not None:
-        x = _witness_state(report.stationary_selector_witness, inst)
-        out["stationary_selector_witness"] = span.isdisjoint(parent_argmin.stationary[x])
+    for name in ("minimizer_witness", "stationary_selector_witness"):
+        w = getattr(report, name)
+        if w is not None:
+            x = _witness_state(w, inst)
+            out[name] = span.isdisjoint(parent_argmin.per_time[_witness_time(w, inst)][x])
     if report.additive_witness is not None:
         out["additive_witness"] = _value_witness_confirmed(
             bundle, report.additive_witness, parent_values, solve_bundle(bundle, "restricted"))

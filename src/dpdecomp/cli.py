@@ -274,21 +274,16 @@ def cmd_lqr(args: argparse.Namespace) -> int:
     from .lqr import block_diagonal_check, riccati_backward, trajectory_cost
     data = load_lqr_block(_read_json(args.instance))
     _guard(args, data["T"], GUARD_LQR_T, f"lqr.T is {data['T']}")
-    A = np.array(data["A"], dtype=float)
-    B = np.array(data["B"], dtype=float)
-    P = np.array(data["P"], dtype=float)
-    T = data["T"]
+    A, B, P, T = data["A"], data["B"], data["P"], data["T"]
     sol = riccati_backward(A, B, P, T)
-    n = A.shape[0]
-    x0 = (np.array(data["x0"], dtype=float) if data["x0"] is not None
-          else np.ones(n))
+    n = len(A)
+    x0 = np.array(data["x0"] if data["x0"] is not None else [1.0] * n, dtype=float)
     predicted = float(x0 @ sol.K[0] @ x0)
     cost_std = trajectory_cost(A, B, P, sol.gains_std, x0)
     cost_disp = trajectory_cost(A, B, P, sol.gains, x0)
     block = None
     if data["parts"] is not None:
-        parts = [np.array(pmat, dtype=float) for pmat in data["parts"]]
-        block = block_diagonal_check(A, B, P, parts, T, tol=data["tol"])
+        block = block_diagonal_check(A, B, P, data["parts"], T, tol=data["tol"])
     if args.json:
         _emit({
             "T": T,

@@ -680,14 +680,12 @@ def solve_discounted_vi(inst: DPInstance, tol: Fraction) -> ValueIterationResult
         mn, md = frame.minima(current, dens)[2:]
         new, new_dens = _step(map(mul, g, repeat(power)), q, cost.den_bits,
                               [a * v for v in mn], md, frame.by_coset)
-        # the old iterate over the new scale is b·current
-        if dens is None:
-            delta = max(map(abs, map(sub, new, map(mul, current, repeat(b)))))
-            done = delta * tol.denominator <= tol.numerator * power * cost.scale
-        else:  # |new / new_dens - b·current / dens| <= tol·power at every state
-            done = all(map(le, map(mul, map(abs, map(sub, map(mul, new, dens), map(
-                mul, map(mul, current, repeat(b)), new_dens))), repeat(tol.denominator)),
-                map(mul, map(mul, new_dens, dens), repeat(tol.numerator * power))))
+        # the old iterate over the new scale is b·current, and a narrow row's
+        # denominators are all L: |new / nd - b·current / d| <= tol·power
+        d, nd = dens or repeat(cost.scale), new_dens or repeat(cost.scale)
+        done = all(map(le, map(mul, map(abs, map(sub, map(mul, new, d), map(
+            mul, map(mul, current, repeat(b)), nd))), repeat(tol.denominator)),
+            map(mul, map(mul, nd, d), repeat(tol.numerator * power))))
         current, dens = new, new_dens
         iterations += 1
         if done:

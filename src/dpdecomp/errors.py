@@ -31,10 +31,6 @@ class NotDecomposable(Exception):
 class NotDirectSum(Exception):
     """Candidate parts fail to form a direct sum spanning the ambient space."""
 
-    def __init__(self, message: str, part_index: int | None = None):
-        self.part_index = part_index
-        super().__init__(message)
-
 
 class NotInvariant(Exception):
     """A candidate part is not invariant under the dynamics matrix."""

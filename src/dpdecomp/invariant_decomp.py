@@ -20,7 +20,6 @@ from .fields import Poly, PrimeField
 from .linalg import (
     DirectSumDecomposition,
     MatrixFp,
-    Subspace,
     is_invariant,
     null_space,
     poly_eval_matrix,
@@ -170,17 +169,14 @@ def primary_decomposition(A: MatrixFp) -> tuple[DirectSumDecomposition, CharPoly
     return DirectSumDecomposition(parts), fact
 
 
-def verify_decomposition(A: MatrixFp, parts: list[Subspace] | DirectSumDecomposition) -> bool:
-    """Certify that the parts form an A-invariant direct sum of the whole space.
+def verify_decomposition(A: MatrixFp, decomp: DirectSumDecomposition) -> bool:
+    """Certify that the parts of a direct sum (which DirectSumDecomposition
+    enforces) are A-invariant.
 
     Accepts any invariant splitting, including ones finer than the primary
-    decomposition.  Raises NotDirectSum or NotInvariant (with the offending
-    part index) on failure; returns True on success.
+    decomposition.  Raises NotInvariant (with the offending part index) on
+    failure; returns True on success.
     """
-    if isinstance(parts, DirectSumDecomposition):
-        decomp = parts
-    else:
-        decomp = DirectSumDecomposition(parts)  # raises NotDirectSum if not direct
     if A.nrows != A.ncols or A.nrows != decomp.ambient_dim:
         raise ShapeError("A must be square over the ambient space of the parts")
     for i, part in enumerate(decomp.parts):

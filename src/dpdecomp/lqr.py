@@ -112,18 +112,6 @@ def _orthonormal(basis: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def _off_block_max(M: np.ndarray, row_offsets, row_dims, col_offsets, col_dims) -> float:
-    worst = 0.0
-    for i, (ro, rd) in enumerate(zip(row_offsets, row_dims)):
-        for j, (co, cd) in enumerate(zip(col_offsets, col_dims)):
-            if i == j or rd == 0 or cd == 0:
-                continue
-            block = M[ro : ro + rd, co : co + cd]
-            if block.size:
-                worst = max(worst, float(np.abs(block).max()))
-    return worst
-
-
 def block_diagonal_check(A, B, P, parts, T: int, tol: float = 1e-9) -> bool:
     """Does the regulator respect an invariant splitting, block by block?
 
@@ -188,28 +176,23 @@ def block_diagonal_check(A, B, P, parts, T: int, tol: float = 1e-9) -> bool:
     B_t = np.linalg.solve(S, B @ M)
     P_t = S.T @ P @ S
 
-    state_offsets = np.concatenate(([0], np.cumsum(dims)))[:-1]
-    input_offsets = np.concatenate(([0], np.cumsum(input_dims)))[:-1]
+    # each adapted state and input coordinate carries the label of its part
+    states = np.repeat(np.arange(len(mats)), dims)
+    inputs = np.repeat(np.arange(len(mats)), input_dims)
 
-    if _off_block_max(P_t, state_offsets, dims, state_offsets, dims) > tol:
+    def block_diagonal(M: np.ndarray, rows: np.ndarray) -> bool:
+        return not (np.abs(M[np.not_equal.outer(rows, states)]) > tol).any()
+
+    if not block_diagonal(P_t, states):
         return False
     sol = riccati_backward(A_t, B_t, P_t, T)
-    for K in sol.K:
-        if _off_block_max(K, state_offsets, dims, state_offsets, dims) > tol:
-            return False
-    for stack in (sol.gains, sol.gains_std):
-        for L in stack:
-            if _off_block_max(L, input_offsets, input_dims, state_offsets, dims) > tol:
-                return False
+    if not (all(block_diagonal(K, states) for K in sol.K)
+            and all(block_diagonal(L, inputs) for L in sol.gains + sol.gains_std)):
+        return False
     for i in range(len(mats)):
-        so, sd = state_offsets[i], dims[i]
-        io, idim = input_offsets[i], input_dims[i]
-        A_i = A_t[so : so + sd, so : so + sd]
-        B_i = B_t[so : so + sd, io : io + idim]
-        P_i = P_t[so : so + sd, so : so + sd]
-        sol_i = riccati_backward(A_i, B_i, P_i, T)
-        for t in range(T + 1):
-            block = sol.K[t][so : so + sd, so : so + sd]
-            if float(np.abs(block - sol_i.K[t]).max()) > tol:
-                return False
+        s, u = np.flatnonzero(states == i), np.flatnonzero(inputs == i)
+        sol_i = riccati_backward(A_t[np.ix_(s, s)], B_t[np.ix_(s, u)], P_t[np.ix_(s, s)], T)
+        if any(float(np.abs(K[np.ix_(s, s)] - K_i).max()) > tol
+               for K, K_i in zip(sol.K, sol_i.K)):
+            return False
     return True

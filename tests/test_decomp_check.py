@@ -174,11 +174,12 @@ def test_verify_witnesses_rejects_tampering():
     report = run_battery(inst, decomp)
     data = report.to_dict()
     data["additive_witness"]["parent_value"] = "3"
-    results = verify_witnesses(inst, decomp, data)
+    results = verify_witnesses(inst, decomp, report_from_dict(data))
     assert results["additive_witness"] is False
     data2 = run_battery(inst, decomp).to_dict()
     data2["stationary_selector_witness"]["state"] = [0, 0]
-    assert verify_witnesses(inst, decomp, data2)["stationary_selector_witness"] is False
+    results = verify_witnesses(inst, decomp, report_from_dict(data2))
+    assert results["stationary_selector_witness"] is False
 
 
 def test_verify_witnesses_empty_without_failures():
@@ -195,6 +196,83 @@ def test_verify_witnesses_empty_without_failures():
     assert report.range_condition is True
     assert report.invertible_equivalence is True
     assert verify_witnesses(inst, decomp, report) == {}
+
+
+def test_verify_witnesses_refuses_a_time_its_horizon_lacks():
+    """A stationary-selector witness carries no time, and a minimizer
+    witness's time lies in [0, T): a report that breaks either is refused."""
+    inst, decomp = make_coupled_discounted()
+    report = run_battery(inst, decomp)
+    report.stationary_selector_witness["t"] = 0
+    with pytest.raises(ValueError, match="null for a discounted horizon"):
+        verify_witnesses(inst, decomp, report)
+    inst, decomp = make_parent(FiniteHorizon(1))
+    for t in (1, -1, None):
+        report = DecompositionReport(
+            prime=3, n=3, m=2, horizon={}, family="restricted", range_condition=False,
+            input_space_is_sum_of_parts=False, A_invertible=False,
+            minimizer_witness={"state": [0, 1, 0], "t": t})
+        with pytest.raises(ValueError, match=r"witness t must be an integer in \[0, 1\)"):
+            verify_witnesses(inst, decomp, report)
+
+
+def test_horizon_checks_refuse_the_other_horizon():
+    for horizon, check in ((DiscountedHorizon(HALF), checks.check_minimizer_condition),
+                           (FiniteHorizon(1), checks.check_stationary_selector)):
+        inst, decomp = make_parent(horizon)
+        with pytest.raises(ValueError, match="applies to"):
+            check(build_bundle(inst, decomp), solve(inst)[1])
+
+
+def _instance_document(inst, decomp):
+    def rows(M):
+        return [list(M.row(i)) for i in range(M.nrows)]
+    horizon = ({"finite": {"T": inst.horizon.T}} if isinstance(inst.horizon, FiniteHorizon)
+               else {"discounted": {"alpha": str(inst.horizon.alpha)}})
+    return {"field": {"prime": inst.field.p}, "dims": {"n": inst.n, "m": inst.m},
+            "A": rows(inst.A), "B": rows(inst.B),
+            "decomposition": [rows(part.basis_matrix()) for part in decomp.parts],
+            "cost": {"table": [str(v) for v in inst.cost.table], "allow_vanishing": True},
+            "horizon": horizon}
+
+
+def test_cli_witness_round_trip_on_seeded_batteries(tmp_path, capsys):
+    """check --json, then check --verify-witness on the saved report: every
+    witness is confirmed.  A copy with one witness changed exits 2 and names
+    that witness FAILED: a value witness's parent value, a tuple witness's
+    target, or a minimizer or selector witness's state, moved to the zero
+    state, where the zero input is optimal and inside every span."""
+    path, saved = tmp_path / "instance.json", tmp_path / "report.json"
+    tampered = set()
+    rng = random.Random(2020)
+    for _ in range(40):
+        inst, decomp = random_battery(rng)
+        path.write_text(json.dumps(_instance_document(inst, decomp)))
+        assert cli.main(["check", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = [name for name in report if name.endswith("_witness") and report[name]]
+        saved.write_text(json.dumps(report))
+        assert cli.main(["check", str(path), "--verify-witness", str(saved)]) == 0
+        out = capsys.readouterr().out
+        assert all(f"witness {name}: confirmed" in out for name in names)
+        for name in names:
+            changed = json.loads(json.dumps(report))
+            w = changed[name]
+            if w.get("kind") == "value":
+                w["parent_value"] = str(Fraction(w["parent_value"]) + 1)
+            elif w.get("kind") == "tuple":
+                w["target"][0] = (w["target"][0] + 1) % inst.field.p
+            else:
+                w["state"] = [0] * inst.n
+            saved.write_text(json.dumps(changed))
+            assert cli.main(["check", str(path), "--verify-witness", str(saved)]) == 2
+            out = capsys.readouterr().out
+            assert f"witness {name}: FAILED" in out
+            assert out.count("FAILED") == 1
+            tampered.add((next(iter(report["horizon"])), w.get("kind", name)))
+    assert {("finite", "tuple"), ("finite", "minimizer_witness"),
+            ("discounted", "stationary_selector_witness")} <= tampered
+    assert "value" in {kind for _, kind in tampered}
 
 
 # === report plumbing ===
@@ -330,7 +408,7 @@ def oracle_check_componentwise(bundle, parent_solution, projected_solutions):
     if defect is not None:
         return False, checks._value_witness(bundle, defect, parent_values, projected_solutions)
     comp = bundle.component_state_tables()
-    images, bu_adapted = checks._input_images(bundle)
+    images, bu_adapted, _ = checks._input_images(bundle)
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
     for t in range(bundle.parent.horizon.T) if finite else (None,):
         for x in range(bundle.parent.num_states):

@@ -304,8 +304,8 @@ def test_primary_decomposition_matches_recorded_outputs(p):
 
 def test_verify_rejects_non_invariant():
     A = MatrixFp.from_rows(F3, [[1, 1, 0], [0, 2, 0], [0, 0, 1]])
-    parts = [Subspace(F3, 3, [(0, 1, 0)]),
-             Subspace(F3, 3, [(1, 0, 0), (0, 0, 1)])]
+    parts = DirectSumDecomposition([Subspace(F3, 3, [(0, 1, 0)]),
+                                    Subspace(F3, 3, [(1, 0, 0), (0, 0, 1)])])
     with pytest.raises(NotInvariant) as exc:
         verify_decomposition(A, parts)
     assert exc.value.part_index == 0
@@ -321,5 +321,5 @@ def test_verify_rejects_shape_mismatch():
 
 def test_verify_accepts_finer_splitting():
     A = MatrixFp.identity(F3, 2)
-    parts = [Subspace(F3, 2, [(1, 0)]), Subspace(F3, 2, [(0, 1)])]
+    parts = DirectSumDecomposition([Subspace(F3, 2, [(1, 0)]), Subspace(F3, 2, [(0, 1)])])
     assert verify_decomposition(A, parts)

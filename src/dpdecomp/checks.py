@@ -54,8 +54,7 @@ from .dp import (
     value_split_defect,
 )
 from .errors import TheoremViolation
-from .linalg import (DirectSumDecomposition, Subspace, column_space, index_map, subspace_intersect,
-                     subspace_sum)
+from .linalg import DirectSumDecomposition, column_space, index_map, subspace_intersect
 from .subproblems import SubproblemBundle, build_bundle, lift_policy, solve_bundle
 
 SCHEMA_VERSION = "1.0"
@@ -184,12 +183,11 @@ def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
     its input-space restatement (the feasible input subspaces sum to the
     whole input space); the two are a theorem apart, so disagreement is a
     hard error."""
-    B = bundle.parent.B
-    image = column_space(B)
-    total = Subspace.zero(B.field, B.nrows)
-    for part in bundle.decomp.parts:
-        total = subspace_sum(total, subspace_intersect(image, part))
-    range_condition = total == image
+    image = column_space(bundle.parent.B)
+    # the parts are independent, so the meets of im B with them sum to im B
+    # exactly when their dimensions do
+    range_condition = (sum(subspace_intersect(image, part).dim for part in bundle.decomp.parts)
+                       == image.dim)
     input_space_is_sum = bundle.input_span.dim == bundle.parent.m
     if range_condition != input_space_is_sum:
         raise TheoremViolation(
@@ -261,16 +259,9 @@ def _spot_check_lift(bundle: SubproblemBundle, parent_values: ValueTable,
                      rng: random.Random) -> None:
     """Lift one random tuple of subproblem-optimal selectors and evaluate it."""
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
-    selections = []
-    for _, sub_argmin in restricted_solutions:
-        if finite:
-            selections.append([
-                [rng.choice(sorted(actions)) for actions in row]
-                for row in sub_argmin.per_time])
-        else:
-            selections.append(
-                [rng.choice(sorted(actions)) for actions in sub_argmin.stationary])
-    law = lift_policy(bundle, "restricted", selections)
+    selections = [[[rng.choice(sorted(actions)) for actions in row] for row in sub_argmin.per_time]
+                  for _, sub_argmin in restricted_solutions]
+    law = lift_policy(bundle, "restricted", selections if finite else [s[0] for s in selections])
     evaluate = evaluate_time_varying if finite else evaluate_stationary_policy
     if not evaluate(bundle.parent, law).agrees(parent_values, 0):
         raise TheoremViolation(
@@ -401,7 +392,7 @@ def _assert_value_separability(bundle: SubproblemBundle,
     split is the restricted split already decided in `defects`; at time T
     it is the cost's own separability, which build_bundle enforces."""
     scale = math.lcm(parent_values.scale, *(sol[0].scale for sol in restricted_solutions))
-    reads = list(map(reader, bundle.embedding_tables))
+    reads = list(map(reader, bundle.decomp.embedding_tables))
     for t in range(len(parent_values.nums)):
         parent_t = parent_values.at_scale(t, scale)
         if any(sol[0].at_scale(t, scale) != read(parent_t)
@@ -621,8 +612,8 @@ def _tuple_witness_confirmed(bundle: SubproblemBundle, w: dict[str, Any],
     x = _witness_state(w, inst)
     t_idx = _witness_time(w, inst)
     actions = w.get("actions")
-    if not isinstance(actions, list) or len(actions) != bundle.r:
-        raise ValueError(f"witness actions must list one input per part ({bundle.r})")
+    if not isinstance(actions, list) or len(actions) != bundle.decomp.r:
+        raise ValueError(f"witness actions must list one input per part ({bundle.decomp.r})")
     chosen = [_witness_index(a, inst.m, p, "action") for a in actions]
     recorded = w.get("target")
     if recorded is not None:

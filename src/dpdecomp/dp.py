@@ -213,7 +213,7 @@ class CostFunction:
                 raise ValueError(f"part {i} table must have {want} entries")
             tables.append(vals)
 
-        table = _part_sums(tables, decomp.local_index_tables())
+        table = _part_sums(tables, decomp.local_index_tables)
         return cls(field, decomp.ambient_dim, table, allow_vanishing=allow_vanishing)
 
 
@@ -729,20 +729,14 @@ def evaluate_time_varying(inst: DPInstance, law: Sequence[Sequence[int]]) -> Val
     return ValueTable(inst.horizon, nums, cost.scale, dens)
 
 
-def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition, *,
-             embedding: Sequence[Sequence[int]] | None = None,
-             comp: Sequence[Sequence[int]] | None = None) -> bool:
+def is_in_Gs(cost: CostFunction, decomp: DirectSumDecomposition) -> bool:
     """Exhaustive separability test: g(x) equals the sum of g over the
-    components of x for every state.  embedding and comp, when given, are
-    decomp's embedding_tables() and local_index_tables()."""
+    components of x for every state."""
     if decomp.field != cost.field or decomp.ambient_dim != cost.n:
         raise ValueError("decomposition does not match the cost's state space")
-    if embedding is None:
-        embedding = decomp.embedding_tables()
-    if comp is None:
-        comp = decomp.local_index_tables()
     g = cost.row
-    return value_split_defect(g, [reader(emb)(g) for emb in embedding], comp) is None
+    return value_split_defect(
+        g, [reader(emb)(g) for emb in decomp.embedding_tables], decomp.local_index_tables) is None
 
 
 def value_split_defect(table: Sequence[int], part_tables: Sequence[Sequence[int]],

@@ -190,9 +190,9 @@ _SHAPES = ("a number", "a list of numbers", "a matrix (list of rows)", "a list o
 
 def _reals(value: Any, depth: int, name: str) -> Any:
     """value as a float (depth 0) or as lists of floats nested depth deep.
-    Only finite JSON numbers count: a string, a boolean, NaN, an infinity or
-    an integer too large for a float is a ValueError naming the field and
-    its shape."""
+    Only finite JSON numbers count: a string, a boolean, NaN, an infinity,
+    an integer too large for a float or a matrix with rows of unequal
+    lengths is a ValueError naming the field and its shape."""
     try:
         if depth == 0:
             # NaN fails the comparison; an int compares exactly, so one that
@@ -201,7 +201,9 @@ def _reals(value: Any, depth: int, name: str) -> Any:
                     and abs(value) <= sys.float_info.max):
                 return float(value)
         elif isinstance(value, list):
-            return [_reals(v, depth - 1, name) for v in value]
+            out = [_reals(v, depth - 1, name) for v in value]
+            if depth != 2 or len(set(map(len, out))) <= 1:
+                return out
     except ValueError:
         pass
     raise ValueError(f"{name} must be {_SHAPES[depth]}")
@@ -228,4 +230,6 @@ def load_lqr_block(data: dict[str, Any]) -> dict[str, Any]:
     if out["tol"] <= 0:
         raise ValueError("lqr.tol must be positive")
     out["x0"] = _reals(x0, 1, "lqr.x0") if x0 is not None else None
+    if x0 is not None and len(out["x0"]) != len(out["A"]):
+        raise ValueError(f"lqr.x0 must list {len(out['A'])} numbers, one per state")
     return out

@@ -297,10 +297,6 @@ class Subspace:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pivots", tuple(pivots))
 
-    @classmethod
-    def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim)
-
     @property
     def dim(self) -> int:
         return len(self._rows)
@@ -365,16 +361,12 @@ def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
 
 
 def subspace_intersect(S: Subspace, T: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked system [S_basis | T_basis]."""
+    """S's basis applied to the coordinates that it maps into T."""
     if S.field != T.field or S.ambient_dim != T.ambient_dim:
         raise ShapeError("subspaces live in different ambient spaces")
-    if S.dim == 0 or T.dim == 0:
-        return Subspace.zero(S.field, S.ambient_dim)
-    stacked = S.basis_matrix().hstack(T.basis_matrix())
-    kernel = null_space(stacked)
     sbasis = S.basis_matrix()
-    vectors = [sbasis.matvec(w[: S.dim]) for w in kernel.basis_vectors()]
-    return Subspace(S.field, S.ambient_dim, vectors)
+    return Subspace(S.field, S.ambient_dim,
+                    map(sbasis.matvec, preimage(sbasis, T).basis_vectors()))
 
 
 def preimage(M: MatrixFp, S: Subspace) -> Subspace:
@@ -401,7 +393,8 @@ class DirectSumDecomposition:
     """An ordered splitting of GF(p)^n into at least two independent parts.
 
     Carries the change-of-basis matrix formed by concatenating part bases and
-    its inverse, so component extraction is a solve done once.  Equal parts
+    its inverse, so component extraction is a solve done once, and its two
+    per-part state tables, built on first use and then kept.  Equal parts
     make equal splittings; every other attribute is derived from them.
     """
 
@@ -452,11 +445,13 @@ class DirectSumDecomposition:
         at, dim = self._offsets[i], self.parts[i].dim
         return MatrixFp(self.field, dim, n, self.change_of_basis_inv.entries[at * n:(at + dim) * n])
 
+    @functools.cached_property
     def local_index_tables(self) -> list[list[int]]:
         """For each part, the index of the part-local coordinates of every
         ambient state."""
         return [index_map(self.coordinates(i)) for i in range(self.r)]
 
+    @functools.cached_property
     def embedding_tables(self) -> list[list[int]]:
         """For each part, the ambient index of every part-local state."""
         return [index_map(s.basis_matrix()) for s in self.parts]

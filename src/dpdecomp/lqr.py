@@ -62,8 +62,8 @@ def riccati_backward(A, B, P, T: int) -> RiccatiSolution:
     """Run the backward recursion from K_T = P down to K_0.
 
     P must be symmetric positive semidefinite (symmetry is enforced up to
-    rounding; definiteness is the caller's contract).  Raises IllConditioned
-    when B'K_{t+1}B is numerically singular.
+    rounding at P's scale; definiteness is the caller's contract).  Raises
+    IllConditioned when B'K_{t+1}B is numerically singular.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -75,7 +75,7 @@ def riccati_backward(A, B, P, T: int) -> RiccatiSolution:
         raise ValueError("B must have as many rows as A")
     if P.shape != (n, n):
         raise ValueError("P must match A in shape")
-    if not np.allclose(P, P.T, atol=1e-9):
+    if not np.allclose(P, P.T, atol=1e-9 * np.abs(P).max(initial=1.0)):
         raise ValueError("P must be symmetric")
     if not isinstance(T, int) or T < 1:
         raise ValueError("T must be an integer >= 1")

@@ -19,7 +19,6 @@ embedding.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -42,23 +41,7 @@ class SubproblemBundle:
     complement: Subspace
     restricted: list[DPInstance]
     projected: list[DPInstance]
-    # per part: the local index of every parent state's component, and the
-    # parent index of every local state (DirectSumDecomposition's tables)
-    component_tables: list[list[int]]
-    embedding_tables: list[list[int]]
-    input_span: Subspace = dataclasses.field(init=False)
-
-    def __post_init__(self):
-        spanning = [b for e in self.input_parts for b in e.basis_vectors()]
-        object.__setattr__(self, "input_span", Subspace(self.parent.field, self.parent.m, spanning))
-
-    @property
-    def r(self) -> int:
-        return self.decomp.r
-
-    def input_basis(self, i: int) -> MatrixFp:
-        """Embedding of part i's feasible input coordinates into the input space."""
-        return self.input_parts[i].basis_matrix()
+    input_span: Subspace  # the span of input_parts
 
     def family(self, name: Family) -> list[DPInstance]:
         if name == "restricted":
@@ -70,7 +53,7 @@ class SubproblemBundle:
     def component_state_tables(self) -> list[list[int]]:
         """For each part, the local state index of every parent state's
         component."""
-        return self.component_tables
+        return self.decomp.local_index_tables
 
 
 def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> SubproblemBundle:
@@ -83,9 +66,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     if decomp.field != inst.field or decomp.ambient_dim != inst.n:
         raise ValueError("splitting does not match the parent state space")
     verify_decomposition(inst.A, decomp)
-    embedding = decomp.embedding_tables()
-    comp = decomp.local_index_tables()
-    if not is_in_Gs(inst.cost, decomp, embedding=embedding, comp=comp):
+    if not is_in_Gs(inst.cost, decomp):
         raise NotSeparableCost(
             "stage cost is not additive across the given parts")
 
@@ -95,6 +76,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     # complement of the feasible-input span, grown greedily from standard
     # basis vectors: the pivots of [E_1 ... E_r | I] that fall in I
     spanning = [b for e in input_parts for b in e.basis_vectors()]
+    input_span = Subspace(field, inst.m, spanning)
     eye = MatrixFp.identity(field, inst.m)
     _, _, pivots = rref(MatrixFp.from_cols(field, spanning + eye.cols(), nrows=inst.m))
     complement = Subspace(field, inst.m, [eye.col(j - len(spanning))
@@ -105,7 +87,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     local_A = decomp.change_of_basis_inv @ inst.A @ decomp.change_of_basis
     local_B = decomp.change_of_basis_inv @ inst.B
     restricted, projected, at = [], [], 0
-    for part, feasible, emb in zip(decomp.parts, input_parts, embedding):
+    for part, feasible, emb in zip(decomp.parts, input_parts, decomp.embedding_tables):
         rows = range(at, at + part.dim)
         at += part.dim
         a_local = MatrixFp.from_rows(field, [local_A.row(k)[rows.start:at] for k in rows],
@@ -121,7 +103,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
             a_local, b_projected, cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))
     return SubproblemBundle(inst, decomp, input_parts, complement, restricted, projected,
-                            comp, embedding)
+                            input_span)
 
 
 def solve_bundle(bundle: SubproblemBundle, family: Family) -> list[tuple[ValueTable, ArgminTable]]:
@@ -145,8 +127,8 @@ def lift_policy(bundle: SubproblemBundle, family: Family,
     parent = bundle.parent
     p, m = parent.field.p, parent.m
     # each part's action indices as parent input indices
-    embed = ([index_map(bundle.input_basis(i)) for i in range(bundle.r)]
-             if family == "restricted" else [range(parent.num_inputs)] * bundle.r)
+    embed = ([index_map(e.basis_matrix()) for e in bundle.input_parts]
+             if family == "restricted" else [range(parent.num_inputs)] * bundle.decomp.r)
     comp = bundle.component_state_tables()
 
     def lift(choices: Sequence[Sequence[int]]) -> list[int]:

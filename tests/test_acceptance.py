@@ -250,7 +250,7 @@ def test_criterion_1_lifted_subproblem_optimizers(criterion):
         _, parent_argmin = solve_finite(inst)
         _, sub_argmin = solve_bundle(bundle, "restricted")[1]
         comp = bundle.component_state_tables()
-        basis = bundle.input_basis(1)
+        basis = bundle.input_parts[1].basis_matrix()
         for x in range(inst.num_states):
             for a in sub_argmin.per_time[0][comp[1][x]]:
                 a_vec = index_state(a, 3, bundle.restricted[1].m)
@@ -364,7 +364,7 @@ def test_criterion_7_supporting_propositions(criterion):
 
             # input-image splitting coincides with its input-space form
             image = column_space(inst.B)
-            split = Subspace.zero(F, n)
+            split = Subspace(F, n)
             for part in decomp.parts:
                 split = subspace_sum(split, subspace_intersect(image, part))
             assert (split == image) == (bundle.input_span.dim == inst.m)

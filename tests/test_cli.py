@@ -351,10 +351,13 @@ def test_lqr_text_without_parts(tmp_path, capsys):
     ("tol", True, "lqr.tol"),
     ("tol", 0, "lqr.tol"),
     ("tol", -1e-9, "lqr.tol"),
+    ("A", [[1.0, 2.0], [3.0]], "lqr.A"),
+    ("parts", [[[1.0], [0.0, 2.0]], [[0.0], [1.0]]], "lqr.parts"),
+    ("x0", [1.0], "lqr.x0"),
 ], ids=["entry-dict", "entry-null", "entry-list", "entry-huge", "x0-int", "tol-list",
         "parts-flat", "entry-string", "entry-bool", "entry-nan", "x0-nan-string",
         "x0-infinity", "parts-inf-string", "tol-inf-string", "tol-bool", "tol-zero",
-        "tol-negative"])
+        "tol-negative", "A-ragged", "parts-ragged", "x0-short"])
 def test_lqr_malformed_numbers_are_invalid(tmp_path, capsys, key, value, field):
     doc = lqr_doc()
     doc["lqr"][key] = value

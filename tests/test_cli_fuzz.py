@@ -1,5 +1,6 @@
-"""Mutated instance documents through the CLI: every run ends in bounded
-time with exit 0 or with exit 2 and a message about the input.
+"""Mutated instance documents and regulator blocks through the CLI: every
+run ends in bounded time with exit 0 or with exit 2 and a message about the
+input.
 
 Each document is a small valid instance with one or two random edits: an
 integer moved by a small step, a value replaced (by a wrong type, a huge or
@@ -20,10 +21,13 @@ from dpdecomp import cli
 
 SEEDS = range(150)
 COMMANDS = (["solve"], ["solve", "--json", "--argmin"], ["check", "--json"], ["decompose"])
-# words of Python's own error messages, which no refusal of an input should show
+LQR_COMMANDS = (["lqr"], ["lqr", "--json"])
+# words of Python's and numpy's own error messages, which no refusal of an
+# input should show
 INTERNALS = ("NoneType", "object of type", "has no attribute", "index out of range",
              "not subscriptable", "not iterable", "unhashable", "unsupported operand",
-             "takes no arguments", "missing 1 required", "Traceback")
+             "takes no arguments", "missing 1 required", "Traceback", "inhomogeneous",
+             "gufunc")
 VALUES = (None, True, False, 0, 1, -1, 2, 7, 2**70, -(2**70), 1.5, "", "x", "1/0", "-1/2",
           "3/4", "1e5", [], {}, [[]], [0, 1], [[1, 0], [0, 1]], {"T": 2}, {"alpha": "1/2"})
 
@@ -48,6 +52,12 @@ def base_documents():
                  "cost": {"indicator": {"weights": [1, 2]}},
                  "horizon": {"discounted": {"alpha": "2/3"}}}
     return [worked, axis, table, indicator]
+
+
+def lqr_block():
+    return {"A": [[0.5, 0.0], [0.0, -0.25]], "B": [[1.0, 0.0], [0.0, 1.0]],
+            "P": [[1.0, 0.0], [0.0, 2.0]], "T": 6, "tol": 1e-9,
+            "parts": [[[1.0], [0.0]], [[0.0], [1.0]]], "x0": [1.0, -1.0]}
 
 
 def _slots(node):
@@ -91,25 +101,39 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
-@pytest.mark.parametrize("doc_index", range(4))
-def test_mutated_documents_exit_0_or_2(tmp_path, capsys, doc_index):
-    doc = base_documents()[doc_index]
-    path = tmp_path / "mutated.json"
+def _run_all(path, capsys, documents, commands):
+    """Each document through each command under a 5 s alarm: exit 0 or 2,
+    and no Python or numpy internals in the error text."""
     previous = signal.signal(signal.SIGALRM, _alarm)
     try:
-        for seed in SEEDS:
-            mutated = mutate(doc, random.Random(1000 * doc_index + seed))
-            path.write_text(json.dumps(mutated))
-            for argv in COMMANDS:
+        for doc in documents:
+            path.write_text(json.dumps(doc))
+            for argv in commands:
                 signal.alarm(5)
                 try:
                     rc = cli.main([argv[0], str(path), *argv[1:]])
                 except _Timeout:
-                    pytest.fail(f"{argv} ran past 5 s on {json.dumps(mutated)}")
+                    pytest.fail(f"{argv} ran past 5 s on {json.dumps(doc)}")
                 finally:
                     signal.alarm(0)
                 err = capsys.readouterr().err
-                assert rc in (0, 2), (argv, mutated, err)
-                assert not any(word in err for word in INTERNALS), (argv, mutated, err)
+                assert rc in (0, 2), (argv, doc, err)
+                assert not any(word in err for word in INTERNALS), (argv, doc, err)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("doc_index", range(4))
+def test_mutated_documents_exit_0_or_2(tmp_path, capsys, doc_index):
+    doc = base_documents()[doc_index]
+    _run_all(tmp_path / "mutated.json", capsys,
+             (mutate(doc, random.Random(1000 * doc_index + seed)) for seed in SEEDS), COMMANDS)
+
+
+def test_mutated_lqr_blocks_exit_0_or_2(tmp_path, capsys):
+    """The edits land inside the lqr block: mutating the whole document
+    could drop its only key and leave no slot for a second edit."""
+    block = lqr_block()
+    _run_all(tmp_path / "lqr.json", capsys,
+             ({"lqr": mutate(block, random.Random(9000 + seed))} for seed in range(2 * len(SEEDS))),
+             LQR_COMMANDS)

@@ -454,7 +454,7 @@ def test_integer_split_scan_matches_fraction_oracle(data):
         axes.append(Subspace(F, n, [tuple(int(k == at + j) for k in range(n))
                                     for j in range(d)]))
         at += d
-    comp = DirectSumDecomposition(axes).local_index_tables()
+    comp = DirectSumDecomposition(axes).local_index_tables
     value = st.builds(Fraction, st.integers(0, 50), st.sampled_from(SPLIT_DENOMINATORS))
     parts = [[Fraction(0)] + data.draw(st.lists(value, min_size=p**d - 1, max_size=p**d - 1))
              for d in dims]

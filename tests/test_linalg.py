@@ -283,7 +283,7 @@ def test_preimage_is_exact(M):
 
 def test_preimage_of_zero_is_kernel():
     M = MatrixFp.from_rows(F3, [[1, 1, 0], [0, 0, 1]])
-    assert preimage(M, Subspace.zero(F3, 2)) == null_space(M)
+    assert preimage(M, Subspace(F3, 2)) == null_space(M)
 
 
 # === direct sums ===
@@ -348,13 +348,13 @@ def test_local_coords_embed_roundtrip():
 
 def test_decomposition_index_tables_match_coordinates():
     D = DirectSumDecomposition(_example_parts())
-    local = D.local_index_tables()
+    local = D.local_index_tables
     for idx in range(27):
         x = (idx % 3, (idx // 3) % 3, idx // 9)
         for i in range(D.r):
             loc = D.coordinates(i).matvec(x)
             assert local[i][idx] == sum(d * 3**k for k, d in enumerate(loc))
-    for part, table in zip(D.parts, D.embedding_tables()):
+    for part, table in zip(D.parts, D.embedding_tables):
         assert len(table) == 3**part.dim
         for y, e in enumerate(table):
             coords = [(y // 3**k) % 3 for k in range(part.dim)]

@@ -313,6 +313,15 @@ def test_block_check_matches_loop_oracle():
     assert {"P", "K", "gain", "all"} <= decided
 
 
+def test_block_check_decides_large_exactly_symmetric_costs():
+    # P = S^-T P_b S^-1 is exactly symmetric with entries near 1e6, but the
+    # adapted S'PS rounds asymmetric by more than an absolute 1e-9
+    A, B, P, parts, T, tol = block_regulator(308)
+    assert np.array_equal(P, P.T)
+    assert oracle_block_diagonal_check(A, B, P, parts, T, tol) == (False, "K")
+    assert block_diagonal_check(A, B, P, parts, T, tol=tol) is False
+
+
 def test_block_check_compares_each_block_recursion():
     # every off-block entry is within tol, but part 1 feels the coupling
     # through part 0's input: its K block drops by 5e-4^2 / 1e4 * 1e8

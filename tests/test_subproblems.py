@@ -155,21 +155,22 @@ def test_component_state_tables():
 
 
 def test_build_bundle_builds_each_state_table_once(monkeypatch):
-    """The separability scan reuses the bundle's embedding and part-local
-    index tables instead of building its own."""
-    inst, decomp = make_parent()
-    calls = {"embedding_tables": 0, "local_index_tables": 0}
-    for name in calls:
-        original = getattr(DirectSumDecomposition, name)
+    """The splitting builds its part-local index tables once: the separable
+    cost, the separability scan and every bundle read that one list."""
+    calls = []
+    original = DirectSumDecomposition.coordinates
 
-        def counting(self, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self)
+    def counting(self, i):
+        calls.append(i)
+        return original(self, i)
 
-        monkeypatch.setattr(DirectSumDecomposition, name, counting)
+    monkeypatch.setattr(DirectSumDecomposition, "coordinates", counting)
+    inst, decomp = make_parent()  # CostFunction.separable on the splitting
     bundle = build_bundle(inst, decomp)
-    assert calls == {"embedding_tables": 1, "local_index_tables": 1}
-    assert bundle.embedding_tables == bundle.decomp.embedding_tables()
+    again = build_bundle(inst, decomp)
+    assert calls == list(range(decomp.r))
+    assert bundle.component_state_tables() is decomp.local_index_tables
+    assert again.component_state_tables() is decomp.local_index_tables
 
 
 def oracle_local_matrices(inst, decomp, input_parts):
@@ -282,10 +283,11 @@ def oracle_lift(bundle, family, choices):
     law = []
     for x in range(parent.num_states):
         u = [0] * m
-        for i, (chosen, loc) in enumerate(zip(choices, bundle.component_tables)):
+        for i, (chosen, loc) in enumerate(zip(choices, bundle.component_state_tables())):
             sub = bundle.family(family)[i]
             action = index_state(chosen[loc[x]], p, sub.m)
-            vec = bundle.input_basis(i).matvec(action) if family == "restricted" else action
+            vec = (bundle.input_parts[i].basis_matrix().matvec(action) if family == "restricted"
+                   else action)
             u = [a + b for a, b in zip(u, vec)]
         law.append(state_index(u, p))
     return law

@@ -12,8 +12,7 @@ _EXPORTS = {name: module for module, names in {
     "errors": "IllConditioned NotDecomposable NotDirectSum NotInvariant NotSeparableCost "
               "PreconditionFailed ShapeError TheoremViolation",
     "fields": "Poly PrimeField",
-    "invariant_decomp": "CharPolyFactorization char_poly factor_poly primary_decomposition "
-                        "verify_decomposition",
+    "invariant_decomp": "char_poly factor_poly primary_decomposition verify_decomposition",
     "linalg": "DirectSumDecomposition MatrixFp Subspace column_space null_space preimage "
               "subspace_intersect subspace_sum",
     "subproblems": "SubproblemBundle build_bundle lift_policy solve_bundle",

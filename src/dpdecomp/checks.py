@@ -124,12 +124,10 @@ def _input_images(bundle: SubproblemBundle
     integer sum of their images and compares directly with B u.  Also each
     part's digit block (lo, hi): the part's digits of an adapted index a
     are a % hi - a % lo."""
-    projected, blocks = [], []
-    weight = 1
-    for part, sub in zip(bundle.decomp.parts, bundle.projected):
-        projected.append([weight * y for y in index_map(sub.B)])
-        blocks.append((weight, weight * bundle.parent.field.p**part.dim))
-        weight = blocks[-1][1]
+    p = bundle.parent.field.p
+    blocks = [(p**b.start, p**b.stop) for b in bundle.decomp.blocks]
+    projected = [[lo * y for y in index_map(sub.B)]
+                 for (lo, _), sub in zip(blocks, bundle.projected)]
     return projected, index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B), blocks
 
 

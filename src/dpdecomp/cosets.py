@@ -84,11 +84,11 @@ class CosetFrame:
         n, m = B.nrows, B.ncols
         BI = B.hstack(MatrixFp.identity(field, n))
         # the pivots of [B | I] in B are a basis of im(B), those in I complete it
-        red, _, pivots = rref(BI)
+        rows, pivots = rref(BI)
         r = sum(1 for j in pivots if j < m)
-        to_frame = MatrixFp(field, n, n, chain.from_iterable(red.row(i)[m:] for i in range(n)))
+        to_frame = MatrixFp(field, n, n, chain.from_iterable(row[m:] for row in rows))
         # im(B) is spanned by Q's first r columns, so Q^-1 B vanishes below row r
-        R = MatrixFp(field, r, m, chain.from_iterable(red.row(i)[:m] for i in range(r)))
+        R = MatrixFp(field, r, m, chain.from_iterable(row[:m] for row in rows[:r]))
         offset = index_map(R)
         P = field.p**r
         pre: list[list[int]] = [[] for _ in range(P)]

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # dp is loaded only where a solve needs it
     from .dp import CostFunction, DPInstance, Horizon
 
 SCHEMA_VERSION = "1.0"
-RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the schema's pattern
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # the schema's pattern
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -33,7 +33,7 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, str) and RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:  # more digits than Python's int limit
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")
 

@@ -13,10 +13,9 @@ irreducible power means no splitting of this kind exists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import NotDecomposable, NotInvariant, ShapeError
-from .fields import Poly, PrimeField
+from .fields import Poly
 from .linalg import (
     DirectSumDecomposition,
     MatrixFp,
@@ -53,20 +52,6 @@ def char_poly(A: MatrixFp) -> Poly:
             c_new[i] = acc % p
         c = c_new
     return Poly(field, list(reversed(c)))
-
-
-@dataclass(frozen=True)
-class CharPolyFactorization:
-    """Irreducible factors with multiplicities, in deterministic order."""
-
-    field: PrimeField
-    factors: tuple[tuple[Poly, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
 
 
 def _berlekamp_split(f: Poly) -> list[Poly]:
@@ -133,8 +118,9 @@ def _factor_monic(f: Poly, out: dict[Poly, int]) -> None:
     _factor_monic(rem, out)
 
 
-def factor_poly(f: Poly) -> CharPolyFactorization:
-    """Full factorization of a nonzero polynomial into monic irreducibles.
+def factor_poly(f: Poly) -> tuple[tuple[Poly, int], ...]:
+    """Full factorization of a nonzero polynomial into monic irreducibles:
+    its (factor, multiplicity) pairs.
 
     Deterministic: factors are sorted by their coefficient tuples (constant
     term first).  The unit content is dropped, so the product of the result
@@ -144,11 +130,11 @@ def factor_poly(f: Poly) -> CharPolyFactorization:
         raise ValueError("cannot factor the zero polynomial")
     acc: dict[Poly, int] = {}
     _factor_monic(f.monic(), acc)
-    ordered = tuple(sorted(acc.items(), key=lambda item: (item[0].coeffs, item[1])))
-    return CharPolyFactorization(f.field, ordered)
+    return tuple(sorted(acc.items(), key=lambda item: (item[0].coeffs, item[1])))
 
 
-def primary_decomposition(A: MatrixFp) -> tuple[DirectSumDecomposition, CharPolyFactorization]:
+def primary_decomposition(A: MatrixFp
+                          ) -> tuple[DirectSumDecomposition, tuple[tuple[Poly, int], ...]]:
     """Split the state space into the kernels of the primary factors of A.
 
     Raises NotDecomposable (carrying the single irreducible factor and its
@@ -156,17 +142,16 @@ def primary_decomposition(A: MatrixFp) -> tuple[DirectSumDecomposition, CharPoly
     irreducible factor, since then no splitting of this kind exists.
     """
     chi = char_poly(A)
-    fact = factor_poly(chi)
-    if len(fact) == 1:
-        q, m = fact.factors[0]
-        raise NotDecomposable(q, m)
+    factors = factor_poly(chi)
+    if len(factors) == 1:
+        raise NotDecomposable(*factors[0])
     parts = []
-    for q, m in fact:
+    for q, m in factors:
         part = null_space(poly_eval_matrix(q**m, A))
         assert part.dim == q.degree * m, "primary part has unexpected dimension"
         assert is_invariant(A, part)
         parts.append(part)
-    return DirectSumDecomposition(parts), fact
+    return DirectSumDecomposition(parts), factors
 
 
 def verify_decomposition(A: MatrixFp, decomp: DirectSumDecomposition) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import InitVar, dataclass
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, floordiv, getitem, mod, mul, sub, xor
 from typing import Iterable, Iterator, Sequence
 
@@ -134,7 +134,8 @@ class MatrixFp:
     # -- solved forms ------------------------------------------------------
 
     def rank(self) -> int:
-        return rref(self)[1]
+        _, pivots = rref(self)
+        return len(pivots)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -144,10 +145,10 @@ class MatrixFp:
             raise ShapeError("only square matrices invert")
         n = self.nrows
         # rref([M | I]) = [I | M^-1] exactly when M is invertible
-        red, _, pivots = rref(self.hstack(MatrixFp.identity(self.field, n)))
+        rows, pivots = rref(self.hstack(MatrixFp.identity(self.field, n)))
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return MatrixFp(self.field, n, n, chain.from_iterable(red.row(i)[n:] for i in range(n)))
+        return MatrixFp(self.field, n, n, chain.from_iterable(row[n:] for row in rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.nrows))
@@ -243,8 +244,9 @@ def _sum_table(p: int, k: int) -> list[list[int]]:
     return [total[i:i + q] for i in range(0, q * q, q)]
 
 
-def rref(M: MatrixFp) -> tuple[MatrixFp, int, tuple[int, ...]]:
-    """Reduced row echelon form: returns (rref matrix, rank, pivot columns)."""
+def rref(M: MatrixFp) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form: the reduced rows (the first len(pivots)
+    nonzero, the rest zero) and the pivot columns; the rank is len(pivots)."""
     field = M.field
     p = field.p
     rows = [list(M.row(i)) for i in range(M.nrows)]
@@ -266,7 +268,7 @@ def rref(M: MatrixFp) -> tuple[MatrixFp, int, tuple[int, ...]]:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return MatrixFp.from_rows(field, rows, ncols=M.ncols), r, tuple(pivots)
+    return rows, tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -288,14 +290,9 @@ class Subspace:
         vectors = [tuple(v) for v in spanning]
         if any(len(v) != self.ambient_dim for v in vectors):
             raise ShapeError("spanning vector of wrong length")
-        if vectors:
-            red, rank, pivots = rref(
-                MatrixFp.from_rows(self.field, vectors, ncols=self.ambient_dim))
-            rows = tuple(red.row(i) for i in range(rank))
-        else:
-            rows, pivots = (), ()
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        rows, pivots = rref(MatrixFp.from_rows(self.field, vectors, ncols=self.ambient_dim))
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows[:len(pivots)])))
+        object.__setattr__(self, "_pivots", pivots)
 
     @property
     def dim(self) -> int:
@@ -338,20 +335,22 @@ def column_space(M: MatrixFp) -> Subspace:
     return Subspace(M.field, M.nrows, M.cols())
 
 
-def null_space(M: MatrixFp) -> Subspace:
-    """Kernel {x : M x = 0} as a subspace of the domain."""
-    red, rank, pivots = rref(M)
-    pivot_set = set(pivots)
+def _kernel(M: MatrixFp) -> list[list[int]]:
+    """A basis of {x : M x = 0}: one vector per free column of rref(M)."""
+    rows, pivots = rref(M)
     basis = []
-    for free in range(M.ncols):
-        if free in pivot_set:
-            continue
+    for free in (j for j in range(M.ncols) if j not in pivots):
         v = [0] * M.ncols
         v[free] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-red[i, free]) % M.field.p
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free] % M.field.p
         basis.append(v)
-    return Subspace(M.field, M.ncols, basis)
+    return basis
+
+
+def null_space(M: MatrixFp) -> Subspace:
+    """Kernel {x : M x = 0} as a subspace of the domain."""
+    return Subspace(M.field, M.ncols, _kernel(M))
 
 
 def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
@@ -373,12 +372,9 @@ def preimage(M: MatrixFp, S: Subspace) -> Subspace:
     """The subspace {u : M u is a member of S} of the domain of M."""
     if S.ambient_dim != M.nrows or S.field != M.field:
         raise ShapeError("subspace must live in the codomain of M")
-    if S.dim == 0:
-        return null_space(M)
-    stacked = M.hstack(S.basis_matrix().scale(-1))
-    kernel = null_space(stacked)
-    vectors = [w[: M.ncols] for w in kernel.basis_vectors()]
-    return Subspace(M.field, M.ncols, vectors)
+    # u is in the preimage exactly when (u, w) is in the kernel of [M | -S] for some w
+    kernel = _kernel(M.hstack(S.basis_matrix().scale(-1)))
+    return Subspace(M.field, M.ncols, [w[:M.ncols] for w in kernel])
 
 
 def is_invariant(A: MatrixFp, S: Subspace) -> bool:
@@ -393,8 +389,9 @@ class DirectSumDecomposition:
     """An ordered splitting of GF(p)^n into at least two independent parts.
 
     Carries the change-of-basis matrix formed by concatenating part bases and
-    its inverse, so component extraction is a solve done once, and its two
-    per-part state tables, built on first use and then kept.  Equal parts
+    its inverse, so component extraction is a solve done once; blocks[i],
+    the range of part i's coordinates in that basis; and its two per-part
+    state tables, built on first use and then kept.  Equal parts
     make equal splittings; every other attribute is derived from them.
     """
 
@@ -403,7 +400,7 @@ class DirectSumDecomposition:
     ambient_dim: int = dataclasses.field(init=False)
     change_of_basis: MatrixFp = dataclasses.field(init=False)
     change_of_basis_inv: MatrixFp = dataclasses.field(init=False)
-    _offsets: tuple[int, ...] = dataclasses.field(init=False)
+    blocks: tuple[range, ...] = dataclasses.field(init=False)
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -422,17 +419,13 @@ class DirectSumDecomposition:
             C_inv = C.inverse()
         except ValueError:
             raise NotDirectSum("parts are not independent") from None
-        offsets = []
-        at = 0
-        for s in parts:
-            offsets.append(at)
-            at += s.dim
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "change_of_basis", C)
         object.__setattr__(self, "change_of_basis_inv", C_inv)
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "blocks", tuple(
+            range(end - s.dim, end) for s, end in zip(parts, accumulate(s.dim for s in parts))))
 
     @property
     def r(self) -> int:
@@ -441,9 +434,9 @@ class DirectSumDecomposition:
     def coordinates(self, i: int) -> MatrixFp:
         """Part i's rows of the inverse change of basis: the map from x to
         the coordinates of its part-i component in that part's basis."""
-        n = self.ambient_dim
-        at, dim = self._offsets[i], self.parts[i].dim
-        return MatrixFp(self.field, dim, n, self.change_of_basis_inv.entries[at * n:(at + dim) * n])
+        n, rows = self.ambient_dim, self.blocks[i]
+        return MatrixFp(self.field, len(rows), n,
+                        self.change_of_basis_inv.entries[rows.start * n:rows.stop * n])
 
     @functools.cached_property
     def local_index_tables(self) -> list[list[int]]:

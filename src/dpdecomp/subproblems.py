@@ -78,7 +78,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     spanning = [b for e in input_parts for b in e.basis_vectors()]
     input_span = Subspace(field, inst.m, spanning)
     eye = MatrixFp.identity(field, inst.m)
-    _, _, pivots = rref(MatrixFp.from_cols(field, spanning + eye.cols(), nrows=inst.m))
+    _, pivots = rref(MatrixFp.from_cols(field, spanning + eye.cols(), nrows=inst.m))
     complement = Subspace(field, inst.m, [eye.col(j - len(spanning))
                                           for j in pivots if j >= len(spanning)])
 
@@ -86,11 +86,10 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     # and its rows of C^-1 B are the local matrices in the part's basis
     local_A = decomp.change_of_basis_inv @ inst.A @ decomp.change_of_basis
     local_B = decomp.change_of_basis_inv @ inst.B
-    restricted, projected, at = [], [], 0
-    for part, feasible, emb in zip(decomp.parts, input_parts, decomp.embedding_tables):
-        rows = range(at, at + part.dim)
-        at += part.dim
-        a_local = MatrixFp.from_rows(field, [local_A.row(k)[rows.start:at] for k in rows],
+    restricted, projected = [], []
+    for part, feasible, emb, rows in zip(decomp.parts, input_parts, decomp.embedding_tables,
+                                         decomp.blocks):
+        a_local = MatrixFp.from_rows(field, [local_A.row(k)[rows.start:rows.stop] for k in rows],
                                      ncols=part.dim)
         b_projected = MatrixFp.from_rows(field, [local_B.row(k) for k in rows], ncols=inst.m)
         cost_local = CostFunction(

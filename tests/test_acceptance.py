@@ -487,7 +487,7 @@ def test_criterion_10_algebra_suite(criterion):
             chi = char_poly(A)
             assert poly_eval_matrix(chi, A) == MatrixFp.zeros(F, n, n)
             fact = factor_poly(chi)
-            assert product(fact) == chi
+            assert product(F, fact) == chi
             try:
                 decomp, _ = primary_decomposition(A)
             except NotDecomposable:

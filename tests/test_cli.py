@@ -117,10 +117,12 @@ def test_horizon_override_flags(worked_path, capsys):
     (["--alpha", "2/3", "--T", "2"], ["--alpha", "--T"]),
     (["--horizon", "finite", "--alpha", "1/2"], ["--horizon finite", "--alpha"]),
     (["--horizon", "discounted", "--alpha", "1/2", "--T", "3"], ["--horizon discounted", "--T"]),
-], ids=["T-and-alpha", "finite-and-alpha", "discounted-and-T"])
+    (["--horizon", "discounted"], ["--horizon discounted needs --alpha"]),
+], ids=["T-and-alpha", "finite-and-alpha", "discounted-and-T", "discounted-without-alpha"])
 @pytest.mark.parametrize("command", ["solve", "check"])
 def test_conflicting_horizon_flags_exit_2(worked_path, capsys, command, argv, flags):
-    """A flag the chosen horizon cannot use is refused, not dropped."""
+    """A flag the chosen horizon cannot use is refused, not dropped, and so
+    is a discounted horizon without its factor."""
     rc, out, err = run(capsys, command, worked_path, *argv)
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and all(flag in err for flag in flags), err
@@ -274,10 +276,11 @@ def _drop_witness(key):
     lambda report: report.pop("prime"),
     lambda report: report.__setitem__("n", 4),
     lambda report: report.__setitem__("componentwise_witness", [0, 0, 0]),
+    lambda report: report.__setitem__("additive_witness", [0, 0, 0]),
 ], ids=["state-long", "state-short", "state-str", "state-digit", "state-bool",
         "state-missing", "t-range", "t-str", "kind-unknown", "kind-missing",
         "actions-count", "actions-digit", "target-short", "prime-missing",
-        "n-mismatch", "witness-list"])
+        "n-mismatch", "witness-list", "additive-witness-list"])
 def test_check_malformed_witness_report_is_invalid(worked_path, tmp_path, capsys, tamper):
     rc, out, _ = run(capsys, "check", worked_path, "--json")
     report = json.loads(out)
@@ -287,6 +290,14 @@ def test_check_malformed_witness_report_is_invalid(worked_path, tmp_path, capsys
     rc, _, err = run(capsys, "check", worked_path, "--verify-witness", str(report_path))
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_witness_report_that_is_not_an_object_is_invalid(worked_path, tmp_path, capsys):
+    rc, out, _ = run(capsys, "check", worked_path, "--json")
+    report_path = tmp_path / "list.json"
+    report_path.write_text(json.dumps([json.loads(out)]))
+    rc, out, err = run(capsys, "check", worked_path, "--verify-witness", str(report_path))
+    assert (rc, out, err) == (2, "", "error: a report must be a JSON object\n")
 
 
 def test_check_determinism(worked_path, capsys):
@@ -380,6 +391,14 @@ def test_missing_file_is_invalid(tmp_path, capsys):
     rc, _, err = run(capsys, "solve", str(bad))
     assert rc == 2
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "decompose"])
+def test_instance_document_that_is_not_an_object_is_invalid(tmp_path, capsys, command):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([worked_doc()]))
+    rc, out, err = run(capsys, command, str(path))
+    assert (rc, out, err) == (2, "", "error: instance document must be a JSON object\n")
 
 
 def test_invalid_cost_is_invalid(tmp_path, capsys):

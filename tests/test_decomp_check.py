@@ -182,14 +182,19 @@ def test_verify_witnesses_rejects_tampering():
     assert results["stationary_selector_witness"] is False
 
 
-def test_verify_witnesses_empty_without_failures():
-    # strict, decoupled, everything passes: no witnesses recorded
-    A = MatrixFp.identity(F3, 2)
-    B = MatrixFp.identity(F3, 2)
+def make_decoupled():
+    """x' = x + u over GF(3)^2 with a strict indicator cost on the axes:
+    every check passes."""
     parts = [Subspace(F3, 2, [(1, 0)]), Subspace(F3, 2, [(0, 1)])]
     decomp = DirectSumDecomposition(parts)
     cost = CostFunction.indicator(decomp, [Fraction(1), Fraction(1)])
-    inst = DPInstance(A, B, cost, FiniteHorizon(2))
+    eye = MatrixFp.identity(F3, 2)
+    return DPInstance(eye, eye, cost, FiniteHorizon(2)), decomp
+
+
+def test_verify_witnesses_empty_without_failures():
+    # strict, decoupled, everything passes: no witnesses recorded
+    inst, decomp = make_decoupled()
     report = run_battery(inst, decomp)
     assert report.additive_holds is True
     assert report.componentwise_holds is True
@@ -318,6 +323,74 @@ def test_componentwise_always_decides_and_check_has_no_cap(tmp_path, capsys):
     path.write_text(json.dumps(worked_doc()))
     assert cli.main(["check", str(path), "--cap", "1"]) == 2
     assert "--cap" in capsys.readouterr().err
+
+
+def _projected_optima(inst, decomp, x, t):
+    """Per part, the optimal projected actions at state x's component, time t."""
+    bundle = build_bundle(inst, decomp)
+    return [sol[1].per_time[t][comp[x]] for sol, comp in
+            zip(solve_bundle(bundle, "projected"), bundle.component_state_tables())]
+
+
+def test_tuple_witness_with_a_non_optimal_action_is_refused():
+    """A real tuple witness with one action traded for an input that is not
+    optimal for its projected subproblem there no longer verifies, whatever
+    its summed image (the target is dropped, so only optimality decides)."""
+    inst, decomp = make_parent(FiniteHorizon(1))
+    w = run_battery(inst, decomp).componentwise_witness
+    w.pop("target")
+    optima = _projected_optima(inst, decomp, dp.state_index(w["state"], 3), w["t"])
+    swaps = [(i, a) for i, opt in enumerate(optima) for a in range(inst.num_inputs)
+             if a not in opt]
+    assert swaps
+    for i, a in swaps:
+        actions = list(w["actions"])
+        actions[i] = list(dp.index_state(a, 3, inst.m))
+        report = DecompositionReport(
+            prime=3, n=inst.n, m=inst.m, horizon={}, family="projected",
+            range_condition=False, input_space_is_sum_of_parts=False, A_invertible=False,
+            componentwise_holds=False, componentwise_witness=dict(w, actions=actions))
+        assert verify_witnesses(inst, decomp, report) == {"componentwise_witness": False}
+
+
+def test_tuple_of_optimal_actions_reached_by_the_parent_is_refused():
+    """Where the componentwise check holds, some parent optimizer reaches the
+    summed image of every tuple of optimal actions, so such a tuple grafted
+    onto the report as a witness does not verify."""
+    inst, decomp = make_decoupled()
+    report = run_battery(inst, decomp)
+    assert report.componentwise_holds is True
+    for x, t in ((1, 0), (4, 0), (8, 1)):
+        actions = [list(dp.index_state(min(opt), 3, inst.m))
+                   for opt in _projected_optima(inst, decomp, x, t)]
+        grafted = dataclasses.replace(report, componentwise_witness={
+            "kind": "tuple", "state": list(dp.index_state(x, 3, inst.n)), "t": t,
+            "actions": actions})
+        assert verify_witnesses(inst, decomp, grafted) == {"componentwise_witness": False}
+
+
+def test_vanishing_cost_notes_on_additive_without_the_minimizer_condition(tmp_path, capsys):
+    """A vanishing cost on which the additive split holds although the
+    minimizer condition fails, and holds at T = 2 but not at T = 1: check
+    reports both and says why neither is a theorem violation."""
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps({
+        "field": {"prime": 3}, "dims": {"n": 3, "m": 1},
+        "A": [[2, 1, 1], [1, 2, 2], [1, 2, 2]], "B": [[0], [0], [2]],
+        "decomposition": [[[1, 0], [0, 1], [2, 0]], [[1], [0], [1]]],
+        "cost": {"separable": {"tables": [[0, 0, 2, 0, 0, 2, 0, 2, 2], [0, 1, 2]]},
+                 "allow_vanishing": True},
+        "horizon": {"finite": {"T": 2}}}))
+    assert cli.main(["check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["additive_holds"] is True
+    assert report["minimizer_condition"] is False
+    assert report["minimizer_witness"] == {"state": [1, 0, 0], "t": 1}
+    assert report["horizon_monotone"] is False
+    assert ("additive holds while the minimizer condition fails; the equivalence is only "
+            "guaranteed for strictly positive costs") in report["notes"]
+    assert ("additivity is not downward closed in the horizon here; closure is only "
+            "guaranteed for strictly positive costs") in report["notes"]
 
 
 @pytest.mark.parametrize("horizon, t", [(FiniteHorizon(3), 1), (FiniteHorizon(3), 2),

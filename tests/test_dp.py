@@ -284,7 +284,7 @@ def oracle_coset_frame(A, B):
     field = A.field
     p, n, m = field.p, B.nrows, B.ncols
     eye = MatrixFp.identity(field, n)
-    _, _, pivots = rref(B.hstack(eye))
+    _, pivots = rref(B.hstack(eye))
     r = sum(1 for j in pivots if j < m)
     Q = MatrixFp.from_cols(field, [B.col(j) if j < m else eye.col(j - m)
                                    for j in pivots], nrows=n)
@@ -525,6 +525,20 @@ def test_state_space_guard():
     inst = DPInstance(A, B, cost, FiniteHorizon(1), require_injective=False,
                       max_states=None)
     assert inst.num_states == 3**7
+
+
+def test_input_space_guard():
+    """p^m above max_inputs (81 by default) is refused; None lifts the guard."""
+    A = MatrixFp.identity(F3, 1)
+    B = MatrixFp.zeros(F3, 1, 5)
+    cost = CostFunction(F3, 1, [0, 1, 1])
+    with pytest.raises(ValueError, match="input space size 243 exceeds the guard 81"):
+        DPInstance(A, B, cost, FiniteHorizon(1), require_injective=False)
+    with pytest.raises(ValueError, match="input space size 243 exceeds the guard 27"):
+        DPInstance(A, B, cost, FiniteHorizon(1), require_injective=False, max_inputs=27)
+    inst = DPInstance(A, B, cost, FiniteHorizon(1), require_injective=False,
+                      max_inputs=None)
+    assert inst.num_inputs == 3**5
 
 
 def test_injective_input_map_required_by_default():

@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 from dpdecomp.dp import DiscountedHorizon, FiniteHorizon, state_index
 from dpdecomp.errors import NotDirectSum
-from dpdecomp.instancefile import load_instance, load_lqr_block, parse_rational
+from dpdecomp import cli
+from dpdecomp.instancefile import RATIONAL, load_instance, load_lqr_block, parse_rational
 from test_cli_fuzz import base_documents, mutate
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "instance-schema.json"
@@ -246,6 +247,28 @@ def test_lqr_block_validation():
     doc = {"lqr": dict(base, parts="all")}
     with pytest.raises(ValueError, match="parts"):
         load_lqr_block(doc)
+
+
+def _schema_rational_pattern():
+    return json.loads(SCHEMA.read_text())["$defs"]["rational"]["oneOf"][1]["pattern"]
+
+
+def test_schema_and_loader_share_the_rational_pattern():
+    """The schema anchors the pattern that the loader full-matches."""
+    assert _schema_rational_pattern() == f"^{RATIONAL.pattern}$"
+
+
+@pytest.mark.parametrize("entry", ["1/0", "3/00"])
+def test_zero_denominators_fail_the_schema_and_exit_2(tmp_path, capsys, entry):
+    doc = base_doc()
+    doc["cost"]["separable"]["tables"][1][1] = entry
+    errors = list(jsonschema.Draft202012Validator(json.loads(SCHEMA.read_text()))
+                  .iter_errors(doc))
+    assert errors and all(entry in e.message for e in errors)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: not a rational: {entry!r}\n"
 
 
 def test_every_loaded_document_satisfies_the_schema():

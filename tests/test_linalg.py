@@ -103,10 +103,11 @@ def test_inverse_hand_example():
 
 @given(matrices())
 def test_rref_idempotent_and_rank(M):
-    red, rank, pivots = rref(M)
-    red2, rank2, pivots2 = rref(red)
-    assert red == red2 and rank == rank2 and pivots == pivots2
-    assert rank == len(pivots) <= min(M.nrows, M.ncols)
+    rows, pivots = rref(M)
+    rows2, pivots2 = rref(MatrixFp.from_rows(M.field, rows, ncols=M.ncols))
+    assert rows == rows2 and pivots == pivots2
+    assert len(rows) == M.nrows and not any(map(any, rows[len(pivots):]))
+    assert M.rank() == len(pivots) <= min(M.nrows, M.ncols)
 
 
 @given(matrices(max_dim=3, primes=(2, 3)))

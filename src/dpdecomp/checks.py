@@ -54,7 +54,7 @@ from .dp import (
     value_split_defect,
 )
 from .errors import TheoremViolation
-from .linalg import DirectSumDecomposition, column_space, index_map, subspace_intersect
+from .linalg import DirectSumDecomposition, MatrixFp, Subspace, column_space, index_map, subspace_sum
 from .subproblems import SubproblemBundle, build_bundle, lift_policy, solve_bundle
 
 SCHEMA_VERSION = "1.0"
@@ -121,14 +121,14 @@ def _input_images(bundle: SubproblemBundle
     concatenated): for each part, every input through B and that part's
     projection; and every input through B itself.  Each part owns its own
     digits there, so the image of a tuple of inputs, one per part, is the
-    integer sum of their images and compares directly with B u.  Also each
-    part's digit block (lo, hi): the part's digits of an adapted index a
-    are a % hi - a % lo."""
+    integer sum of their images and compares directly with B u, the sum of
+    every part's image of u.  Also each part's digit block (lo, hi): the
+    part's digits of an adapted index a are a % hi - a % lo."""
     p = bundle.parent.field.p
     blocks = [(p**b.start, p**b.stop) for b in bundle.decomp.blocks]
     projected = [[lo * y for y in index_map(sub.B)]
                  for (lo, _), sub in zip(blocks, bundle.projected)]
-    return projected, index_map(bundle.decomp.change_of_basis_inv @ bundle.parent.B), blocks
+    return projected, list(map(sum, zip(*projected))), blocks
 
 
 def _value_witness(bundle: SubproblemBundle, x: int, parent_values: ValueTable,
@@ -183,9 +183,9 @@ def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
     hard error."""
     image = column_space(bundle.parent.B)
     # the parts are independent, so the meets of im B with them sum to im B
-    # exactly when their dimensions do
-    range_condition = (sum(subspace_intersect(image, part).dim for part in bundle.decomp.parts)
-                       == image.dim)
+    # exactly when their dimensions, dim S + dim T - dim(S + T) each, do
+    range_condition = (sum(image.dim + part.dim - subspace_sum(image, part).dim
+                           for part in bundle.decomp.parts) == image.dim)
     input_space_is_sum = bundle.input_span.dim == bundle.parent.m
     if range_condition != input_space_is_sum:
         raise TheoremViolation(
@@ -412,9 +412,10 @@ def _assert_necessity(bundle: SubproblemBundle, additive: bool | None) -> None:
     nontrivial complement.)"""
     if additive is not True or not bundle.parent.cost.is_strict:
         return
-    bv = column_space(bundle.parent.B @ bundle.complement.basis_matrix())
-    ax = column_space(bundle.parent.A)
-    if subspace_intersect(ax, bv).dim != 0:
+    inst = bundle.parent
+    bv = Subspace(inst.field, inst.n, map(inst.B.matvec, bundle.complement.basis_vectors()))
+    ax = column_space(inst.A)
+    if subspace_sum(ax, bv).dim != ax.dim + bv.dim:
         raise TheoremViolation(
             "additive decomposition holds but the dynamics image meets the "
             "complement input image nontrivially")
@@ -429,13 +430,14 @@ def _assert_min_over_parts(bundle: SubproblemBundle) -> None:
     unconditionally."""
     inst = bundle.parent
     g = inst.cost.row
-    span_inputs = inst.B @ bundle.input_span.basis_matrix()
+    span_inputs = [*map(inst.B.matvec, bundle.input_span.basis_vectors())]
     for part, feasible in zip(bundle.decomp.parts, bundle.input_parts):
         # entry xi + p^d eta of the map of [A E | B F] is the successor of the
         # part state E xi under the input F eta
-        a_part = inst.A @ part.basis_matrix()
-        under_part = index_map(a_part.hstack(inst.B @ feasible.basis_matrix()))
-        under_span = index_map(a_part.hstack(span_inputs))
+        a_part = [*map(inst.A.matvec, part.basis_vectors())]
+        under_part, under_span = (
+            index_map(MatrixFp.from_cols(inst.field, a_part + inputs, nrows=inst.n))
+            for inputs in ([*map(inst.B.matvec, feasible.basis_vectors())], span_inputs))
         step = inst.field.p**part.dim
         for xi in range(step):
             if (min(map(g.__getitem__, under_part[xi::step]))

@@ -19,7 +19,7 @@ policy iteration keeps p^(n-r) choices, not p^n inputs.
 One elimination builds the frame: the pivot columns of [B | I_n] are Q's
 columns, and rref sends them to e_1..e_n, so
 rref([B | I_n]) = [Q^-1 B | Q^-1]: the right block is Q^-1 and the top
-r rows of the left block are R.
+r rows of the left block are R, and one row product gives Q^-1 A.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import eq, floordiv, getitem, itemgetter, lt, mul, ne
 from typing import Callable, Sequence
 
-from .linalg import MatrixFp, index_map, index_sum, rref
+from .linalg import MatrixFp, index_map, index_sum, rref_rows
 
 
 def reader(at: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -80,24 +80,22 @@ class CosetFrame:
 
     @classmethod
     def of(cls, A: MatrixFp, B: MatrixFp) -> "CosetFrame":
-        field = A.field
-        n, m = B.nrows, B.ncols
-        BI = B.hstack(MatrixFp.identity(field, n))
+        field, n, m = A.field, B.nrows, B.ncols
+        bi = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(B.rows())]
         # the pivots of [B | I] in B are a basis of im(B), those in I complete it
-        rows, pivots = rref(BI)
+        rows, pivots = rref_rows(field.p, bi[:])
         r = sum(1 for j in pivots if j < m)
-        to_frame = MatrixFp(field, n, n, chain.from_iterable(row[m:] for row in rows))
         # im(B) is spanned by Q's first r columns, so Q^-1 B vanishes below row r
-        R = MatrixFp(field, r, m, chain.from_iterable(row[:m] for row in rows[:r]))
-        offset = index_map(R)
+        offset = index_map(MatrixFp.from_rows(field, [row[:m] for row in rows[:r]], ncols=m))
         P = field.p**r
         pre: list[list[int]] = [[] for _ in range(P)]
         for u, d in enumerate(offset):
             pre[d].append(u)
         return cls(field.p, r, P,
-                   index_map(MatrixFp.from_cols(field, list(map(BI.col, pivots)), nrows=n)),
-                   index_map(to_frame @ A), offset, [frozenset(us) for us in pre],
-                   index_map(MatrixFp.identity(field, r).scale(-1)))
+                   index_map(MatrixFp(field, n, n, [row[j] for row in bi for j in pivots])),
+                   index_map(MatrixFp.from_products(field, [row[m:] for row in rows], A.cols())),
+                   offset, [frozenset(us) for us in pre],
+                   index_map(MatrixFp(field, r, r, [-(i == j) for i in range(r) for j in range(r)])))
 
     def minima(self, num: Sequence, den: Sequence[int] | None = None
                ) -> tuple[Sequence, list, list, list[int] | None]:

@@ -43,13 +43,9 @@ def parse_matrix(field: PrimeField, data: Any, nrows: int, ncols: int, name: str
     if (not isinstance(data, list) or len(data) != nrows
             or any(not isinstance(row, list) or len(row) != ncols for row in data)):
         raise ValueError(f"{name} must be a {nrows}x{ncols} integer matrix")
-    flat = []
-    for row in data:
-        for e in row:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValueError(f"{name} entries must be integers")
-            flat.append(e)
-    return MatrixFp(field, nrows, ncols, flat)
+    if any(not isinstance(e, int) or isinstance(e, bool) for row in data for e in row):
+        raise ValueError(f"{name} entries must be integers")
+    return MatrixFp.from_rows(field, data, ncols=ncols)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Vectors are tuples of reduced ints (column convention).  Subspaces carry a
 canonical basis, the reduced column echelon form of any spanning set, so two
 subspaces are equal as sets exactly when their stored bases are equal
 structurally.  Matrices with zero rows or zero columns are legal throughout;
-they show up as autonomous subproblem input maps.
+they show up as autonomous subproblem input maps.  MatrixFp is the type at
+the API boundary: every elimination is one routine, rref_rows, on rows its
+caller builds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import dataclasses
 import functools
 from dataclasses import InitVar, dataclass
 from itertools import accumulate, chain, count, repeat
-from operator import add, floordiv, getitem, mod, mul, sub, xor
+from operator import add, floordiv, getitem, lshift, mod, mul, sub, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDirectSum, ShapeError
@@ -44,24 +46,18 @@ class MatrixFp:
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "MatrixFp":
         rows = [list(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ShapeError("ragged rows")
-        elif ncols is None:
-            raise ShapeError("ncols required for a matrix with no rows")
-        return cls(field, len(rows), ncols, chain.from_iterable(rows))
+        return cls(field, len(rows), _length(rows, ncols, "rows"), chain.from_iterable(rows))
 
     @classmethod
     def from_cols(cls, field: PrimeField, cols: Sequence[Sequence[int]], nrows: int | None = None) -> "MatrixFp":
         cols = [list(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise ShapeError("ragged columns")
-        elif nrows is None:
-            raise ShapeError("nrows required for a matrix with no columns")
-        return cls(field, nrows, len(cols), chain.from_iterable(zip(*cols)))
+        return cls(field, _length(cols, nrows, "columns"), len(cols), chain.from_iterable(zip(*cols)))
+
+    @classmethod
+    def from_products(cls, field: PrimeField, rows: Sequence[Sequence[int]],
+                      cols: Sequence[Sequence[int]]) -> "MatrixFp":
+        """The product of the matrix of these rows and the one of these columns."""
+        return cls(field, len(rows), len(cols), [sum(map(mul, r, c)) for r in rows for c in cols])
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "MatrixFp":
@@ -82,6 +78,9 @@ class MatrixFp:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.ncols : (i + 1) * self.ncols]
 
+    def rows(self) -> list[Vector]:
+        return list(map(self.row, range(self.nrows)))
+
     def col(self, j: int) -> Vector:
         return self.entries[j :: self.ncols] if self.ncols else ()
 
@@ -90,21 +89,15 @@ class MatrixFp:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _same_shape(self, other: "MatrixFp") -> None:
+    def _entrywise(self, op, other: "MatrixFp") -> "MatrixFp":
         if not isinstance(other, MatrixFp) or other.field != self.field:
             raise ValueError("matrices must share a field")
         if (other.nrows, other.ncols) != (self.nrows, self.ncols):
             raise ShapeError("shape mismatch")
+        return MatrixFp(self.field, self.nrows, self.ncols, map(op, self.entries, other.entries))
 
-    def __add__(self, other: "MatrixFp") -> "MatrixFp":
-        self._same_shape(other)
-        return MatrixFp(self.field, self.nrows, self.ncols,
-                        (a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "MatrixFp") -> "MatrixFp":
-        self._same_shape(other)
-        return MatrixFp(self.field, self.nrows, self.ncols,
-                        (a - b for a, b in zip(self.entries, other.entries)))
+    __add__ = functools.partialmethod(_entrywise, add)
+    __sub__ = functools.partialmethod(_entrywise, sub)
 
     def scale(self, c: int) -> "MatrixFp":
         return MatrixFp(self.field, self.nrows, self.ncols, (c * a for a in self.entries))
@@ -114,10 +107,7 @@ class MatrixFp:
             raise ValueError("matrices must share a field")
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        ocols = other.cols()
-        # __post_init__ reduces the sums mod p
-        return MatrixFp(self.field, self.nrows, other.ncols,
-                        [sum(map(mul, self.row(i), c)) for i in range(self.nrows) for c in ocols])
+        return MatrixFp.from_products(self.field, self.rows(), other.cols())
 
     def matvec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.ncols:
@@ -128,14 +118,13 @@ class MatrixFp:
     def hstack(self, other: "MatrixFp") -> "MatrixFp":
         if other.nrows != self.nrows or other.field != self.field:
             raise ShapeError("hstack needs equal row counts over one field")
-        return MatrixFp(self.field, self.nrows, self.ncols + other.ncols,
-                        chain.from_iterable(self.row(i) + other.row(i) for i in range(self.nrows)))
+        return MatrixFp.from_rows(self.field, map(add, self.rows(), other.rows()),
+                                  ncols=self.ncols + other.ncols)
 
     # -- solved forms ------------------------------------------------------
 
     def rank(self) -> int:
-        _, pivots = rref(self)
-        return len(pivots)
+        return len(rref(self)[1])
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -145,13 +134,14 @@ class MatrixFp:
             raise ShapeError("only square matrices invert")
         n = self.nrows
         # rref([M | I]) = [I | M^-1] exactly when M is invertible
-        rows, pivots = rref(self.hstack(MatrixFp.identity(self.field, n)))
+        rows, pivots = rref_rows(self.field.p, [[*row, *[0] * i, 1, *[0] * (n - 1 - i)]
+                                                for i, row in enumerate(self.rows())])
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return MatrixFp(self.field, n, n, chain.from_iterable(row[n:] for row in rows))
+        return MatrixFp.from_rows(self.field, [row[n:] for row in rows], ncols=n)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.nrows))
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows())
         return f"MatrixFp({self.nrows}x{self.ncols} mod {self.field.p}: [{body}])"
 
 
@@ -185,7 +175,7 @@ def index_map(M: MatrixFp) -> list[int]:
     if p == 2:
         out = [0]
         for j in range(m):
-            c = sum(a << i for i, a in enumerate(ent[j::m]))
+            c = sum(map(lshift, ent[j::m], count()))
             out += list(map(xor, out, repeat(c)))  # a list extended by a map over itself never ends
         return out
     h = max(1, min(-(-n // 2), m))
@@ -244,31 +234,45 @@ def _sum_table(p: int, k: int) -> list[list[int]]:
     return [total[i:i + q] for i in range(0, q * q, q)]
 
 
-def rref(M: MatrixFp) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Reduced row echelon form: the reduced rows (the first len(pivots)
-    nonzero, the rest zero) and the pivot columns; the rank is len(pivots)."""
-    field = M.field
-    p = field.p
-    rows = [list(M.row(i)) for i in range(M.nrows)]
+def rref_rows(p: int, rows: list[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The one elimination routine: rows of one length, entries in range(p),
+    in reduced row echelon form (the first len(pivots) nonzero, the rest
+    zero), and the pivot columns; the rank is len(pivots).  The list itself
+    is reordered and its rows replaced, each by a new list, never edited."""
+    nrows = len(rows)
     pivots: list[int] = []
-    r = 0
-    for c in range(M.ncols):
-        if r == M.nrows:
-            break
-        pivot_row = next((i for i in range(r, M.nrows) if rows[i][c]), None)
-        if pivot_row is None:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        for k in range(r, nrows):
+            if rows[k][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
+        top = rows[k]
+        rows[k] = rows[r]
+        inv = pow(top[c], p - 2, p)
         if inv != 1:
-            rows[r] = [(inv * e) % p for e in rows[r]]
-        for i in range(M.nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+            top = [(inv * e) % p for e in top]
+        rows[r] = top
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, top)]
         pivots.append(c)
-        r += 1
     return rows, tuple(pivots)
+
+
+def _length(vectors: list[list[int]], given: int | None, what: str) -> int:
+    """The one length of vectors, which given (if not None) must be."""
+    lengths = {len(v) for v in vectors} | ({given} - {None})
+    if len(lengths) != 1:
+        raise ShapeError(f"{what} of lengths {sorted({len(v) for v in vectors})}, expected {given}")
+    return lengths.pop()
+
+
+def rref(M: MatrixFp) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form of M (see rref_rows), its rows as lists."""
+    return rref_rows(M.field.p, list(map(list, M.rows())))
 
 
 @dataclass(frozen=True)
@@ -287,10 +291,11 @@ class Subspace:
     _pivots: tuple[int, ...] = dataclasses.field(init=False)
 
     def __post_init__(self, spanning):
-        vectors = [tuple(v) for v in spanning]
+        p = self.field.p
+        vectors = [list(map(mod, v, repeat(p))) for v in spanning]
         if any(len(v) != self.ambient_dim for v in vectors):
             raise ShapeError("spanning vector of wrong length")
-        rows, pivots = rref(MatrixFp.from_rows(self.field, vectors, ncols=self.ambient_dim))
+        rows, pivots = rref_rows(p, vectors)
         object.__setattr__(self, "_rows", tuple(map(tuple, rows[:len(pivots)])))
         object.__setattr__(self, "_pivots", pivots)
 
@@ -304,27 +309,24 @@ class Subspace:
 
     def basis_matrix(self) -> MatrixFp:
         """Basis as matrix columns (ambient_dim x dim)."""
-        return MatrixFp.from_cols(self.field, [list(r) for r in self._rows], nrows=self.ambient_dim)
+        return MatrixFp(self.field, self.ambient_dim, self.dim, chain.from_iterable(zip(*self._rows)))
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords_of(v) is not None
 
     def coords_of(self, v: Sequence[int]) -> Vector | None:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
+        """Coefficients of v in the canonical basis, or None if v is outside:
+        the basis is in reduced echelon form, so they are v at the pivots."""
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
         p = self.field.p
         v = [e % p for e in v]
-        coeffs = []
-        for row, c in zip(self._rows, self._pivots):
-            lam = v[c]
-            coeffs.append(lam)
+        coeffs = tuple(v[c] for c in self._pivots)
+        for lam, row in zip(coeffs, self._rows):
             if lam:
                 for j in range(self.ambient_dim):
                     v[j] = (v[j] - lam * row[j]) % p
-        if any(v):
-            return None
-        return tuple(coeffs)
+        return None if any(v) else coeffs
 
     def __repr__(self) -> str:
         vecs = ", ".join(str(list(r)) for r in self._rows)
@@ -335,22 +337,18 @@ def column_space(M: MatrixFp) -> Subspace:
     return Subspace(M.field, M.nrows, M.cols())
 
 
-def _kernel(M: MatrixFp) -> list[list[int]]:
-    """A basis of {x : M x = 0}: one vector per free column of rref(M)."""
-    rows, pivots = rref(M)
-    basis = []
-    for free in (j for j in range(M.ncols) if j not in pivots):
-        v = [0] * M.ncols
-        v[free] = 1
-        for row, c in zip(rows, pivots):
-            v[c] = -row[free] % M.field.p
-        basis.append(v)
-    return basis
+def _kernel(p: int, rows: list[Sequence[int]], ncols: int) -> list[list[int]]:
+    """A basis of the x in GF(p)^ncols orthogonal to every row: one vector
+    per free column of the eliminated rows."""
+    rows, pivots = rref_rows(p, rows)
+    at = dict(zip(pivots, rows))  # the reduced row of each pivot column
+    return [[-at[j][free] % p if j in at else int(j == free) for j in range(ncols)]
+            for free in range(ncols) if free not in at]
 
 
 def null_space(M: MatrixFp) -> Subspace:
     """Kernel {x : M x = 0} as a subspace of the domain."""
-    return Subspace(M.field, M.ncols, _kernel(M))
+    return Subspace(M.field, M.ncols, _kernel(M.field.p, M.rows(), M.ncols))
 
 
 def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
@@ -360,21 +358,23 @@ def subspace_sum(S: Subspace, T: Subspace) -> Subspace:
 
 
 def subspace_intersect(S: Subspace, T: Subspace) -> Subspace:
-    """S's basis applied to the coordinates that it maps into T."""
+    """The rows (s | s) of S's basis and (t | 0) of T's, eliminated: those with
+    their pivot in the right half are (0 | v), v over a basis of the meet."""
     if S.field != T.field or S.ambient_dim != T.ambient_dim:
         raise ShapeError("subspaces live in different ambient spaces")
-    sbasis = S.basis_matrix()
-    return Subspace(S.field, S.ambient_dim,
-                    map(sbasis.matvec, preimage(sbasis, T).basis_vectors()))
+    n = S.ambient_dim
+    rows, pivots = rref_rows(S.field.p, [s + s for s in S._rows] + [t + (0,) * n for t in T._rows])
+    return Subspace(S.field, n, [row[n:] for row, c in zip(rows, pivots) if c >= n])
 
 
 def preimage(M: MatrixFp, S: Subspace) -> Subspace:
     """The subspace {u : M u is a member of S} of the domain of M."""
     if S.ambient_dim != M.nrows or S.field != M.field:
         raise ShapeError("subspace must live in the codomain of M")
-    # u is in the preimage exactly when (u, w) is in the kernel of [M | -S] for some w
-    kernel = _kernel(M.hstack(S.basis_matrix().scale(-1)))
-    return Subspace(M.field, M.ncols, [w[:M.ncols] for w in kernel])
+    k = M.ncols
+    # u is in the preimage exactly when M u = -S w, so (u, w) is in ker [M | S], for some w
+    rows = [[*row, *(b[i] for b in S._rows)] for i, row in enumerate(M.rows())]
+    return Subspace(M.field, k, [w[:k] for w in _kernel(M.field.p, rows, k + S.dim)])
 
 
 def is_invariant(A: MatrixFp, S: Subspace) -> bool:
@@ -386,7 +386,8 @@ def is_invariant(A: MatrixFp, S: Subspace) -> bool:
 
 @dataclass(frozen=True)
 class DirectSumDecomposition:
-    """An ordered splitting of GF(p)^n into at least two independent parts.
+    """An ordered splitting of GF(p)^n into at least two independent parts,
+    none of them zero.
 
     Carries the change-of-basis matrix formed by concatenating part bases and
     its inverse, so component extraction is a solve done once; blocks[i],
@@ -410,6 +411,8 @@ class DirectSumDecomposition:
         n = parts[0].ambient_dim
         if any(s.field != field or s.ambient_dim != n for s in parts):
             raise ShapeError("parts live in different ambient spaces")
+        if not all(s.dim for s in parts):
+            raise NotDirectSum(f"part {[s.dim for s in parts].index(0)} has dimension 0")
         if sum(s.dim for s in parts) != n:
             raise NotDirectSum(
                 f"part dimensions sum to {sum(s.dim for s in parts)}, ambient is {n}")

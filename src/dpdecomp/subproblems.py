@@ -26,7 +26,7 @@ from .cosets import reader
 from .dp import ArgminTable, CostFunction, DPInstance, FiniteHorizon, ValueTable, is_in_Gs, solve
 from .errors import NotSeparableCost
 from .invariant_decomp import verify_decomposition
-from .linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, index_sum, preimage, rref
+from .linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, index_sum, null_space, rref_rows
 
 Family = Literal["restricted", "projected"]
 
@@ -70,36 +70,36 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
         raise NotSeparableCost(
             "stage cost is not additive across the given parts")
 
-    field = inst.field
-    input_parts = [preimage(inst.B, part) for part in decomp.parts]
+    field, m = inst.field, inst.m
+    # the parts are invariant, so C^-1 A C is block diagonal: part i's block
+    # and its rows of C^-1 B are the local matrices in the part's basis, and
+    # B u lies in part i exactly when the other parts' rows of C^-1 B vanish at u
+    coords = decomp.change_of_basis_inv.rows()
+    local_B = MatrixFp.from_products(field, coords, inst.B.cols()).rows()
+    input_parts = [null_space(MatrixFp.from_rows(field, local_B[:b.start] + local_B[b.stop:],
+                                                 ncols=m)) for b in decomp.blocks]
 
     # complement of the feasible-input span, grown greedily from standard
     # basis vectors: the pivots of [E_1 ... E_r | I] that fall in I
     spanning = [b for e in input_parts for b in e.basis_vectors()]
-    input_span = Subspace(field, inst.m, spanning)
-    eye = MatrixFp.identity(field, inst.m)
-    _, pivots = rref(MatrixFp.from_cols(field, spanning + eye.cols(), nrows=inst.m))
-    complement = Subspace(field, inst.m, [eye.col(j - len(spanning))
-                                          for j in pivots if j >= len(spanning)])
+    input_span = Subspace(field, m, spanning)
+    eye = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
+    _, pivots = rref_rows(field.p, list(zip(*spanning, *eye)))
+    complement = Subspace(field, m, [eye[j - len(spanning)] for j in pivots if j >= len(spanning)])
 
-    # the parts are invariant, so C^-1 A C is block diagonal: part i's block
-    # and its rows of C^-1 B are the local matrices in the part's basis
-    local_A = decomp.change_of_basis_inv @ inst.A @ decomp.change_of_basis
-    local_B = decomp.change_of_basis_inv @ inst.B
     restricted, projected = [], []
     for part, feasible, emb, rows in zip(decomp.parts, input_parts, decomp.embedding_tables,
                                          decomp.blocks):
-        a_local = MatrixFp.from_rows(field, [local_A.row(k)[rows.start:rows.stop] for k in rows],
-                                     ncols=part.dim)
-        b_projected = MatrixFp.from_rows(field, [local_B.row(k) for k in rows], ncols=inst.m)
-        cost_local = CostFunction(
-            field, part.dim, reader(emb)(inst.cost.table),
-            allow_vanishing=inst.cost.allow_vanishing)
+        own_B = local_B[rows.start:rows.stop]
+        a_local = MatrixFp.from_products(field, coords[rows.start:rows.stop],
+                                         list(map(inst.A.matvec, part.basis_vectors())))
+        cost_local = CostFunction(field, part.dim, reader(emb)(inst.cost.table),
+                                  allow_vanishing=inst.cost.allow_vanishing)
         restricted.append(DPInstance(
-            a_local, b_projected @ feasible.basis_matrix(), cost_local, inst.horizon,
-            max_states=None, max_inputs=None))
+            a_local, MatrixFp.from_products(field, own_B, feasible.basis_vectors()), cost_local,
+            inst.horizon, max_states=None, max_inputs=None))
         projected.append(DPInstance(
-            a_local, b_projected, cost_local, inst.horizon,
+            a_local, MatrixFp.from_rows(field, own_B, ncols=m), cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))
     return SubproblemBundle(inst, decomp, input_parts, complement, restricted, projected,
                             input_span)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from dpdecomp import checks, cli, dp
+from dpdecomp import checks, cli, cosets, dp, linalg, subproblems
 from dpdecomp.checks import (DecompositionReport, check_componentwise, check_hierarchy,
                              check_horizon_monotone, check_invertible_equivalence,
                              report_from_dict, run_battery, verify_witnesses)
@@ -437,6 +437,48 @@ def test_battery_decides_each_restricted_value_split_once(monkeypatch):
     report = run_battery(inst, decomp)
     assert report.minimizer_condition is True and report.horizon_monotone is True
     assert len(calls) == T + 2
+
+
+def make_generic_refuted():
+    """GF(2)^4 split 2 + 2 in a skewed basis, with an input map that no
+    part contains: the battery refutes with three witnesses."""
+    F2 = PrimeField(2)
+    S = MatrixFp.from_rows(F2, [[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
+    decomp = DirectSumDecomposition([Subspace(F2, 4, S.cols()[:2]),
+                                     Subspace(F2, 4, S.cols()[2:])])
+    A = MatrixFp.from_rows(F2, [[1, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1]])
+    B = MatrixFp.from_rows(F2, [[0, 1], [1, 0], [0, 0], [0, 1]])
+    cost = CostFunction.separable(decomp, [[0, 1, 2, 1], [0, 2, 1, 3]])
+    return DPInstance(A, B, cost, FiniteHorizon(2)), decomp
+
+
+def test_battery_small_matrix_work_stays_bounded(monkeypatch):
+    """run_battery, then verify_witnesses, on one fixed generic-B instance:
+    the eliminations, MatrixFp products and MatrixFp constructions repeat
+    exactly from run to run, so each is held at the count the row-level
+    algebra reaches (35, 24 and 149 while eliminations, products and
+    subspaces went through MatrixFp round trips)."""
+    counts = {"elimination": 0, "product": 0, "MatrixFp": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+        return counted
+
+    elimination = counting("elimination", linalg.rref_rows)
+    for module in (linalg, cosets, subproblems):
+        monkeypatch.setattr(module, "rref_rows", elimination)
+    monkeypatch.setattr(MatrixFp, "__matmul__", counting("product", MatrixFp.__matmul__))
+    monkeypatch.setattr(MatrixFp, "__post_init__", counting("MatrixFp", MatrixFp.__post_init__))
+    inst, decomp = make_generic_refuted()
+    counts.update(dict.fromkeys(counts, 0))
+    report = run_battery(inst, decomp)
+    assert verify_witnesses(inst, decomp, report) == {
+        "minimizer_witness": True, "additive_witness": True, "componentwise_witness": True}
+    assert counts["elimination"] <= 31
+    assert counts["product"] == 0
+    assert counts["MatrixFp"] <= 62
 
 
 # === consistency-layer units ===

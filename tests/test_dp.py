@@ -1038,23 +1038,23 @@ def test_coset_frame_matches_two_elimination_oracle():
 def test_coset_frame_eliminates_once(monkeypatch):
     """Building a frame runs one elimination and inverts nothing: Q^-1 is
     the right block of rref([B | I])."""
-    calls = {"rref": 0, "inverse": 0}
-    original_rref, original_inverse = linalg.rref, MatrixFp.inverse
+    calls = {"rref_rows": 0, "inverse": 0}
+    original_rref_rows, original_inverse = linalg.rref_rows, MatrixFp.inverse
 
-    def counting_rref(M):
-        calls["rref"] += 1
-        return original_rref(M)
+    def counting_rref_rows(p, rows):
+        calls["rref_rows"] += 1
+        return original_rref_rows(p, rows)
 
     def counting_inverse(self):
         calls["inverse"] += 1
         return original_inverse(self)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
-    monkeypatch.setattr(cosets, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "rref_rows", counting_rref_rows)
+    monkeypatch.setattr(cosets, "rref_rows", counting_rref_rows)
     monkeypatch.setattr(MatrixFp, "inverse", counting_inverse)
     A, B = _frame_case(random.Random("eliminate-once"), F3, 4, "any")
     dp.CosetFrame.of(A, B)
-    assert calls == {"rref": 1, "inverse": 0}
+    assert calls == {"rref_rows": 1, "inverse": 0}
 
 
 def test_value_reads_one_entry_without_building_the_table():

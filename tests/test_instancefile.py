@@ -161,6 +161,38 @@ def test_decomposition_validation():
         load_instance(doc)
 
 
+def zero_part_doc():
+    """GF(2)^2 with A = I, B = e_1 and a first part with no basis columns:
+    the trivial splitting, written as a splitting into two parts."""
+    return {"schema_version": "1.0", "field": {"prime": 2}, "dims": {"n": 2, "m": 1},
+            "A": [[1, 0], [0, 1]], "B": [[1], [0]],
+            "decomposition": [[[], []], [[1, 0], [0, 1]]],
+            "cost": {"table": ["0", "1", "1", "1"]}, "horizon": {"finite": {"T": 1}}}
+
+
+def test_zero_dimensional_part_is_refused(tmp_path, capsys):
+    """A part of dimension 0 is refused by the loader, naming the part, and
+    by the schema; check exits 2 on it instead of reporting both
+    decompositions as holding."""
+    doc = zero_part_doc()
+    with pytest.raises(NotDirectSum, match="part 0 has dimension 0"):
+        load_instance(doc)
+    validator = jsonschema.Draft202012Validator(json.loads(SCHEMA.read_text()))
+    assert list(validator.iter_errors(doc))
+    path = tmp_path / "zero-part.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: part 0 has dimension 0\n"
+    doc["decomposition"] = [[[1, 0], [0, 1]], [[], []]]
+    with pytest.raises(NotDirectSum, match="part 1 has dimension 0"):
+        load_instance(doc)
+    doc["decomposition"][1] = []  # no rows at all: the loader and the schema refuse it too
+    with pytest.raises(ValueError, match="part 1 must be a matrix"):
+        load_instance(doc)
+    assert list(validator.iter_errors(doc))
+
+
 def test_cost_kinds():
     # indicator with per-part weights
     doc = base_doc()

@@ -5,6 +5,7 @@ intersections, preimage maximality) are checked by exhaustive enumeration
 at small sizes, which is feasible because the spaces are finite.
 """
 
+import itertools
 import random
 
 import pytest
@@ -387,3 +388,144 @@ def test_poly_eval_matrix_hand_example():
     A = MatrixFp.from_rows(F2, [[0, 1], [1, 0]])
     f = Poly(F2, [1, 0, 1])
     assert poly_eval_matrix(f, A) == MatrixFp.zeros(F2, 2, 2)
+
+
+def test_from_rows_and_cols_refuse_a_size_that_disagrees():
+    """An explicit ncols (nrows) must be the length of the rows (columns)
+    given; it used to be ignored."""
+    with pytest.raises(ShapeError):
+        MatrixFp.from_rows(F2, [[1, 2]], ncols=5)
+    with pytest.raises(ShapeError):
+        MatrixFp.from_cols(F2, [[1, 2]], nrows=5)
+    assert MatrixFp.from_rows(F2, [[1, 0]], ncols=2) == MatrixFp.from_rows(F2, [[1, 0]])
+    assert MatrixFp.from_cols(F2, [[1, 0]], nrows=2) == MatrixFp.from_rows(F2, [[1], [0]])
+    assert MatrixFp.from_rows(F2, [], ncols=3) == MatrixFp.zeros(F2, 0, 3)
+    assert MatrixFp.from_cols(F2, [], nrows=3) == MatrixFp.zeros(F2, 3, 0)
+    for rows in ([], [[1], [1, 0]]):
+        with pytest.raises(ShapeError):
+            MatrixFp.from_rows(F2, rows)
+        with pytest.raises(ShapeError):
+            MatrixFp.from_cols(F2, rows)
+
+
+def test_decomposition_refuses_a_zero_dimensional_part():
+    """A part of dimension 0 splits nothing off (with one it, the trivial
+    splitting passed the two-part rule); the error names the part."""
+    whole, line = Subspace(F3, 2, [(1, 0), (0, 1)]), Subspace(F3, 2, [(1, 1)])
+    for parts, k in (([Subspace(F3, 2), whole], 0), ([whole, Subspace(F3, 2, [(0, 0)])], 1),
+                     ([line, Subspace(F3, 2), Subspace(F3, 2, [(1, 2)])], 1)):
+        with pytest.raises(NotDirectSum, match=f"part {k} has dimension 0"):
+            DirectSumDecomposition(parts)
+
+
+# === the row routine, against an oracle and against enumeration ===
+
+def oracle_rref(M):
+    """rref as it ran on a MatrixFp before elimination moved to plain rows
+    (linalg.rref_rows), kept as the oracle of the row routine."""
+    field = M.field
+    p = field.p
+    rows = [list(M.row(i)) for i in range(M.nrows)]
+    pivots = []
+    r = 0
+    for c in range(M.ncols):
+        if r == M.nrows:
+            break
+        pivot_row = next((i for i in range(r, M.nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][c])
+        if inv != 1:
+            rows[r] = [(inv * e) % p for e in rows[r]]
+        for i in range(M.nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def random_rows(rng, p, nrows, ncols):
+    """Rows that make low ranks likely: each is random, zero, or a multiple
+    of an earlier one plus a sparse change."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(3) if rows else 0
+        if kind == 0:
+            row = [rng.randrange(p) for _ in range(ncols)]
+        elif kind == 1:
+            row = [0] * ncols
+        else:
+            c = rng.randrange(p)
+            row = [c * e % p for e in rng.choice(rows)]
+            if ncols and rng.random() < 0.5:
+                row[rng.randrange(ncols)] = rng.randrange(p)
+        rows.append(row)
+    return rows
+
+
+def test_rref_rows_matches_the_oracle():
+    """rref_rows gives the oracle's rows and pivots for p in {2, 3, 5, 7}
+    and shapes with zero rows and zero columns, replaces rows without
+    editing any in place, and rref(M) is it on M's rows."""
+    rng = random.Random("rref-rows")
+    for p in (2, 3, 5, 7):
+        F = PrimeField(p)
+        for _ in range(200):
+            nrows, ncols = rng.randint(0, 6), rng.randint(0, 7)
+            given = random_rows(rng, p, nrows, ncols)
+            kept = [list(row) for row in given]
+            M = MatrixFp.from_rows(F, given, ncols=ncols)
+            want = oracle_rref(M)
+            assert linalg.rref_rows(p, list(given)) == want, (p, kept)
+            assert given == kept
+            assert rref(M) == want
+
+
+def span(p, vectors, k):
+    """Every combination of vectors over GF(p), as k-tuples."""
+    return {tuple(sum(c * v[j] for c, v in zip(cs, vectors)) % p for j in range(k))
+            for cs in itertools.product(range(p), repeat=len(vectors))}
+
+
+ENUMERATED = {2: 5, 3: 4, 5: 3, 7: 3}  # the largest k whose GF(p)^k is enumerated
+
+
+def test_subspace_algebra_matches_enumeration():
+    """Subspace, null_space, preimage, subspace_intersect and is_invariant
+    agree with brute-force enumeration of GF(p)^k for p in {2, 3, 5, 7},
+    with zero-dimensional spaces, zero subspaces and matrices with zero rows
+    or zero columns among the cases."""
+    rng = random.Random("subspace-enumeration")
+    for p, top in ENUMERATED.items():
+        F = PrimeField(p)
+        for trial in range(30):
+            k, j = rng.randint(0, top), rng.randint(0, top)
+            space = list(itertools.product(range(p), repeat=k))
+            spanning = random_rows(rng, p, rng.randint(0, 3), k)
+            S = Subspace(F, k, spanning)
+            members = span(p, spanning, k)
+            assert span(p, S.basis_vectors(), k) == members and len(members) == p**S.dim
+            assert Subspace(F, k, S.basis_vectors()) == S
+            assert all(S.contains(x) == (x in members) for x in space)
+            other = random_rows(rng, p, rng.randint(0, 3), k)
+            meet = subspace_intersect(S, Subspace(F, k, other))
+            assert span(p, meet.basis_vectors(), k) == members & span(p, other, k)
+            M = MatrixFp.from_rows(F, random_rows(rng, p, j, k), ncols=k)
+            assert (span(p, null_space(M).basis_vectors(), k)
+                    == {x for x in space if not any(M.matvec(x))})
+            target = random_rows(rng, p, rng.randint(0, 3), j)
+            allowed = span(p, target, j)
+            assert (span(p, preimage(M, Subspace(F, j, target)).basis_vectors(), k)
+                    == {x for x in space if M.matvec(x) in allowed})
+            A = MatrixFp.from_rows(F, random_rows(rng, p, k, k), ncols=k)
+            if trial % 2 and k:  # a Krylov span, which A maps into itself
+                v = tuple(rng.randrange(p) for _ in range(k))
+                krylov = [v]
+                for _ in range(k):
+                    krylov.append(A.matvec(krylov[-1]))
+                S, members = Subspace(F, k, krylov), span(p, krylov, k)
+                assert is_invariant(A, S)
+            assert is_invariant(A, S) == all(A.matvec(x) in members for x in members)

@@ -210,8 +210,8 @@ def check_minimizer_condition(bundle: SubproblemBundle, argmin: ArgminTable
         raise ValueError("minimizer condition applies to finite horizons")
     span = _input_span(bundle)
     p = bundle.parent.field.p
-    for t, row in enumerate(argmin.per_time):
-        x = _first_outside(span, row)
+    for t in range(len(argmin.rows)):  # a row is built only if every earlier time passed
+        x = _first_outside(span, argmin.table(t))
         if x is not None:
             return False, {"state": list(index_state(x, p, bundle.parent.n)), "t": t}
     return True, None
@@ -317,8 +317,8 @@ def check_componentwise(bundle: SubproblemBundle,
     reads = list(map(reader, bundle.component_state_tables()))
     for t in range(bundle.parent.horizon.T) if finite else (None,):
         t_idx = t or 0
-        local = [read(sol[1].per_time[t_idx]) for sol, read in zip(projected_solutions, reads)]
-        for x, key in enumerate(zip(parent_argmin.per_time[t_idx], *local)):
+        local = [read(sol[1].table(t_idx)) for sol, read in zip(projected_solutions, reads)]
+        for x, key in enumerate(zip(parent_argmin.table(t_idx), *local)):
             if key not in decided:
                 decided[key] = first_missed(key)
             if decided[key] is not None:
@@ -461,12 +461,10 @@ def _assert_positivity_props(inst: DPInstance,
                 "optimal value zero set differs from the zero state "
                 "for a strictly positive cost")
     bu = index_map(inst.B)
-    for row in argmin.per_time:
-        for u in row[0]:
-            if bu[u] != 0:
-                raise TheoremViolation(
-                    "an optimizer at the zero state moves the state off zero "
-                    "for a strictly positive cost")
+    if any(bu[u] for t in range(len(argmin.rows)) for u in argmin.inputs(0, t)):
+        raise TheoremViolation(
+            "an optimizer at the zero state moves the state off zero "
+            "for a strictly positive cost")
 
 
 def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
@@ -620,11 +618,11 @@ def _tuple_witness_confirmed(bundle: SubproblemBundle, w: dict[str, Any],
         _witness_index(recorded, inst.n, p, "target")
     subs = solve_bundle(bundle, "projected")
     comp = bundle.component_state_tables()
-    if any(a not in subs[i][1].per_time[t_idx][comp[i][x]] for i, a in enumerate(chosen)):
+    if any(a not in subs[i][1].inputs(comp[i][x], t_idx) for i, a in enumerate(chosen)):
         return False
     images, bu_adapted, _ = _input_images(bundle)
     target = sum(images[i][a] for i, a in enumerate(chosen))
-    if target in {bu_adapted[u] for u in parent_argmin.per_time[t_idx][x]}:
+    if target in {bu_adapted[u] for u in parent_argmin.inputs(x, t_idx)}:
         return False
     got = _tuple_witness(bundle, x, t_idx, chosen, target)
     return recorded is None or got["target"] == list(recorded)
@@ -653,7 +651,7 @@ def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
         w = getattr(report, name)
         if w is not None:
             x = _witness_state(w, inst)
-            out[name] = span.isdisjoint(parent_argmin.per_time[_witness_time(w, inst)][x])
+            out[name] = span.isdisjoint(parent_argmin.inputs(x, _witness_time(w, inst)))
     if report.additive_witness is not None:
         out["additive_witness"] = _value_witness_confirmed(
             bundle, report.additive_witness, parent_values, solve_bundle(bundle, "restricted"))

@@ -152,7 +152,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         payload["horizon"] = {"finite": {"T": horizon.T}}
         payload["values"] = {str(t): printed(values.table(t)) for t in times}
         if args.argmin:
-            payload["argmin"] = {str(t): _input_sets(argmin.per_time[t], inputs)
+            payload["argmin"] = {str(t): _input_sets(argmin.table(t), inputs)
                                  for t in times if t < horizon.T}
     else:
         values, argmin = solve_discounted_pi(inst)

@@ -184,6 +184,15 @@ class CosetFrame:
             picked[c] = merged[vs]
         return list(self.at_ax(list(chain.from_iterable(picked))))
 
+    def argmin_set(self, x: int, Jk: Sequence, mins: Sequence) -> frozenset[int]:
+        """State x's entry of argmin_sets(Jk, mins) alone: for Ax at coordinate
+        index c·P + w, the union of pre[v - w] over coset c's minimal v."""
+        P = self.P
+        c, w = divmod(self.k_ax[x], P)
+        vs = list(compress(count(), map(eq, Jk[c * P:c * P + P], repeat(mins[c]))))
+        return frozenset().union(*map(self.pre.__getitem__,
+                                      index_sum(self.p, vs, [self.neg[w]] * len(vs), self.r)))
+
     def successors(self, inputs: Sequence[int]) -> list[int]:
         """The successor of every state x under the input inputs[x]."""
         return list(map(self.order.__getitem__, index_sum(

@@ -22,16 +22,16 @@ Values are exact integers over one scale: a cost keeps its numerators over
 the common denominator of its table (CostFunction.num over .scale), and a
 ValueTable keeps integer numerator tables over a single positive scale; a
 Fraction is built only when a caller reads ValueTable.table(), .per_time,
-.stationary or .value().  A common denominator wider than WIDE_SCALE_BITS
-would make every numerator that wide, so such a cost or table is wide: it
-keeps two integer rows, numerators and denominators, each entry its own
-ratio.  Both forms run through the same steps: CosetFrame.minima, which
-compares wide values by cross-multiplication, _walk (the closed-loop
-graph of a stationary policy) and _step (cost plus a row read at given
-indices), which add ratios without a gcd until a denominator passes a
-bound read off the cost.  Tables are dense over the state space; guard
-limits keep that honest (defaults p^n <= 729 and p^m <= 81, both
-overridable).
+.stationary or .value(), and an ArgminTable's sets only when read.  A
+common denominator wider than WIDE_SCALE_BITS would make every numerator
+that wide, so such a cost or table is wide: it keeps two integer rows,
+numerators and denominators, each entry its own ratio.  Both forms run
+through the same steps: CosetFrame.minima, which compares wide values by
+cross-multiplication, _walk (the closed-loop graph of a stationary policy)
+and _step (cost plus a row read at given indices), which add ratios
+without a gcd until a denominator passes a bound read off the cost.  Tables
+are dense over the state space; guard limits keep that honest (defaults
+p^n <= 729 and p^m <= 81, both overridable).
 """
 
 from __future__ import annotations
@@ -273,13 +273,14 @@ class DPInstance:
 
     B must have full column rank for problems stated directly (the standing
     assumption); derived subproblems whose input map is a projection of B may
-    pass require_injective=False.
+    pass require_injective=False.  known_injective=True vouches for the rank
+    and skips its elimination; injective records that B is known injective.
     """
 
-    __slots__ = ("field", "n", "m", "A", "B", "cost", "horizon", "_trans", "_frame")
+    __slots__ = ("field", "n", "m", "A", "B", "cost", "horizon", "injective", "_trans", "_frame")
 
     def __init__(self, A: MatrixFp, B: MatrixFp, cost: CostFunction, horizon: Horizon,
-                 *, require_injective: bool = True,
+                 *, require_injective: bool = True, known_injective: bool = False,
                  max_states: int | None = DEFAULT_MAX_STATES,
                  max_inputs: int | None = DEFAULT_MAX_INPUTS):
         if A.nrows != A.ncols:
@@ -302,17 +303,11 @@ class DPInstance:
             raise ValueError(
                 f"input space size {p**m} exceeds the guard {max_inputs}; "
                 "raise max_inputs to override")
-        if require_injective and B.rank() < m:
+        if require_injective and not known_injective and B.rank() < m:
             raise ValueError("B must have full column rank (injective input map)")
-        object.__setattr__(self, "field", A.field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "_trans", None)
-        object.__setattr__(self, "_frame", None)
+        for name, value in zip(self.__slots__, (A.field, n, m, A, B, cost, horizon,  # in order
+                                                require_injective or known_injective, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("DPInstance is immutable")
@@ -423,24 +418,51 @@ class ValueTable:
         return Fraction(self.nums[t][x_idx], self.scale * den)
 
 
-@dataclass(frozen=True)
 class ArgminTable:
     """Full minimizer sets per state; per time 0..T-1 for finite horizons,
-    a single table for discounted problems."""
+    a single table for discounted problems.
 
-    horizon: Horizon
-    per_time: tuple[tuple[frozenset[int], ...], ...]
+    Given a frame, each time starts as its stage's key in coordinate order
+    and the key's coset minima (as CosetFrame.minima returns them): table(t)
+    builds the row with frame.argmin_sets on first read, keeps it and drops
+    the key, and inputs() reads one state's set without building a row.
+    Two tables are equal when they hold the same sets."""
+
+    def __init__(self, horizon: Horizon, rows: Iterable, frame: CosetFrame | None = None):
+        self.horizon, self.frame = horizon, frame
+        self._keys = dict(enumerate(rows)) if frame else {}
+        self.rows = [None] * len(self._keys) if frame else list(rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, ArgminTable) and self.horizon == other.horizon
+                and self.per_time == other.per_time)
+
+    @property
+    def per_time(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        return tuple(map(self.table, range(len(self.rows))))
 
     @property
     def stationary(self) -> tuple[frozenset[int], ...]:
         if not isinstance(self.horizon, DiscountedHorizon):
             raise ValueError("stationary table only exists for discounted horizons")
-        return self.per_time[0]
+        return self.table(0)
+
+    def table(self, t: int = 0) -> tuple[frozenset[int], ...]:
+        if t in self._keys:
+            self.rows[t] = tuple(self.frame.argmin_sets(*self._keys.pop(t)))
+        return self.rows[t]
+
+    def inputs(self, x_idx: int, t: int = 0) -> frozenset[int]:
+        """One state's set, read without building the time-t row."""
+        if t in self._keys:
+            return self.frame.argmin_set(x_idx, *self._keys[t])
+        return self.rows[t][x_idx]
 
 
 def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     """Backward recursion: J_T = g, J_t = g + min over inputs of J_{t+1} at
-    the successor; minimizer sets are recorded in full for every t in 0..T-1.
+    the successor; the full minimizer sets for every t in 0..T-1 are built
+    on first read (see ArgminTable).
 
     Each stage is one pass of coset minima (see CosetFrame) over the cost's
     integer form in coordinate order, and one _step, g plus the minimum
@@ -452,15 +474,15 @@ def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     cost = inst.cost
     g, q = row = frame.in_coords(cost.num), cost.den and frame.in_coords(cost.den)
     rows = [(cost.num, cost.den)]  # J_T, J_{T-1}, ..., J_0 with their dens
-    argmins = []
+    keys = []  # each stage's argmin key and its coset minima
     for _ in range(inst.horizon.T):
         Jk, mins, mn, md = frame.minima(*row)
         row = _step(g, q, cost.den_bits, mn, md, frame.by_coset)
         rows.append((frame.in_states(row[0]), row[1] and frame.in_states(row[1])))
-        argmins.append(tuple(frame.argmin_sets(Jk, mins)))
+        keys.append((Jk, mins))
     nums, dens = zip(*reversed(rows))
     return (ValueTable(inst.horizon, nums, cost.scale, dens),
-            ArgminTable(inst.horizon, tuple(reversed(argmins))))
+            ArgminTable(inst.horizon, reversed(keys), frame))
 
 
 def solve(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
@@ -598,7 +620,7 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
     to its first minimal position, which rules out cycling.  A round with
     no stale coset has a policy greedy for its own values, so its keys are
     J*: they give the table, read into state order once, and the full
-    minimizer sets, built once.
+    minimizer sets, built on first read.
     """
     if not isinstance(inst.horizon, DiscountedHorizon):
         raise ValueError("solve_discounted_pi needs a discounted horizon")
@@ -620,7 +642,7 @@ def solve_discounted_pi(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:
         for c, k in zip(stale, frame.first_minimal(Jk, mins, stale)):
             chosen[c] = k
     values = _policy_table(inst, scale, frame.in_states(row), dens and frame.in_states(dens))
-    return values, ArgminTable(inst.horizon, (tuple(frame.argmin_sets(Jk, mins)),))
+    return values, ArgminTable(inst.horizon, [(Jk, mins)], frame)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,8 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
     field, m = inst.field, inst.m
     # the parts are invariant, so C^-1 A C is block diagonal: part i's block
     # and its rows of C^-1 B are the local matrices in the part's basis, and
-    # B u lies in part i exactly when the other parts' rows of C^-1 B vanish at u
+    # B u lies in part i exactly when the other parts' rows of C^-1 B vanish at u,
+    # so the restricted input map (own rows times F) kills only what B F kills
     coords = decomp.change_of_basis_inv.rows()
     local_B = MatrixFp.from_products(field, coords, inst.B.cols()).rows()
     input_parts = [null_space(MatrixFp.from_rows(field, local_B[:b.start] + local_B[b.stop:],
@@ -97,7 +98,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
                                   allow_vanishing=inst.cost.allow_vanishing)
         restricted.append(DPInstance(
             a_local, MatrixFp.from_products(field, own_B, feasible.basis_vectors()), cost_local,
-            inst.horizon, max_states=None, max_inputs=None))
+            inst.horizon, known_injective=inst.injective, max_states=None, max_inputs=None))
         projected.append(DPInstance(
             a_local, MatrixFp.from_rows(field, own_B, ncols=m), cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))

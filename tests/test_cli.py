@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dpdecomp import checks, cli, dp
+from dpdecomp import checks, cli, cosets, dp
 from dpdecomp.errors import TheoremViolation
 
 
@@ -102,6 +102,27 @@ def test_solve_determinism(worked_path, capsys):
     rc2, out2, _ = run(capsys, "solve", worked_path, "--json", "--argmin")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, times", [
+    (["--T", "3"], []), (["--T", "3", "--argmin"], [0]),
+    (["--T", "3", "--argmin", "--all-t"], [0, 1, 2]),
+    (["--horizon", "discounted", "--alpha", "1/2"], []),
+    (["--horizon", "discounted", "--alpha", "1/2", "--argmin"], [0]),
+], ids=["finite", "finite-argmin", "finite-all-t-argmin", "discounted", "discounted-argmin"])
+def test_solve_builds_only_the_argmin_rows_it_prints(worked_path, capsys, monkeypatch,
+                                                     argv, times):
+    """solve --json builds the minimizer-set row of each time it prints and
+    no other: none without --argmin, time 0's alone without --all-t."""
+    read, built = [], []
+    table, argmin_sets = dp.ArgminTable.table, cosets.CosetFrame.argmin_sets
+    monkeypatch.setattr(dp.ArgminTable, "table",
+                        lambda self, t=0: read.append(t) or table(self, t))
+    monkeypatch.setattr(cosets.CosetFrame, "argmin_sets",
+                        lambda frame, Jk, mins: built.append(Jk) or argmin_sets(frame, Jk, mins))
+    rc, out, _ = run(capsys, "solve", worked_path, "--json", *argv)
+    assert rc == 0 and sorted(read) == times and len(built) == len(times)
+    assert ("argmin" in json.loads(out)) == bool(times)
 
 
 def test_horizon_override_flags(worked_path, capsys):

@@ -457,8 +457,12 @@ def test_battery_small_matrix_work_stays_bounded(monkeypatch):
     the eliminations, MatrixFp products and MatrixFp constructions repeat
     exactly from run to run, so each is held at the count the row-level
     algebra reaches (35, 24 and 149 while eliminations, products and
-    subspaces went through MatrixFp round trips)."""
-    counts = {"elimination": 0, "product": 0, "MatrixFp": 0}
+    subspaces went through MatrixFp round trips; 31 eliminations while
+    every restricted input map was rank-checked).  Of the argmin rows the
+    solvers could build, only the parent's time-0 row, the minimizer
+    witness's, is read in full (20 were built while the solvers built
+    every row)."""
+    counts = {"elimination": 0, "product": 0, "MatrixFp": 0, "argmin row": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -471,14 +475,46 @@ def test_battery_small_matrix_work_stays_bounded(monkeypatch):
         monkeypatch.setattr(module, "rref_rows", elimination)
     monkeypatch.setattr(MatrixFp, "__matmul__", counting("product", MatrixFp.__matmul__))
     monkeypatch.setattr(MatrixFp, "__post_init__", counting("MatrixFp", MatrixFp.__post_init__))
+    monkeypatch.setattr(cosets.CosetFrame, "argmin_sets",
+                        counting("argmin row", cosets.CosetFrame.argmin_sets))
     inst, decomp = make_generic_refuted()
     counts.update(dict.fromkeys(counts, 0))
     report = run_battery(inst, decomp)
     assert verify_witnesses(inst, decomp, report) == {
         "minimizer_witness": True, "additive_witness": True, "componentwise_witness": True}
-    assert counts["elimination"] <= 31
+    assert counts["elimination"] <= 27
     assert counts["product"] == 0
     assert counts["MatrixFp"] <= 62
+    assert counts["argmin row"] <= 1
+
+
+def test_argmin_rows_are_built_once_and_only_when_read(monkeypatch):
+    """A solver's argmin row is built on its first full read and kept, so a
+    second read builds nothing; one-state reads build no row; and
+    verify_witnesses on a report whose witnesses are value witnesses reads
+    no minimizer set, so it builds no row."""
+    built = []
+    original = cosets.CosetFrame.argmin_sets
+
+    def counting(frame, Jk, mins):
+        built.append(Jk)
+        return original(frame, Jk, mins)
+
+    monkeypatch.setattr(cosets.CosetFrame, "argmin_sets", counting)
+    inst, decomp = make_generic_refuted()
+    _, argmin = solve(inst)
+    singles = [argmin.inputs(x, 1) for x in range(inst.num_states)]
+    assert built == []
+    row = argmin.table(1)
+    assert len(built) == 1 and argmin.table(1) is row and list(row) == singles
+    assert argmin.per_time[1] is row and len(built) == 2  # per_time built row 0 alone
+    assert argmin.per_time == (argmin.table(0), row) and len(built) == 2
+    report = run_battery(inst, decomp)
+    value_only = dataclasses.replace(report, minimizer_witness=None)
+    built.clear()
+    assert verify_witnesses(inst, decomp, value_only) == {
+        "additive_witness": True, "componentwise_witness": True}
+    assert built == []
 
 
 # === consistency-layer units ===
@@ -595,9 +631,9 @@ def test_componentwise_count_matches_enumerating_oracle():
         bundle = build_bundle(inst, decomp)
         parent = solve(inst)
         projected = solve_bundle(bundle, "projected")
-        traded = dataclasses.replace(parent[1], per_time=tuple(
+        traded = dp.ArgminTable(parent[1].horizon, [
             tuple(_swap_one(rng, actions, inst.num_inputs) for actions in row)
-            for row in parent[1].per_time))
+            for row in parent[1].per_time])
         assert (check_componentwise(bundle, (parent[0], traded), projected)
                 == oracle_check_componentwise(bundle, (parent[0], traded), projected))
         got = check_componentwise(bundle, parent, projected)
@@ -612,6 +648,22 @@ def test_componentwise_count_matches_enumerating_oracle():
             assert verify_witnesses(inst, decomp, report) == {"componentwise_witness": True}
     # the corpus exercises every outcome
     assert min(kinds.get(k, 0) for k in (None, "value", "tuple")) >= 20
+
+
+def test_restricted_input_maps_keep_full_column_rank(monkeypatch):
+    """build_bundle runs no rank elimination for the restricted input maps
+    of a parent whose B is known injective: on 300 seeded batteries every
+    restricted B has full column rank all the same."""
+    rng = random.Random("restricted-rank")
+    ranks = []
+    rank = MatrixFp.rank
+    for _ in range(300):
+        inst, decomp = random_battery(rng)
+        with monkeypatch.context() as patched:
+            patched.setattr(MatrixFp, "rank", lambda self: ranks.append(self) or rank(self))
+            bundle = build_bundle(inst, decomp)
+        assert ranks == []
+        assert all(sub.injective and sub.B.rank() == sub.m for sub in bundle.restricted)
 
 
 class _CountingSpan(frozenset):

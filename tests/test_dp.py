@@ -756,7 +756,8 @@ def test_wide_form_matches_narrow_form_on_the_same_inputs(monkeypatch, p):
 def test_wide_solvers_do_no_fraction_arithmetic(monkeypatch):
     """The solvers run on integers from a wide cost (and from the wide
     rounds a narrow cost gives policy iteration): with Fraction addition
-    and ordering disabled they still finish, and match the oracles."""
+    and ordering disabled they still finish, and every argmin row, built
+    on first read, is read there too; the results match the oracles."""
     finite = _wide_instance("no-fractions", 3, 2, 1, FiniteHorizon(4))
     discounted = _wide_instance("no-fractions", 3, 2, 1, DiscountedHorizon(Fraction(9, 10)))
     cycles = _many_cycle_lengths_instance()
@@ -772,6 +773,8 @@ def test_wide_solvers_do_no_fraction_arithmetic(monkeypatch):
         got = [solve_finite(finite), evaluate_time_varying(finite, law),
                solve_discounted_pi(discounted), solve_discounted_vi(discounted, tol),
                solve_discounted_pi(cycles[0])]
+        for solution in (got[0], got[2], got[4]):
+            solution[1].per_time
     assert got[0] == oracle_solve_finite(finite)
     assert got[1] == oracle_evaluate_time_varying(finite, law)
     assert got[2] == oracle_solve_discounted_pi(discounted)
@@ -1035,6 +1038,37 @@ def test_coset_frame_matches_two_elimination_oracle():
                 assert got.P == p**n
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_one_state_argmin_read_matches_the_built_row(p):
+    """ArgminTable.inputs (CosetFrame.argmin_set) gives the built row's set
+    at every state and time, read before any row is built, on seeded B of
+    every _frame_case shape (rank 0, zero, non-injective as a projected
+    family's, one coset), for narrow, wide (a bool key) and tie-heavy
+    costs, over finite and discounted horizons."""
+    rng = random.Random(f"one-state-argmin-{p}")
+    F = PrimeField(p)
+    shapes = ("any", "autonomous", "zero", "non-injective", "invertible")
+    for shape, kind, finite, _ in itertools.product(
+            shapes, ("narrow", "wide", "ties"), (True, False), range(2)):
+        n = rng.randint(1 if p > 3 else 2, {2: 5, 3: 3, 5: 2, 7: 2}[p])
+        A, B = _frame_case(rng, F, n, shape)
+        if kind == "wide":
+            dens = list(WIDE_DENOMINATORS) + [rng.choice(WIDE_DENOMINATORS)
+                                              for _ in range(p**n - 4)]
+            table = [0] + [Fraction(rng.randint(1, 9), d) for d in dens]
+        else:
+            table = [0] + [rng.randint(0, 1 if kind == "ties" else 9) for _ in range(p**n - 1)]
+        horizon = FiniteHorizon(rng.randint(1, 3)) if finite else DiscountedHorizon(Fraction(9, 10))
+        inst = DPInstance(A, B, CostFunction(F, n, table, allow_vanishing=True), horizon,
+                          require_injective=False, max_inputs=None)
+        _, argmin = dp.solve(inst)
+        times = range(len(argmin.rows))
+        assert (kind == "wide") == all(type(k) is bool for t in times for k in argmin._keys[t][0])
+        singles = [tuple(argmin.inputs(x, t) for x in range(p**n)) for t in times]
+        oracle = oracle_solve_finite if finite else oracle_solve_discounted_pi
+        assert singles == list(argmin.per_time) == list(oracle(inst)[1].per_time)
+
+
 def test_coset_frame_eliminates_once(monkeypatch):
     """Building a frame runs one elimination and inverts nothing: Q^-1 is
     the right block of rref([B | I])."""
@@ -1139,7 +1173,7 @@ def test_policy_iteration_builds_argmin_sets_once(monkeypatch):
     # three rounds: two improvements, then no change; the rounds walk the
     # cosets and compare coset minima only, the walk runs once per round,
     # the last round's values are the table with no further evaluation,
-    # and the full minimizer sets are built once, for the end
+    # and the full minimizer sets are built once, for the end, when read
     A = MatrixFp(F3, 2, 2, [2, 1, 2, 0])
     B = MatrixFp(F3, 2, 1, [2, 2])
     inst = DPInstance(A, B, CostFunction(F3, 2, [0, 4, 5, 1, 7, 7, 3, 2, 8]),
@@ -1159,7 +1193,10 @@ def test_policy_iteration_builds_argmin_sets_once(monkeypatch):
     monkeypatch.setattr(dp, "_walk", counting("walk", dp._walk))
     monkeypatch.setitem(globals(), "oracle_evaluate_stationary_policy",
                         counting("oracle", oracle_evaluate_stationary_policy))
-    assert solve_discounted_pi(inst) == oracle_solve_discounted_pi(inst)
+    values, argmin = solve_discounted_pi(inst)
+    assert argmin.stationary is argmin.stationary
+    assert calls == {"argmin_sets": 1, "evaluate": 0, "walk": 3, "oracle": 0}
+    assert (values, argmin) == oracle_solve_discounted_pi(inst)
     assert calls == {"argmin_sets": 1, "evaluate": 0, "walk": 3, "oracle": 3}
 
 

@@ -210,7 +210,7 @@ def check_minimizer_condition(bundle: SubproblemBundle, argmin: ArgminTable
         raise ValueError("minimizer condition applies to finite horizons")
     span = _input_span(bundle)
     p = bundle.parent.field.p
-    for t in range(len(argmin.rows)):  # a row is built only if every earlier time passed
+    for t in range(len(argmin)):  # a row is built only if every earlier time passed
         x = _first_outside(span, argmin.table(t))
         if x is not None:
             return False, {"state": list(index_state(x, p, bundle.parent.n)), "t": t}
@@ -461,7 +461,7 @@ def _assert_positivity_props(inst: DPInstance,
                 "optimal value zero set differs from the zero state "
                 "for a strictly positive cost")
     bu = index_map(inst.B)
-    if any(bu[u] for t in range(len(argmin.rows)) for u in argmin.inputs(0, t)):
+    if any(bu[u] for t in range(len(argmin)) for u in argmin.inputs(0, t)):
         raise TheoremViolation(
             "an optimizer at the zero state moves the state off zero "
             "for a strictly positive cost")

@@ -273,14 +273,14 @@ class DPInstance:
 
     B must have full column rank for problems stated directly (the standing
     assumption); derived subproblems whose input map is a projection of B may
-    pass require_injective=False.  known_injective=True vouches for the rank
-    and skips its elimination; injective records that B is known injective.
+    pass require_injective=False.  injective records require_injective: B's
+    full column rank was checked here.
     """
 
     __slots__ = ("field", "n", "m", "A", "B", "cost", "horizon", "injective", "_trans", "_frame")
 
     def __init__(self, A: MatrixFp, B: MatrixFp, cost: CostFunction, horizon: Horizon,
-                 *, require_injective: bool = True, known_injective: bool = False,
+                 *, require_injective: bool = True,
                  max_states: int | None = DEFAULT_MAX_STATES,
                  max_inputs: int | None = DEFAULT_MAX_INPUTS):
         if A.nrows != A.ncols:
@@ -303,11 +303,18 @@ class DPInstance:
             raise ValueError(
                 f"input space size {p**m} exceeds the guard {max_inputs}; "
                 "raise max_inputs to override")
-        if require_injective and not known_injective and B.rank() < m:
+        if require_injective and B.rank() < m:
             raise ValueError("B must have full column rank (injective input map)")
-        for name, value in zip(self.__slots__, (A.field, n, m, A, B, cost, horizon,  # in order
-                                                require_injective or known_injective, None, None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "field", A.field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "injective", require_injective)
+        object.__setattr__(self, "_trans", None)
+        object.__setattr__(self, "_frame", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DPInstance is immutable")
@@ -418,28 +425,37 @@ class ValueTable:
         return Fraction(self.nums[t][x_idx], self.scale * den)
 
 
+@dataclass(frozen=True)
 class ArgminTable:
     """Full minimizer sets per state; per time 0..T-1 for finite horizons,
     a single table for discounted problems.
 
-    Given a frame, each time starts as its stage's key in coordinate order
-    and the key's coset minima (as CosetFrame.minima returns them): table(t)
-    builds the row with frame.argmin_sets on first read, keeps it and drops
-    the key, and inputs() reads one state's set without building a row.
-    Two tables are equal when they hold the same sets."""
+    stages holds each time's row of sets or, given a frame, its key in
+    coordinate order and the key's coset minima (as CosetFrame.minima gives
+    them): table(t) builds the row on first read and keeps it, freeing the
+    stage, and inputs() reads one state's set without building a row.  Two
+    tables are equal when they hold the same sets."""
 
-    def __init__(self, horizon: Horizon, rows: Iterable, frame: CosetFrame | None = None):
-        self.horizon, self.frame = horizon, frame
-        self._keys = dict(enumerate(rows)) if frame else {}
-        self.rows = [None] * len(self._keys) if frame else list(rows)
+    horizon: Horizon
+    stages: Sequence
+    frame: CosetFrame | None = None
+    _built: dict[int, tuple[frozenset[int], ...]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stages", list(self.stages))  # entries table() frees
+
+    def __len__(self) -> int:
+        return len(self.stages)
 
     def __eq__(self, other):
-        return (isinstance(other, ArgminTable) and self.horizon == other.horizon
-                and self.per_time == other.per_time)
+        if not isinstance(other, ArgminTable):
+            return NotImplemented
+        return self.horizon == other.horizon and self.per_time == other.per_time
 
     @property
     def per_time(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        return tuple(map(self.table, range(len(self.rows))))
+        return tuple(map(self.table, range(len(self))))
 
     @property
     def stationary(self) -> tuple[frozenset[int], ...]:
@@ -448,15 +464,18 @@ class ArgminTable:
         return self.table(0)
 
     def table(self, t: int = 0) -> tuple[frozenset[int], ...]:
-        if t in self._keys:
-            self.rows[t] = tuple(self.frame.argmin_sets(*self._keys.pop(t)))
-        return self.rows[t]
+        t = range(len(self))[t]
+        if t not in self._built:
+            stage, self.stages[t] = self.stages[t], None
+            self._built[t] = tuple(self.frame.argmin_sets(*stage) if self.frame else stage)
+        return self._built[t]
 
     def inputs(self, x_idx: int, t: int = 0) -> frozenset[int]:
         """One state's set, read without building the time-t row."""
-        if t in self._keys:
-            return self.frame.argmin_set(x_idx, *self._keys[t])
-        return self.rows[t][x_idx]
+        t = range(len(self))[t]
+        if t in self._built or self.frame is None:
+            return self.table(t)[x_idx]
+        return self.frame.argmin_set(x_idx, *self.stages[t])
 
 
 def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:

@@ -98,7 +98,7 @@ def build_bundle(inst: DPInstance, decomp: DirectSumDecomposition) -> Subproblem
                                   allow_vanishing=inst.cost.allow_vanishing)
         restricted.append(DPInstance(
             a_local, MatrixFp.from_products(field, own_B, feasible.basis_vectors()), cost_local,
-            inst.horizon, known_injective=inst.injective, max_states=None, max_inputs=None))
+            inst.horizon, require_injective=not inst.injective, max_states=None, max_inputs=None))
         projected.append(DPInstance(
             a_local, MatrixFp.from_rows(field, own_B, ncols=m), cost_local, inst.horizon,
             require_injective=False, max_states=None, max_inputs=None))

@@ -77,19 +77,24 @@ def test_rejects_mismatched_splitting():
         build_bundle(inst, other)
 
 
-def test_unchecked_parent_gets_checked_restricted_maps():
+def test_unchecked_parent_gets_checked_restricted_maps(monkeypatch):
     """A parent built with require_injective=False vouches for nothing, so
-    build_bundle checks each restricted input map's rank: a non-injective
-    B is refused as before, and an injective one gives subproblems known
-    to be injective."""
+    build_bundle checks each restricted input map's rank, one elimination
+    per part: a non-injective B is refused as before.  A checked parent's
+    restricted maps are injective with it, and get no rank check."""
     inst, decomp = make_parent()
     flat = MatrixFp.from_rows(F3, [[1, 1], [1, 1], [0, 0]])  # B u always on (1, 1, 0)
     with pytest.raises(ValueError, match="column rank"):
         build_bundle(DPInstance(inst.A, flat, inst.cost, inst.horizon,
                                 require_injective=False), decomp)
     unchecked = DPInstance(inst.A, inst.B, inst.cost, inst.horizon, require_injective=False)
-    assert not unchecked.injective
-    assert all(sub.injective for sub in build_bundle(unchecked, decomp).restricted)
+    ranked = []
+    rank = MatrixFp.rank
+    monkeypatch.setattr(MatrixFp, "rank", lambda self: ranked.append(self) or rank(self))
+    bundle = build_bundle(unchecked, decomp)
+    assert ranked == [sub.B for sub in bundle.restricted]
+    ranked.clear()
+    assert build_bundle(inst, decomp).restricted and ranked == []
 
 
 def test_family_name_checked():

@@ -217,6 +217,18 @@ def test_check_text_report(worked_path, capsys):
     assert "note: decomposition taken from the instance file" in out
 
 
+@pytest.mark.parametrize("argv", [[], ["--alpha", "1/2"], ["--family", "restricted"],
+                                  ["--family", "projected"]],
+                         ids=["finite", "discounted", "restricted", "projected"])
+def test_check_text_is_pinned(worked_path, capsys, argv, request):
+    """check's whole text report on the worked example, byte for byte,
+    witness lines included (the golden digests cover only --json)."""
+    rc, out, err = run(capsys, "check", worked_path, *argv)
+    assert rc == 0 and err == ""
+    name = f"check-worked-{request.node.callspec.id}.txt"
+    assert out.encode() == (DATA / name).read_bytes()
+
+
 def test_check_falls_back_to_primary_splitting(worked_path, tmp_path, capsys):
     doc = worked_doc()
     del doc["decomposition"]

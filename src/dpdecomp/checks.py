@@ -47,6 +47,7 @@ from .dp import (
     ValueTable,
     evaluate_stationary_policy,
     evaluate_time_varying,
+    horizon_json,
     index_state,
     printed,
     solve,
@@ -62,7 +63,9 @@ SCHEMA_VERSION = "1.0"
 
 @dataclass
 class DecompositionReport:
-    """Machine-readable outcome of the verification battery."""
+    """Machine-readable outcome of the verification battery.  The fields
+    after family are the verdicts in print order, each witness right after
+    its verdict, then the notes."""
 
     prime: int
     n: int
@@ -74,12 +77,12 @@ class DecompositionReport:
     A_invertible: bool
     additive_holds: bool | None = None
     additive_witness: dict[str, Any] | None = None
-    componentwise_holds: bool | None = None
-    componentwise_witness: dict[str, Any] | None = None
     minimizer_condition: bool | None = None
     minimizer_witness: dict[str, Any] | None = None
     stationary_selector: bool | None = None
     stationary_selector_witness: dict[str, Any] | None = None
+    componentwise_holds: bool | None = None
+    componentwise_witness: dict[str, Any] | None = None
     hierarchy_consistent: bool | None = None
     invertible_equivalence: bool | None = None
     horizon_monotone: bool | None = None
@@ -100,12 +103,6 @@ def report_from_dict(data: dict[str, Any]) -> DecompositionReport:
             **{k: data[k] for k in data if k in DecompositionReport.__dataclass_fields__})
     except TypeError as exc:  # a required field is missing
         raise ValueError(f"malformed report: {exc}") from None
-
-
-def _horizon_descriptor(inst: DPInstance) -> dict[str, Any]:
-    if isinstance(inst.horizon, FiniteHorizon):
-        return {"finite": {"T": inst.horizon.T}}
-    return {"discounted": {"alpha": str(inst.horizon.alpha)}}
 
 
 def _input_span(bundle: SubproblemBundle) -> frozenset[int]:
@@ -147,17 +144,18 @@ def _value_witness(bundle: SubproblemBundle, x: int, parent_values: ValueTable,
     }
 
 
-def _tuple_witness(bundle: SubproblemBundle, x: int, t: int | None,
+def _tuple_witness(bundle: SubproblemBundle, x: int, t: int,
                    actions: Sequence[int], target: int) -> dict[str, Any]:
-    """The tuple witness at state x and time t: one projected-optimal action
-    per part whose summed image (an adapted-coordinate index, recorded as
-    the ambient vector) no parent optimizer reaches."""
+    """The tuple witness at state x and time t (recorded as null for a
+    discounted horizon): one projected-optimal action per part whose summed
+    image (an adapted-coordinate index, recorded as the ambient vector) no
+    parent optimizer reaches."""
     inst = bundle.parent
     p = inst.field.p
     return {
         "kind": "tuple",
         "state": list(index_state(x, p, inst.n)),
-        "t": t,
+        "t": t if isinstance(inst.horizon, FiniteHorizon) else None,
         "actions": [list(index_state(a, p, inst.m)) for a in actions],
         "target": list(bundle.decomp.change_of_basis.matvec(index_state(target, p, inst.n))),
     }
@@ -235,28 +233,29 @@ def check_stationary_selector(bundle: SubproblemBundle, argmin: ArgminTable
 def check_additive(bundle: SubproblemBundle,
                    parent_solution: tuple[ValueTable, ArgminTable],
                    restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]],
-                   defect: int | None, rng: random.Random
-                   ) -> tuple[bool, dict[str, Any] | None]:
+                   defect: int | None) -> tuple[bool, dict[str, Any] | None]:
     """Additive decomposition verdict: parent value equals the sum of the
     restricted subproblem values at the state's components, every state.
     `defect` is the time-0 entry of _value_splits on these tables.
 
-    On a True verdict one random selection of subproblem optimizers is also
-    lifted and evaluated exactly as a cross-check; disagreement there is an
-    implementation bug, not a property of the instance.
+    On a True verdict one random selection of subproblem optimizers, drawn
+    from a fixed seed, is also lifted and evaluated exactly as a cross-check;
+    disagreement there is an implementation bug, not a property of the
+    instance.
     """
     parent_values, _ = parent_solution
     if defect is not None:
         return False, _value_witness(bundle, defect, parent_values, restricted_solutions)
-    _spot_check_lift(bundle, parent_values, restricted_solutions, rng)
+    _spot_check_lift(bundle, parent_values, restricted_solutions)
     return True, None
 
 
 def _spot_check_lift(bundle: SubproblemBundle, parent_values: ValueTable,
-                     restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]],
-                     rng: random.Random) -> None:
-    """Lift one random tuple of subproblem-optimal selectors and evaluate it."""
+                     restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]]) -> None:
+    """Lift one random tuple of subproblem-optimal selectors, drawn from a
+    fixed seed, and evaluate it."""
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
+    rng = random.Random(0)
     selections = [[[rng.choice(sorted(actions)) for actions in row] for row in sub_argmin.per_time]
                   for _, sub_argmin in restricted_solutions]
     law = lift_policy(bundle, "restricted", selections if finite else [s[0] for s in selections])
@@ -313,12 +312,10 @@ def check_componentwise(bundle: SubproblemBundle,
         raise TheoremViolation("the tuple count fell short but every tuple is reached")
 
     decided: dict[tuple[frozenset[int], ...], tuple[list[int], int] | None] = {}
-    finite = isinstance(bundle.parent.horizon, FiniteHorizon)
     reads = list(map(reader, bundle.component_state_tables()))
-    for t in range(bundle.parent.horizon.T) if finite else (None,):
-        t_idx = t or 0
-        local = [read(sol[1].table(t_idx)) for sol, read in zip(projected_solutions, reads)]
-        for x, key in enumerate(zip(parent_argmin.table(t_idx), *local)):
+    for t in range(len(parent_argmin)):
+        local = [read(sol[1].table(t)) for sol, read in zip(projected_solutions, reads)]
+        for x, key in enumerate(zip(parent_argmin.table(t), *local)):
             if key not in decided:
                 decided[key] = first_missed(key)
             if decided[key] is not None:
@@ -391,7 +388,7 @@ def _assert_value_separability(bundle: SubproblemBundle,
     it is the cost's own separability, which build_bundle enforces."""
     scale = math.lcm(parent_values.scale, *(sol[0].scale for sol in restricted_solutions))
     reads = list(map(reader, bundle.decomp.embedding_tables))
-    for t in range(len(parent_values.nums)):
+    for t in range(len(parent_values)):
         parent_t = parent_values.at_scale(t, scale)
         if any(sol[0].at_scale(t, scale) != read(parent_t)
                for sol, read in zip(restricted_solutions, reads)):
@@ -454,7 +451,7 @@ def _assert_positivity_props(inst: DPInstance,
     if not inst.cost.is_strict:
         return
     values, argmin = solution
-    for t in range(len(values.nums)):
+    for t in range(len(values)):
         table = values.at_scale(t, values.scale)
         if table[0] != 0 or table.count(0) != 1:
             raise TheoremViolation(
@@ -468,36 +465,36 @@ def _assert_positivity_props(inst: DPInstance,
 
 
 def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
-                family: str = "both", seed: int = 0) -> DecompositionReport:
+                family: str = "both") -> DecompositionReport:
     """Build the subproblem bundle, solve everything the requested family
     needs, and fill a report.  family is "restricted", "projected", or
-    "both"; the hierarchy implication needs both."""
+    "both"; the hierarchy implication needs both.  The positivity
+    assertions run last, over every problem solved, so their one-state
+    reads find the minimizer rows the checks built."""
     if family not in ("restricted", "projected", "both"):
         raise ValueError(f"unknown family {family!r}")
     bundle = build_bundle(inst, decomp)
-    rng = random.Random(seed)
     range_condition, input_sum = check_range_condition(bundle)
     report = DecompositionReport(
         prime=inst.field.p, n=inst.n, m=inst.m,
-        horizon=_horizon_descriptor(inst), family=family,
+        horizon=horizon_json(inst.horizon), family=family,
         range_condition=range_condition,
         input_space_is_sum_of_parts=input_sum,
         A_invertible=inst.A.is_invertible())
 
     parent_solution = solve(inst)
+    solved = [(inst, parent_solution)]
     finite = isinstance(inst.horizon, FiniteHorizon)
     strict = inst.cost.is_strict
     if not strict:
         report.notes.append(
             "stage cost vanishes off the zero state; assertions whose proofs "
             "need strict positivity are skipped")
-    _assert_positivity_props(inst, parent_solution)
     _assert_min_over_parts(bundle)
 
     if family in ("restricted", "both"):
         restricted_solutions = solve_bundle(bundle, "restricted")
-        for sub, sol in zip(bundle.restricted, restricted_solutions):
-            _assert_positivity_props(sub, sol)
+        solved += zip(bundle.restricted, restricted_solutions)
         if finite:
             cond, witness = check_minimizer_condition(bundle, parent_solution[1])
             report.minimizer_condition = cond
@@ -507,9 +504,9 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
             report.stationary_selector = cond
             report.stationary_selector_witness = witness
         defects = _value_splits(bundle, parent_solution[0], restricted_solutions,
-                                inst.horizon.T if finite else 1)
+                                len(parent_solution[1]))
         additive, witness = check_additive(
-            bundle, parent_solution, restricted_solutions, defects[0], rng)
+            bundle, parent_solution, restricted_solutions, defects[0])
         report.additive_holds = additive
         report.additive_witness = witness
         if cond:
@@ -547,8 +544,7 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
 
     if family in ("projected", "both"):
         projected_solutions = solve_bundle(bundle, "projected")
-        for sub, sol in zip(bundle.projected, projected_solutions):
-            _assert_positivity_props(sub, sol)
+        solved += zip(bundle.projected, projected_solutions)
         report.componentwise_holds, report.componentwise_witness = check_componentwise(
             bundle, parent_solution, projected_solutions)
 
@@ -559,6 +555,8 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
             report.notes.append(
                 "componentwise holds without additive; the implication is "
                 "only guaranteed for strictly positive costs")
+    for sub, sol in solved:
+        _assert_positivity_props(sub, sol)
     return report
 
 

@@ -106,6 +106,13 @@ class DiscountedHorizon:
 Horizon = FiniteHorizon | DiscountedHorizon
 
 
+def horizon_json(horizon: Horizon) -> dict[str, dict[str, int | str]]:
+    """A horizon's JSON form, the instance file's, as reports and solve write it."""
+    if isinstance(horizon, FiniteHorizon):
+        return {"finite": {"T": horizon.T}}
+    return {"discounted": {"alpha": str(horizon.alpha)}}
+
+
 def state_index(x: Sequence[int], p: int) -> int:
     """Base-p little-endian index of a digit vector."""
     idx = 0
@@ -353,10 +360,11 @@ class ValueTable:
     scale.  A wide table (dens not None) holds nums[t][x] / (scale ·
     dens[t][x]) instead, one positive denominator per entry.  table(),
     per_time, stationary and value() read the values as reduced Fractions,
-    built on first use and kept; a wide row's Fractions replace its integer
-    rows, which are then None.  Rows of None for dens (a narrow solve's)
-    mean a table that is not wide.  Two tables are equal when they hold
-    the same exact values, whatever their scales."""
+    built on first use and kept under the time's index in 0..len()-1 (a
+    negative t reads from the last time); a wide row's Fractions replace
+    its integer rows, which are then None.  Rows of None for dens (a narrow
+    solve's) mean a table that is not wide.  Two tables are equal when they
+    hold the same exact values, whatever their scales."""
 
     horizon: Horizon
     nums: Sequence[Sequence[int]]
@@ -380,6 +388,9 @@ class ValueTable:
         row = self.nums[t]
         return tuple(row) if k == 1 else tuple([k * v for v in row])
 
+    def __len__(self) -> int:
+        return len(self.nums)
+
     def agrees(self, other: "ValueTable", t: int) -> bool:
         """The two tables hold the same exact values at time t."""
         scale = math.lcm(self.scale, other.scale)
@@ -388,8 +399,8 @@ class ValueTable:
     def __eq__(self, other):
         if not isinstance(other, ValueTable):
             return NotImplemented
-        return (self.horizon == other.horizon and len(self.nums) == len(other.nums)
-                and all(self.agrees(other, t) for t in range(len(self.nums))))
+        return (self.horizon == other.horizon and len(self) == len(other)
+                and all(self.agrees(other, t) for t in range(len(self))))
 
     @property
     def per_time(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -397,7 +408,7 @@ class ValueTable:
         # in: a wide table then frees its oldest integer rows first, which
         # left about 1 MB less resident peak than the other order at 2^12
         # states and T = 8
-        return tuple(reversed([self.table(t) for t in reversed(range(len(self.nums)))]))
+        return tuple(reversed([self.table(t) for t in reversed(range(len(self)))]))
 
     @property
     def stationary(self) -> tuple[Fraction, ...]:
@@ -406,6 +417,7 @@ class ValueTable:
         return self.table(0)
 
     def table(self, t: int = 0) -> tuple[Fraction, ...]:
+        t = range(len(self))[t]
         if t not in self._exact:
             if self.dens is None:
                 row = self.nums[t]
@@ -419,6 +431,7 @@ class ValueTable:
 
     def value(self, x_idx: int, t: int = 0) -> Fraction:
         """One exact value, read without building the time-t table."""
+        t = range(len(self))[t]
         if t in self._exact:
             return self._exact[t][x_idx]
         den = 1 if self.dens is None else self.dens[t][x_idx]

@@ -2,7 +2,8 @@
 
 Plain input mistakes raise the builtin ValueError (or ZeroDivisionError for a
 zero inverse); the classes here mark structured failures that callers are
-expected to catch and act on.
+expected to catch and act on.  Every one of them but TheoremViolation is an
+input problem and so a ValueError; TheoremViolation alone signals a bug.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ class ShapeError(ValueError):
     """Matrix or vector dimensions do not line up."""
 
 
-class NotDecomposable(Exception):
+class NotDecomposable(ValueError):
     """The characteristic polynomial is a power of a single irreducible, so
     the state space admits no nontrivial invariant splitting of this kind.
 
@@ -28,11 +29,11 @@ class NotDecomposable(Exception):
         )
 
 
-class NotDirectSum(Exception):
+class NotDirectSum(ValueError):
     """Candidate parts fail to form a direct sum spanning the ambient space."""
 
 
-class NotInvariant(Exception):
+class NotInvariant(ValueError):
     """A candidate part is not invariant under the dynamics matrix."""
 
     def __init__(self, part_index: int):
@@ -40,7 +41,7 @@ class NotInvariant(Exception):
         super().__init__(f"part {part_index} is not invariant under A")
 
 
-class NotSeparableCost(Exception):
+class NotSeparableCost(ValueError):
     """The stage cost does not split additively across the given parts."""
 
 
@@ -48,7 +49,7 @@ class TheoremViolation(Exception):
     """An internally guaranteed implication failed; signals a bug, not data."""
 
 
-class PreconditionFailed(Exception):
+class PreconditionFailed(ValueError):
     """A named standing assumption of a numeric check does not hold."""
 
     def __init__(self, assumption: str, detail: str = ""):
@@ -59,5 +60,5 @@ class PreconditionFailed(Exception):
         super().__init__(msg)
 
 
-class IllConditioned(Exception):
+class IllConditioned(ValueError):
     """A real-field solve hit a numerically singular inner matrix."""

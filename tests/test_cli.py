@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dpdecomp import checks, cli, cosets, dp
+from dpdecomp import checks, cli, cosets, dp, errors
 from dpdecomp.errors import TheoremViolation
 
 
@@ -774,6 +774,22 @@ def test_theorem_violation_exit_code(worked_path, capsys, monkeypatch):
     rc, _, err = run(capsys, "check", worked_path)
     assert rc == 3
     assert "theorem violation (this is a bug)" in err
+
+
+def test_input_errors_are_value_errors_and_exit_2(worked_path, capsys, monkeypatch):
+    """Every exception class errors.py defines but TheoremViolation is a
+    ValueError, so main's one exit-2 rule covers each of them."""
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert len(classes) == 8 and not issubclass(TheoremViolation, ValueError)
+    assert all(issubclass(c, ValueError) for c in classes if c is not TheoremViolation)
+
+    def refuse(*args, **kwargs):
+        raise errors.PreconditionFailed("forced for the exit-code test")
+    monkeypatch.setattr(checks, "run_battery", refuse)
+    rc, out, err = run(capsys, "check", worked_path)
+    assert (rc, out) == (2, "")
+    assert err == "error: precondition violated: forced for the exit-code test\n"
 
 
 def test_usage_errors_return_argparse_code(capsys):

@@ -182,14 +182,14 @@ def test_verify_witnesses_rejects_tampering():
     assert results["stationary_selector_witness"] is False
 
 
-def make_decoupled():
+def make_decoupled(horizon=FiniteHorizon(2)):
     """x' = x + u over GF(3)^2 with a strict indicator cost on the axes:
     every check passes."""
     parts = [Subspace(F3, 2, [(1, 0)]), Subspace(F3, 2, [(0, 1)])]
     decomp = DirectSumDecomposition(parts)
     cost = CostFunction.indicator(decomp, [Fraction(1), Fraction(1)])
     eye = MatrixFp.identity(F3, 2)
-    return DPInstance(eye, eye, cost, FiniteHorizon(2)), decomp
+    return DPInstance(eye, eye, cost, horizon), decomp
 
 
 def test_verify_witnesses_empty_without_failures():
@@ -518,6 +518,32 @@ def test_argmin_rows_are_built_once_and_only_when_read(monkeypatch):
     assert verify_witnesses(inst, decomp, value_only) == {
         "additive_witness": True, "componentwise_witness": True}
     assert built == []
+
+
+@pytest.mark.parametrize("horizon", [FiniteHorizon(2), DiscountedHorizon(HALF)],
+                         ids=["finite", "discounted"])
+def test_positivity_reads_only_rows_the_checks_built(monkeypatch, horizon):
+    """A strict cost and a B that respects the parts: every check passes and
+    reads every minimizer row of the parent and of both families once, so
+    the positivity assertions, run last, make no one-state read."""
+    counts = {"row": 0, "state": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(cosets.CosetFrame, "argmin_sets",
+                        counting("row", cosets.CosetFrame.argmin_sets))
+    monkeypatch.setattr(cosets.CosetFrame, "argmin_set",
+                        counting("state", cosets.CosetFrame.argmin_set))
+    inst, decomp = make_decoupled(horizon)
+    assert inst.cost.is_strict
+    report = run_battery(inst, decomp)
+    assert report.additive_holds and report.componentwise_holds
+    times = horizon.T if isinstance(horizon, FiniteHorizon) else 1
+    assert counts == {"row": (1 + 2 * decomp.r) * times, "state": 0}
 
 
 # === consistency-layer units ===

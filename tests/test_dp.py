@@ -494,6 +494,20 @@ def test_value_table_equality_is_exact_whatever_the_scale():
     assert a.per_time[1][1].denominator == 1  # views are reduced
 
 
+def test_negative_times_read_the_row_of_their_time():
+    """A negative t is resolved to its time before the cache is consulted:
+    a wide table reads -1 after 1, whose read freed the integer rows, and a
+    narrow table keeps one row for 1 and -1."""
+    wide = ValueTable(FiniteHorizon(1), [[1, 2], [3, 4]], 1, [[3, 5], [7, 2**300 + 1]])
+    row = wide.table(1)
+    assert wide.table(-1) is row and wide.value(1, -1) == row[1] == Fraction(4, 2**300 + 1)
+    assert wide.value(0, -2) == Fraction(1, 3) and len(wide) == 2
+    narrow = ValueTable(FiniteHorizon(1), ((0, 1), (0, 2)), 2)
+    assert narrow.table(-1) is narrow.table(1) and narrow.value(1, -1) == 1
+    with pytest.raises(IndexError):
+        narrow.table(2)
+
+
 def test_value_split_defect_returns_smallest_failing_state():
     # GF(2)^2 split along the axes: comp[i][x] is coordinate i of x
     comp = [[0, 1, 0, 1], [0, 0, 1, 1]]

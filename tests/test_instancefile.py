@@ -314,7 +314,7 @@ def test_every_loaded_document_satisfies_the_schema():
         for mutated in [doc] + [mutate(doc, random.Random(1000 * i + s)) for s in range(600)]:
             try:
                 load_instance(mutated)
-            except (ValueError, ZeroDivisionError, NotDirectSum):
+            except (ValueError, ZeroDivisionError):
                 continue
             loaded += 1
             assert not list(validator.iter_errors(mutated)), mutated

@@ -7,8 +7,8 @@ exhaustively and exactly:
   of the restricted subproblem values, and any selection of subproblem
   optimizers sums to a parent optimizer.  Because closed-loop components
   decouple (B maps each feasible input subspace into its part), the value
-  equality alone decides this; a sampled selector is still lifted and
-  evaluated as a belt-and-braces oracle.
+  equality alone decides this; one selector (each state's smallest optimal
+  input) is still lifted and evaluated as a belt-and-braces oracle.
 * componentwise (projected family): the parent value splits as the sum of
   projected subproblem values AND every tuple of projected optimizers is
   matched, state by state and time by time, by a parent optimizer whose
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import compress, count
@@ -238,10 +237,10 @@ def check_additive(bundle: SubproblemBundle,
     restricted subproblem values at the state's components, every state.
     `defect` is the time-0 entry of _value_splits on these tables.
 
-    On a True verdict one random selection of subproblem optimizers, drawn
-    from a fixed seed, is also lifted and evaluated exactly as a cross-check;
-    disagreement there is an implementation bug, not a property of the
-    instance.
+    On a True verdict one selection of subproblem optimizers, each state's
+    smallest optimal input, is also lifted and evaluated exactly as a
+    cross-check; disagreement there is an implementation bug, not a
+    property of the instance.
     """
     parent_values, _ = parent_solution
     if defect is not None:
@@ -252,11 +251,10 @@ def check_additive(bundle: SubproblemBundle,
 
 def _spot_check_lift(bundle: SubproblemBundle, parent_values: ValueTable,
                      restricted_solutions: Sequence[tuple[ValueTable, ArgminTable]]) -> None:
-    """Lift one random tuple of subproblem-optimal selectors, drawn from a
-    fixed seed, and evaluate it."""
+    """Lift one tuple of subproblem-optimal selectors, each state's
+    smallest optimal input, and evaluate it."""
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
-    rng = random.Random(0)
-    selections = [[[rng.choice(sorted(actions)) for actions in row] for row in sub_argmin.per_time]
+    selections = [[list(map(min, row)) for row in sub_argmin.per_time]
                   for _, sub_argmin in restricted_solutions]
     law = lift_policy(bundle, "restricted", selections if finite else [s[0] for s in selections])
     evaluate = evaluate_time_varying if finite else evaluate_stationary_policy
@@ -632,14 +630,18 @@ def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
 
     Returns a map from witness field name to whether it still certifies the
     recorded failure.  An empty map means the report carries no witnesses.
-    A report for another prime or other dimensions, or a malformed witness,
-    raises ValueError.  A report read from JSON goes through report_from_dict.
+    A report for another prime, other dimensions or another horizon, or a
+    malformed witness, raises ValueError.  A report read from JSON goes
+    through report_from_dict.
     """
     p = inst.field.p
     if (report.prime, report.n, report.m) != (p, inst.n, inst.m):
         raise ValueError(
             f"report is for prime {report.prime!r}, n={report.n!r}, m={report.m!r}; "
             f"the instance has prime {p}, n={inst.n}, m={inst.m}")
+    if report.horizon != horizon_json(inst.horizon):
+        raise ValueError(f"report is for horizon {report.horizon!r}; "
+                         f"the instance has horizon {horizon_json(inst.horizon)!r}")
     bundle = build_bundle(inst, decomp)
     out: dict[str, bool] = {}
     parent_values, parent_argmin = solve(inst)

@@ -20,9 +20,7 @@ over cosets and builds no table at all.  No table outgrows p^n or p^m.
 
 Values are exact integers over one scale: a cost keeps its numerators over
 the common denominator of its table (CostFunction.num over .scale), and a
-ValueTable keeps integer numerator tables over a single positive scale; a
-Fraction is built only when a caller reads ValueTable.table(), .per_time,
-.stationary or .value(), and an ArgminTable's sets only when read.  A
+ValueTable keeps integer numerator tables over a single positive scale.  A
 common denominator wider than WIDE_SCALE_BITS would make every numerator
 that wide, so such a cost or table is wide: it keeps two integer rows,
 numerators and denominators, each entry its own ratio.  Both forms run
@@ -32,6 +30,13 @@ and _step (cost plus a row read at given indices), which add ratios
 without a gcd until a denominator passes a bound read off the cost.  Tables
 are dense over the state space; guard limits keep that honest (defaults
 p^n <= 729 and p^m <= 81, both overridable).
+
+ValueTable and ArgminTable share one time rule: a row per time (0..T for
+values, 0..T-1 for minimizer sets, one for a discounted problem), t read
+as a sequence index (a negative t counts from the last time, a t past
+either end is an IndexError), each row (Fractions, or sets) built on
+first read and kept, a one-entry read (value, inputs) from a built row or
+alone, and equality time by time.
 """
 
 from __future__ import annotations
@@ -352,32 +357,74 @@ class DPInstance:
 
 
 @dataclass(frozen=True, eq=False)
-class ValueTable:
-    """Optimal (or policy) values per state; one table per time for finite
-    horizons (times 0..T), a single table for discounted problems.
+class _TimeTable:
+    """The time rule of the module docstring.  A subclass gives _rows one
+    None per time, builds a row (_build) and reads one entry alone (_entry)."""
+
+    horizon: Horizon
+    _rows: list = dataclasses.field(init=False, repr=False)  # per time: its row, or None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.horizon == other.horizon and len(self) == len(other)
+                and all(self._agrees(other, t) for t in range(len(self))))
+
+    def _agrees(self, other: "_TimeTable", t: int) -> bool:
+        return self.table(t) == other.table(t)
+
+    @property
+    def per_time(self) -> tuple[tuple, ...]:
+        # from t = T down, the order a backward recursion made the rows in: a
+        # wide ValueTable then frees its oldest integer rows first, about 1 MB
+        # less resident peak than the other order at 2^12 states and T = 8
+        return tuple(reversed([self.table(t) for t in reversed(range(len(self)))]))
+
+    @property
+    def stationary(self) -> tuple:
+        if not isinstance(self.horizon, DiscountedHorizon):
+            raise ValueError("stationary table only exists for discounted horizons")
+        return self.table(0)
+
+    def table(self, t: int = 0) -> tuple:
+        t = range(len(self))[t]
+        if self._rows[t] is None:
+            self._rows[t] = self._build(t)
+        return self._rows[t]
+
+    def _read(self, x_idx: int, t: int = 0):
+        """One entry: from the time-t row once built, else read alone."""
+        t = range(len(self))[t]
+        row = self._rows[t]
+        return self._entry(x_idx, t) if row is None else row[x_idx]
+
+
+@dataclass(frozen=True, eq=False)
+class ValueTable(_TimeTable):
+    """Optimal (or policy) values per state, at times 0..T or stationary.
 
     The values are nums[t][x] / scale: integer numerators over one positive
     scale.  A wide table (dens not None) holds nums[t][x] / (scale ·
     dens[t][x]) instead, one positive denominator per entry.  table(),
-    per_time, stationary and value() read the values as reduced Fractions,
-    built on first use and kept under the time's index in 0..len()-1 (a
-    negative t reads from the last time); a wide row's Fractions replace
-    its integer rows, which are then None.  Rows of None for dens (a narrow
-    solve's) mean a table that is not wide.  Two tables are equal when they
-    hold the same exact values, whatever their scales."""
+    per_time, stationary and value() read the values as reduced Fractions;
+    a wide row's Fractions replace its integer rows, which are then None.
+    Rows of None for dens (a narrow solve's) mean a table that is not wide.
+    Two tables are equal when they hold the same exact values, whatever
+    their scales."""
 
-    horizon: Horizon
     nums: Sequence[Sequence[int]]
     scale: int
     dens: Sequence[Sequence[int]] | None = None
-    _exact: dict[int, tuple[Fraction, ...]] = dataclasses.field(
-        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         wide = any(self.dens or ())
         object.__setattr__(self, "dens", list(self.dens) if wide else None)
         if wide:  # rows that table() frees
             object.__setattr__(self, "nums", list(self.nums))
+        object.__setattr__(self, "_rows", [None] * len(self.nums))
 
     def at_scale(self, t: int, scale: int) -> tuple:
         """The time-t values times scale, a multiple of self.scale: integers,
@@ -388,107 +435,57 @@ class ValueTable:
         row = self.nums[t]
         return tuple(row) if k == 1 else tuple([k * v for v in row])
 
-    def __len__(self) -> int:
-        return len(self.nums)
-
     def agrees(self, other: "ValueTable", t: int) -> bool:
         """The two tables hold the same exact values at time t."""
         scale = math.lcm(self.scale, other.scale)
         return self.at_scale(t, scale) == other.at_scale(t, scale)
 
-    def __eq__(self, other):
-        if not isinstance(other, ValueTable):
-            return NotImplemented
-        return (self.horizon == other.horizon and len(self) == len(other)
-                and all(self.agrees(other, t) for t in range(len(self))))
+    _agrees = agrees
 
-    @property
-    def per_time(self) -> tuple[tuple[Fraction, ...], ...]:
-        # built from t = T down, the order a backward recursion made the rows
-        # in: a wide table then frees its oldest integer rows first, which
-        # left about 1 MB less resident peak than the other order at 2^12
-        # states and T = 8
-        return tuple(reversed([self.table(t) for t in reversed(range(len(self)))]))
+    def _build(self, t: int) -> tuple[Fraction, ...]:
+        if self.dens is None:
+            exact = {v: Fraction(v, self.scale) for v in set(self.nums[t])}
+            return tuple(map(exact.__getitem__, self.nums[t]))
+        row = tuple(map(Fraction, self.nums[t], map(mul, self.dens[t], repeat(self.scale))))
+        self.nums[t] = self.dens[t] = None
+        return row
 
-    @property
-    def stationary(self) -> tuple[Fraction, ...]:
-        if not isinstance(self.horizon, DiscountedHorizon):
-            raise ValueError("stationary table only exists for discounted horizons")
-        return self.table(0)
-
-    def table(self, t: int = 0) -> tuple[Fraction, ...]:
-        t = range(len(self))[t]
-        if t not in self._exact:
-            if self.dens is None:
-                row = self.nums[t]
-                exact = {v: Fraction(v, self.scale) for v in set(row)}
-                self._exact[t] = tuple(map(exact.__getitem__, row))
-            else:
-                self._exact[t] = tuple(map(Fraction, self.nums[t],
-                                           map(mul, self.dens[t], repeat(self.scale))))
-                self.nums[t] = self.dens[t] = None
-        return self._exact[t]
-
-    def value(self, x_idx: int, t: int = 0) -> Fraction:
-        """One exact value, read without building the time-t table."""
-        t = range(len(self))[t]
-        if t in self._exact:
-            return self._exact[t][x_idx]
+    def _entry(self, x_idx: int, t: int) -> Fraction:
         den = 1 if self.dens is None else self.dens[t][x_idx]
         return Fraction(self.nums[t][x_idx], self.scale * den)
 
+    value = _TimeTable._read  # value(x_idx, t=0): one exact value
 
-@dataclass(frozen=True)
-class ArgminTable:
-    """Full minimizer sets per state; per time 0..T-1 for finite horizons,
-    a single table for discounted problems.
+
+@dataclass(frozen=True, eq=False)
+class ArgminTable(_TimeTable):
+    """Full minimizer sets per state, at times 0..T-1 or stationary.
 
     stages holds each time's row of sets or, given a frame, its key in
     coordinate order and the key's coset minima (as CosetFrame.minima gives
-    them): table(t) builds the row on first read and keeps it, freeing the
-    stage, and inputs() reads one state's set without building a row.  Two
-    tables are equal when they hold the same sets."""
+    them): table(t) builds the row on first read, freeing the stage, and
+    inputs() reads one state's set without building a row.  Once every row
+    is built the table lets its frame go: frame is then None."""
 
-    horizon: Horizon
     stages: Sequence
     frame: CosetFrame | None = None
-    _built: dict[int, tuple[frozenset[int], ...]] = dataclasses.field(
-        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "stages", list(self.stages))  # entries table() frees
+        object.__setattr__(self, "_rows", [None] * len(self.stages))
 
-    def __len__(self) -> int:
-        return len(self.stages)
+    def _build(self, t: int) -> tuple[frozenset[int], ...]:
+        stage, self.stages[t] = self.stages[t], None
+        row = tuple(self.frame.argmin_sets(*stage) if self.frame else stage)
+        if self.stages.count(None) == len(self):  # the last row: no read needs the frame
+            object.__setattr__(self, "frame", None)
+        return row
 
-    def __eq__(self, other):
-        if not isinstance(other, ArgminTable):
-            return NotImplemented
-        return self.horizon == other.horizon and self.per_time == other.per_time
+    def _entry(self, x_idx: int, t: int) -> frozenset[int]:
+        stage = self.stages[t]
+        return self.frame.argmin_set(x_idx, *stage) if self.frame else stage[x_idx]
 
-    @property
-    def per_time(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        return tuple(map(self.table, range(len(self))))
-
-    @property
-    def stationary(self) -> tuple[frozenset[int], ...]:
-        if not isinstance(self.horizon, DiscountedHorizon):
-            raise ValueError("stationary table only exists for discounted horizons")
-        return self.table(0)
-
-    def table(self, t: int = 0) -> tuple[frozenset[int], ...]:
-        t = range(len(self))[t]
-        if t not in self._built:
-            stage, self.stages[t] = self.stages[t], None
-            self._built[t] = tuple(self.frame.argmin_sets(*stage) if self.frame else stage)
-        return self._built[t]
-
-    def inputs(self, x_idx: int, t: int = 0) -> frozenset[int]:
-        """One state's set, read without building the time-t row."""
-        t = range(len(self))[t]
-        if t in self._built or self.frame is None:
-            return self.table(t)[x_idx]
-        return self.frame.argmin_set(x_idx, *self.stages[t])
+    inputs = _TimeTable._read  # inputs(x_idx, t=0): one state's set
 
 
 def solve_finite(inst: DPInstance) -> tuple[ValueTable, ArgminTable]:

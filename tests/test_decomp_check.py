@@ -214,11 +214,45 @@ def test_verify_witnesses_refuses_a_time_its_horizon_lacks():
     inst, decomp = make_parent(FiniteHorizon(1))
     for t in (1, -1, None):
         report = DecompositionReport(
-            prime=3, n=3, m=2, horizon={}, family="restricted", range_condition=False,
-            input_space_is_sum_of_parts=False, A_invertible=False,
+            prime=3, n=3, m=2, horizon=dp.horizon_json(inst.horizon), family="restricted",
+            range_condition=False, input_space_is_sum_of_parts=False, A_invertible=False,
             minimizer_witness={"state": [0, 1, 0], "t": t})
         with pytest.raises(ValueError, match=r"witness t must be an integer in \[0, 1\)"):
             verify_witnesses(inst, decomp, report)
+
+
+def test_verify_witnesses_refuses_a_report_for_another_horizon():
+    """A report holds for its own horizon: one written at T = 2 and checked
+    against the same dynamics and cost at T = 4, or discounted, is refused
+    as invalid input naming both horizons (at T = 4 its additive witness,
+    true at T = 2, would otherwise read as stale)."""
+    inst, decomp = make_generic_refuted()
+    report = run_battery(inst, decomp)
+    assert all(verify_witnesses(inst, decomp, report).values())
+    for horizon in (FiniteHorizon(4), DiscountedHorizon(HALF)):
+        other = DPInstance(inst.A, inst.B, inst.cost, horizon)
+        with pytest.raises(ValueError) as refused:
+            verify_witnesses(other, decomp, report)
+        assert str(refused.value) == ("report is for horizon {'finite': {'T': 2}}; the "
+                                      f"instance has horizon {dp.horizon_json(horizon)!r}")
+
+
+def test_cli_refuses_a_witness_report_for_another_horizon(tmp_path, capsys):
+    """check --json --T 2 on a file whose horizon is T = 4, then
+    check --verify-witness on the file: exit 2 with an error naming both
+    horizons and no witness line; checked with --T 2 every witness is
+    confirmed."""
+    inst, decomp = make_generic_refuted()
+    path, saved = tmp_path / "instance.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_instance_document(
+        DPInstance(inst.A, inst.B, inst.cost, FiniteHorizon(4)), decomp)))
+    assert cli.main(["check", str(path), "--json", "--T", "2"]) == 0
+    saved.write_text(capsys.readouterr().out)
+    assert cli.main(["check", str(path), "--verify-witness", str(saved)]) == 2
+    assert capsys.readouterr() == ("", "error: report is for horizon {'finite': {'T': 2}}; "
+                                       "the instance has horizon {'finite': {'T': 4}}\n")
+    assert cli.main(["check", str(path), "--T", "2", "--verify-witness", str(saved)]) == 0
+    assert capsys.readouterr().out.count("confirmed") == 3
 
 
 def test_horizon_checks_refuse_the_other_horizon():
@@ -232,13 +266,11 @@ def test_horizon_checks_refuse_the_other_horizon():
 def _instance_document(inst, decomp):
     def rows(M):
         return [list(M.row(i)) for i in range(M.nrows)]
-    horizon = ({"finite": {"T": inst.horizon.T}} if isinstance(inst.horizon, FiniteHorizon)
-               else {"discounted": {"alpha": str(inst.horizon.alpha)}})
     return {"field": {"prime": inst.field.p}, "dims": {"n": inst.n, "m": inst.m},
             "A": rows(inst.A), "B": rows(inst.B),
             "decomposition": [rows(part.basis_matrix()) for part in decomp.parts],
             "cost": {"table": [str(v) for v in inst.cost.table], "allow_vanishing": True},
-            "horizon": horizon}
+            "horizon": dp.horizon_json(inst.horizon)}
 
 
 def test_cli_witness_round_trip_on_seeded_batteries(tmp_path, capsys):
@@ -347,9 +379,10 @@ def test_tuple_witness_with_a_non_optimal_action_is_refused():
         actions = list(w["actions"])
         actions[i] = list(dp.index_state(a, 3, inst.m))
         report = DecompositionReport(
-            prime=3, n=inst.n, m=inst.m, horizon={}, family="projected",
-            range_condition=False, input_space_is_sum_of_parts=False, A_invertible=False,
-            componentwise_holds=False, componentwise_witness=dict(w, actions=actions))
+            prime=3, n=inst.n, m=inst.m, horizon=dp.horizon_json(inst.horizon),
+            family="projected", range_condition=False, input_space_is_sum_of_parts=False,
+            A_invertible=False, componentwise_holds=False,
+            componentwise_witness=dict(w, actions=actions))
         assert verify_witnesses(inst, decomp, report) == {"componentwise_witness": False}
 
 
@@ -671,8 +704,8 @@ def test_componentwise_count_matches_enumerating_oracle():
         kinds[kind] = kinds.get(kind, 0) + 1
         if kind == "tuple":
             report = DecompositionReport(
-                prime=inst.field.p, n=inst.n, m=inst.m, horizon={}, family="projected",
-                range_condition=False, input_space_is_sum_of_parts=False,
+                prime=inst.field.p, n=inst.n, m=inst.m, horizon=dp.horizon_json(inst.horizon),
+                family="projected", range_condition=False, input_space_is_sum_of_parts=False,
                 A_invertible=False, componentwise_holds=False, componentwise_witness=got[1])
             assert verify_witnesses(inst, decomp, report) == {"componentwise_witness": True}
     # the corpus exercises every outcome

@@ -17,6 +17,7 @@ import math
 import random
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -495,17 +496,53 @@ def test_value_table_equality_is_exact_whatever_the_scale():
 
 
 def test_negative_times_read_the_row_of_their_time():
-    """A negative t is resolved to its time before the cache is consulted:
-    a wide table reads -1 after 1, whose read freed the integer rows, and a
-    narrow table keeps one row for 1 and -1."""
+    """The one time rule of ValueTable and a solver's ArgminTable: a
+    negative t is resolved to its time before the cache is consulted (a
+    wide table reads -1 after 1, whose read freed the integer rows; a
+    narrow table and an argmin table keep one row for 1 and -1, and a
+    one-entry read at -2 reads time 0), a t past either end is an
+    IndexError for table, value and inputs, and stationary refuses a
+    finite horizon."""
     wide = ValueTable(FiniteHorizon(1), [[1, 2], [3, 4]], 1, [[3, 5], [7, 2**300 + 1]])
     row = wide.table(1)
     assert wide.table(-1) is row and wide.value(1, -1) == row[1] == Fraction(4, 2**300 + 1)
     assert wide.value(0, -2) == Fraction(1, 3) and len(wide) == 2
     narrow = ValueTable(FiniteHorizon(1), ((0, 1), (0, 2)), 2)
     assert narrow.table(-1) is narrow.table(1) and narrow.value(1, -1) == 1
-    with pytest.raises(IndexError):
-        narrow.table(2)
+    # x' = x + u over GF(2), g = [0, 1], T = 2: leave 1 at once
+    A = MatrixFp.identity(F2, 1)
+    _, argmin = solve_finite(DPInstance(A, A, CostFunction(F2, 1, [0, 1]), FiniteHorizon(2)))
+    assert argmin.inputs(1, -2) == frozenset({1}) and len(argmin) == 2
+    row = argmin.table(1)
+    assert argmin.table(-1) is row and argmin.inputs(0, -1) is row[0] == frozenset({0})
+    for table, read in ((wide, wide.value), (narrow, narrow.value), (argmin, argmin.inputs)):
+        for t in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table.table(t)
+            with pytest.raises(IndexError):
+                read(0, t)
+        with pytest.raises(ValueError, match="only exists for discounted horizons"):
+            table.stationary
+
+
+@pytest.mark.parametrize("horizon", [FiniteHorizon(2), DiscountedHorizon(HALF)],
+                         ids=["finite", "discounted"])
+def test_argmin_table_lets_its_frame_go_once_every_row_is_built(horizon):
+    """A solver's ArgminTable holds the instance's CosetFrame only while a
+    row is left to build: with the instance gone, building the last row
+    frees the frame, and one-state reads then give the built rows' sets."""
+    A = MatrixFp.from_rows(F3, [[1, 1], [0, 2]])
+    B = MatrixFp.from_rows(F3, [[1], [1]])
+    inst = DPInstance(A, B, CostFunction(F3, 2, [0, 1, 2, 1, 1, 2, 2, 1, 3]), horizon)
+    _, argmin = dp.solve(inst)
+    del inst
+    frame = weakref.ref(argmin.frame)
+    if len(argmin) > 1:
+        argmin.table(1)
+        assert frame() is argmin.frame is not None  # row 0 is left to build
+    rows = argmin.per_time
+    assert frame() is None and argmin.frame is None
+    assert [tuple(argmin.inputs(x, t) for x in range(9)) for t in range(len(argmin))] == list(rows)
 
 
 def test_value_split_defect_returns_smallest_failing_state():
@@ -1125,7 +1162,7 @@ def test_value_reads_one_entry_without_building_the_table():
     for vt in (integer, wide, wide_scaled):
         fresh = ValueTable(vt.horizon, vt.nums, vt.scale, vt.dens)
         read = [[vt.value(x, t) for x in range(3)] for t in range(2)]
-        assert vt._exact == {}
+        assert vt._rows == [None] * 2
         assert read == [list(fresh.table(t)) for t in range(2)]
         assert all(type(v) is Fraction for row in read for v in row)
         for t in range(2):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
+from itertools import islice, product
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import NotDecomposable, TheoremViolation
@@ -106,7 +106,12 @@ def _load(args: argparse.Namespace) -> LoadedInstance:
 
 
 def _emit(payload: dict[str, Any]) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print json.dumps(payload, indent=2, sort_keys=True), written in
+    batches of the encoder's chunks so the whole document is never held."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while batch := list(islice(chunks, 1024)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _print_table(title: str, states: list, values: list[str], argmin: list | None = None) -> None:

@@ -343,7 +343,7 @@ class DPInstance:
         """next-state index for every (state, input) pair, computed once."""
         if self._trans is None:
             # entry x + p^n u of the map of [A | B] is the successor of x under u
-            im = index_map(self.A.hstack(self.B))
+            im = index_map(MatrixFp.from_cols(self.field, self.A.cols() + self.B.cols(), nrows=self.n))
             N = self.num_states
             object.__setattr__(self, "_trans", [im[x::N] for x in range(N)])
         return self._trans
@@ -570,10 +570,8 @@ def _walk(G: Sequence[int], Q: Sequence[int] | None, bits: int, nxt: Sequence[in
     with d = b^l - a^l the head c_0 is worth H / (L·d) for
     H = sum over j of a^j·b^(l-j)·G(c_j), every cycle state has a numerator
     over L·d, and a node k steps above the cycle one over L·b^k·d.  Wide: a
-    walked ratio is put in lowest terms only when its denominator passes
-    a bound on the reduced one, which divides lcm(Q)·b^k·(b^l - a^l): bits
-    (the cost's den_bits, > 0, so a bound of 0 is one not yet set) plus
-    bit_length(b) per step and per cycle state."""
+    walked ratio is put in lowest terms once its denominator is wider than
+    bits, the cost's den_bits, as _step reduces a row."""
     num = [0] * len(nxt)
     den = [0] * len(nxt)  # 0: unseen, -1: on the path
     if Q is None:  # num[x] / (L·den[x]) is V(x)
@@ -606,8 +604,6 @@ def _walk(G: Sequence[int], Q: Sequence[int] | None, bits: int, nxt: Sequence[in
         common = math.lcm(*set(den) - {0})
         lift = {dn: dn and a * (common // dn) for dn in set(den)}  # alpha·V over L·b·common
         return b * common, list(map(mul, num, map(lift.__getitem__, den))), None
-    step = b.bit_length()
-    cap = [0] * len(nxt)  # the bound on den[x]
     for start in nodes:
         path = []
         x = start
@@ -618,20 +614,16 @@ def _walk(G: Sequence[int], Q: Sequence[int] | None, bits: int, nxt: Sequence[in
         if den[x] < 0:
             cycle = path[path.index(x):]
             # the lap sum v / w, by Horner's rule from the last state
-            v, w, cb = 0, 1, bits
+            v, w = 0, 1
             for s in reversed(cycle):
-                v, w = _lowest(b * w * G[s] + a * Q[s] * v, b * w * Q[s], cb)
-                cb += step
+                v, w = _lowest(b * w * G[s] + a * Q[s] * v, b * w * Q[s], bits)
             bl = b ** len(cycle)
-            for s in cycle:  # every cycle state is some rotation's head
-                cap[s] = bits + len(cycle) * step
-            num[x], den[x] = _lowest(bl * v, w * (bl - a ** len(cycle)), cap[x])
+            num[x], den[x] = _lowest(bl * v, w * (bl - a ** len(cycle)), bits)
             path.remove(x)
         for s in reversed(path):  # each s steps to the state just done
             y = nxt[s]
-            cap[s] = cap[s] or cap[y] + step
             num[s], den[s] = _lowest(b * den[y] * G[s] + a * Q[s] * num[y],
-                                     b * den[y] * Q[s], cap[s])
+                                     b * den[y] * Q[s], bits)
     return 1, list(map(mul, num, repeat(a))), list(map(mul, den, repeat(b)))
 
 

@@ -115,12 +115,6 @@ class MatrixFp:
         p = self.field.p
         return tuple([sum(map(mul, self.row(i), v)) % p for i in range(self.nrows)])
 
-    def hstack(self, other: "MatrixFp") -> "MatrixFp":
-        if other.nrows != self.nrows or other.field != self.field:
-            raise ShapeError("hstack needs equal row counts over one field")
-        return MatrixFp.from_rows(self.field, map(add, self.rows(), other.rows()),
-                                  ncols=self.ncols + other.ncols)
-
     # -- solved forms ------------------------------------------------------
 
     def rank(self) -> int:

@@ -1,9 +1,11 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -797,3 +799,93 @@ def test_usage_errors_return_argparse_code(capsys):
     assert rc == 2
     rc, _, _ = run(capsys)
     assert rc == 2
+
+
+# === JSON emission ===
+
+EMIT = cli._emit  # the emitter itself, for tests that patch cli._emit away
+
+
+def test_emit_matches_json_dumps_on_every_command_payload(worked_path, tmp_path, capsys,
+                                                          monkeypatch):
+    """_emit writes json.dumps(payload, indent=2, sort_keys=True) and a
+    newline, on the payload each --json command hands it."""
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", payloads.append)
+    lqr, minimal = tmp_path / "lqr.json", tmp_path / "min.json"
+    lqr.write_text(json.dumps(lqr_doc()))
+    minimal.write_text(json.dumps({"field": {"prime": 2}, "dims": {"n": 2, "m": 1},
+                                   "A": [[0, 1], [1, 1]]}))
+    for argv in (["check", worked_path],
+                 ["solve", worked_path, "--argmin", "--all-t"],
+                 ["solve", worked_path, "--argmin", "--alpha", "1/2"],
+                 ["decompose", worked_path], ["decompose", str(minimal)], ["lqr", str(lqr)]):
+        assert cli.main([*argv, "--json"]) == 0
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payloads[0]))
+    assert cli.main(["check", worked_path, "--verify-witness", str(report), "--json"]) == 0
+    keys = ["additive_holds", "argmin", "value_iteration", "parts", "factor", "K0", "witnesses"]
+    assert len(payloads) == len(keys) and all(map(dict.__contains__, payloads, keys))
+    capsys.readouterr()
+    for payload in payloads:
+        EMIT(payload)
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def solve_payload(n):
+    """A finite solve payload's shape over GF(2)^n, with argmin sets."""
+    return {"field": 2, "n": n, "m": 1, "states": cli._vectors(2, n),
+            "horizon": {"finite": {"T": 1}},
+            "values": {"0": [f"{x % 7}/3" for x in range(2**n)], "1": []},
+            "argmin": {"0": [[[0], [1]] if x % 3 else [] for x in range(2**n)]}}
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], {"a": [], "b": {}, "c": [[], {}, [[]]], "d": None, "e": True, "f": 1.5, "g": "\u00e9"},
+    solve_payload(12),  # tens of thousands of chunks: many batches
+], ids=["empty-dict", "empty-list", "empties-and-scalars", "many-batches"])
+def test_emit_matches_json_dumps(capsys, payload):
+    EMIT(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class _DigestSink:
+    """A stdout that keeps only the sha256 and length of what it is given."""
+
+    def __init__(self):
+        self.digest, self.length = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.length += len(text)
+
+
+def test_emit_never_holds_the_document(monkeypatch):
+    """_emit writes as the encoder goes: on a 2^12-state payload its peak
+    traced memory stays under a quarter of the document's length, where
+    building the whole document holds all of it at once."""
+    payload = solve_payload(12)
+    document = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    expected, length = hashlib.sha256(document.encode()).hexdigest(), len(document)
+    del document
+    sink = _DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        EMIT(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sink.digest.hexdigest(), sink.length) == (expected, length)
+    assert peak < length // 4, (peak, length)
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_refused_json_run_writes_nothing(tmp_path, capsys, command):
+    """Every refusal is raised while the payload is built, before _emit
+    writes its first byte."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(axis_doc("1/2")))
+    rc, out, err = run(capsys, command, str(path), "--json", "--alpha", f"1/{'9' * 3000}")
+    assert rc == 2 and out == ""
+    assert f"{dp.PRINTABLE_BITS} bits" in err

@@ -285,7 +285,7 @@ def oracle_coset_frame(A, B):
     field = A.field
     p, n, m = field.p, B.nrows, B.ncols
     eye = MatrixFp.identity(field, n)
-    _, pivots = rref(B.hstack(eye))
+    _, pivots = rref(MatrixFp.from_cols(field, B.cols() + eye.cols(), nrows=n))
     r = sum(1 for j in pivots if j < m)
     Q = MatrixFp.from_cols(field, [B.col(j) if j < m else eye.col(j - m)
                                    for j in pivots], nrows=n)

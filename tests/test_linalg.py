@@ -209,7 +209,9 @@ def test_index_map_empty_shapes():
 def test_transpose_and_stack():
     A = MatrixFp.from_rows(F2, [[1, 0], [1, 1]])
     assert A.cols() == [(1, 1), (0, 1)]  # the columns are the transpose's rows
-    assert A.hstack(A) == MatrixFp.from_rows(F2, [[1, 0, 1, 0], [1, 1, 1, 1]])
+    # [A | A] from the columns, as DPInstance.transitions builds [A | B]
+    assert (MatrixFp.from_cols(F2, A.cols() + A.cols(), nrows=2)
+            == MatrixFp.from_rows(F2, [[1, 0, 1, 0], [1, 1, 1, 1]]))
 
 
 # === subspaces ===

@@ -15,7 +15,7 @@ from dpdecomp.dp import (CostFunction, DiscountedHorizon, DPInstance,
                          solve_finite, state_index)
 from dpdecomp.errors import NotInvariant, NotSeparableCost
 from dpdecomp.fields import Poly, PrimeField
-from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace
+from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace, preimage
 from dpdecomp.subproblems import build_bundle, lift_policy, solve_bundle
 from test_acceptance import rand_B, rand_forced_B, rand_split_system
 from test_linalg import members
@@ -220,6 +220,20 @@ def test_local_matrices_match_per_part_products(forced):
         got = [(r.A, r.B, q.B) for r, q in zip(bundle.restricted, bundle.projected)]
         assert got == oracle_local_matrices(bundle.parent, decomp, bundle.input_parts)
         assert all(r.A is q.A for r, q in zip(bundle.restricted, bundle.projected))
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["split-B", "generic-B"])
+def test_feasible_inputs_are_the_preimages_of_the_parts(forced):
+    """Part i's feasible inputs, the kernel of the other parts' rows of
+    C^-1 B, are preimage(B, part i): the inputs u with B u in part i."""
+    rng = random.Random(f"preimage-{forced}")
+    for _ in range(150):
+        F, A, decomp = rand_split_system(rng, primes=(2, 3, 5), n_max=5)
+        B = rand_forced_B(rng, F, decomp) if forced else rand_B(rng, F, A.nrows)
+        cost = CostFunction.indicator(decomp, [Fraction(1)] * decomp.r)
+        inst = DPInstance(A, B, cost, FiniteHorizon(1), max_states=None, max_inputs=None)
+        assert build_bundle(inst, decomp).input_parts == [preimage(B, part)
+                                                          for part in decomp.parts]
 
 
 # === solving and lifting ===

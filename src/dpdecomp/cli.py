@@ -63,19 +63,10 @@ def _guard(args: argparse.Namespace, size: int, limit: int, what: str) -> None:
 
 def _horizon_override(args: argparse.Namespace) -> Horizon | None:
     from .dp import DiscountedHorizon, FiniteHorizon
-    if args.horizon is None and args.T is None and args.alpha is None:
-        return None
-    kind = args.horizon or ("finite" if args.T is not None else "discounted")
-    flag, stray = ("--alpha", args.alpha) if kind == "finite" else ("--T", args.T)
-    if stray is not None:
-        given = f"--horizon {kind}" if args.horizon else "--T"
-        raise ValueError(f"{flag} conflicts with {given}: give one horizon")
-    if kind == "finite":
-        if args.T is None:
-            raise ValueError("--horizon finite needs --T")
-        return FiniteHorizon(args.T)
     if args.alpha is None:
-        raise ValueError("--horizon discounted needs --alpha")
+        return None if args.T is None else FiniteHorizon(args.T)
+    if args.T is not None:
+        raise ValueError("--alpha conflicts with --T: give one horizon")
     return DiscountedHorizon(parse_rational(args.alpha))
 
 
@@ -314,10 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "horizon guard for lqr)")
 
     horizon = argparse.ArgumentParser(add_help=False)
-    horizon.add_argument("--horizon", choices=["finite", "discounted"],
-                         help="override the file's horizon kind")
-    horizon.add_argument("--T", type=int, help="finite horizon length")
-    horizon.add_argument("--alpha", help="discount factor, e.g. 1/2")
+    horizon.add_argument("--T", type=int, help="finite horizon length, overriding the file")
+    horizon.add_argument("--alpha", help="discount factor, e.g. 1/2, overriding the file")
 
     p_solve = sub.add_parser("solve", parents=[common, horizon],
                              help="exact optimal values")

@@ -65,8 +65,6 @@ class CosetFrame:
     in_states: Callable = dataclasses.field(init=False)
     by_coset: Callable = dataclasses.field(init=False)
     at_ax: Callable = dataclasses.field(init=False)
-    # rows of fibres by position (see argmin_sets)
-    _rows: dict = dataclasses.field(default_factory=dict, init=False)
 
     def __post_init__(self):
         c_ax = list(map(floordiv, self.k_ax, repeat(self.P)))
@@ -160,23 +158,20 @@ class CosetFrame:
         holds the fibre at coset c's first minimal position v, merged over
         every minimal position where the coset's minimum ties (one merged
         row per set of positions).  A coset's block is a tuple of the zip of
-        the P strided slices, so only tied cosets take a Python step.  Each
-        position's row of fibres (pre[v - w] for every w) comes from one
-        index sum, and rows are kept for later calls when all P of them fit
-        in p^n entries; a state with one minimal position gets the shared
-        fibre frozenset itself."""
+        the P strided slices, so only tied cosets take a Python step.  The
+        row of fibres (pre[v - w] for every w) of each position used comes
+        from one index sum per call; a state with one minimal position gets
+        the shared fibre frozenset itself."""
         P = self.P
         blocks = list(zip(*[Jk[i::P] for i in range(P)]))
         first = list(map(tuple.index, blocks, mins))
         tied = list(compress(count(), map(lt, repeat(1), map(tuple.count, blocks, mins))))
         where = [tuple(compress(count(), map(eq, blocks[c], repeat(mins[c])))) for c in tied]
-        rows = self._rows if P * P <= len(Jk) else {}
-        new = list(set(first).union(*where).difference(rows))
-        if new:
-            shifts = chain.from_iterable(map(repeat, new, repeat(P)))
-            found = map(self.pre.__getitem__,
-                        index_sum(self.p, self.neg * len(new), shifts, self.r))
-            rows.update(zip(new, map(tuple, map(islice, repeat(found), repeat(P)))))
+        used = list(set(first).union(*where))
+        shifts = chain.from_iterable(map(repeat, used, repeat(P)))
+        found = map(self.pre.__getitem__,
+                    index_sum(self.p, self.neg * len(used), shifts, self.r))
+        rows = dict(zip(used, map(tuple, map(islice, repeat(found), repeat(P)))))
         picked = list(map(rows.__getitem__, first))
         merged = {vs: tuple(map(frozenset().union, *map(rows.__getitem__, vs)))
                   for vs in set(where)}

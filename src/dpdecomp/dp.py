@@ -91,7 +91,7 @@ class FiniteHorizon:
     T: int
 
     def __post_init__(self):
-        if not isinstance(self.T, int) or self.T < 1:
+        if not isinstance(self.T, int) or isinstance(self.T, bool) or self.T < 1:
             raise ValueError("finite horizon requires an integer T >= 1")
 
 

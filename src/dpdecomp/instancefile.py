@@ -65,10 +65,7 @@ def _parse_horizon(data: Any) -> Horizon:
     if not isinstance(block, dict):
         raise ValueError(f"horizon.{kind} must be an object")
     if kind == "finite":
-        T = block.get("T")
-        if not isinstance(T, int) or isinstance(T, bool) or T < 1:
-            raise ValueError("finite horizon needs an integer T >= 1")
-        return FiniteHorizon(T)
+        return FiniteHorizon(block.get("T"))
     return DiscountedHorizon(parse_rational(block.get("alpha")))
 
 

@@ -1,6 +1,8 @@
-"""Every mismatch the public entry points of dp and linalg refuse: each case
-pins the exception's exact class and a fragment of its message."""
+"""Every mismatch the public entry points of dp, linalg, fields,
+instancefile and lqr refuse: each case pins the exception's exact class and
+a fragment of its message."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,10 @@ from dpdecomp.dp import (CostFunction, DiscountedHorizon, DPInstance, FiniteHori
                          evaluate_stationary_policy, evaluate_time_varying, is_in_Gs)
 from dpdecomp.errors import ShapeError
 from dpdecomp.fields import Poly, PrimeField
+from dpdecomp.instancefile import parse_rational
 from dpdecomp.linalg import (DirectSumDecomposition, MatrixFp, Subspace, is_invariant,
-                             poly_eval_matrix, subspace_intersect, subspace_sum)
+                             poly_eval_matrix, preimage, subspace_intersect, subspace_sum)
+from dpdecomp.lqr import _as_matrix
 
 F2, F3 = PrimeField(2), PrimeField(3)
 I2 = MatrixFp.identity(F2, 2)
@@ -38,6 +42,8 @@ CASES = [
      ValueError, "cost function does not match the state space"),
     ("unsupported-horizon", lambda: DPInstance(I2, B2, COST2, "forever"),
      ValueError, "unsupported horizon 'forever'"),
+    ("finite-horizon-bool", lambda: FiniteHorizon(True),
+     ValueError, "finite horizon requires an integer T >= 1"),
     # the evaluators' horizons and laws
     ("stationary-policy-horizon", lambda: evaluate_stationary_policy(
         instance(FiniteHorizon(1)), [0] * 4),
@@ -84,6 +90,18 @@ CASES = [
      ShapeError, "parts live in different ambient spaces"),
     ("splitting-fields", lambda: DirectSumDecomposition([LINE2, Subspace(F3, 2, [(0, 1)])]),
      ShapeError, "parts live in different ambient spaces"),
+    ("preimage-codomain", lambda: preimage(B2, Subspace(F2, 1)),
+     ShapeError, "subspace must live in the codomain of M"),
+    # fields
+    ("modulus-type", lambda: PrimeField(2.0), ValueError, "modulus must be an int, got 2.0"),
+    ("poly-fields", lambda: Poly(F2, (1, 1)) * Poly(F3, (1, 1)),
+     ValueError, "polynomials must share a field"),
+    ("poly-negative-power", lambda: Poly(F2, (1, 1)) ** -1,
+     ValueError, "negative polynomial powers are not defined"),
+    # input parsing
+    ("rational-past-int-limit", lambda: parse_rational("1" * (sys.get_int_max_str_digits() + 1)),
+     ValueError, "not a rational: '111"),
+    ("lqr-not-2d", lambda: _as_matrix([1.0, 2.0], "A"), ValueError, "A must be a 2-d array"),
 ]
 
 

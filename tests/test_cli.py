@@ -62,8 +62,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("argv, name", [
     (["--all-t", "--argmin"], "solve-worked-finite-all-t-argmin.txt"),
-    (["--horizon", "discounted", "--alpha", "1/2", "--argmin"],
-     "solve-worked-discounted-argmin.txt"),
+    (["--alpha", "1/2", "--argmin"], "solve-worked-discounted-argmin.txt"),
 ], ids=["finite", "discounted"])
 def test_solve_text_is_pinned(worked_path, capsys, argv, name):
     """solve's whole text output on the worked example, byte for byte (the
@@ -86,8 +85,8 @@ def test_solve_json_frozen_values(worked_path, capsys):
 
 
 def test_solve_discounted_json(worked_path, capsys):
-    rc, out, _ = run(capsys, "solve", worked_path, "--horizon", "discounted",
-                     "--alpha", "1/2", "--json", "--tol", "1/100")
+    rc, out, _ = run(capsys, "solve", worked_path, "--alpha", "1/2", "--json",
+                     "--tol", "1/100")
     assert rc == 0
     payload = json.loads(out)
     assert payload["horizon"] == {"discounted": {"alpha": "1/2"}}
@@ -109,8 +108,7 @@ def test_solve_determinism(worked_path, capsys):
 @pytest.mark.parametrize("argv, times", [
     (["--T", "3"], []), (["--T", "3", "--argmin"], [0]),
     (["--T", "3", "--argmin", "--all-t"], [0, 1, 2]),
-    (["--horizon", "discounted", "--alpha", "1/2"], []),
-    (["--horizon", "discounted", "--alpha", "1/2", "--argmin"], [0]),
+    (["--alpha", "1/2"], []), (["--alpha", "1/2", "--argmin"], [0]),
 ], ids=["finite", "finite-argmin", "finite-all-t-argmin", "discounted", "discounted-argmin"])
 def test_solve_builds_only_the_argmin_rows_it_prints(worked_path, capsys, monkeypatch,
                                                      argv, times):
@@ -131,30 +129,41 @@ def test_horizon_override_flags(worked_path, capsys):
     rc, out, _ = run(capsys, "solve", worked_path, "--T", "2", "--json")
     assert rc == 0
     assert json.loads(out)["horizon"] == {"finite": {"T": 2}}
-    rc, _, err = run(capsys, "solve", worked_path, "--horizon", "finite")
-    assert rc == 2
-    assert "--T" in err
+    rc, out, _ = run(capsys, "solve", worked_path, "--alpha", "1/2", "--json")
+    assert rc == 0
+    assert json.loads(out)["horizon"] == {"discounted": {"alpha": "1/2"}}
 
 
-@pytest.mark.parametrize("argv, flags", [
-    (["--alpha", "2/3", "--T", "2"], ["--alpha", "--T"]),
-    (["--horizon", "finite", "--alpha", "1/2"], ["--horizon finite", "--alpha"]),
-    (["--horizon", "discounted", "--alpha", "1/2", "--T", "3"], ["--horizon discounted", "--T"]),
-    (["--horizon", "discounted"], ["--horizon discounted needs --alpha"]),
-], ids=["T-and-alpha", "finite-and-alpha", "discounted-and-T", "discounted-without-alpha"])
+@pytest.mark.parametrize("argv", [["--alpha", "2/3", "--T", "2"], ["--T", "3", "--alpha", "1/2"]],
+                         ids=["T-and-alpha", "alpha-and-T"])
 @pytest.mark.parametrize("command", ["solve", "check"])
-def test_conflicting_horizon_flags_exit_2(worked_path, capsys, command, argv, flags):
-    """A flag the chosen horizon cannot use is refused, not dropped, and so
-    is a discounted horizon without its factor."""
+def test_conflicting_horizon_flags_exit_2(worked_path, capsys, command, argv):
+    """--T and --alpha name different horizons, so giving both is refused,
+    not resolved by dropping one."""
     rc, out, err = run(capsys, command, worked_path, *argv)
-    assert rc == 2 and out == ""
-    assert err.count("\n") == 1 and all(flag in err for flag in flags), err
+    assert (rc, out) == (2, "")
+    assert err == "error: --alpha conflicts with --T: give one horizon\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--horizon", "finite", "--T", "2"],
+    ["--horizon", "discounted", "--alpha", "1/2"],
+    ["--horizon", "finite", "--alpha", "1/2"],
+    ["--horizon", "discounted", "--alpha", "1/2", "--T", "3"],
+    ["--horizon", "discounted"],
+], ids=["finite", "discounted", "finite-and-alpha", "discounted-and-T", "discounted-without-alpha"])
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_horizon_flag_is_refused(worked_path, capsys, command, argv):
+    """The horizon is given by --T or --alpha alone: --horizon is an unknown
+    option, a usage error with nothing on stdout."""
+    rc, out, err = run(capsys, command, worked_path, *argv)
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --horizon" in err, err
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--tol"])
 def test_rational_flags_refuse_alike(worked_path, capsys, flag):
-    rc, out, err = run(capsys, "solve", worked_path, "--horizon", "discounted",
-                       "--alpha", "1/2", flag, "0.5")
+    rc, out, err = run(capsys, "solve", worked_path, "--alpha", "1/2", flag, "0.5")
     assert rc == 2 and out == ""
     assert err == "error: not a rational: '0.5'\n"
 
@@ -165,8 +174,7 @@ def test_non_positive_tol_exits_2_before_loading(tmp_path, worked_path, capsys, 
     instance file is read, and with a finite horizon, which never uses it."""
     rc, out, err = run(capsys, "solve", str(tmp_path / "missing.json"), "--tol", tol)
     assert (rc, out, err) == (2, "", f"error: --tol must be positive, got {tol}\n")
-    rc, out, err = run(capsys, "solve", worked_path, "--horizon", "finite", "--T", "2",
-                       "--tol", tol)
+    rc, out, err = run(capsys, "solve", worked_path, "--T", "2", "--tol", tol)
     assert (rc, out, err) == (2, "", f"error: --tol must be positive, got {tol}\n")
 
 
@@ -558,6 +566,17 @@ def test_horizon_guard_is_lifted_by_force(tmp_path, capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("T", [True, "1"])
+def test_finite_horizon_needs_an_integer_T(tmp_path, capsys, T):
+    """The loader hands a file's T to FiniteHorizon, whose one rule refuses
+    anything but an int >= 1: a JSON true is not T = 1."""
+    path = tmp_path / "horizon.json"
+    path.write_text(json.dumps(long_horizon_doc(T)))
+    rc, out, err = run(capsys, "solve", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: finite horizon requires an integer T >= 1\n"
+
+
 @pytest.mark.parametrize("argv", [["solve"], ["check"], ["solve", "--T", "100"]])
 def test_horizon_guard_fires_before_the_instance_is_loaded(tmp_path, capsys, monkeypatch, argv):
     """T·p^n is read off the header and the horizon (or --T), so a p = 2,
@@ -764,8 +783,7 @@ def test_exponent_rationals_exit_2_at_once(tmp_path):
     assert proc.returncode == 2 and "1e100000000" in proc.stderr, proc.stderr
     path.write_text(path.read_text().replace("1e100000000", "1"))
     for flag in ("--alpha", "--tol"):
-        proc = _cli_process(path, ["solve", "--horizon", "discounted", "--alpha", "1/2",
-                                   flag, "1e-100000000"])
+        proc = _cli_process(path, ["solve", "--alpha", "1/2", flag, "1e-100000000"])
         assert proc.returncode == 2 and "1e-100000000" in proc.stderr, (flag, proc.stderr)
 
 

@@ -453,6 +453,63 @@ def test_value_separability_assertion_catches_a_perturbed_subproblem_value(
         run_battery(inst, decomp)
 
 
+@pytest.mark.parametrize("field, perturbed, fragment", [
+    ("input_span", Subspace(F3, 2, [(1, 0)]), "input-space restatement disagree"),
+    ("input_parts", [Subspace(F3, 2)] * 2, "one-step minimum over a part's feasible inputs"),
+    ("complement", Subspace(F3, 2, [(1, 0)]), "meets the complement input image"),
+], ids=["range-condition", "min-over-parts", "necessity"])
+def test_bundle_assertions_catch_a_perturbed_bundle(monkeypatch, field, perturbed, fragment):
+    """Every check passes on the decoupled instance (strict cost, A = I,
+    range condition true, empty complement).  A bundle whose input span
+    shrinks to one axis, whose feasible input subspaces are zero, or whose
+    complement is an input direction that A's image meets must each trip
+    their own assertion in run_battery."""
+    inst, decomp = make_decoupled()
+    assert run_battery(inst, decomp).additive_holds is True
+    monkeypatch.setattr(checks, "build_bundle", lambda *args: dataclasses.replace(
+        build_bundle(*args), **{field: perturbed}))
+    with pytest.raises(TheoremViolation, match=fragment):
+        run_battery(inst, decomp)
+
+
+def test_lift_spot_check_catches_a_non_optimal_subproblem_selection(monkeypatch):
+    """The zero input is optimal in a restricted subproblem of the
+    decoupled instance only at the zero state; handing it out as every
+    state's smallest optimal input lifts a policy that misses the parent
+    value, which the spot check must refuse."""
+    def perturbed(bundle, family):
+        sols = solve_bundle(bundle, family)
+        if family != "restricted":
+            return sols
+        return [(values, dp.ArgminTable(argmin.horizon, [[frozenset({0})] * len(row)
+                                                          for row in argmin.per_time]))
+                for values, argmin in sols]
+
+    inst, decomp = make_decoupled()
+    monkeypatch.setattr(checks, "solve_bundle", perturbed)
+    with pytest.raises(TheoremViolation, match="failed to achieve the parent optimal value"):
+        run_battery(inst, decomp)
+
+
+@pytest.mark.parametrize("horizon", [FiniteHorizon(2), DiscountedHorizon(HALF)])
+def test_positivity_assertions_catch_a_perturbed_solution(horizon):
+    """For a strict cost only the zero state has value zero, and every
+    optimizer there is a null input: a value table with a second zero, or
+    a zero state's set holding an input that moves it, must each fail."""
+    inst, _ = make_decoupled(horizon)
+    values, argmin = solve(inst)
+    checks._assert_positivity_props(inst, (values, argmin))
+    nums = [list(row) for row in values.nums]
+    nums[0][1] = 0
+    with pytest.raises(TheoremViolation, match="zero set differs from the zero state"):
+        checks._assert_positivity_props(
+            inst, (dataclasses.replace(values, nums=tuple(map(tuple, nums))), argmin))
+    rows = [list(row) for row in argmin.per_time]
+    rows[0][0] = rows[0][0] | {1}
+    with pytest.raises(TheoremViolation, match="moves the state off zero"):
+        checks._assert_positivity_props(inst, (values, dp.ArgminTable(argmin.horizon, rows)))
+
+
 def test_battery_decides_each_restricted_value_split_once(monkeypatch):
     """One split of the cost (build_bundle), one restricted split per time,
     one projected split: T + 2 full-table scans when the condition holds."""

@@ -1089,6 +1089,25 @@ def test_coset_frame_matches_two_elimination_oracle():
                 assert got.P == p**n
 
 
+def test_argmin_reads_leave_the_frame_unchanged():
+    """A coset frame is a function of (A, B) alone: building minimizer sets,
+    a whole row or one state's, stores nothing on it, also where every
+    position's row of fibres would fit in p^n entries (P^2 <= p^n)."""
+    rng = random.Random("frame-keeps-no-state")
+    for p, n in ((2, 4), (3, 3), (5, 2)):
+        F = PrimeField(p)
+        A = MatrixFp(F, n, n, [rng.randrange(p) for _ in range(n * n)])
+        frame = dp.CosetFrame.of(A, MatrixFp.from_rows(F, [[1]] + [[0]] * (n - 1)))
+        assert frame.P == p and frame.P**2 <= p**n
+        before = {name: value.copy() if isinstance(value, (list, dict)) else value
+                  for name, value in vars(frame).items()}
+        for _ in range(3):  # ties in {0, 1} give cosets of several minimal positions
+            Jk, mins, _, _ = frame.minima([rng.randrange(2) for _ in range(p**n)])
+            row = frame.argmin_sets(Jk, mins)
+            assert [frame.argmin_set(x, Jk, mins) for x in range(p**n)] == row
+            assert vars(frame) == before
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_one_state_argmin_read_matches_the_built_row(monkeypatch, p):
     """ArgminTable.inputs (CosetFrame.argmin_set) gives the built row's set

@@ -173,11 +173,10 @@ def _value_splits(bundle: SubproblemBundle, parent_values: ValueTable,
             for t in range(times)]
 
 
-def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
-    """Does the input image split part by part?  Returns that verdict and
-    its input-space restatement (the feasible input subspaces sum to the
-    whole input space); the two are a theorem apart, so disagreement is a
-    hard error."""
+def check_range_condition(bundle: SubproblemBundle) -> bool:
+    """Does the input image split part by part?  Its input-space restatement,
+    that the feasible input subspaces sum to the whole input space, is a
+    theorem apart, so disagreement is a hard error."""
     image = column_space(bundle.parent.B)
     # the parts are independent, so the meets of im B with them sum to im B
     # exactly when their dimensions, dim S + dim T - dim(S + T) each, do
@@ -188,7 +187,7 @@ def check_range_condition(bundle: SubproblemBundle) -> tuple[bool, bool]:
         raise TheoremViolation(
             "range splitting and its input-space restatement disagree "
             f"({range_condition} vs {input_space_is_sum})")
-    return range_condition, input_space_is_sum
+    return range_condition
 
 
 def _first_outside(span: frozenset[int], row: Sequence[frozenset[int]]) -> int | None:
@@ -256,7 +255,7 @@ def _spot_check_lift(bundle: SubproblemBundle, parent_values: ValueTable,
     finite = isinstance(bundle.parent.horizon, FiniteHorizon)
     selections = [[list(map(min, row)) for row in sub_argmin.per_time]
                   for _, sub_argmin in restricted_solutions]
-    law = lift_policy(bundle, "restricted", selections if finite else [s[0] for s in selections])
+    law = lift_policy(bundle, selections if finite else [s[0] for s in selections])
     evaluate = evaluate_time_varying if finite else evaluate_stationary_policy
     if not evaluate(bundle.parent, law).agrees(parent_values, 0):
         raise TheoremViolation(
@@ -472,12 +471,12 @@ def run_battery(inst: DPInstance, decomp: DirectSumDecomposition,
     if family not in ("restricted", "projected", "both"):
         raise ValueError(f"unknown family {family!r}")
     bundle = build_bundle(inst, decomp)
-    range_condition, input_sum = check_range_condition(bundle)
+    range_condition = check_range_condition(bundle)
     report = DecompositionReport(
         prime=inst.field.p, n=inst.n, m=inst.m,
         horizon=horizon_json(inst.horizon), family=family,
         range_condition=range_condition,
-        input_space_is_sum_of_parts=input_sum,
+        input_space_is_sum_of_parts=range_condition,
         A_invertible=inst.A.is_invertible())
 
     parent_solution = solve(inst)
@@ -653,8 +652,11 @@ def verify_witnesses(inst: DPInstance, decomp: DirectSumDecomposition,
             x = _witness_state(w, inst)
             out[name] = span.isdisjoint(parent_argmin.inputs(x, _witness_time(w, inst)))
     if report.additive_witness is not None:
+        w = report.additive_witness
+        if isinstance(w, dict) and w.get("kind") != "value":
+            raise ValueError(f"additive witness kind must be 'value', not {w.get('kind')!r}")
         out["additive_witness"] = _value_witness_confirmed(
-            bundle, report.additive_witness, parent_values, solve_bundle(bundle, "restricted"))
+            bundle, w, parent_values, solve_bundle(bundle, "restricted"))
     if report.componentwise_witness is not None:
         w = report.componentwise_witness
         if not isinstance(w, dict) or w.get("kind") not in ("value", "tuple"):

@@ -8,7 +8,8 @@ P = p^r consecutive coordinate indices starting at c·P.  The successor
 of x under u is the state at coordinate index k(Ax) + offset[u], summed
 digit by digit (linalg.index_sum), which moves w and keeps c.  Every
 kernel is a few C-level map, slice and itemgetter passes, with no Python
-step per state, and no table has more than p^n or p^m entries, whatever
+step per state (only building a frame does one: a loop over the states
+inverts order), and no table has more than p^n or p^m entries, whatever
 the rank of B.
 
 Every state x whose A x lies in coset c can reach exactly the states of

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import NotDecomposable, NotInvariant, ShapeError
+from .errors import NotDecomposable, NotInvariant, ShapeError, TheoremViolation
 from .fields import Poly
 from .linalg import (
     DirectSumDecomposition,
@@ -148,8 +148,9 @@ def primary_decomposition(A: MatrixFp
     parts = []
     for q, m in factors:
         part = null_space(poly_eval_matrix(q**m, A))
-        assert part.dim == q.degree * m, "primary part has unexpected dimension"
-        assert is_invariant(A, part)
+        if part.dim != q.degree * m or not is_invariant(A, part):
+            raise TheoremViolation(f"the kernel of ({q})^{m} at A is not an invariant "
+                                   f"part of dimension {q.degree * m}")
         parts.append(part)
     return DirectSumDecomposition(parts), factors
 

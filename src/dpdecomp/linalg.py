@@ -118,7 +118,7 @@ class MatrixFp:
     # -- solved forms ------------------------------------------------------
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return len(rref_rows(self.field.p, self.rows())[1])
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -264,18 +264,13 @@ def _length(vectors: list[list[int]], given: int | None, what: str) -> int:
     return lengths.pop()
 
 
-def rref(M: MatrixFp) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Reduced row echelon form of M (see rref_rows), its rows as lists."""
-    return rref_rows(M.field.p, list(map(list, M.rows())))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of GF(p)^n with a canonical echelon basis.
 
     Internally the basis vectors are the rows of an RREF matrix (transposed
-    back to columns on demand), which makes equality, membership, and
-    coordinate extraction cheap and deterministic.
+    back to columns on demand), which makes equality and membership cheap
+    and deterministic.
     """
 
     field: PrimeField
@@ -306,21 +301,16 @@ class Subspace:
         return MatrixFp(self.field, self.ambient_dim, self.dim, chain.from_iterable(zip(*self._rows)))
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self.coords_of(v) is not None
-
-    def coords_of(self, v: Sequence[int]) -> Vector | None:
-        """Coefficients of v in the canonical basis, or None if v is outside:
-        the basis is in reduced echelon form, so they are v at the pivots."""
+        """Is v in the span?  The basis is in reduced echelon form, so v's
+        coefficient on each row is v at that row's pivot."""
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
         p = self.field.p
         v = [e % p for e in v]
-        coeffs = tuple(v[c] for c in self._pivots)
-        for lam, row in zip(coeffs, self._rows):
-            if lam:
-                for j in range(self.ambient_dim):
-                    v[j] = (v[j] - lam * row[j]) % p
-        return None if any(v) else coeffs
+        for c, row in zip(self._pivots, self._rows):
+            if lam := v[c]:
+                v = [(a - lam * b) % p for a, b in zip(v, row)]
+        return not any(v)
 
     def __repr__(self) -> str:
         vecs = ", ".join(str(list(r)) for r in self._rows)

@@ -112,23 +112,19 @@ def solve_bundle(bundle: SubproblemBundle, family: Family) -> list[tuple[ValueTa
     return [solve(sub) for sub in bundle.family(family)]
 
 
-def lift_policy(bundle: SubproblemBundle, family: Family,
-                selections: Sequence) -> list:
-    """Combine per-part action selections into a parent control law.
+def lift_policy(bundle: SubproblemBundle, selections: Sequence) -> list:
+    """Combine per-part restricted action selections into a parent control law.
 
     For a finite horizon, selections[i][t][y] is the local action index
     chosen for part i at local state y and time t, and the result is
     law[t][x], a parent input index per time and state.  For a discounted
-    horizon the time axis is absent on both sides.  Restricted-family
-    actions are embedded through the feasible-input bases before summing;
-    projected-family actions already live in the input space and sum as is.
+    horizon the time axis is absent on both sides.  Each part's actions are
+    embedded through its feasible-input basis and the embedded inputs summed.
     """
-    bundle.family(family)  # rejects an unknown family name
     parent = bundle.parent
     p, m = parent.field.p, parent.m
     # each part's action indices as parent input indices
-    embed = ([index_map(e.basis_matrix()) for e in bundle.input_parts]
-             if family == "restricted" else [range(parent.num_inputs)] * bundle.decomp.r)
+    embed = [index_map(e.basis_matrix()) for e in bundle.input_parts]
     comp = bundle.component_state_tables()
 
     def lift(choices: Sequence[Sequence[int]]) -> list[int]:

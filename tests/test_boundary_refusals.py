@@ -71,7 +71,7 @@ CASES = [
     # subspaces and splittings
     ("subspace-vector-length", lambda: Subspace(F2, 2, [(1, 0, 1)]),
      ShapeError, "spanning vector of wrong length"),
-    ("coords-of-length", lambda: LINE2.coords_of((1, 0, 0)), ShapeError, "vector length mismatch"),
+    ("contains-length", lambda: LINE2.contains((1, 0, 0)), ShapeError, "vector length mismatch"),
     ("sum-ambient", lambda: subspace_sum(LINE2, Subspace(F2, 3)),
      ShapeError, "subspaces live in different ambient spaces"),
     ("sum-fields", lambda: subspace_sum(LINE2, Subspace(F3, 2)),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dpdecomp import checks, cli, cosets, dp, errors
+from dpdecomp import checks, cli, cosets, dp, errors, invariant_decomp
 from dpdecomp.errors import TheoremViolation
 
 
@@ -187,6 +187,16 @@ def test_decompose_text(worked_path, capsys):
     assert "factor coefficients (low to high) [1, 1] multiplicity 1" in out
     assert "factor coefficients (low to high) [2, 1] multiplicity 2" in out
     assert "basis [1 1 0]" in out
+
+
+def test_decompose_exits_3_on_a_primary_part_that_is_not_invariant(
+        worked_path, capsys, monkeypatch):
+    """A primary part failing its invariance check is a bug, not bad input:
+    decompose exits 3 with a message naming the factor, and prints nothing."""
+    monkeypatch.setattr(invariant_decomp, "is_invariant", lambda A, S: False)
+    rc, out, err = run(capsys, "decompose", worked_path)
+    assert (rc, out) == (3, "")
+    assert err.startswith("theorem violation (this is a bug): the kernel of (")
 
 
 def test_decompose_json(worked_path, capsys):

@@ -255,6 +255,23 @@ def test_cli_refuses_a_witness_report_for_another_horizon(tmp_path, capsys):
     assert capsys.readouterr().out.count("confirmed") == 3
 
 
+def test_additive_witness_of_another_kind_is_refused(tmp_path, capsys):
+    """An additive witness is a value witness: one of any other kind is
+    malformed, so verify_witnesses raises naming the kind and
+    check --verify-witness exits 2 without a witness line."""
+    inst, decomp = make_generic_refuted()
+    data = run_battery(inst, decomp).to_dict()
+    data["additive_witness"]["kind"] = "banana"
+    with pytest.raises(ValueError, match="additive witness kind must be 'value', not 'banana'"):
+        verify_witnesses(inst, decomp, report_from_dict(data))
+    path, saved = tmp_path / "instance.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_instance_document(inst, decomp)))
+    saved.write_text(json.dumps(data))
+    assert cli.main(["check", str(path), "--verify-witness", str(saved)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: additive witness kind must be 'value', not 'banana'\n")
+
+
 def test_horizon_checks_refuse_the_other_horizon():
     for horizon, check in ((DiscountedHorizon(HALF), checks.check_minimizer_condition),
                            (FiniteHorizon(1), checks.check_stationary_selector)):
@@ -470,6 +487,88 @@ def test_bundle_assertions_catch_a_perturbed_bundle(monkeypatch, field, perturbe
         build_bundle(*args), **{field: perturbed}))
     with pytest.raises(TheoremViolation, match=fragment):
         run_battery(inst, decomp)
+
+
+def test_value_separability_assertion_catches_values_moved_between_parts(monkeypatch):
+    """Moving one unit of value from every state of one restricted
+    subproblem to every state of the other keeps the value split at every
+    time but breaks each part's agreement with the parent value on the
+    part, which the separability assertion must refuse."""
+    solve_bundle = checks.solve_bundle
+
+    def moved(bundle, family):
+        sols = solve_bundle(bundle, family)
+        if family != "restricted":
+            return sols
+        return [(dataclasses.replace(values, nums=tuple(
+                    tuple(v + d * values.scale for v in row) for row in values.nums)), argmin)
+                for (values, argmin), d in zip(sols, (1, -1))]
+
+    inst, decomp = make_decoupled()
+    monkeypatch.setattr(checks, "solve_bundle", moved)
+    with pytest.raises(TheoremViolation, match="disagrees with the parent value on its part"):
+        run_battery(inst, decomp)
+
+
+def test_value_split_assertion_catches_a_defect_after_time_zero(monkeypatch):
+    """The minimizer condition holds on the decoupled instance, so the
+    restricted value split must hold at every time: a defect reported at
+    t = 1 alone (t = 0 still splits, so additive holds) must trip the
+    separability assertion."""
+    value_splits = checks._value_splits
+
+    def defect_at_one(*args):
+        defects = value_splits(*args)
+        return defects[:1] + [0] + defects[2:] if len(defects) > 1 else defects
+
+    inst, decomp = make_decoupled(FiniteHorizon(2))
+    monkeypatch.setattr(checks, "_value_splits", defect_at_one)
+    with pytest.raises(TheoremViolation, match="not additive across parts"):
+        run_battery(inst, decomp)
+
+
+@pytest.mark.parametrize("check, horizon, fragment", [
+    ("check_additive", FiniteHorizon(2), "condition holds but the additive verdict failed"),
+    ("check_stationary_selector", DiscountedHorizon(HALF), "no stationary selector exists"),
+    ("check_minimizer_condition", FiniteHorizon(2), "the minimizer condition failed"),
+], ids=["additive", "stationary-selector", "minimizer-condition"])
+def test_battery_assertions_catch_a_flipped_verdict(monkeypatch, check, horizon, fragment):
+    """On the decoupled instance (strict cost) the additive verdict and the
+    minimizer or selector condition both hold, and each forces the other:
+    reporting either one False with a witness must trip its assertion."""
+    inst, decomp = make_decoupled(horizon)
+    monkeypatch.setattr(checks, check, lambda *args: (False, {"state": [1, 0]}))
+    with pytest.raises(TheoremViolation, match=fragment):
+        run_battery(inst, decomp)
+
+
+def test_tuple_count_assertion_catches_misread_digit_blocks(monkeypatch):
+    """Componentwise holds on the decoupled instance, so every tuple is
+    reached; digit blocks that all read (1, 1) miscount the parent images
+    that pass, and the walk that finds every tuple reached must refuse."""
+    input_images = checks._input_images
+
+    def one_block(bundle):
+        images, bu_adapted, blocks = input_images(bundle)
+        return images, bu_adapted, [(1, 1)] * len(blocks)
+
+    inst, decomp = make_decoupled()
+    assert run_battery(inst, decomp).componentwise_holds is True
+    monkeypatch.setattr(checks, "_input_images", one_block)
+    with pytest.raises(TheoremViolation, match="tuple count fell short"):
+        run_battery(inst, decomp)
+
+
+def test_hierarchy_note_on_componentwise_without_additive(monkeypatch):
+    """With a vanishing cost, componentwise without additive is recorded,
+    not raised: hierarchy_consistent is False and the note says why."""
+    for check, verdict in (("check_minimizer_condition", False), ("check_additive", False),
+                           ("check_componentwise", True)):
+        monkeypatch.setattr(checks, check, lambda *args, v=verdict: (v, None))
+    report = run_battery(*make_parent())
+    assert report.hierarchy_consistent is False
+    assert ("componentwise holds without additive; the implication is only guaranteed "
+            "for strictly positive costs") in report.notes
 
 
 def test_lift_spot_check_catches_a_non_optimal_subproblem_selection(monkeypatch):

@@ -33,7 +33,7 @@ from dpdecomp.dp import (ArgminTable, CostFunction,
                          solve_finite, state_index, value_split_defect)
 from dpdecomp.fields import PrimeField
 from dpdecomp import linalg
-from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, rref
+from dpdecomp.linalg import DirectSumDecomposition, MatrixFp, Subspace, index_map, rref_rows
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -285,7 +285,7 @@ def oracle_coset_frame(A, B):
     field = A.field
     p, n, m = field.p, B.nrows, B.ncols
     eye = MatrixFp.identity(field, n)
-    _, pivots = rref(MatrixFp.from_cols(field, B.cols() + eye.cols(), nrows=n))
+    _, pivots = rref_rows(p, MatrixFp.from_cols(field, B.cols() + eye.cols(), nrows=n).rows())
     r = sum(1 for j in pivots if j < m)
     Q = MatrixFp.from_cols(field, [B.col(j) if j < m else eye.col(j - m)
                                    for j in pivots], nrows=n)

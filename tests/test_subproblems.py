@@ -287,51 +287,30 @@ def test_lifted_restricted_policy_achieves_parent_optimum():
         selections.append([[min(argmin.per_time[t][y])
                             for y in range(bundle.restricted[i].num_states)]
                            for t in range(T)])
-    law = lift_policy(bundle, "restricted", selections)
+    law = lift_policy(bundle, selections)
     assert evaluate_time_varying(inst, law).table(0) == parent_values.table(0)
 
 
-def test_lift_projected_policy_runs():
-    inst, decomp = make_axes_parent(FiniteHorizon(1))
-    bundle = build_bundle(inst, decomp)
-    sols = solve_bundle(bundle, "projected")
-    selections = []
-    for i in range(3):
-        _, argmin = sols[i]
-        selections.append([[min(argmin.per_time[0][y])
-                            for y in range(bundle.projected[i].num_states)]])
-    law = lift_policy(bundle, "projected", selections)
-    # a lifted projected law is a genuine control law; its cost dominates J*
-    parent_values, _ = solve_finite(inst)
-    closed = evaluate_time_varying(inst, law)
-    for x in range(inst.num_states):
-        assert closed.value(x, 0) >= parent_values.value(x, 0)
-
-
-def oracle_lift(bundle, family, choices):
+def oracle_lift(bundle, choices):
     """A lifted law at one time, state by state from digit vectors: the sum
     over parts of each part's action at the state's component, embedded
-    through the feasible-input basis (restricted) or as is (projected)."""
+    through the feasible-input basis."""
     parent = bundle.parent
     p, m = parent.field.p, parent.m
     law = []
     for x in range(parent.num_states):
         u = [0] * m
         for i, (chosen, loc) in enumerate(zip(choices, bundle.component_state_tables())):
-            sub = bundle.family(family)[i]
-            action = index_state(chosen[loc[x]], p, sub.m)
-            vec = (bundle.input_parts[i].basis_matrix().matvec(action) if family == "restricted"
-                   else action)
-            u = [a + b for a, b in zip(u, vec)]
+            action = index_state(chosen[loc[x]], p, bundle.restricted[i].m)
+            u = [a + b for a, b in zip(u, bundle.input_parts[i].basis_matrix().matvec(action))]
         law.append(state_index(u, p))
     return law
 
 
-@pytest.mark.parametrize("family", ["restricted", "projected"])
-def test_lift_policy_matches_per_state_oracle(family):
+def test_lift_policy_matches_per_state_oracle():
     """Random local selections lift to the same parent law as the digit
     vector oracle, for p in {2, 3, 5, 7}, finite (per time) and discounted."""
-    rng = random.Random(f"lift-{family}")
+    rng = random.Random("lift-restricted")
     for k in range(24):
         F, A, decomp = rand_split_system(rng, primes=(2, 3, 5, 7), n_max=4 if k % 4 else 3)
         B = rand_forced_B(rng, F, decomp) if k % 2 else rand_B(rng, F, A.nrows)
@@ -339,17 +318,15 @@ def test_lift_policy_matches_per_state_oracle(family):
         horizon = FiniteHorizon(2) if k % 3 else DiscountedHorizon(HALF)
         inst = DPInstance(A, B, cost, horizon, max_states=None, max_inputs=None)
         bundle = build_bundle(inst, decomp)
-        subs = bundle.family(family)
         times = 2 if k % 3 else 1
         picks = [[[rng.randrange(sub.num_inputs) for _ in range(sub.num_states)]
-                  for _ in range(times)] for sub in subs]
+                  for _ in range(times)] for sub in bundle.restricted]
         if k % 3:
-            law = lift_policy(bundle, family, picks)
-            assert law == [oracle_lift(bundle, family, [sel[t] for sel in picks])
-                           for t in range(times)]
+            law = lift_policy(bundle, picks)
+            assert law == [oracle_lift(bundle, [sel[t] for sel in picks]) for t in range(times)]
         else:
-            law = lift_policy(bundle, family, [sel[0] for sel in picks])
-            assert law == oracle_lift(bundle, family, [sel[0] for sel in picks])
+            law = lift_policy(bundle, [sel[0] for sel in picks])
+            assert law == oracle_lift(bundle, [sel[0] for sel in picks])
 
 
 def test_discounted_bundle_solves():
@@ -362,7 +339,7 @@ def test_discounted_bundle_solves():
     selections = [[min(sols[i][1].stationary[y])
                    for y in range(bundle.restricted[i].num_states)]
                   for i in range(3)]
-    law = lift_policy(bundle, "restricted", selections)
+    law = lift_policy(bundle, selections)
     assert len(law) == inst.num_states
 
 
